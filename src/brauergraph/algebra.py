@@ -11,12 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import BrauerGraph
+from .core import BrauerGraph, edge_name
 from .linalg import RationalSpan, vec_add, vec_scale
 from .presentation import (
     Arrow,
-    edge_name,
+    find_subword,
     induces_arrow,
+    normal_paths,
     quiver,
     relations,
 )
@@ -261,14 +262,6 @@ def dimension_by_rewriting(graph: BrauerGraph) -> int:
             big, small = (w1, w2) if word_key(w1) > word_key(w2) else (w2, w1)
             rewrites[big] = small
 
-    def find_subword(word, patterns):
-        for pat in patterns:
-            n = len(pat)
-            for s in range(len(word) - n + 1):
-                if word[s : s + n] == pat:
-                    return pat, s
-        return None
-
     def reduce(word: tuple[Arrow, ...]) -> tuple[Arrow, ...] | None:
         while True:
             if find_subword(word, zero_words):
@@ -279,10 +272,6 @@ def dimension_by_rewriting(graph: BrauerGraph) -> int:
             pat, s = hit
             word = word[:s] + rewrites[pat] + word[s + len(pat) :]
 
-    by_source: dict[tuple, list[Arrow]] = {}
-    for a in q.arrows:
-        by_source.setdefault(a.source, []).append(a)
-
     max_len = max(
         (
             len(graph.sigma_orbit_of(h)) * graph.multiplicity[h]
@@ -292,21 +281,11 @@ def dimension_by_rewriting(graph: BrauerGraph) -> int:
         default=0,
     )
     count = len(q.vertices)
-    frontier: list[tuple[Arrow, ...]] = [(a,) for a in q.arrows]
-    frontier = [w for w in frontier if reduce(w) == w]
-    length = 1
-    while frontier:
+    layers = normal_paths(q.arrows, lambda w: reduce(w) == w)
+    for length, layer in enumerate(layers, start=1):
         if length > max_len:
             raise RuntimeError("rewriting frontier outlived the length bound")
-        count += len(frontier)
-        new_frontier = []
-        for word in frontier:
-            for a in by_source.get(word[-1].target, []):
-                ext = word + (a,)
-                if reduce(ext) == ext:
-                    new_frontier.append(ext)
-        frontier = new_frontier
-        length += 1
+        count += len(layer)
     return count
 
 

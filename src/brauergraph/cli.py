@@ -15,6 +15,7 @@ from . import covering, homotopy, models, moves
 from .core import (
     BrauerGraph,
     GradedGraph,
+    edge_name,
     grading_violations,
     oz_invariants,
     validate,
@@ -23,7 +24,6 @@ from .core import (
 from .graphfile import GraphFileError, ParsedGraph, emit, parse
 from .presentation import (
     admissible_cut,
-    edge_name,
     presentation,
     render_presentation,
     render_relation,

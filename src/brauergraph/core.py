@@ -57,10 +57,6 @@ class BrauerGraph:
         """Least common multiple of all multiplicities (1 on the empty graph)."""
         return math.lcm(*self.multiplicity.values()) if self.multiplicity else 1
 
-    def vertex_multiplicity(self, h: str) -> int:
-        """Induced multiplicity of the circ vertex through ``h``."""
-        return self.multiplicity[h]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BrauerGraph):
             return NotImplemented
@@ -140,6 +136,16 @@ class OZInvariants:
     bipartite: bool
 
 
+def edge_name(graph: BrauerGraph, h: str) -> str:
+    """Canonical edge label: common stem of a +/- pair, else the smaller name."""
+    other = graph.pairing(h)
+    if other == h:
+        return h
+    if h[:-1] == other[:-1] and {h[-1], other[-1]} == {"+", "-"}:
+        return h[:-1]
+    return min(h, other)
+
+
 def validate(graph: BrauerGraph) -> list[str]:
     """Return a report of violated invariants; empty means valid."""
     report: list[str] = []
@@ -175,6 +181,14 @@ def validate(graph: BrauerGraph) -> list[str]:
             report.append(
                 "excluded component (" + " ".join(sorted(component)) + ")"
             )
+    # Edge labels name quiver vertices and idempotents, so they must be distinct.
+    edges_by_label: dict[str, list[tuple[str, ...]]] = {}
+    for edge in graph.edges:
+        edges_by_label.setdefault(edge_name(graph, edge[0]), []).append(edge)
+    for label, edges in sorted(edges_by_label.items()):
+        if len(edges) > 1:
+            shared = ", ".join("(" + " ".join(e) + ")" for e in edges)
+            report.append(f"edge label {label} is shared by edges {shared}")
     return report
 
 

@@ -28,8 +28,10 @@ class CoveredGraph:
     sheet_of: Mapping[str, tuple[str, int]]
     group_order: int
 
-    def lift(self, h: str, sheet: int) -> str:
-        return sheet_label(h, sheet % self.group_order)
+    def shift_half(self, label: str) -> str:
+        """The sheet shift h_i -> h_{i+1} on half-edges of the total graph."""
+        h, i = self.sheet_of[label]
+        return sheet_label(h, (i + 1) % self.group_order)
 
 
 def sheet_label(h: str, sheet: int) -> str:
@@ -110,13 +112,6 @@ def default_grading(graph: BrauerGraph, subset: frozenset[str] = frozenset()) ->
             chosen = min(orbit)
         degrees[chosen] = (m_bar // graph.multiplicity[chosen]) % m_bar
     return Grading(m_bar, degrees)
-
-
-def move_with_default_grading(
-    graph: BrauerGraph, subset: frozenset[str]
-) -> GradedGraph:
-    """Convenience move for callers without a grading in hand."""
-    return move_set(GradedGraph(graph, default_grading(graph, subset)), subset)
 
 
 def check_cover_commutes(g: GradedGraph, subset: frozenset[str]) -> bool:

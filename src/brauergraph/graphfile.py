@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import BrauerGraph, GradedGraph, Grading, zero_grading
+from .core import BrauerGraph, Grading
 from .permutations import Permutation
 
 
@@ -34,10 +34,6 @@ class ParsedGraph:
     graph: BrauerGraph
     grading: Grading | None
     aliases: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def graded(self) -> GradedGraph:
-        grading = self.grading if self.grading is not None else zero_grading(self.graph)
-        return GradedGraph(self.graph, grading)
 
 
 def _parse_cycles(body: str, line: int, offset: int, names: set[str]):

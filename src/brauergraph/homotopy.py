@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraTable, Element, ONE
-from .core import BrauerGraph, GradedGraph
+from .core import BrauerGraph, GradedGraph, edge_name
 from .covering import default_grading
 from .linalg import RationalSpan, solve_homogeneous
 from .models import GraphAlgebraModel, edge_cartan, model_for
 from .moves import _check_subset, move_set
-from .presentation import edge_name
 
 Matrix = list[list[Element]]
 
@@ -177,25 +176,6 @@ def _slots(
     return out
 
 
-def _matrix_from_vector(
-    table: AlgebraTable,
-    sources: tuple[int, ...],
-    targets: tuple[int, ...],
-    coords: dict,
-    offset: str,
-) -> Matrix:
-    matrix: Matrix = [
-        [dict() for _ in sources] for _ in targets
-    ]
-    for key, value in coords.items():
-        tag, t_idx, s_idx, b = key
-        if tag != offset:
-            continue
-        entry = matrix[t_idx][s_idx]
-        entry[b] = entry.get(b, Fraction(0)) + value
-    return matrix
-
-
 def _vector_from_matrix(matrix: Matrix, tag: str) -> dict:
     out = {}
     for t_idx, row in enumerate(matrix):
@@ -204,6 +184,26 @@ def _vector_from_matrix(matrix: Matrix, tag: str) -> dict:
                 if c:
                     out[(tag, t_idx, s_idx, b)] = c
     return out
+
+
+def _chain_map_vector(f_m1: Matrix, f_0: Matrix) -> dict:
+    """Coordinates of a chain map (f_{-1}, f_0), keyed (tag, t, s, basis)."""
+    vec = _vector_from_matrix(f_m1, "m1")
+    vec.update(_vector_from_matrix(f_0, "d0"))
+    return vec
+
+
+def _chain_map_from_vector(
+    x: ProjPresentation, y: ProjPresentation, coords: dict
+) -> tuple[Matrix, Matrix]:
+    """The components (f_{-1}, f_0) of a chain map X -> Y from its coordinates."""
+    f_m1: Matrix = [[dict() for _ in x.deg_minus1] for _ in y.deg_minus1]
+    f_0: Matrix = [[dict() for _ in x.deg_0] for _ in y.deg_0]
+    component = {"m1": f_m1, "d0": f_0}
+    for (tag, t_idx, s_idx, b), value in coords.items():
+        entry = component[tag][t_idx][s_idx]
+        entry[b] = entry.get(b, Fraction(0)) + value
+    return f_m1, f_0
 
 
 def compose(table: AlgebraTable, left: Matrix, right: Matrix) -> Matrix:
@@ -231,8 +231,8 @@ def compose(table: AlgebraTable, left: Matrix, right: Matrix) -> Matrix:
 
 def _chain_map_space(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
-) -> tuple[list, list[dict], list[dict]]:
-    """Unknowns, solution basis and homotopy boundaries for degree-0 chain maps."""
+) -> tuple[list[dict], list[dict]]:
+    """Solution basis and homotopy boundaries for degree-0 chain maps."""
     slots_m1 = _slots(table, x.deg_minus1, y.deg_minus1)
     slots_0 = _slots(table, x.deg_0, y.deg_0)
     unknowns = [("m1",) + s for s in slots_m1] + [("d0",) + s for s in slots_0]
@@ -271,13 +271,36 @@ def _chain_map_space(
             [dict() for _ in x.deg_0] for _ in y.deg_minus1
         ]
         h[t_idx][s_idx] = {b: ONE}
-        f_m1 = compose(table, h, dx)
-        f_0 = compose(table, dy, h)
-        vec = _vector_from_matrix(f_m1, "m1")
-        vec.update(_vector_from_matrix(f_0, "d0"))
+        vec = _chain_map_vector(compose(table, h, dx), compose(table, dy, h))
         if vec:
             boundaries.append(vec)
-    return unknowns, solutions, boundaries
+    return solutions, boundaries
+
+
+def _hom_classes(
+    table: AlgebraTable,
+    x: ProjPresentation,
+    y: ProjPresentation,
+    seed: tuple[dict, ...] = (),
+) -> tuple[RationalSpan, int, list[tuple[Matrix, Matrix]]]:
+    """Representatives of the degree-0 homotopy classes X -> Y.
+
+    Spans the boundaries first, then keeps each candidate chain map (the
+    ``seed`` vectors, then the solution basis) that is independent of the
+    span so far.  Returns the span, its number of boundary vectors, and the
+    representatives in the order the span holds them after the boundaries.
+    """
+    solutions, boundaries = _chain_map_space(table, x, y)
+    span = RationalSpan()
+    for vec in boundaries:
+        span.add(vec)
+    n_boundaries = span.rank
+    reps = [
+        _chain_map_from_vector(x, y, vec)
+        for vec in (*seed, *solutions)
+        if span.add(vec) is not None
+    ]
+    return span, n_boundaries, reps
 
 
 @dataclass(frozen=True)
@@ -293,19 +316,7 @@ def hom_space(
 ) -> HomSpace:
     if shift != 0:
         return HomSpace(hom_dimension(table, x, y, shift))
-    _, solutions, boundaries = _chain_map_space(table, x, y)
-    span = RationalSpan()
-    for b in boundaries:
-        span.add(b)
-    reps = []
-    for vec in solutions:
-        if span.add(vec) is not None:
-            reps.append(
-                (
-                    _matrix_from_vector(table, x.deg_minus1, y.deg_minus1, vec, "m1"),
-                    _matrix_from_vector(table, x.deg_0, y.deg_0, vec, "d0"),
-                )
-            )
+    reps = _hom_classes(table, x, y)[2]
     return HomSpace(len(reps), tuple(reps))
 
 
@@ -316,14 +327,7 @@ def hom_dimension(
     if abs(shift) >= 2:
         return 0
     if shift == 0:
-        _, solutions, boundaries = _chain_map_space(table, x, y)
-        span = RationalSpan()
-        for b in boundaries:
-            span.add(b)
-        rank_boundaries = span.rank
-        for s in solutions:
-            span.add(s)
-        return span.rank - rank_boundaries
+        return len(_hom_classes(table, x, y)[2])
     if shift == 1:
         slots = _slots(table, x.deg_minus1, y.deg_0)
         dx = x.matrix()
@@ -419,37 +423,13 @@ def end_table(
         ]
         return f_m1, f_0
 
-    def vector_of(pair: tuple[Matrix, Matrix]) -> dict:
-        vec = _vector_from_matrix(pair[0], "m1")
-        vec.update(_vector_from_matrix(pair[1], "d0"))
-        return vec
-
     for a in range(n):
         for b in range(n):
             x = summands[a][1]
-            y = summands[b][1]
-            unknowns, solutions, boundaries = _chain_map_space(table, x, y)
-            span = RationalSpan()
-            for bd in boundaries:
-                span.add(bd)
-            boundary_counts[(a, b)] = span.rank
-            chosen: list[tuple[Matrix, Matrix]] = []
-            candidates = []
-            if a == b:
-                candidates.append(vector_of(identity_pair(x)))
-            candidates.extend(solutions)
-            for vec in candidates:
-                if span.add(vec) is not None:
-                    chosen.append(
-                        (
-                            _matrix_from_vector(
-                                table, x.deg_minus1, y.deg_minus1, vec, "m1"
-                            ),
-                            _matrix_from_vector(table, x.deg_0, y.deg_0, vec, "d0"),
-                        )
-                    )
-            reps[(a, b)] = chosen
-            spans[(a, b)] = span
+            seed = (_chain_map_vector(*identity_pair(x)),) if a == b else ()
+            spans[(a, b)], boundary_counts[(a, b)], reps[(a, b)] = _hom_classes(
+                table, x, summands[b][1], seed
+            )
 
     labels = []
     src = []
@@ -480,12 +460,8 @@ def end_table(
             return {}
         u = reps[(fa, fb)][fk]
         v = reps[(ga, gb)][gk]
-        w_m1 = compose(table, u[0], v[0])
-        w_0 = compose(table, u[1], v[1])
-        vec = _vector_from_matrix(w_m1, "m1")
-        vec.update(_vector_from_matrix(w_0, "d0"))
-        span = spans[(ga, fb)]
-        coords = span.express(vec)
+        vec = _chain_map_vector(compose(table, u[0], v[0]), compose(table, u[1], v[1]))
+        coords = spans[(ga, fb)].express(vec)
         if coords is None:
             raise RuntimeError("composite chain map escaped its Hom space")
         n_boundaries = boundary_counts[(ga, fb)]

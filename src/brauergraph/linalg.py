@@ -7,7 +7,7 @@ coordinate extraction stay cheap on the small systems this package solves.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 Vector = dict[Hashable, Fraction]
 
@@ -84,23 +84,12 @@ class RationalSpan:
         self._rank += 1
         return index
 
-    def contains(self, vec: Mapping) -> bool:
-        residual, _ = self._reduce(vec)
-        return not residual
-
     def express(self, vec: Mapping) -> dict[int, Fraction] | None:
         """Coordinates of ``vec`` over the basis, or None if outside the span."""
         residual, combo = self._reduce(vec)
         if residual:
             return None
         return combo
-
-
-def rank_of(vectors: Iterable[Mapping]) -> int:
-    span = RationalSpan()
-    for v in vectors:
-        span.add(v)
-    return span.rank
 
 
 def solve_homogeneous(

@@ -21,7 +21,7 @@ from .algebra import (
     skew_group_table,
     truncate,
 )
-from .core import BrauerGraph, GradedGraph, Grading, zero_grading
+from .core import BrauerGraph, GradedGraph, Grading, edge_name, zero_grading
 from .covering import CoveredGraph, cover, sheet_label
 from .linalg import vec_add
 from .presentation import (
@@ -29,11 +29,14 @@ from .presentation import (
     Path,
     Presentation,
     QVertex,
-    edge_name,
+    admissible_cut,
+    find_subword,
     induces_arrow,
+    normal_paths,
     quiver,
     relations,
     render_relation,
+    render_vertex,
     special_cycles,
     vertex_indices,
 )
@@ -108,43 +111,42 @@ def sheet_shift_action(
 ) -> GroupActionTable:
     """The sheet shift h_i -> h_{i+1} on the covering algebra's path basis."""
     total = covered.total
-    n = covered.group_order
-
-    def shift_half(label: str) -> str:
-        h, i = covered.sheet_of[label]
-        return sheet_label(h, (i + 1) % n)
-
     edge_rep: dict[str, str] = {}
     for edge in total.edges:
         edge_rep[edge_name(total, edge[0])] = edge[0]
 
     def shift_key(key: BasisKey) -> BasisKey:
         if key[0] == "w":
-            return ("w", shift_half(key[1]), key[2])
-        return (key[0], edge_name(total, shift_half(edge_rep[key[1]])))
+            return ("w", covered.shift_half(key[1]), key[2])
+        return (key[0], edge_name(total, covered.shift_half(edge_rep[key[1]])))
 
     images = tuple(index_of[shift_key(k)] for k in keys)
-    return GroupActionTable(n, tuple(ONE for _ in keys), images)
+    return GroupActionTable(covered.group_order, tuple(ONE for _ in keys), images)
 
 
 def truncation_idempotents(
-    covered: CoveredGraph, bd_dim: int, index_of: dict[BasisKey, int]
+    covered: CoveredGraph, table: AlgebraTable
 ) -> list[tuple[QVertex, Element]]:
-    """The sheet-zero idempotents, split in two at each skew leg."""
+    """The sheet-zero idempotents, split in two at each skew leg.
+
+    ``table`` is an algebra of the covering whose idempotents are labelled
+    by covering edge names; the elements live in its skew group algebra,
+    where basis index ``table.dim + b`` is b (x) g.
+    """
     base = covered.base.graph
     total = covered.total
+    idempotent_at = dict(table.idempotents)
     out: list[tuple[QVertex, Element]] = []
     for v in quiver(base).vertices:
         name, copy = v
         edge = next(e for e in base.edges if edge_name(base, e[0]) == name)
-        h0 = sheet_label(edge[0], 0)
-        e_index = index_of[("e", edge_name(total, h0))]
+        e_index = idempotent_at[edge_name(total, sheet_label(edge[0], 0))]
         if copy is None:
             out.append((v, {e_index: ONE}))
         else:
             half = Fraction(1, 2)
             sign = half if copy == 0 else -half
-            out.append((v, {e_index: half, bd_dim + e_index: sign}))
+            out.append((v, {e_index: half, table.dim + e_index: sign}))
     return out
 
 
@@ -156,7 +158,7 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
     bd, keys, index_of = bga_table_with_keys(covered.total)
     action = sheet_shift_action(covered, keys, index_of)
     skew = skew_group_table(bd, action)
-    chosen = truncation_idempotents(covered, bd.dim, index_of)
+    chosen = truncation_idempotents(covered, bd)
     trunc = truncate(skew, [(str(v), elem) for v, elem in chosen])
     vertex_position = {v: p for p, (v, _) in enumerate(chosen)}
 
@@ -336,34 +338,15 @@ def monomial_table(
         forbidden.append(rel.terms[0][1])
 
     def clean(path: Path) -> bool:
-        for pat in forbidden:
-            k = len(pat)
-            for s in range(len(path) - k + 1):
-                if path[s : s + k] == pat:
-                    return False
-        return True
-
-    by_source: dict[QVertex, list[Arrow]] = {}
-    for a in p.quiver.arrows:
-        by_source.setdefault(a.source, []).append(a)
+        return find_subword(path, forbidden) is None
 
     vertices = list(p.quiver.vertices)
     vertex_pos = {v: k for k, v in enumerate(vertices)}
     paths: list[Path] = []
-    frontier: list[Path] = [(a,) for a in sorted(p.quiver.arrows) if clean((a,))]
-    while frontier:
-        paths.extend(frontier)
+    for layer in normal_paths(sorted(p.quiver.arrows), clean):
+        paths.extend(layer)
         if len(paths) > cap:
             raise RuntimeError("path enumeration exceeded the cap; not finite?")
-        new: list[Path] = []
-        for path in frontier:
-            for a in sorted(by_source.get(path[-1].target, [])):
-                ext = path + (a,)
-                if clean(ext):
-                    new.append(ext)
-        frontier = new
-
-    from .presentation import render_vertex
 
     labels = ["e[" + render_vertex(v) + "]" for v in vertices]
     src = [k for k in range(len(vertices))]
@@ -395,8 +378,6 @@ def cut_cover_table(
     covered: CoveredGraph, delta: frozenset[str]
 ) -> tuple[AlgebraTable, GroupActionTable, Presentation]:
     """Gentle cut of the covering algebra, with the sheet-shift action."""
-    from .presentation import admissible_cut
-
     total = covered.total
     n = covered.group_order
     delta_d = frozenset(
@@ -405,23 +386,18 @@ def cut_cover_table(
     cut_presentation = admissible_cut(total, delta_d)
     table, paths, index_of = monomial_table(cut_presentation)
 
-    def shift_half(label: str) -> str:
-        h, i = covered.sheet_of[label]
-        return sheet_label(h, (i + 1) % n)
-
     def shift_vertex(v: QVertex) -> QVertex:
         name, copy = v
         edge = next(e for e in total.edges if edge_name(total, e[0]) == name)
-        return (edge_name(total, shift_half(edge[0])), copy)
+        return (edge_name(total, covered.shift_half(edge[0])), copy)
 
     def shift_arrow(a: Arrow) -> Arrow:
-        return Arrow(shift_half(a.h), shift_vertex(a.source), shift_vertex(a.target))
+        return Arrow(
+            covered.shift_half(a.h), shift_vertex(a.source), shift_vertex(a.target)
+        )
 
-    n_vertices = len(cut_presentation.quiver.vertices)
     vertex_pos = {v: k for k, v in enumerate(cut_presentation.quiver.vertices)}
-    images = []
-    for k, v in enumerate(cut_presentation.quiver.vertices):
-        images.append(vertex_pos[shift_vertex(v)])
+    images = [vertex_pos[shift_vertex(v)] for v in cut_presentation.quiver.vertices]
     for path in paths:
         shifted = tuple(shift_arrow(a) for a in path)
         images.append(index_of[shifted])
@@ -433,26 +409,10 @@ def cut_cover_table(
 
 def cut_model_table(graph: BrauerGraph, delta: frozenset[str]) -> AlgebraTable:
     """Model of the cut algebra via the covering (works for skew graphs too)."""
-    from .presentation import render_vertex
-
     covered = cover(GradedGraph(graph, zero_grading(graph)))
     table, action, _ = cut_cover_table(covered, frozenset(delta))
     skew = skew_group_table(table, action)
-    chosen = []
-    total = covered.total
-    position = {name: p for p, (name, _) in enumerate(table.idempotents)}
-    for v in quiver(graph).vertices:
-        name, copy = v
-        edge = next(e for e in graph.edges if edge_name(graph, e[0]) == name)
-        h0 = sheet_label(edge[0], 0)
-        cover_vertex = (edge_name(total, h0), None)
-        e_index = table.idempotents[position[render_vertex(cover_vertex)]][1]
-        if copy is None:
-            chosen.append((render_vertex(v), {e_index: ONE}))
-        else:
-            half = Fraction(1, 2)
-            sign = half if copy == 0 else -half
-            chosen.append(
-                (render_vertex(v), {e_index: half, table.dim + e_index: sign})
-            )
+    chosen = [
+        (render_vertex(v), elem) for v, elem in truncation_idempotents(covered, table)
+    ]
     return truncate(skew, chosen).table

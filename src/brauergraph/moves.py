@@ -71,7 +71,8 @@ def _check_sector(graph: BrauerGraph, sector: Sector, subset: frozenset[str]) ->
 
 def _moved_orientation_multiplicity(
     graph: BrauerGraph, sector: Sector
-) -> tuple[Permutation, dict[str, int]]:
+) -> tuple[Permutation, dict[str, int], list[str], str, str]:
+    """Moved orientation and multiplicity, with the run, escape and target used."""
     sigma = graph.orientation
     run = _sector_run(graph, sector)
     escape = sigma(run[-1])                 # sigma^{r+1} h
@@ -83,7 +84,7 @@ def _moved_orientation_multiplicity(
     new_m = dict(graph.multiplicity)
     for x in run:
         new_m[x] = graph.multiplicity[target]
-    return new_sigma, new_m
+    return new_sigma, new_m, run, escape, target
 
 
 def move_sector_underlying(
@@ -92,7 +93,7 @@ def move_sector_underlying(
     """The ungraded Kauer move of one sector (orientation and multiplicity only)."""
     subset = _check_subset(graph, subset)
     _check_sector(graph, sector, subset)
-    new_sigma, new_m = _moved_orientation_multiplicity(graph, sector)
+    new_sigma, new_m, *_ = _moved_orientation_multiplicity(graph, sector)
     return BrauerGraph(graph.half_edges, graph.pairing, new_sigma, new_m)
 
 
@@ -103,14 +104,11 @@ def move_sector(
     graph, grading = g.graph, g.grading
     subset = _check_subset(graph, subset)
     _check_sector(graph, sector, subset)
-    new_sigma, new_m = _moved_orientation_multiplicity(graph, sector)
-
-    sigma = graph.orientation
-    run = _sector_run(graph, sector)
-    escape = sigma(run[-1])
-    target = graph.pairing(escape)
-    previous = sigma.inverse()(sector.h)    # sigma^{-1} h
-    last = run[-1]                          # sigma^r h
+    new_sigma, new_m, run, escape, target = _moved_orientation_multiplicity(
+        graph, sector
+    )
+    previous = graph.orientation.inverse()(sector.h)  # sigma^{-1} h
+    last = run[-1]  # sigma^r h
 
     n = grading.modulus
     d = dict(grading.degrees)

@@ -10,21 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import BrauerGraph
+from .core import BrauerGraph, edge_name
 from .covering import CoveredGraph
 
 QVertex = tuple[str, int | None]
-
-
-def edge_name(graph: BrauerGraph, h: str) -> str:
-    """Canonical edge label: common stem of a +/- pair, else the smaller name."""
-    other = graph.pairing(h)
-    if other == h:
-        return h
-    if h[:-1] == other[:-1] and {h[-1], other[-1]} == {"+", "-"}:
-        return h[:-1]
-    return min(h, other)
 
 
 def vertex_indices(graph: BrauerGraph, h: str) -> tuple[int | None, ...]:
@@ -143,13 +134,45 @@ def n_cross(graph: BrauerGraph, h: str) -> int:
     return sum(1 for x in graph.sigma_orbit_of(h) if x in graph.cross_half_edges)
 
 
-def _repeat_cycle(route: Path, times: int) -> Path:
-    return route * times
+def _crossing_relations(graph: BrauerGraph) -> list[Relation]:
+    """Crossing to the other side of the next edge is zero (skew legs excepted)."""
+    sigma = graph.orientation
+    out: list[Relation] = []
+    for h in sorted(graph.half_edges):
+        nxt = sigma(h)
+        if not induces_arrow(graph, h) or nxt in graph.cross_half_edges:
+            continue
+        partner = graph.pairing(nxt)
+        if not induces_arrow(graph, partner):
+            continue
+        for i in vertex_indices(graph, h):
+            for j in vertex_indices(graph, sigma(partner)):
+                path = (_arrow(graph, h, i, None), _arrow(graph, partner, None, j))
+                out.append(Relation(((Fraction(1), path),)))
+    return out
+
+
+def _two_route_relations(graph: BrauerGraph) -> list[Relation]:
+    """The two routes through the doubled vertex at a skew leg agree."""
+    sigma = graph.orientation
+    out: list[Relation] = []
+    for h in sorted(graph.half_edges):
+        if sigma(h) == h or sigma(h) not in graph.cross_half_edges:
+            continue
+        for i in vertex_indices(graph, h):
+            for j in vertex_indices(graph, sigma(sigma(h))):
+                routes = [
+                    (_arrow(graph, h, i, k), _arrow(graph, sigma(h), k, j))
+                    for k in (0, 1)
+                ]
+                out.append(
+                    Relation(((Fraction(1), routes[0]), (Fraction(-1), routes[1])))
+                )
+    return out
 
 
 def relations(graph: BrauerGraph) -> list[Relation]:
     """The generating relations of the (skew) Brauer graph algebra."""
-    sigma = graph.orientation
     cross = graph.cross_half_edges
     out: list[Relation] = []
 
@@ -167,8 +190,8 @@ def relations(graph: BrauerGraph) -> list[Relation]:
                 out.append(
                     Relation(
                         (
-                            (c_h, _repeat_cycle(route_h, graph.multiplicity[h])),
-                            (-c_o, _repeat_cycle(route_o, graph.multiplicity[other])),
+                            (c_h, route_h * graph.multiplicity[h]),
+                            (-c_o, route_o * graph.multiplicity[other]),
                         )
                     )
                 )
@@ -179,34 +202,11 @@ def relations(graph: BrauerGraph) -> list[Relation]:
             continue
         for i in vertex_indices(graph, h):
             for route in special_cycles(graph, h, i):
-                path = _repeat_cycle(route, graph.multiplicity[h]) + (route[0],)
+                path = route * graph.multiplicity[h] + (route[0],)
                 out.append(Relation(((Fraction(1), path),)))
 
     # (III) crossing to the other side of the next edge.
-    for h in sorted(graph.half_edges):
-        if not induces_arrow(graph, h):
-            continue
-        nxt = sigma(h)
-        if nxt in cross:
-            continue
-        partner = graph.pairing(nxt)
-        if not induces_arrow(graph, partner):
-            continue
-        for i in vertex_indices(graph, h):
-            for j in vertex_indices(graph, sigma(partner)):
-                out.append(
-                    Relation(
-                        (
-                            (
-                                Fraction(1),
-                                (
-                                    _arrow(graph, h, i, None),
-                                    _arrow(graph, partner, None, j),
-                                ),
-                            ),
-                        )
-                    )
-                )
+    out.extend(_crossing_relations(graph))
 
     # (IV) full cycle powers at a skew leg land on the other copy.
     for h in sorted(cross):
@@ -218,35 +218,11 @@ def relations(graph: BrauerGraph) -> list[Relation]:
                 shifted = route[:-1] + (
                     Arrow(last.h, last.source, (last.target[0], (i + 1) % 2)),
                 )
-                path = _repeat_cycle(route, graph.multiplicity[h] - 1) + shifted
+                path = route * (graph.multiplicity[h] - 1) + shifted
                 out.append(Relation(((Fraction(1), path),)))
 
     # (V) the two routes through a doubled vertex agree.
-    for h in sorted(graph.half_edges):
-        if sigma(h) == h or sigma(h) not in cross:
-            continue
-        for i in vertex_indices(graph, h):
-            for j in vertex_indices(graph, sigma(sigma(h))):
-                out.append(
-                    Relation(
-                        (
-                            (
-                                Fraction(1),
-                                (
-                                    _arrow(graph, h, i, 0),
-                                    _arrow(graph, sigma(h), 0, j),
-                                ),
-                            ),
-                            (
-                                Fraction(-1),
-                                (
-                                    _arrow(graph, h, i, 1),
-                                    _arrow(graph, sigma(h), 1, j),
-                                ),
-                            ),
-                        )
-                    )
-                )
+    out.extend(_two_route_relations(graph))
     return out
 
 
@@ -274,6 +250,41 @@ def relation_violations(p: Presentation) -> list[str]:
         if len(ends) > 1:
             problems.append(f"relation {k} mixes sources or targets")
     return problems
+
+
+def find_subword(
+    word: Path, patterns: Iterable[Path]
+) -> tuple[Path, int] | None:
+    """The first pattern occurring in ``word`` and its start, or None."""
+    for pat in patterns:
+        n = len(pat)
+        for s in range(len(word) - n + 1):
+            if word[s : s + n] == pat:
+                return pat, s
+    return None
+
+
+def normal_paths(
+    arrows: Sequence[Arrow], is_normal: Callable[[Path], bool]
+) -> Iterator[list[Path]]:
+    """The normal paths, one length at a time, in ``arrows`` order.
+
+    Each path of length k + 1 extends a normal path of length k by one
+    arrow, so ``is_normal`` must hold on every prefix of a normal path.  The
+    iteration ends at the first length with no normal path.
+    """
+    by_source: dict[QVertex, list[Arrow]] = {}
+    for a in arrows:
+        by_source.setdefault(a.source, []).append(a)
+    layer = [(a,) for a in arrows if is_normal((a,))]
+    while layer:
+        yield layer
+        layer = [
+            path + (a,)
+            for path in layer
+            for a in by_source.get(path[-1].target, ())
+            if is_normal(path + (a,))
+        ]
 
 
 def truncation_presentation(c: CoveredGraph) -> Presentation:
@@ -327,51 +338,10 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
                 rels.append(Relation(tuple((Fraction(1), p) for p in paths)))
 
     # (IV') the two routes through a doubled vertex agree.
-    for h in sorted(base.half_edges):
-        if sigma(h) == h or sigma(h) not in cross:
-            continue
-        for i in vertex_indices(base, h):
-            for j in vertex_indices(base, sigma(sigma(h))):
-                rels.append(
-                    Relation(
-                        (
-                            (
-                                Fraction(1),
-                                (_arrow(base, h, i, 0), _arrow(base, sigma(h), 0, j)),
-                            ),
-                            (
-                                Fraction(-1),
-                                (_arrow(base, h, i, 1), _arrow(base, sigma(h), 1, j)),
-                            ),
-                        )
-                    )
-                )
+    rels.extend(_two_route_relations(base))
 
     # (V') crossing to the other side of the next edge.
-    for h in sorted(base.half_edges):
-        if not induces_arrow(base, h):
-            continue
-        nxt = sigma(h)
-        if nxt in cross:
-            continue
-        partner = base.pairing(nxt)
-        if not induces_arrow(base, partner):
-            continue
-        for i in vertex_indices(base, h):
-            for j in vertex_indices(base, sigma(partner)):
-                rels.append(
-                    Relation(
-                        (
-                            (
-                                Fraction(1),
-                                (
-                                    _arrow(base, h, i, None),
-                                    _arrow(base, partner, None, j),
-                                ),
-                            ),
-                        )
-                    )
-                )
+    rels.extend(_crossing_relations(base))
     return Presentation(q, tuple(rels), symbol="b")
 
 

@@ -122,6 +122,28 @@ def test_cli_validate(ex1_file, capsys):
     assert capsys.readouterr().out.strip() == "valid"
 
 
+# Graphs whose edge labels collide; each is keyed by the shared label.
+LABEL_COLLISIONS = {
+    # the pair (a+ a-) and the edge (a z) are both labelled "a"
+    "a": "halfedges a+ a- a z\npairing (a+ a-)(a z)\norientation (a+ a z)\n",
+    # the skew leg 1 and the pair (1+ 1-) are both labelled "1"
+    "1": "halfedges 1 1+ 1-\npairing (1+ 1-)\norientation (1 1+ 1-)\n",
+}
+
+
+@pytest.mark.parametrize("label", sorted(LABEL_COLLISIONS))
+def test_cli_rejects_edge_label_collisions(label, tmp_path, capsys):
+    path = tmp_path / "collide.bg"
+    path.write_text(LABEL_COLLISIONS[label], encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert f"edge label {label} is shared by edges" in capsys.readouterr().out
+    for command in ("dim", "cartan"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid graph: edge label {label} ")
+
+
 def test_cli_invariants(ex2_file, capsys):
     assert main(["invariants", ex2_file]) == 0
     out = capsys.readouterr().out
