@@ -3,6 +3,11 @@
 Tables multiply like paths: in ``x * y`` the right factor acts first, so a
 product of basis elements b_i * b_j is nonzero only when the source
 idempotent of b_i matches the target idempotent of b_j.
+
+An ``Element`` maps basis indices to nonzero coefficients that are ``int``
+or ``Fraction``, never ``float``: unit constants stay ``int``, and a
+``Fraction`` appears only where a denominator does (the +-1/2 idempotents of
+a skew leg, the pivots of a span).
 """
 from __future__ import annotations
 
@@ -22,9 +27,9 @@ from .presentation import (
     relations,
 )
 
-Element = dict[int, Fraction]
+Element = dict[int, int | Fraction]
 
-ONE = Fraction(1)
+ONE = 1
 
 
 class AlgebraTable:
@@ -44,6 +49,7 @@ class AlgebraTable:
         self.idempotents = tuple(idempotents)
         self._product_fn = product_fn
         self._memo: dict[tuple[int, int], Element] = {}
+        self._corners: dict[tuple[int, int], list[int]] | None = None
 
     @property
     def dim(self) -> int:
@@ -68,7 +74,7 @@ class AlgebraTable:
                     continue
                 c = ci * cj
                 for k, ck in self.pairwise(i, j).items():
-                    new = out.get(k, Fraction(0)) + c * ck
+                    new = out.get(k, 0) + c * ck
                     if new:
                         out[k] = new
                     else:
@@ -89,11 +95,12 @@ class AlgebraTable:
         return matrix
 
     def corner_basis(self, target: int, source: int) -> list[int]:
-        return [
-            b
-            for b in range(self.dim)
-            if self.tgt[b] == target and self.src[b] == source
-        ]
+        """Basis indices b with tgt[b] == target and src[b] == source, ascending."""
+        if self._corners is None:
+            self._corners = {}
+            for b, corner in enumerate(zip(self.tgt, self.src)):
+                self._corners.setdefault(corner, []).append(b)
+        return list(self._corners.get((target, source), ()))
 
     def radical_coefficient_free(self, x: Element) -> bool:
         """True when x has no component on any idempotent basis element."""
@@ -299,10 +306,10 @@ class GroupActionTable:
     """A monomial action of a cyclic group generator on a table's basis."""
 
     order: int
-    scalars: tuple[Fraction, ...]
+    scalars: tuple[int | Fraction, ...]
     images: tuple[int, ...]
 
-    def apply(self, power: int, index: int) -> tuple[Fraction, int]:
+    def apply(self, power: int, index: int) -> tuple[int | Fraction, int]:
         power %= self.order
         scalar = ONE
         for _ in range(power):
@@ -314,7 +321,7 @@ class GroupActionTable:
         out: Element = {}
         for i, c in x.items():
             s, j = self.apply(power, i)
-            out[j] = out.get(j, Fraction(0)) + s * c
+            out[j] = out.get(j, 0) + s * c
         return {k: v for k, v in out.items() if v}
 
 
@@ -420,10 +427,13 @@ class Truncation:
     def express(self, x: Element) -> Element:
         """Coordinates of an f-compressed ambient element in the corner basis."""
         out: Element = {}
+        lefts: dict[int, Element] = {}
         for (ti, si), span in self._spans.items():
-            fi = self.chosen[ti][1]
-            fj = self.chosen[si][1]
-            proj = self.ambient.mul(self.ambient.mul(fi, x), fj)
+            if ti not in lefts:
+                lefts[ti] = self.ambient.mul(self.chosen[ti][1], x)
+            if not lefts[ti]:
+                continue
+            proj = self.ambient.mul(lefts[ti], self.chosen[si][1])
             if not proj:
                 continue
             coords = span.express(proj)
@@ -467,13 +477,22 @@ def truncate(
     for p, (label, x) in enumerate(chosen):
         idempotents.append((label, len(vectors)))
         admit((p, p), x, label)
+    # f_p * b and left * f_q can only be nonzero on composable pairs, so the
+    # sweep skips the products that ``mul`` would find empty.
+    left_sources = [{table.src[i] for i in fp} for _, fp in chosen]
+    right_targets = [{table.tgt[j] for j in fq} for _, fq in chosen]
     for b in range(table.dim):
         xb = {b: ONE}
         for p, (_, fp) in enumerate(chosen):
+            if table.tgt[b] not in left_sources[p]:
+                continue
             left = table.mul(fp, xb)
             if not left:
                 continue
+            sources = {table.src[k] for k in left}
             for q, (_, fq) in enumerate(chosen):
+                if sources.isdisjoint(right_targets[q]):
+                    continue
                 vec = table.mul(left, fq)
                 if vec:
                     admit((p, q), vec, f"t{len(vectors)}[{p}.{q}]")
@@ -518,10 +537,10 @@ def trivial_extension(table: AlgebraTable) -> AlgebraTable:
         for x in range(dim):
             for b, coeff in table.pairwise(c, x).items():
                 entry = right_by_dual.setdefault((x, b), {})
-                entry[dim + c] = entry.get(dim + c, Fraction(0)) + coeff
+                entry[dim + c] = entry.get(dim + c, 0) + coeff
             for b, coeff in table.pairwise(x, c).items():
                 entry = left_by_dual.setdefault((x, b), {})
-                entry[dim + c] = entry.get(dim + c, Fraction(0)) + coeff
+                entry[dim + c] = entry.get(dim + c, 0) + coeff
 
     def product(i: int, j: int) -> Element:
         if i < dim and j < dim:
@@ -544,7 +563,7 @@ def extend_action_to_trivial_extension(
     images = list(act.images)
     for b in range(dim):
         s, b2 = act.apply(1, b)
-        scalars.append(ONE / s)
+        scalars.append(Fraction(1) / s)
         images.append(dim + b2)
     return GroupActionTable(act.order, tuple(scalars), tuple(images))
 
@@ -571,7 +590,7 @@ def trivial_extension_iso_report(
         # phi(dual(b (x) g^k)) = (1/s') dual(b') (x) g^{-k} where g^{-k} . b = s' b'
         s_prime, b_prime = act.apply((-k) % n, b)
         k_out = (-k) % n
-        return {k_out * dim_triv + dim + b_prime: ONE / s_prime}
+        return {k_out * dim_triv + dim + b_prime: Fraction(1) / s_prime}
 
     images = [phi_basis(i) for i in range(lhs.dim)]
     span = RationalSpan()

@@ -15,7 +15,7 @@ from . import covering, homotopy, models, moves
 from .core import (
     BrauerGraph,
     GradedGraph,
-    edge_name,
+    edge_by_name,
     grading_violations,
     oz_invariants,
     validate,
@@ -61,11 +61,7 @@ def _require_valid(graph: BrauerGraph) -> None:
 
 
 def _edge_map(parsed: ParsedGraph) -> dict[str, tuple[str, ...]]:
-    graph = parsed.graph
-    out = {edge_name(graph, e[0]): tuple(e) for e in graph.edges}
-    for alias, members in parsed.aliases.items():
-        out[alias] = members
-    return out
+    return edge_by_name(parsed.graph) | parsed.aliases
 
 
 def _subset_from_edges(parsed: ParsedGraph, listing: str) -> frozenset[str]:

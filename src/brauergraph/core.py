@@ -146,6 +146,11 @@ def edge_name(graph: BrauerGraph, h: str) -> str:
     return min(h, other)
 
 
+def edge_by_name(graph: BrauerGraph) -> dict[str, tuple[str, ...]]:
+    """Each edge under its label (labels are distinct once ``validate`` passes)."""
+    return {edge_name(graph, e[0]): e for e in graph.edges}
+
+
 def validate(graph: BrauerGraph) -> list[str]:
     """Return a report of violated invariants; empty means valid."""
     report: list[str] = []

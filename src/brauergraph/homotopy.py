@@ -26,7 +26,7 @@ class ProjPresentation:
 
     deg_minus1: tuple[int, ...]
     deg_0: tuple[int, ...]
-    differential: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+    differential: tuple[tuple[tuple[tuple[int, int | Fraction], ...], ...], ...]
 
     def matrix(self) -> Matrix:
         return [
@@ -202,7 +202,7 @@ def _chain_map_from_vector(
     component = {"m1": f_m1, "d0": f_0}
     for (tag, t_idx, s_idx, b), value in coords.items():
         entry = component[tag][t_idx][s_idx]
-        entry[b] = entry.get(b, Fraction(0)) + value
+        entry[b] = entry.get(b, 0) + value
     return f_m1, f_0
 
 
@@ -219,7 +219,7 @@ def compose(table: AlgebraTable, left: Matrix, right: Matrix) -> Matrix:
             for k in range(n_mid):
                 product = table.mul(left[t][k], right[k][s])
                 for b, c in product.items():
-                    new = acc.get(b, Fraction(0)) + c
+                    new = acc.get(b, 0) + c
                     if new:
                         acc[b] = new
                     else:
@@ -244,7 +244,7 @@ def _chain_map_space(
         if not coeff:
             return
         row = rows.setdefault(eq_key, {})
-        row[unknown] = row.get(unknown, Fraction(0)) + coeff
+        row[unknown] = row.get(unknown, 0) + coeff
         if not row[unknown]:
             del row[unknown]
 
@@ -400,7 +400,13 @@ def end_table(
     vanishing = hom_vanishing_report(table, summands)
     if any(vanishing.values()):
         raise ValueError(f"not tilting: shifted Hom dimensions {vanishing}")
+    return _end_table_of_tilting(table, summands)
 
+
+def _end_table_of_tilting(
+    table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
+) -> AlgebraTable:
+    """``end_table`` for summands whose shifted Homs are known to vanish."""
     n = len(summands)
     reps: dict[tuple[int, int], list[tuple[Matrix, Matrix]]] = {}
     spans: dict[tuple[int, int], RationalSpan] = {}
@@ -516,7 +522,7 @@ def mutation_verification(
     dim_moved = moved_model.table.dim
     if not tilting:
         return MutationReport(summands, silting, tilting, minimal, -1, dim_moved, False)
-    end = end_table(model.table, summands)
+    end = _end_table_of_tilting(model.table, summands)
     _, moved_cartan = edge_cartan(moved_model)
     cartan_equal = end.cartan() == moved_cartan
     return MutationReport(

@@ -1,21 +1,23 @@
 """Exact rational linear algebra over sparse coefficient vectors.
 
-Vectors are dicts mapping hashable keys to nonzero Fractions; the span
-tracker keeps a forward-eliminated pivot table so that membership tests and
-coordinate extraction stay cheap on the small systems this package solves.
+Vectors are dicts mapping hashable keys to nonzero coefficients that are
+``int`` or ``Fraction``, never ``float``; integer input stays ``int`` until a
+division by a pivot brings in a denominator.  The span tracker keeps a
+forward-eliminated pivot table so that membership tests and coordinate
+extraction stay cheap on the small systems this package solves.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Hashable, Mapping
 
-Vector = dict[Hashable, Fraction]
+Vector = dict[Hashable, int | Fraction]
 
 
-def vec_add(u: Mapping, v: Mapping, scale: Fraction = Fraction(1)) -> Vector:
+def vec_add(u: Mapping, v: Mapping, scale: int | Fraction = 1) -> Vector:
     out: Vector = dict(u)
     for k, c in v.items():
-        new = out.get(k, Fraction(0)) + scale * c
+        new = out.get(k, 0) + scale * c
         if new:
             out[k] = new
         else:
@@ -23,10 +25,16 @@ def vec_add(u: Mapping, v: Mapping, scale: Fraction = Fraction(1)) -> Vector:
     return out
 
 
-def vec_scale(u: Mapping, scale: Fraction) -> Vector:
+def vec_scale(u: Mapping, scale: int | Fraction) -> Vector:
     if not scale:
         return {}
     return {k: scale * c for k, c in u.items()}
+
+
+def reciprocal(c: int | Fraction) -> int | Fraction:
+    """Exact 1 / c: an ``int`` when c is +-1, else a ``Fraction``."""
+    inv = Fraction(1) / c
+    return inv.numerator if inv.denominator == 1 else inv
 
 
 class RationalSpan:
@@ -38,7 +46,7 @@ class RationalSpan:
     """
 
     def __init__(self) -> None:
-        self._pivots: dict[Hashable, tuple[int, Vector, dict[int, Fraction]]] = {}
+        self._pivots: dict[Hashable, tuple[int, Vector, Vector]] = {}
         self._order: list[Hashable] = []
         self._rank = 0
 
@@ -46,9 +54,9 @@ class RationalSpan:
     def rank(self) -> int:
         return self._rank
 
-    def _reduce(self, vec: Mapping) -> tuple[Vector, dict[int, Fraction]]:
+    def _reduce(self, vec: Mapping) -> tuple[Vector, Vector]:
         residual: Vector = dict(vec)
-        combo: dict[int, Fraction] = {}
+        combo: Vector = {}
         while True:
             hit = None
             for key in self._order:
@@ -61,7 +69,7 @@ class RationalSpan:
             coeff = residual[hit]
             residual = vec_add(residual, row, -coeff)
             for idx, c in row_combo.items():
-                new = combo.get(idx, Fraction(0)) + coeff * c
+                new = combo.get(idx, 0) + coeff * c
                 if new:
                     combo[idx] = new
                 else:
@@ -73,7 +81,7 @@ class RationalSpan:
         if not residual:
             return None
         pivot = min(residual, key=repr)
-        inv = Fraction(1) / residual[pivot]
+        inv = reciprocal(residual[pivot])
         row = vec_scale(residual, inv)
         index = self._rank
         # row = inv * (vec - combo . basis), so express row over the basis:
@@ -84,7 +92,7 @@ class RationalSpan:
         self._rank += 1
         return index
 
-    def express(self, vec: Mapping) -> dict[int, Fraction] | None:
+    def express(self, vec: Mapping) -> Vector | None:
         """Coordinates of ``vec`` over the basis, or None if outside the span."""
         residual, combo = self._reduce(vec)
         if residual:
@@ -100,14 +108,14 @@ def solve_homogeneous(
     pivot_of_row: list[Hashable] = []
     pivot_cols: set[Hashable] = set()
     for raw in rows:
-        vec: Vector = {k: Fraction(c) for k, c in raw.items() if c}
+        vec: Vector = {k: c for k, c in raw.items() if c}
         for row, pivot in zip(reduced, pivot_of_row):
             if pivot in vec:
                 vec = vec_add(vec, row, -vec[pivot])
         if not vec:
             continue
         pivot = min(vec, key=repr)
-        vec = vec_scale(vec, Fraction(1) / vec[pivot])
+        vec = vec_scale(vec, reciprocal(vec[pivot]))
         for i, row in enumerate(reduced):
             if pivot in row:
                 reduced[i] = vec_add(row, vec, -row[pivot])
@@ -117,7 +125,7 @@ def solve_homogeneous(
     free = [k for k in unknowns if k not in pivot_cols]
     basis: list[Vector] = []
     for k in free:
-        sol: Vector = {k: Fraction(1)}
+        sol: Vector = {k: 1}
         for row, pivot in zip(reduced, pivot_of_row):
             if k in row:
                 sol[pivot] = -row[k]

@@ -21,7 +21,7 @@ from .algebra import (
     skew_group_table,
     truncate,
 )
-from .core import BrauerGraph, GradedGraph, Grading, edge_name, zero_grading
+from .core import BrauerGraph, GradedGraph, Grading, edge_by_name, edge_name, zero_grading
 from .covering import CoveredGraph, cover, sheet_label
 from .linalg import vec_add
 from .presentation import (
@@ -111,14 +111,12 @@ def sheet_shift_action(
 ) -> GroupActionTable:
     """The sheet shift h_i -> h_{i+1} on the covering algebra's path basis."""
     total = covered.total
-    edge_rep: dict[str, str] = {}
-    for edge in total.edges:
-        edge_rep[edge_name(total, edge[0])] = edge[0]
+    edges = edge_by_name(total)
 
     def shift_key(key: BasisKey) -> BasisKey:
         if key[0] == "w":
             return ("w", covered.shift_half(key[1]), key[2])
-        return (key[0], edge_name(total, covered.shift_half(edge_rep[key[1]])))
+        return (key[0], edge_name(total, covered.shift_half(edges[key[1]][0])))
 
     images = tuple(index_of[shift_key(k)] for k in keys)
     return GroupActionTable(covered.group_order, tuple(ONE for _ in keys), images)
@@ -136,11 +134,11 @@ def truncation_idempotents(
     base = covered.base.graph
     total = covered.total
     idempotent_at = dict(table.idempotents)
+    edges = edge_by_name(base)
     out: list[tuple[QVertex, Element]] = []
     for v in quiver(base).vertices:
         name, copy = v
-        edge = next(e for e in base.edges if edge_name(base, e[0]) == name)
-        e_index = idempotent_at[edge_name(total, sheet_label(edge[0], 0))]
+        e_index = idempotent_at[edge_name(total, sheet_label(edges[name][0], 0))]
         if copy is None:
             out.append((v, {e_index: ONE}))
         else:
@@ -385,11 +383,10 @@ def cut_cover_table(
     )
     cut_presentation = admissible_cut(total, delta_d)
     table, paths, index_of = monomial_table(cut_presentation)
+    edges = edge_by_name(total)
 
     def shift_vertex(v: QVertex) -> QVertex:
-        name, copy = v
-        edge = next(e for e in total.edges if edge_name(total, e[0]) == name)
-        return (edge_name(total, covered.shift_half(edge[0])), copy)
+        return (edge_name(total, covered.shift_half(edges[v[0]][0])), v[1])
 
     def shift_arrow(a: Arrow) -> Arrow:
         return Arrow(

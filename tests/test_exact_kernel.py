@@ -1,0 +1,202 @@
+"""The exact algebra kernel: coefficient types, corner index and truncation sweep."""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from brauergraph.algebra import (
+    AlgebraTable,
+    GroupActionTable,
+    ONE,
+    bga_table,
+    bga_table_with_keys,
+    extend_action_to_trivial_extension,
+    skew_group_table,
+    trivial_extension,
+    trivial_extension_iso_report,
+    truncate,
+)
+from brauergraph.core import GradedGraph, gen_random, zero_grading
+from brauergraph.covering import cover, default_grading
+from brauergraph.homotopy import end_table, mutation_object
+from brauergraph.linalg import RationalSpan
+from brauergraph.models import (
+    ordinary_model,
+    sheet_shift_action,
+    skew_model,
+    truncation_idempotents,
+)
+
+
+def is_exact(value) -> bool:
+    return type(value) in (int, Fraction)
+
+
+def structure_constants(table: AlgebraTable):
+    for i in range(table.dim):
+        for j in range(table.dim):
+            yield from table.pairwise(i, j).values()
+
+
+@pytest.fixture
+def coefficient_log(monkeypatch):
+    """Every coefficient that enters or leaves ``AlgebraTable.mul``."""
+    seen: list = []
+    mul = AlgebraTable.mul
+
+    def logged(table, x, y):
+        out = mul(table, x, y)
+        for element in (x, y, out):
+            seen.extend(element.values())
+        return out
+
+    monkeypatch.setattr(AlgebraTable, "mul", logged)
+    return seen
+
+
+def test_bga_and_skew_model_constants_are_exact(ex1, ex2):
+    tables = [bga_table(ex1), skew_model(ex2).table]
+    for seed in (1, 3):
+        tables.append(skew_model(gen_random(seed, n_half=8, allow_skew=True)).table)
+    for table in tables:
+        values = list(structure_constants(table))
+        assert values and all(map(is_exact, values))
+    # unit constants stay int; a Fraction only where a denominator appears
+    assert all(type(c) is int for c in structure_constants(tables[0]))
+
+
+def test_end_table_constants_are_exact(ex1, ex1_subset):
+    model = ordinary_model(ex1)
+    end = end_table(model.table, mutation_object(model, ex1_subset))
+    values = list(structure_constants(end))
+    assert values and all(map(is_exact, values))
+
+
+def test_trivial_extension_action_and_iso_are_exact(loop_graph, coefficient_log):
+    covered = cover(GradedGraph(loop_graph, default_grading(loop_graph)))
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    action = sheet_shift_action(covered, keys, index_of)
+    extended = extend_action_to_trivial_extension(bd, action)
+    assert all(map(is_exact, action.scalars))
+    assert all(map(is_exact, extended.scalars))
+    skew_triv = skew_group_table(trivial_extension(bd), extended)
+    assert all(map(is_exact, structure_constants(skew_triv)))
+    coefficient_log.clear()
+    ok, why = trivial_extension_iso_report(bd, action)
+    assert ok, why
+    assert coefficient_log and all(map(is_exact, coefficient_log))
+
+
+def test_dual_action_scalars_invert_exactly():
+    # k[x]/(x^2) with basis e, x and the order-two action x -> -x
+    table = AlgebraTable(
+        ["e", "x"], [0, 0], [0, 0], [("v", 0)],
+        lambda i, j: {i + j: ONE} if i + j < 2 else {},
+    )
+    act = GroupActionTable(2, (ONE, -1), (0, 1))
+    extended = extend_action_to_trivial_extension(table, act)
+    assert extended.scalars == (1, -1, 1, -1)
+    assert all(map(is_exact, extended.scalars))
+
+
+# ---------------------------------------------------------------------------
+# Kernel oracles: the corner index and the truncation sweep
+# ---------------------------------------------------------------------------
+
+
+def random_tables():
+    """Ordinary BGA tables and skew group tables of covers, with idempotent sets."""
+    rng = random.Random(4242)
+    out = []
+    for seed in range(1, 7):
+        graph = gen_random(seed, n_half=6, allow_skew=False, max_multiplicity=2)
+        table = bga_table(graph)
+        idem = [(label, {index: ONE}) for label, index in table.idempotents]
+        rng.shuffle(idem)
+        chosen = idem[: rng.randint(1, len(idem))]
+        if len(chosen) >= 2:
+            # a sum of two orthogonal idempotents has two sources
+            (la, xa), (lb, xb) = chosen[:2]
+            chosen = [(la + "+" + lb, xa | xb)] + chosen[2:]
+        out.append((table, chosen))
+    seed = 0
+    while len(out) < 10:
+        seed += 1
+        graph = gen_random(seed, n_half=6, allow_skew=True, max_multiplicity=2)
+        if not graph.is_skew:
+            continue
+        covered = cover(GradedGraph(graph, zero_grading(graph)))
+        bd, keys, index_of = bga_table_with_keys(covered.total)
+        skew = skew_group_table(bd, sheet_shift_action(covered, keys, index_of))
+        chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+        out.append((skew, chosen))
+    return out
+
+
+def full_sweep(table: AlgebraTable, chosen):
+    """Corner algebra f A f from every product f_p * b * f_q, none skipped."""
+    spans: dict[tuple[int, int], RationalSpan] = {}
+    offsets: dict[tuple[int, int], list[int]] = {}
+    vectors, labels, src, tgt = [], [], [], []
+
+    def admit(corner, vec, label):
+        if spans.setdefault(corner, RationalSpan()).add(vec) is None:
+            return
+        offsets.setdefault(corner, []).append(len(vectors))
+        vectors.append(vec)
+        labels.append(label)
+        tgt.append(corner[0])
+        src.append(corner[1])
+
+    idempotents = []
+    for p, (label, x) in enumerate(chosen):
+        idempotents.append((label, len(vectors)))
+        admit((p, p), x, label)
+    for b in range(table.dim):
+        for p, (_, fp) in enumerate(chosen):
+            left = table.mul(fp, {b: ONE})
+            for q, (_, fq) in enumerate(chosen):
+                vec = table.mul(left, fq)
+                if vec:
+                    admit((p, q), vec, f"t{len(vectors)}[{p}.{q}]")
+
+    def product(i, j):
+        raw = table.mul(vectors[i], vectors[j])
+        if not raw:
+            return {}
+        corner = (tgt[i], src[j])
+        coords = spans[corner].express(raw)
+        return {offsets[corner][local]: c for local, c in coords.items() if c}
+
+    return labels, src, tgt, idempotents, product
+
+
+def test_corner_basis_matches_linear_scan():
+    for table, _ in random_tables():
+        n = len(table.idempotents)
+        for target in range(n):
+            for source in range(n):
+                scan = [
+                    b
+                    for b in range(table.dim)
+                    if table.tgt[b] == target and table.src[b] == source
+                ]
+                assert table.corner_basis(target, source) == scan
+        # the returned list is the caller's own
+        table.corner_basis(0, 0).append(-1)
+        assert -1 not in table.corner_basis(0, 0)
+
+
+def test_truncate_matches_the_full_sweep():
+    for table, chosen in random_tables():
+        got = truncate(table, chosen).table
+        labels, src, tgt, idempotents, product = full_sweep(table, chosen)
+        assert got.labels == tuple(labels)
+        assert got.src == tuple(src)
+        assert got.tgt == tuple(tgt)
+        assert got.idempotents == tuple(idempotents)
+        for i in range(got.dim):
+            for j in range(got.dim):
+                assert got.pairwise(i, j) == product(i, j), (i, j)

@@ -152,6 +152,28 @@ def test_end_table_rejects_non_tilting(ex1):
         end_table(model.table, [("a", plain), ("b", shifted)])
 
 
+def test_mutation_verification_computes_the_vanishing_once(monkeypatch):
+    from brauergraph import homotopy
+    from brauergraph.core import edge_by_name
+
+    graph = gen_random(1, n_half=8)
+    edges = edge_by_name(graph)
+    subset = frozenset(edges["1"] + edges["2"])
+    calls = []
+    counted = homotopy.hom_dimension
+
+    def counting(*args):
+        calls.append(args[-1])
+        return counted(*args)
+
+    monkeypatch.setattr(homotopy, "hom_dimension", counting)
+    report = mutation_verification(ordinary_model(graph), subset)
+    assert report.ok
+    # one Hom(T_i, T_j[k]) per summand pair and k = -1, 1; four edges
+    assert len(graph.edges) == 4
+    assert sorted(calls) == [-1] * 16 + [1] * 16
+
+
 def test_mutation_verification_ex1(ex1, ex1_grading, ex1_subset):
     model = ordinary_model(ex1)
     model.grading = ex1_grading

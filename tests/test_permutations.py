@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from brauergraph.permutations import Permutation, cycle_string
@@ -52,3 +54,25 @@ def test_cycle_string():
 def test_involution_check():
     assert Permutation.from_cycles("ab", [("a", "b")]).is_involution()
     assert not Permutation.from_cycles("abc", [("a", "b", "c")]).is_involution()
+
+
+def test_power_and_orbit_match_iteration():
+    rng = random.Random(11)
+    names = [f"x{i}" for i in range(12)]
+    for _ in range(20):
+        images = names[:]
+        rng.shuffle(images)
+        perm = Permutation(dict(zip(names, images)))
+        for x in rng.sample(names, len(names)):
+            walk = [x]
+            while perm(walk[-1]) != x:
+                walk.append(perm(walk[-1]))
+            assert perm.orbit(x) == tuple(walk)
+            for k in range(-2 * len(walk), 2 * len(walk) + 1):
+                y = x
+                for _ in range(k % len(walk)):
+                    y = perm(y)
+                assert perm.power(k, x) == y
+        with pytest.raises(KeyError):
+            perm.power(1, "missing")
+        assert perm == Permutation(dict(zip(names, images)))
