@@ -250,3 +250,21 @@ def test_cli_json_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize(
+    "command", [["dim"], ["cartan"], ["mutate", "--edges", "1,4", "--verify"]]
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cli_rejects_an_invalid_skew_file_grading(tmp_path, capsys, command, as_json):
+    path = tmp_path / "ex2-bad.bg"
+    path.write_text(EX2 + "grading 2 = 1\n", encoding="utf-8")
+    argv = [command[0], str(path), *command[1:]]
+    assert main(["--json", *argv] if as_json else argv) == 2
+    captured = capsys.readouterr()
+    message = "invalid grading: vertex (1- 3 2) has degree sum 1, required 0"
+    assert captured.out == ""
+    if as_json:
+        assert json.loads(captured.err) == {"error": message}
+    else:
+        assert captured.err == f"error: {message}\n"

@@ -251,3 +251,167 @@ def test_mutation_fuzz_skew():
         report = mutation_verification(model, random_ih_stable_subset(g, rng))
         assert report.ok, seed
         done += 1
+
+
+# Reference systems for homotopy Hom dimensions: three separate linear systems,
+# one per shift, solved by their own row reduction.  They are kept here as an
+# oracle independent of the Hom complex that ``hom_dimension`` reads.
+
+
+def _ref_solve_homogeneous(rows, unknowns):
+    """Basis of the solution space of ``rows . x = 0`` by full row reduction."""
+    from brauergraph.linalg import reciprocal, vec_add, vec_scale
+
+    reduced, pivots = [], []
+    for raw in rows:
+        vec = {k: c for k, c in raw.items() if c}
+        for row, pivot in zip(reduced, pivots):
+            if pivot in vec:
+                vec = vec_add(vec, row, -vec[pivot])
+        if not vec:
+            continue
+        pivot = min(vec, key=repr)
+        vec = vec_scale(vec, reciprocal(vec[pivot]))
+        for i, row in enumerate(reduced):
+            if pivot in row:
+                reduced[i] = vec_add(row, vec, -row[pivot])
+        reduced.append(vec)
+        pivots.append(pivot)
+    basis = []
+    for k in unknowns:
+        if k in pivots:
+            continue
+        sol = {k: 1}
+        for row, pivot in zip(reduced, pivots):
+            if k in row:
+                sol[pivot] = -row[k]
+        basis.append(sol)
+    return basis
+
+
+def _ref_slots(table, sources, targets):
+    return [
+        (t_idx, s_idx, b)
+        for t_idx, t in enumerate(targets)
+        for s_idx, s in enumerate(sources)
+        for b in table.corner_basis(t, s)
+    ]
+
+
+def _ref_vector(matrix, tag):
+    return {
+        (tag, t_idx, s_idx, b): c
+        for t_idx, row in enumerate(matrix)
+        for s_idx, entry in enumerate(row)
+        for b, c in entry.items()
+        if c
+    }
+
+
+def _ref_unit(n_rows, n_cols, t_idx, s_idx, b):
+    h = [[{} for _ in range(n_cols)] for _ in range(n_rows)]
+    h[t_idx][s_idx] = {b: 1}
+    return h
+
+
+def _ref_hom_dimension(table, x, y, shift):
+    from brauergraph.homotopy import compose
+    from brauergraph.linalg import RationalSpan
+
+    dx, dy = x.matrix(), y.matrix()
+    if shift == 1:
+        # Hom(X_{-1}, Y_0) modulo the images of Hom(X_0, Y_0) and Hom(X_{-1}, Y_{-1})
+        span = RationalSpan()
+        for slot in _ref_slots(table, x.deg_0, y.deg_0):
+            h = _ref_unit(len(y.deg_0), len(x.deg_0), *slot)
+            span.add(_ref_vector(compose(table, h, dx), "g"))
+        for slot in _ref_slots(table, x.deg_minus1, y.deg_minus1):
+            h = _ref_unit(len(y.deg_minus1), len(x.deg_minus1), *slot)
+            span.add(_ref_vector(compose(table, dy, h), "g"))
+        return len(_ref_slots(table, x.deg_minus1, y.deg_0)) - span.rank
+    if shift == -1:
+        # maps X_0 -> Y_{-1} killed by both differentials
+        slots = _ref_slots(table, x.deg_0, y.deg_minus1)
+        rows = {}
+        for t_idx, s_idx, b in slots:
+            for s2 in range(len(x.deg_minus1)):
+                for coord, c in table.mul({b: 1}, dx[s_idx][s2]).items():
+                    rows.setdefault(("left", t_idx, s2, coord), {})[(t_idx, s_idx, b)] = c
+            for t2 in range(len(y.deg_0)):
+                for coord, c in table.mul(dy[t2][t_idx], {b: 1}).items():
+                    rows.setdefault(("right", t2, s_idx, coord), {})[(t_idx, s_idx, b)] = c
+        return len(_ref_solve_homogeneous(list(rows.values()), slots))
+    # shift 0: chain maps f_0 . d_X = d_Y . f_{-1}, modulo homotopies
+    slots_m1 = _ref_slots(table, x.deg_minus1, y.deg_minus1)
+    slots_0 = _ref_slots(table, x.deg_0, y.deg_0)
+    rows = {}
+
+    def add(key, unknown, c):
+        row = rows.setdefault(key, {})
+        row[unknown] = row.get(unknown, 0) + c
+
+    for t_idx, s_idx, b in slots_0:
+        for s2 in range(len(x.deg_minus1)):
+            for coord, c in table.mul({b: 1}, dx[s_idx][s2]).items():
+                add((t_idx, s2, coord), ("d0", t_idx, s_idx, b), c)
+    for t_idx, s_idx, b in slots_m1:
+        for t2 in range(len(y.deg_0)):
+            for coord, c in table.mul(dy[t2][t_idx], {b: 1}).items():
+                add((t2, s_idx, coord), ("m1", t_idx, s_idx, b), -c)
+    unknowns = [("m1", *s) for s in slots_m1] + [("d0", *s) for s in slots_0]
+    cycles = _ref_solve_homogeneous(list(rows.values()), unknowns)
+    span = RationalSpan()
+    for slot in _ref_slots(table, x.deg_0, y.deg_minus1):
+        h = _ref_unit(len(y.deg_minus1), len(x.deg_0), *slot)
+        vec = _ref_vector(compose(table, h, dx), "m1")
+        vec.update(_ref_vector(compose(table, dy, h), "d0"))
+        span.add(vec)
+    n_boundaries = span.rank
+    for vec in cycles:
+        span.add(vec)
+    return span.rank - n_boundaries
+
+
+def _oracle_graphs(ex1, ex2):
+    graphs = [(ex1, ordinary_model(ex1)), (ex2, skew_model(ex2))]
+    for seed, skew in ((3, False), (4, False), (6, False), (2, True), (5, True), (9, True)):
+        g = gen_random(seed, n_half=6, allow_skew=skew, max_multiplicity=2)
+        graphs.append((g, model_for(g)))
+    return graphs
+
+
+def test_hom_dimension_matches_the_reference_systems(ex1, ex2):
+    nonzero = {-1: 0, 1: 0}
+    pairs = 0
+    for seed, (graph, model) in enumerate(_oracle_graphs(ex1, ex2)):
+        rng = random.Random(90_000 + seed)
+        summands = []
+        for _ in range(2):
+            summands += mutation_object(model, random_ih_stable_subset(graph, rng))
+        for _, x in summands:
+            for _, y in summands:
+                got = [hom_dimension(model.table, x, y, k) for k in (-1, 0, 1)]
+                want = [_ref_hom_dimension(model.table, x, y, k) for k in (-1, 0, 1)]
+                assert got == want, (seed, x, y)
+                nonzero[-1] += got[0] > 0
+                nonzero[1] += got[2] > 0
+                pairs += 1
+    assert pairs > 100
+    assert nonzero[-1] and nonzero[1], nonzero
+
+
+def test_hom_dimension_non_tilting_quartet(ex1):
+    from brauergraph.homotopy import ProjPresentation
+
+    table = ordinary_model(ex1).table
+    plain = stalk(table, [0])
+    shifted = ProjPresentation((0,), (), ())  # the same projective in degree -1
+    expected = {
+        (plain, plain): [0, 3, 0],
+        (plain, shifted): [3, 0, 0],
+        (shifted, plain): [0, 0, 3],
+        (shifted, shifted): [0, 3, 0],
+    }
+    for (x, y), row in expected.items():
+        assert [hom_dimension(table, x, y, k) for k in (-1, 0, 1)] == row
+        assert [_ref_hom_dimension(table, x, y, k) for k in (-1, 0, 1)] == row
