@@ -19,7 +19,6 @@ from .core import (
     grading_violations,
     oz_invariants,
     validate,
-    zero_grading,
 )
 from .graphfile import GraphFileError, ParsedGraph, emit, parse
 from .presentation import (
@@ -91,19 +90,6 @@ def _graded(parsed: ParsedGraph, choice: str, subset: frozenset[str]) -> GradedG
     if problems:
         raise CommandError("invalid grading: " + "; ".join(problems))
     return GradedGraph(graph, grading)
-
-
-def _model(parsed: ParsedGraph) -> models.GraphAlgebraModel:
-    graph = parsed.graph
-    if graph.is_skew:
-        grading = parsed.grading if parsed.grading is not None else zero_grading(graph)
-        problems = grading_violations(graph, grading)
-        if problems:
-            raise CommandError("invalid grading: " + "; ".join(problems))
-        return models.skew_model(graph, grading)
-    model = models.ordinary_model(graph)
-    model.grading = parsed.grading
-    return model
 
 
 def _write_output(text: str, path: str | None, lines: list[str]) -> None:
@@ -188,14 +174,14 @@ def cmd_relations(args) -> Outcome:
 def cmd_dim(args) -> Outcome:
     parsed = _load(args.file)
     _require_valid(parsed.graph)
-    model = _model(parsed)
+    model = models.model_for(parsed.graph, parsed.grading)
     return Outcome([f"dim = {model.table.dim}"], {"dim": model.table.dim})
 
 
 def cmd_cartan(args) -> Outcome:
     parsed = _load(args.file)
     _require_valid(parsed.graph)
-    model = _model(parsed)
+    model = models.model_for(parsed.graph, parsed.grading)
     cartan = model.table.cartan()
     order = sorted(model.vertex_position, key=lambda v: model.vertex_position[v])
     labels = [render_vertex(v) for v in order]
@@ -241,8 +227,12 @@ def cmd_mutate(args) -> Outcome:
     parsed = _load(args.file)
     _require_valid(parsed.graph)
     subset = _subset_from_edges(parsed, args.edges)
-    model = _model(parsed)
-    summands = homotopy.mutation_object(model, subset)
+    model = models.model_for(parsed.graph, parsed.grading)
+    if args.verify:
+        report = homotopy.mutation_verification(model, subset)
+        summands = report.summands
+    else:
+        summands = homotopy.mutation_object(model, subset)
     lines = []
     payload: dict = {"summands": []}
     for name, comp in summands:
@@ -254,7 +244,6 @@ def cmd_mutate(args) -> Outcome:
         payload["summands"].append({"edge": name, "kind": desc})
     code = 0
     if args.verify:
-        report = homotopy.mutation_verification(model, subset)
         checks = [
             ("silting", report.silting),
             ("tilting", report.tilting),

@@ -4,6 +4,11 @@ Complexes live in degrees -1 and 0.  A map of sums of indecomposable
 projectives e_i A -> e_j A is a matrix of algebra elements in the corners
 e_j A e_i acting by left multiplication; all homotopy-category computations
 reduce to exact linear algebra over those coordinates.
+
+For complexes X, Y the maps form one complex Hom^{-1} -> Hom^0 -> Hom^1 with
+Hom^{-1} = Hom(X_0, Y_{-1}), Hom^0 = Hom(X_{-1}, Y_{-1}) + Hom(X_0, Y_0) and
+Hom^1 = Hom(X_{-1}, Y_0), and H^n Hom(X, Y) = Hom(X, Y[n]) in the homotopy
+category.  Every Hom dimension, the tilting check and End(T) read it.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from fractions import Fraction
 from .algebra import AlgebraTable, Element, ONE
 from .core import BrauerGraph, GradedGraph, edge_name
 from .covering import default_grading
-from .linalg import RationalSpan, solve_homogeneous
+from .linalg import RationalSpan
 from .models import GraphAlgebraModel, edge_cartan, model_for
 from .moves import _check_subset, move_set
 
@@ -167,30 +172,25 @@ def mutation_object(
 def _slots(
     table: AlgebraTable, sources: tuple[int, ...], targets: tuple[int, ...]
 ) -> list[tuple[int, int, int]]:
-    """Unknown coordinates of a map (+ e_s A) -> (+ e_t A): (t, s, corner basis)."""
-    out = []
-    for t_idx, t in enumerate(targets):
-        for s_idx, s in enumerate(sources):
-            for b in table.corner_basis(t, s):
-                out.append((t_idx, s_idx, b))
-    return out
-
-
-def _vector_from_matrix(matrix: Matrix, tag: str) -> dict:
-    out = {}
-    for t_idx, row in enumerate(matrix):
-        for s_idx, entry in enumerate(row):
-            for b, c in entry.items():
-                if c:
-                    out[(tag, t_idx, s_idx, b)] = c
-    return out
+    """Basis maps (+ e_s A) -> (+ e_t A): (t, s, corner basis) coordinates."""
+    return [
+        (t_idx, s_idx, b)
+        for t_idx, t in enumerate(targets)
+        for s_idx, s in enumerate(sources)
+        for b in table.corner_basis(t, s)
+    ]
 
 
 def _chain_map_vector(f_m1: Matrix, f_0: Matrix) -> dict:
-    """Coordinates of a chain map (f_{-1}, f_0), keyed (tag, t, s, basis)."""
-    vec = _vector_from_matrix(f_m1, "m1")
-    vec.update(_vector_from_matrix(f_0, "d0"))
-    return vec
+    """Hom^0 coordinates of a pair (f_{-1}, f_0), keyed (tag, t, s, basis)."""
+    return {
+        (tag, t_idx, s_idx, b): c
+        for tag, matrix in (("m1", f_m1), ("d0", f_0))
+        for t_idx, row in enumerate(matrix)
+        for s_idx, entry in enumerate(row)
+        for b, c in entry.items()
+        if c
+    }
 
 
 def _chain_map_from_vector(
@@ -229,78 +229,97 @@ def compose(table: AlgebraTable, left: Matrix, right: Matrix) -> Matrix:
     return out
 
 
-def _chain_map_space(
+def _with_differential(
+    table: AlgebraTable,
+    slot: tuple[int, int, int],
+    d: Matrix,
+    tag: str,
+    after: bool,
+    sign: int = 1,
+) -> dict:
+    """Coordinates of sign * d . u (``after``) or sign * u . d, for the basis
+    map u with its one corner basis element at ``slot``."""
+    t, s, b = slot
+    unit = {b: ONE}
+    if after:
+        products = ((t2, s, table.mul(row[t], unit)) for t2, row in enumerate(d))
+    else:
+        products = ((t, s2, table.mul(unit, entry)) for s2, entry in enumerate(d[s]))
+    return {
+        (tag, i, j, coord): sign * c
+        for i, j, product in products
+        for coord, c in product.items()
+    }
+
+
+@dataclass
+class _HomComplex:
+    """The complex Hom^{-1} -> Hom^0 -> Hom^1 of maps X -> Y, eliminated once.
+
+    ``cohomology`` holds dim H^n for n = -1, 0, 1; ``boundaries`` spans the
+    image of D^{-1} in Hom^0 coordinates (``n_boundaries`` vectors) and
+    ``cycles`` is a basis of the kernel of D^0.
+    """
+
+    x: ProjPresentation
+    y: ProjPresentation
+    cohomology: tuple[int, int, int]
+    boundaries: RationalSpan
+    n_boundaries: int
+    cycles: list[dict]
+
+    def representatives(self, seed: tuple[dict, ...] = ()) -> list[tuple[Matrix, Matrix]]:
+        """Degree-0 class representatives: each ``seed`` vector, then each
+        cycle, that is independent of the boundaries and the classes kept so
+        far.  The boundary span keeps them, in order, after the boundaries,
+        so this is read once per complex."""
+        return [
+            _chain_map_from_vector(self.x, self.y, vec)
+            for vec in (*seed, *self.cycles)
+            if self.boundaries.add(vec) is not None
+        ]
+
+
+def _hom_complex(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
-) -> tuple[list[dict], list[dict]]:
-    """Solution basis and homotopy boundaries for degree-0 chain maps."""
-    slots_m1 = _slots(table, x.deg_minus1, y.deg_minus1)
-    slots_0 = _slots(table, x.deg_0, y.deg_0)
-    unknowns = [("m1",) + s for s in slots_m1] + [("d0",) + s for s in slots_0]
+) -> _HomComplex:
+    """Apply D^{-1}: h -> (h.d_X, d_Y.h) and D^0: (f_{-1}, f_0) -> f_0.d_X - d_Y.f_{-1}
+    to the basis maps and eliminate both images."""
     dx = x.matrix()
     dy = y.matrix()
-    rows: dict[tuple, dict] = {}
-
-    def add_row_entry(eq_key, unknown, coeff):
-        if not coeff:
-            return
-        row = rows.setdefault(eq_key, {})
-        row[unknown] = row.get(unknown, 0) + coeff
-        if not row[unknown]:
-            del row[unknown]
-
-    # f_0 . d_X - d_Y . f_{-1} = 0, an identity of maps X_{-1} -> Y_0.
-    for t_idx, s_idx, b in slots_0:
-        for s2 in range(len(x.deg_minus1)):
-            product = table.mul({b: ONE}, dx[s_idx][s2])
-            for coord, coeff in product.items():
-                add_row_entry(
-                    (t_idx, s2, coord), ("d0", t_idx, s_idx, b), coeff
-                )
-    for t_idx, s_idx, b in slots_m1:
-        for t2 in range(len(y.deg_0)):
-            product = table.mul(dy[t2][t_idx], {b: ONE})
-            for coord, coeff in product.items():
-                add_row_entry(
-                    (t2, s_idx, coord), ("m1", t_idx, s_idx, b), -coeff
-                )
-    solutions = solve_homogeneous(list(rows.values()), unknowns)
-
-    boundaries = []
-    for t_idx, s_idx, b in _slots(table, x.deg_0, y.deg_minus1):
-        h: Matrix = [
-            [dict() for _ in x.deg_0] for _ in y.deg_minus1
-        ]
-        h[t_idx][s_idx] = {b: ONE}
-        vec = _chain_map_vector(compose(table, h, dx), compose(table, dy, h))
-        if vec:
-            boundaries.append(vec)
-    return solutions, boundaries
-
-
-def _hom_classes(
-    table: AlgebraTable,
-    x: ProjPresentation,
-    y: ProjPresentation,
-    seed: tuple[dict, ...] = (),
-) -> tuple[RationalSpan, int, list[tuple[Matrix, Matrix]]]:
-    """Representatives of the degree-0 homotopy classes X -> Y.
-
-    Spans the boundaries first, then keeps each candidate chain map (the
-    ``seed`` vectors, then the solution basis) that is independent of the
-    span so far.  Returns the span, its number of boundary vectors, and the
-    representatives in the order the span holds them after the boundaries.
-    """
-    solutions, boundaries = _chain_map_space(table, x, y)
-    span = RationalSpan()
-    for vec in boundaries:
-        span.add(vec)
-    n_boundaries = span.rank
-    reps = [
-        _chain_map_from_vector(x, y, vec)
-        for vec in (*seed, *solutions)
-        if span.add(vec) is not None
+    boundaries = RationalSpan()
+    minus1 = _slots(table, x.deg_0, y.deg_minus1)
+    for slot in minus1:
+        boundaries.add(
+            _with_differential(table, slot, dx, "m1", after=False)
+            | _with_differential(table, slot, dy, "d0", after=True)
+        )
+    columns = [
+        (("m1", *slot), _with_differential(table, slot, dy, "g", after=True, sign=-1))
+        for slot in _slots(table, x.deg_minus1, y.deg_minus1)
+    ] + [
+        (("d0", *slot), _with_differential(table, slot, dx, "g", after=False))
+        for slot in _slots(table, x.deg_0, y.deg_0)
     ]
-    return span, n_boundaries, reps
+    # A column of D^0 that depends on the earlier independent ones gives a
+    # cycle: the basis map minus their combination.
+    image = RationalSpan()
+    independent: list[tuple] = []
+    cycles = []
+    for key, column in columns:
+        coords = image.express(column)
+        if coords is None:
+            image.add(column)
+            independent.append(key)
+            continue
+        cycle = {key: ONE}
+        for index, c in coords.items():
+            cycle[independent[index]] = -c
+        cycles.append(cycle)
+    n_plus1 = len(_slots(table, x.deg_minus1, y.deg_0))
+    rank = boundaries.rank
+    cohomology = (len(minus1) - rank, len(cycles) - rank, n_plus1 - image.rank)
+    return _HomComplex(x, y, cohomology, boundaries, rank, cycles)
 
 
 @dataclass(frozen=True)
@@ -316,64 +335,42 @@ def hom_space(
 ) -> HomSpace:
     if shift != 0:
         return HomSpace(hom_dimension(table, x, y, shift))
-    reps = _hom_classes(table, x, y)[2]
+    reps = _hom_complex(table, x, y).representatives()
     return HomSpace(len(reps), tuple(reps))
 
 
 def hom_dimension(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation, shift: int
 ) -> int:
-    """dim Hom(X, Y[shift]) in the homotopy category of projectives."""
+    """dim Hom(X, Y[shift]) = dim H^shift of the Hom complex."""
     if abs(shift) >= 2:
         return 0
-    if shift == 0:
-        return len(_hom_classes(table, x, y)[2])
-    if shift == 1:
-        slots = _slots(table, x.deg_minus1, y.deg_0)
-        dx = x.matrix()
-        dy = y.matrix()
-        span = RationalSpan()
-        for t_idx, s_idx, b in _slots(table, x.deg_0, y.deg_0):
-            h: Matrix = [[dict() for _ in x.deg_0] for _ in y.deg_0]
-            h[t_idx][s_idx] = {b: ONE}
-            span.add(_vector_from_matrix(compose(table, h, dx), "g"))
-        for t_idx, s_idx, b in _slots(table, x.deg_minus1, y.deg_minus1):
-            h: Matrix = [[dict() for _ in x.deg_minus1] for _ in y.deg_minus1]
-            h[t_idx][s_idx] = {b: ONE}
-            span.add(_vector_from_matrix(compose(table, dy, h), "g"))
-        return len(slots) - span.rank
-    # shift == -1: maps X_0 -> Y_{-1} killed by both differentials, no homotopies.
-    slots = _slots(table, x.deg_0, y.deg_minus1)
-    unknowns = [("u",) + s for s in slots]
-    dx = x.matrix()
-    dy = y.matrix()
-    rows: dict[tuple, dict] = {}
-    for t_idx, s_idx, b in slots:
-        for s2 in range(len(x.deg_minus1)):
-            for coord, coeff in table.mul({b: ONE}, dx[s_idx][s2]).items():
-                key = ("left", t_idx, s2, coord)
-                row = rows.setdefault(key, {})
-                row[("u", t_idx, s_idx, b)] = coeff
-        for t2 in range(len(y.deg_0)):
-            for coord, coeff in table.mul(dy[t2][t_idx], {b: ONE}).items():
-                key = ("right", t2, s_idx, coord)
-                row = rows.setdefault(key, {})
-                row[("u", t_idx, s_idx, b)] = coeff
-    return len(solve_homogeneous(list(rows.values()), unknowns))
+    return _hom_complex(table, x, y).cohomology[shift + 1]
+
+
+def _hom_complexes(
+    table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
+) -> dict[tuple[int, int], _HomComplex]:
+    """One Hom complex per ordered pair of summands."""
+    return {
+        (a, b): _hom_complex(table, x, y)
+        for a, (_, x) in enumerate(summands)
+        for b, (_, y) in enumerate(summands)
+    }
+
+
+def _vanishing(complexes: dict[tuple[int, int], _HomComplex]) -> dict[int, int]:
+    return {
+        shift: sum(c.cohomology[shift + 1] for c in complexes.values())
+        for shift in (-1, 1)
+    }
 
 
 def hom_vanishing_report(
     table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
 ) -> dict[int, int]:
     """Total dim Hom(T, T[k]) for k = -1 and 1 (nonzero means not tilting)."""
-    out = {}
-    for shift in (-1, 1):
-        total = 0
-        for _, x in summands:
-            for _, y in summands:
-                total += hom_dimension(table, x, y, shift)
-        out[shift] = total
-    return out
+    return _vanishing(_hom_complexes(table, summands))
 
 
 def left_minimality_report(
@@ -397,84 +394,65 @@ def end_table(
     Raises when a shifted Hom fails to vanish, since the composition table is
     only an algebra on honest degree-0 classes of a tilting object.
     """
-    vanishing = hom_vanishing_report(table, summands)
+    complexes = _hom_complexes(table, summands)
+    vanishing = _vanishing(complexes)
     if any(vanishing.values()):
         raise ValueError(f"not tilting: shifted Hom dimensions {vanishing}")
-    return _end_table_of_tilting(table, summands)
+    return _end_table_of_tilting(table, summands, complexes)
 
 
 def _end_table_of_tilting(
-    table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
+    table: AlgebraTable,
+    summands: list[tuple[str, ProjPresentation]],
+    complexes: dict[tuple[int, int], _HomComplex],
 ) -> AlgebraTable:
     """``end_table`` for summands whose shifted Homs are known to vanish."""
-    n = len(summands)
     reps: dict[tuple[int, int], list[tuple[Matrix, Matrix]]] = {}
-    spans: dict[tuple[int, int], RationalSpan] = {}
-    boundary_counts: dict[tuple[int, int], int] = {}
-
-    def identity_pair(x: ProjPresentation) -> tuple[Matrix, Matrix]:
-        f_m1: Matrix = [
-            [
-                table.idempotent_element(x.deg_minus1[t]) if t == s else {}
-                for s in range(len(x.deg_minus1))
-            ]
-            for t in range(len(x.deg_minus1))
-        ]
-        f_0: Matrix = [
-            [
-                table.idempotent_element(x.deg_0[t]) if t == s else {}
-                for s in range(len(x.deg_0))
-            ]
-            for t in range(len(x.deg_0))
-        ]
-        return f_m1, f_0
-
-    for a in range(n):
-        for b in range(n):
+    for (a, b), complex_ in complexes.items():
+        seed: tuple[dict, ...] = ()
+        if a == b:
+            # The identity of X in Hom^0 coordinates, so that it is class 0.
             x = summands[a][1]
-            seed = (_chain_map_vector(*identity_pair(x)),) if a == b else ()
-            spans[(a, b)], boundary_counts[(a, b)], reps[(a, b)] = _hom_classes(
-                table, x, summands[b][1], seed
-            )
+            seed = ({
+                (tag, t, t, table.idempotents[p][1]): ONE
+                for tag, positions in (("m1", x.deg_minus1), ("d0", x.deg_0))
+                for t, p in enumerate(positions)
+            },)
+        reps[(a, b)] = complex_.representatives(seed)
 
     labels = []
     src = []
     tgt = []
     offsets: dict[tuple[int, int], int] = {}
+    where: list[tuple[int, int, int]] = []
     idempotents = []
-    for a in range(n):
-        for b in range(n):
-            offsets[(a, b)] = len(labels)
-            for k in range(len(reps[(a, b)])):
-                if a == b and k == 0:
-                    idempotents.append((summands[a][0], len(labels)))
-                labels.append(f"[{summands[a][0]}->{summands[b][0]}]{k}")
-                src.append(a)
-                tgt.append(b)
-
-    def locate(index: int) -> tuple[int, int, int]:
-        for (a, b), off in offsets.items():
-            if off <= index < off + len(reps[(a, b)]):
-                return a, b, index - off
-        raise IndexError(index)
+    for (a, b), pair_reps in reps.items():
+        offsets[(a, b)] = len(labels)
+        for k in range(len(pair_reps)):
+            if a == b and k == 0:
+                idempotents.append((summands[a][0], len(labels)))
+            labels.append(f"[{summands[a][0]}->{summands[b][0]}]{k}")
+            src.append(a)
+            tgt.append(b)
+            where.append((a, b, k))
 
     def product(i: int, j: int) -> Element:
-        fa, fb, fk = locate(i)
-        ga, gb, gk = locate(j)
+        fa, fb, fk = where[i]
+        ga, gb, gk = where[j]
         # product i . j: j acts first, so j: ga -> gb then i: fa -> fb with fa == gb
         if gb != fa:
             return {}
         u = reps[(fa, fb)][fk]
         v = reps[(ga, gb)][gk]
         vec = _chain_map_vector(compose(table, u[0], v[0]), compose(table, u[1], v[1]))
-        coords = spans[(ga, fb)].express(vec)
+        complex_ = complexes[(ga, fb)]
+        coords = complex_.boundaries.express(vec)
         if coords is None:
             raise RuntimeError("composite chain map escaped its Hom space")
-        n_boundaries = boundary_counts[(ga, fb)]
         out: Element = {}
         for local, c in coords.items():
-            if local >= n_boundaries and c:
-                out[offsets[(ga, fb)] + (local - n_boundaries)] = c
+            if local >= complex_.n_boundaries and c:
+                out[offsets[(ga, fb)] + (local - complex_.n_boundaries)] = c
         return out
 
     return AlgebraTable(labels, src, tgt, idempotents, product)
@@ -508,7 +486,8 @@ def mutation_verification(
     graph = model.graph
     subset = _check_subset(graph, subset)
     summands = mutation_object(model, subset)
-    vanishing = hom_vanishing_report(model.table, summands)
+    complexes = _hom_complexes(model.table, summands)
+    vanishing = _vanishing(complexes)
     silting = vanishing[1] == 0
     tilting = silting and vanishing[-1] == 0
     minimal = not left_minimality_report(model, summands)
@@ -516,13 +495,11 @@ def mutation_verification(
     if grading is None:
         grading = default_grading(graph, subset)
     moved = move_set(GradedGraph(graph, grading), subset)
-    moved_model = model_for(
-        moved.graph, moved.grading if moved.graph.is_skew else None
-    )
+    moved_model = model_for(moved.graph, moved.grading)
     dim_moved = moved_model.table.dim
     if not tilting:
         return MutationReport(summands, silting, tilting, minimal, -1, dim_moved, False)
-    end = _end_table_of_tilting(model.table, summands)
+    end = _end_table_of_tilting(model.table, summands, complexes)
     _, moved_cartan = edge_cartan(moved_model)
     cartan_equal = end.cartan() == moved_cartan
     return MutationReport(

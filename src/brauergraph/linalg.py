@@ -2,9 +2,10 @@
 
 Vectors are dicts mapping hashable keys to nonzero coefficients that are
 ``int`` or ``Fraction``, never ``float``; integer input stays ``int`` until a
-division by a pivot brings in a denominator.  The span tracker keeps a
-forward-eliminated pivot table so that membership tests and coordinate
-extraction stay cheap on the small systems this package solves.
+division by a pivot brings in a denominator.  ``RationalSpan`` is the one
+solver: it keeps a forward-eliminated pivot table, so that adding a vector
+and writing one over the basis stay cheap on the small systems this package
+solves, and kernels are read from the coordinates of dependent vectors.
 """
 from __future__ import annotations
 
@@ -98,39 +99,6 @@ class RationalSpan:
         if residual:
             return None
         return combo
-
-
-def solve_homogeneous(
-    rows: list[Mapping], unknowns: list[Hashable]
-) -> list[Vector]:
-    """Basis of the solution space of ``rows . x = 0`` over the unknown keys."""
-    reduced: list[Vector] = []
-    pivot_of_row: list[Hashable] = []
-    pivot_cols: set[Hashable] = set()
-    for raw in rows:
-        vec: Vector = {k: c for k, c in raw.items() if c}
-        for row, pivot in zip(reduced, pivot_of_row):
-            if pivot in vec:
-                vec = vec_add(vec, row, -vec[pivot])
-        if not vec:
-            continue
-        pivot = min(vec, key=repr)
-        vec = vec_scale(vec, reciprocal(vec[pivot]))
-        for i, row in enumerate(reduced):
-            if pivot in row:
-                reduced[i] = vec_add(row, vec, -row[pivot])
-        reduced.append(vec)
-        pivot_of_row.append(pivot)
-        pivot_cols.add(pivot)
-    free = [k for k in unknowns if k not in pivot_cols]
-    basis: list[Vector] = []
-    for k in free:
-        sol: Vector = {k: 1}
-        for row, pivot in zip(reduced, pivot_of_row):
-            if k in row:
-                sol[pivot] = -row[k]
-        basis.append(sol)
-    return basis
 
 
 def determinant(matrix: list[list[int]]) -> Fraction:

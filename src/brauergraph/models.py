@@ -211,9 +211,12 @@ def skew_model(graph: BrauerGraph, grading: Grading | None = None) -> GraphAlgeb
 
 
 def model_for(graph: BrauerGraph, grading: Grading | None = None) -> GraphAlgebraModel:
+    """The skew model under ``grading``, or the ordinary model carrying it."""
     if graph.is_skew:
         return skew_model(graph, grading)
-    return ordinary_model(graph)
+    model = ordinary_model(graph)
+    model.grading = grading
+    return model
 
 
 def edge_cartan(model: GraphAlgebraModel) -> tuple[list[str], list[list[int]]]:

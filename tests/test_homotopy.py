@@ -159,19 +159,20 @@ def test_mutation_verification_computes_the_vanishing_once(monkeypatch):
     graph = gen_random(1, n_half=8)
     edges = edge_by_name(graph)
     subset = frozenset(edges["1"] + edges["2"])
-    calls = []
-    counted = homotopy.hom_dimension
+    built = []
+    counted = homotopy._hom_complex
 
     def counting(*args):
-        calls.append(args[-1])
+        built.append(args)
         return counted(*args)
 
-    monkeypatch.setattr(homotopy, "hom_dimension", counting)
+    monkeypatch.setattr(homotopy, "_hom_complex", counting)
     report = mutation_verification(ordinary_model(graph), subset)
     assert report.ok
-    # one Hom(T_i, T_j[k]) per summand pair and k = -1, 1; four edges
+    # one Hom complex per ordered summand pair, read by both the vanishing
+    # check and End(T); four edges
     assert len(graph.edges) == 4
-    assert sorted(calls) == [-1] * 16 + [1] * 16
+    assert len(built) == 16
 
 
 def test_mutation_verification_ex1(ex1, ex1_grading, ex1_subset):
