@@ -15,8 +15,7 @@ from . import covering, homotopy, models, moves
 from .core import (
     BrauerGraph,
     GradedGraph,
-    edge_by_name,
-    grading_violations,
+    check_grading,
     oz_invariants,
     validate,
 )
@@ -59,12 +58,8 @@ def _require_valid(graph: BrauerGraph) -> None:
         raise CommandError("invalid graph: " + "; ".join(problems))
 
 
-def _edge_map(parsed: ParsedGraph) -> dict[str, tuple[str, ...]]:
-    return edge_by_name(parsed.graph) | parsed.aliases
-
-
 def _subset_from_edges(parsed: ParsedGraph, listing: str) -> frozenset[str]:
-    table = _edge_map(parsed)
+    table = parsed.graph.edges_by_label | parsed.aliases
     chosen: set[str] = set()
     for token in listing.split(","):
         token = token.strip()
@@ -86,9 +81,7 @@ def _graded(parsed: ParsedGraph, choice: str, subset: frozenset[str]) -> GradedG
         grading = parsed.grading
     else:
         grading = covering.default_grading(graph, subset)
-    problems = grading_violations(graph, grading)
-    if problems:
-        raise CommandError("invalid grading: " + "; ".join(problems))
+    check_grading(graph, grading)
     return GradedGraph(graph, grading)
 
 

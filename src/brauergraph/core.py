@@ -41,6 +41,28 @@ class BrauerGraph:
         """Pairing orbits, i.e. the edges of the graph."""
         return self.pairing.orbits()
 
+    @cached_property
+    def edge_labels(self) -> dict[str, str]:
+        """Half-edge -> edge label: common stem of a +/- pair, else the smaller name.
+
+        Every name in the pairing's domain gets one, involution or not.
+        """
+        labels = {}
+        for h in self.pairing.domain:
+            other = self.pairing(h)
+            if other == h:
+                labels[h] = h
+            elif h[:-1] == other[:-1] and {h[-1], other[-1]} == {"+", "-"}:
+                labels[h] = h[:-1]
+            else:
+                labels[h] = min(h, other)
+        return labels
+
+    @cached_property
+    def edges_by_label(self) -> dict[str, tuple[str, ...]]:
+        """Each edge under its label (labels are distinct once ``validate`` passes)."""
+        return {self.edge_labels[e[0]]: e for e in self.edges}
+
     def edge_of(self, h: str) -> tuple[str, ...]:
         other = self.pairing(h)
         return (h,) if other == h else tuple(sorted((h, other)))
@@ -137,18 +159,8 @@ class OZInvariants:
 
 
 def edge_name(graph: BrauerGraph, h: str) -> str:
-    """Canonical edge label: common stem of a +/- pair, else the smaller name."""
-    other = graph.pairing(h)
-    if other == h:
-        return h
-    if h[:-1] == other[:-1] and {h[-1], other[-1]} == {"+", "-"}:
-        return h[:-1]
-    return min(h, other)
-
-
-def edge_by_name(graph: BrauerGraph) -> dict[str, tuple[str, ...]]:
-    """Each edge under its label (labels are distinct once ``validate`` passes)."""
-    return {edge_name(graph, e[0]): e for e in graph.edges}
+    """The label of the edge through ``h`` (see ``BrauerGraph.edge_labels``)."""
+    return graph.edge_labels[h]
 
 
 def validate(graph: BrauerGraph) -> list[str]:
@@ -187,10 +199,10 @@ def validate(graph: BrauerGraph) -> list[str]:
                 "excluded component (" + " ".join(sorted(component)) + ")"
             )
     # Edge labels name quiver vertices and idempotents, so they must be distinct.
-    edges_by_label: dict[str, list[tuple[str, ...]]] = {}
+    by_label: dict[str, list[tuple[str, ...]]] = {}
     for edge in graph.edges:
-        edges_by_label.setdefault(edge_name(graph, edge[0]), []).append(edge)
-    for label, edges in sorted(edges_by_label.items()):
+        by_label.setdefault(graph.edge_labels[edge[0]], []).append(edge)
+    for label, edges in sorted(by_label.items()):
         if len(edges) > 1:
             shared = ", ".join("(" + " ".join(e) + ")" for e in edges)
             report.append(f"edge label {label} is shared by edges {shared}")
@@ -345,6 +357,13 @@ def grading_violations(graph: BrauerGraph, grading: Grading) -> list[str]:
                 f"required {required}"
             )
     return report
+
+
+def check_grading(graph: BrauerGraph, grading: Grading) -> None:
+    """Raise ``ValueError`` naming every violation when ``grading`` is invalid."""
+    problems = grading_violations(graph, grading)
+    if problems:
+        raise ValueError("invalid grading: " + "; ".join(problems))
 
 
 def zero_grading(graph: BrauerGraph) -> Grading:

@@ -14,7 +14,7 @@ from .core import (
     BrauerGraph,
     GradedGraph,
     Grading,
-    grading_violations,
+    check_grading,
     zero_grading,
 )
 from .moves import maximal_sectors, move_set, move_set_underlying
@@ -33,6 +33,16 @@ class CoveredGraph:
         h, i = self.sheet_of[label]
         return sheet_label(h, (i + 1) % self.group_order)
 
+    def sheet_edge(self, label: str, sheet: int) -> str:
+        """Label of the covering edge over the base edge ``label`` on ``sheet``."""
+        h = self.base.graph.edges_by_label[label][0]
+        return self.total.edge_labels[sheet_label(h, sheet)]
+
+    def shift_edge(self, label: str) -> str:
+        """Label of the sheet shift of the covering edge ``label``."""
+        h = self.total.edges_by_label[label][0]
+        return self.total.edge_labels[self.shift_half(h)]
+
 
 def sheet_label(h: str, sheet: int) -> str:
     return f"{h}_{sheet}"
@@ -41,9 +51,7 @@ def sheet_label(h: str, sheet: int) -> str:
 def cover(g: GradedGraph) -> CoveredGraph:
     """The covering graph on ``modulus`` sheets."""
     graph, grading = g.graph, g.grading
-    problems = grading_violations(graph, grading)
-    if problems:
-        raise ValueError("invalid grading: " + "; ".join(problems))
+    check_grading(graph, grading)
     n = grading.modulus
     cross = graph.cross_half_edges
     sheet_of: dict[str, tuple[str, int]] = {}

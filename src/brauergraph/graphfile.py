@@ -12,7 +12,8 @@ A file is a sequence of keyword lines (``#`` starts a comment):
 Names missing from ``pairing`` are skew legs, names missing from
 ``orientation`` are orientation-fixed.  Multiplicities propagate along
 orientation orbits and default to 1; grading values default to 0 and live
-modulo the graph's natural modulus.  ``edge`` lines are optional aliases.
+modulo the graph's natural modulus.  ``edge`` lines are optional aliases; an
+alias may not take the label of another edge.
 """
 from __future__ import annotations
 
@@ -186,6 +187,12 @@ def parse(text: str) -> ParsedGraph:
     for name, members, lineno in alias_entries:
         if name in aliases:
             raise GraphFileError(f"duplicate edge alias {name!r}", lineno)
+        labelled = graph.edges_by_label.get(name)
+        if labelled is not None and set(labelled) != set(members):
+            raise GraphFileError(
+                f"edge alias {name!r} is the label of edge ({' '.join(labelled)})",
+                lineno,
+            )
         aliases[name] = members
     return ParsedGraph(graph, grading, aliases)
 

@@ -20,7 +20,7 @@ from .core import BrauerGraph, GradedGraph, edge_name
 from .covering import default_grading
 from .linalg import RationalSpan
 from .models import GraphAlgebraModel, edge_cartan, model_for
-from .moves import _check_subset, move_set
+from .moves import _check_subset, escape_index, move_set
 
 Matrix = list[list[Element]]
 
@@ -96,17 +96,15 @@ def approximation(
     subset = _check_subset(graph, subset)
     if h not in subset:
         raise ValueError(f"half-edge {h!r} is not in the moved subset")
+    sigma = graph.orientation
     sides = []
     for side in dict.fromkeys((h, graph.pairing(h))):
-        orbit = graph.sigma_orbit_of(side)
-        if all(x in subset for x in orbit):
+        r = escape_index(graph, subset, side)
+        if r is None:
             sides.append(SideApproximation(side, None, None, ()))
             continue
-        r = 0
-        while orbit[(r + 1) % len(orbit)] in subset:
-            r += 1
-        walk = tuple(orbit[k % len(orbit)] for k in range(r + 1))
-        target = edge_name(graph, orbit[(r + 1) % len(orbit)])
+        walk = tuple(sigma.power(k, side) for k in range(r + 1))
+        target = edge_name(graph, sigma.power(r + 1, side))
         sides.append(SideApproximation(side, r, target, walk))
     return ApproximationData(edge_name(graph, h), tuple(sides))
 
@@ -124,9 +122,8 @@ def mutation_object(
     table = model.table
     subset = _check_subset(graph, subset)
     out: list[tuple[str, ProjPresentation]] = []
-    for edge in sorted(graph.edges, key=lambda e: edge_name(graph, e[0])):
+    for name, edge in sorted(graph.edges_by_label.items()):
         h = edge[0]
-        name = edge_name(graph, h)
         source_positions = model.edge_positions(h)
         if h not in subset:
             out.append((name, stalk(table, source_positions)))

@@ -8,6 +8,7 @@ the direct presentations.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .algebra import (
     skew_group_table,
     truncate,
 )
-from .core import BrauerGraph, GradedGraph, Grading, edge_by_name, edge_name, zero_grading
+from .core import BrauerGraph, GradedGraph, Grading, check_grading, edge_name, zero_grading
 from .covering import CoveredGraph, cover, sheet_label
 from .linalg import vec_add
 from .presentation import (
@@ -35,6 +36,7 @@ from .presentation import (
     normal_paths,
     quiver,
     relations,
+    render_arrow,
     render_relation,
     render_vertex,
     special_cycles,
@@ -49,15 +51,14 @@ class GraphAlgebraModel:
     graph: BrauerGraph
     table: AlgebraTable
     vertex_position: dict[QVertex, int]
-    arrow_element: dict[tuple[str, int | None, int | None], Element]
+    arrow_element: dict[Arrow, Element]
     twist: Element | None = None
     grading: Grading | None = None
-    covered: CoveredGraph | None = None
 
     def full_arrow(self, h: str) -> Element:
         out: Element = {}
-        for (hh, _, _), elem in self.arrow_element.items():
-            if hh == h:
+        for a, elem in self.arrow_element.items():
+            if a.h == h:
                 out = vec_add(out, elem)
         return out
 
@@ -79,11 +80,9 @@ class GraphAlgebraModel:
         ]
 
     def evaluate_path(self, path: Path) -> Element:
-        acc = self.arrow_element[(path[0].h, path[0].source[1], path[0].target[1])]
+        acc = self.arrow_element[path[0]]
         for a in path[1:]:
-            acc = self.table.mul(
-                self.arrow_element[(a.h, a.source[1], a.target[1])], acc
-            )
+            acc = self.table.mul(self.arrow_element[a], acc)
         return acc
 
     def evaluate_relation(self, rel) -> Element:
@@ -98,11 +97,7 @@ def ordinary_model(graph: BrauerGraph) -> GraphAlgebraModel:
     vertex_position = {
         (name, None): p for p, (name, _) in enumerate(table.idempotents)
     }
-    arrow_element = {
-        (h, None, None): {index_of[("w", h, 1)]: ONE}
-        for h in graph.half_edges
-        if induces_arrow(graph, h)
-    }
+    arrow_element = {a: {index_of[("w", a.h, 1)]: ONE} for a in quiver(graph).arrows}
     return GraphAlgebraModel(graph, table, vertex_position, arrow_element)
 
 
@@ -110,13 +105,11 @@ def sheet_shift_action(
     covered: CoveredGraph, keys: list[BasisKey], index_of: dict[BasisKey, int]
 ) -> GroupActionTable:
     """The sheet shift h_i -> h_{i+1} on the covering algebra's path basis."""
-    total = covered.total
-    edges = edge_by_name(total)
 
     def shift_key(key: BasisKey) -> BasisKey:
         if key[0] == "w":
             return ("w", covered.shift_half(key[1]), key[2])
-        return (key[0], edge_name(total, covered.shift_half(edges[key[1]][0])))
+        return (key[0], covered.shift_edge(key[1]))
 
     images = tuple(index_of[shift_key(k)] for k in keys)
     return GroupActionTable(covered.group_order, tuple(ONE for _ in keys), images)
@@ -131,14 +124,11 @@ def truncation_idempotents(
     by covering edge names; the elements live in its skew group algebra,
     where basis index ``table.dim + b`` is b (x) g.
     """
-    base = covered.base.graph
-    total = covered.total
     idempotent_at = dict(table.idempotents)
-    edges = edge_by_name(base)
     out: list[tuple[QVertex, Element]] = []
-    for v in quiver(base).vertices:
+    for v in quiver(covered.base.graph).vertices:
         name, copy = v
-        e_index = idempotent_at[edge_name(total, sheet_label(edges[name][0], 0))]
+        e_index = idempotent_at[covered.sheet_edge(name, 0)]
         if copy is None:
             out.append((v, {e_index: ONE}))
         else:
@@ -158,50 +148,33 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
     skew = skew_group_table(bd, action)
     chosen = truncation_idempotents(covered, bd)
     trunc = truncate(skew, [(str(v), elem) for v, elem in chosen])
+    table = trunc.table
     vertex_position = {v: p for p, (v, _) in enumerate(chosen)}
 
-    arrow_element: dict[tuple[str, int | None, int | None], Element] = {}
-    f_vectors = [elem for _, elem in chosen]
-    f_total: Element = {}
-    for f in f_vectors:
-        f_total = vec_add(f_total, f)
-
-    def compress(x: Element) -> Element:
-        return skew.mul(skew.mul(f_total, x), f_total)
-
-    for h in sorted(base.half_edges):
-        if not induces_arrow(base, h):
-            continue
+    # The arrow at h is the covering arrow of h on sheet -deg(h), times g^sheet;
+    # each quiver arrow at h is one (target, source) corner of its compression.
+    arrow_element: dict[Arrow, Element] = {}
+    for h, arrows in itertools.groupby(quiver(base).arrows, key=lambda a: a.h):
         sheet = (-grading(h)) % n
         w_index = index_of[("w", sheet_label(h, sheet), 1)]
-        raw = {sheet * bd.dim + w_index: ONE}
-        for i in vertex_indices(base, h):
-            fi = f_vectors[vertex_position[(edge_name(base, h), i)]]
-            for j in vertex_indices(base, base.orientation(h)):
-                fj = f_vectors[
-                    vertex_position[(edge_name(base, base.orientation(h)), j)]
-                ]
-                corner = skew.mul(skew.mul(fj, raw), fi)
-                if corner:
-                    arrow_element[(h, i, j)] = trunc.express(corner)
+        lifted = trunc.express({sheet * bd.dim + w_index: ONE})
+        for a in arrows:
+            s, t = vertex_position[a.source], vertex_position[a.target]
+            corner = {
+                k: c
+                for k, c in lifted.items()
+                if table.src[k] == s and table.tgt[k] == t
+            }
+            if corner:
+                arrow_element[a] = corner
 
     twist: Element | None = None
     if base.is_skew:
-        one_g = {
-            1 * bd.dim + index: ONE for _, index in bd.idempotents
-        }
-        twist = trunc.express(compress(one_g))
+        twist = trunc.express({bd.dim + index: ONE for _, index in bd.idempotents})
 
-    model = GraphAlgebraModel(
-        graph=base,
-        table=trunc.table,
-        vertex_position=vertex_position,
-        arrow_element=arrow_element,
-        twist=twist,
-        grading=grading,
-        covered=covered,
+    return GraphAlgebraModel(
+        base, table, vertex_position, arrow_element, twist, grading
     )
-    return model
 
 
 def skew_model(graph: BrauerGraph, grading: Grading | None = None) -> GraphAlgebraModel:
@@ -214,6 +187,8 @@ def model_for(graph: BrauerGraph, grading: Grading | None = None) -> GraphAlgebr
     """The skew model under ``grading``, or the ordinary model carrying it."""
     if graph.is_skew:
         return skew_model(graph, grading)
+    if grading is not None:
+        check_grading(graph, grading)
     model = ordinary_model(graph)
     model.grading = grading
     return model
@@ -222,7 +197,7 @@ def model_for(graph: BrauerGraph, grading: Grading | None = None) -> GraphAlgebr
 def edge_cartan(model: GraphAlgebraModel) -> tuple[list[str], list[list[int]]]:
     """Cartan matrix aggregated to edges (summing over doubled vertices)."""
     vertex_cartan = model.table.cartan()
-    edges = sorted(edge_name(model.graph, e[0]) for e in model.graph.edges)
+    edges = sorted(model.graph.edges_by_label)
     index = {name: k for k, name in enumerate(edges)}
     out = [[0] * len(edges) for _ in edges]
     positions = list(model.vertex_position.items())
@@ -240,20 +215,19 @@ def skew_dimension_oracle(covered: CoveredGraph) -> int:
     sheet-one idempotents.
     """
     base = covered.base.graph
-    total = covered.total
-    bd, _, _ = bga_table_with_keys(total)
+    bd, _, _ = bga_table_with_keys(covered.total)
     cartan = bd.cartan()
     position = {name: p for p, (name, _) in enumerate(bd.idempotents)}
 
-    def cover_edge_position(h: str, sheet: int) -> int:
-        return position[edge_name(total, sheet_label(h, sheet))]
+    def cover_edge_position(label: str, sheet: int) -> int:
+        return position[covered.sheet_edge(label, sheet)]
 
     dims = 0
-    for e1 in base.edges:
-        for e2 in base.edges:
-            row = cover_edge_position(e1[0], 0)
-            dims += cartan[row][cover_edge_position(e2[0], 0)]
-            dims += cartan[row][cover_edge_position(e2[0], 1 % covered.group_order)]
+    for e1 in base.edges_by_label:
+        for e2 in base.edges_by_label:
+            row = cover_edge_position(e1, 0)
+            dims += cartan[row][cover_edge_position(e2, 0)]
+            dims += cartan[row][cover_edge_position(e2, 1 % covered.group_order)]
     return dims
 
 
@@ -280,15 +254,12 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
     q = quiver(graph)
     if set(q.vertices) != set(model.vertex_position):
         problems.append("quiver vertices do not match the model idempotents")
-    expected_arrows = {
-        (a.h, a.source[1], a.target[1]) for a in q.arrows
-    }
-    if expected_arrows != set(model.arrow_element):
+    if set(q.arrows) != set(model.arrow_element):
         problems.append("quiver arrows do not match the model arrows")
     else:
-        for key, elem in model.arrow_element.items():
+        for a, elem in model.arrow_element.items():
             if not elem:
-                problems.append(f"arrow {key} maps to zero in the model")
+                problems.append(f"arrow {render_arrow(a)} maps to zero in the model")
     for rel in relations(graph):
         try:
             value = model.evaluate_relation(rel)
@@ -386,10 +357,9 @@ def cut_cover_table(
     )
     cut_presentation = admissible_cut(total, delta_d)
     table, paths, index_of = monomial_table(cut_presentation)
-    edges = edge_by_name(total)
 
     def shift_vertex(v: QVertex) -> QVertex:
-        return (edge_name(total, covered.shift_half(edges[v[0]][0])), v[1])
+        return (covered.shift_edge(v[0]), v[1])
 
     def shift_arrow(a: Arrow) -> Arrow:
         return Arrow(

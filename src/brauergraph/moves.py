@@ -41,14 +41,19 @@ def sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
     subset = _check_subset(graph, subset)
     out: set[Sector] = set()
     for h in subset:
-        orbit = graph.sigma_orbit_of(h)
-        if all(x in subset for x in orbit):
-            continue
-        r = 0
-        while orbit[(r + 1) % len(orbit)] in subset:
-            r += 1
-        out.add(Sector(h, r))
+        r = escape_index(graph, subset, h)
+        if r is not None:
+            out.add(Sector(h, r))
     return out
+
+
+def escape_index(graph: BrauerGraph, subset: frozenset[str], h: str) -> int | None:
+    """Least r with sigma^{r+1} h outside ``subset``; None if h's orbit lies inside."""
+    orbit = graph.sigma_orbit_of(h)
+    for r, x in enumerate(orbit[1:] + orbit[:1]):
+        if x not in subset:
+            return r
+    return None
 
 
 def maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:

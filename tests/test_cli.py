@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -115,6 +116,26 @@ def test_roundtrip_aliases(ex1, ex1_grading):
     aliases = {"left": ("1+", "1-")}
     text = emit(ex1, ex1_grading, aliases)
     assert parse(text).aliases == aliases
+
+
+def test_alias_may_not_take_another_edges_label(tmp_path, capsys):
+    text = EX1 + "edge 1 = 2+ 2-\n"
+    message = "edge alias '1' is the label of edge (1+ 1-)"
+    with pytest.raises(GraphFileError, match=re.escape(message)):
+        parse(text)
+    path = tmp_path / "shadow.bg"
+    path.write_text(text, encoding="utf-8")
+    for command in (["validate"], ["move", "--edges", "1"]):
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("members", [("2+", "2-"), ("2-", "2+")])
+def test_alias_may_name_its_own_edge(members):
+    parsed = parse(EX1 + "edge 2 = " + " ".join(members) + "\n")
+    assert parsed.aliases == {"2": members}
 
 
 def test_cli_validate(ex1_file, capsys):
@@ -263,6 +284,32 @@ def test_cli_rejects_an_invalid_skew_file_grading(tmp_path, capsys, command, as_
     assert main(["--json", *argv] if as_json else argv) == 2
     captured = capsys.readouterr()
     message = "invalid grading: vertex (1- 3 2) has degree sum 1, required 0"
+    assert captured.out == ""
+    if as_json:
+        assert json.loads(captured.err) == {"error": message}
+    else:
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dim"],
+        ["cartan"],
+        ["mutate", "--edges", "1,2"],
+        ["mutate", "--edges", "1,2", "--verify"],
+    ],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cli_rejects_an_invalid_ordinary_file_grading(
+    tmp_path, capsys, command, as_json
+):
+    path = tmp_path / "ex1-bad.bg"
+    path.write_text(EX1.replace("grading 3+ = 1\n", ""), encoding="utf-8")
+    argv = [command[0], str(path), *command[1:]]
+    assert main(["--json", *argv] if as_json else argv) == 2
+    captured = capsys.readouterr()
+    message = "invalid grading: vertex (2+ 3+) has degree sum 0, required 1"
     assert captured.out == ""
     if as_json:
         assert json.loads(captured.err) == {"error": message}

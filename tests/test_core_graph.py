@@ -8,6 +8,7 @@ from brauergraph.core import (
     BrauerGraph,
     Grading,
     connected_components,
+    edge_name,
     euler_characteristics,
     faces,
     gen_random,
@@ -210,3 +211,31 @@ def test_skew_moves_can_flip_bipartiteness():
         after.cross_vertex_count,
     )
     assert before.multiplicity_multiset == after.multiplicity_multiset
+
+
+def _label_by_rule(graph: BrauerGraph, h: str) -> str:
+    # The common stem of a +/- pair, else the smaller name of the two.
+    other = graph.pairing(h)
+    if other == h:
+        return h
+    if h[:-1] == other[:-1] and sorted((h[-1], other[-1])) == ["+", "-"]:
+        return h[:-1]
+    return min(h, other)
+
+
+def test_edge_name_follows_the_label_rule(ex1, ex2):
+    graphs = [ex1, ex2, build_graph(["x", "y", "z"], [("x", "y")], [("x", "z")])]
+    graphs += [gen_random(seed, n_half=8) for seed in range(10)]
+    graphs += [gen_random(seed, n_half=8, allow_skew=True) for seed in range(10)]
+    for graph in graphs:
+        for h in graph.half_edges:
+            assert edge_name(graph, h) == _label_by_rule(graph, h), (graph, h)
+        assert graph.edges_by_label == {
+            _label_by_rule(graph, e[0]): e for e in graph.edges
+        }
+
+
+def test_validate_reports_a_three_cycle_pairing_alone():
+    names = ["a", "b", "c"]
+    graph = build_graph(names, [("a", "b", "c")], [("a", "b", "c")])
+    assert validate(graph) == ["pairing is not an involution"]

@@ -7,6 +7,7 @@ import pytest
 from brauergraph.core import (
     GradedGraph,
     Grading,
+    edge_name,
     gen_random,
     grading_violations,
     random_ih_stable_subset,
@@ -19,6 +20,7 @@ from brauergraph.covering import (
     cover,
     default_grading,
     lift_subset,
+    sheet_label,
 )
 
 from conftest import build_graph
@@ -151,3 +153,26 @@ def test_check_cover_commutes_fuzz():
         subset = random_ih_stable_subset(g, rng)
         graded = GradedGraph(g, default_grading(g, subset))
         assert check_cover_commutes(graded, subset), seed
+
+
+@pytest.mark.parametrize("seed", [None, 1, 3])
+def test_sheet_and_shift_edges_follow_the_half_edges(ex2, seed):
+    graph = ex2 if seed is None else gen_random(seed, n_half=8, allow_skew=True)
+    assert graph.is_skew
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    total, n = covered.total, covered.group_order
+    for label, edge in graph.edges_by_label.items():
+        for sheet in range(n):
+            for h in edge:
+                expected = edge_name(total, sheet_label(h, sheet))
+                assert covered.sheet_edge(label, sheet) == expected
+        if len(edge) == 1:
+            # a skew leg's two sheets join up into one covering edge
+            assert covered.sheet_edge(label, 0) == covered.sheet_edge(label, 1)
+    for label, edge in total.edges_by_label.items():
+        for h in edge:
+            assert covered.shift_edge(label) == edge_name(total, covered.shift_half(h))
+        shifted = label
+        for _ in range(n):
+            shifted = covered.shift_edge(shifted)
+        assert shifted == label

@@ -154,10 +154,9 @@ def test_end_table_rejects_non_tilting(ex1):
 
 def test_mutation_verification_computes_the_vanishing_once(monkeypatch):
     from brauergraph import homotopy
-    from brauergraph.core import edge_by_name
 
     graph = gen_random(1, n_half=8)
-    edges = edge_by_name(graph)
+    edges = graph.edges_by_label
     subset = frozenset(edges["1"] + edges["2"])
     built = []
     counted = homotopy._hom_complex

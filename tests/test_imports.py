@@ -1,0 +1,35 @@
+"""Every module-level import in the package is used by its module."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brauergraph"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = "import os.path\nfrom .core import a, b as c\nprint(a)\n"
+    assert unused_imports(source) == ["os", "c"]
+
+
+# __init__.py imports only to re-export.
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_module_has_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -87,9 +87,7 @@ def test_special_cycles_all_equal_in_model(ex2):
 
 def test_ordinary_model_arrows_nonzero(ex1):
     model = ordinary_model(ex1)
-    assert set(model.arrow_element) == {
-        (a.h, None, None) for a in quiver(ex1).arrows
-    }
+    assert set(model.arrow_element) == set(quiver(ex1).arrows)
     assert all(model.arrow_element.values())
 
 
