@@ -87,6 +87,12 @@ class AlgebraTable:
     def unit(self) -> Element:
         return {index: ONE for _, index in self.idempotents}
 
+    def render(self, x: Element) -> str:
+        """``x`` as coefficient*label terms in basis order; "0" when zero."""
+        if not x:
+            return "0"
+        return " + ".join(f"{c}*{self.labels[k]}" for k, c in sorted(x.items()))
+
     def cartan(self) -> list[list[int]]:
         n = len(self.idempotents)
         matrix = [[0] * n for _ in range(n)]
@@ -101,6 +107,14 @@ class AlgebraTable:
             for b, corner in enumerate(zip(self.tgt, self.src)):
                 self._corners.setdefault(corner, []).append(b)
         return list(self._corners.get((target, source), ()))
+
+    def corner(self, x: Element, target: int, source: int) -> Element:
+        """The part of x in the corner e_target A e_source."""
+        return {
+            k: c
+            for k, c in x.items()
+            if self.tgt[k] == target and self.src[k] == source
+        }
 
     def radical_coefficient_free(self, x: Element) -> bool:
         """True when x has no component on any idempotent basis element."""

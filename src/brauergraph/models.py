@@ -9,8 +9,9 @@ the direct presentations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .algebra import (
     AlgebraTable,
@@ -30,6 +31,8 @@ from .presentation import (
     Path,
     Presentation,
     QVertex,
+    Relation,
+    Walk,
     admissible_cut,
     find_subword,
     induces_arrow,
@@ -44,9 +47,23 @@ from .presentation import (
 )
 
 
+# A node of the prefix trie: the element of its prefix and its children.
+# A child is keyed by its arrow, or by the half-edge h for a step of a summed
+# walk, whose element is the full arrow at h.
+_Node = tuple[Element, dict["Arrow | str", "_Node"]]
+
+
 @dataclass
 class GraphAlgebraModel:
-    """A table together with the quiver dictionary needed to evaluate paths."""
+    """A table together with the quiver dictionary needed to evaluate paths.
+
+    Paths and walks are evaluated through one trie of prefixes, so a prefix
+    shared by many relation terms is multiplied once per model.  The trie
+    assumes ``table`` and ``arrow_element`` are not changed after the first
+    evaluation; a model built from new ones (``dataclasses.replace``) starts
+    with an empty trie.  Evaluations return the trie's own elements, which
+    callers must not modify.
+    """
 
     graph: BrauerGraph
     table: AlgebraTable
@@ -54,24 +71,61 @@ class GraphAlgebraModel:
     arrow_element: dict[Arrow, Element]
     twist: Element | None = None
     grading: Grading | None = None
+    _prefixes: dict[Arrow | str, _Node] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _full_arrows: dict[str, Element] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def full_arrow(self, h: str) -> Element:
-        out: Element = {}
-        for a, elem in self.arrow_element.items():
-            if a.h == h:
-                out = vec_add(out, elem)
+        """The sum of the quiver arrows at h."""
+        out = self._full_arrows.get(h)
+        if out is None:
+            out = {}
+            for a, elem in self.arrow_element.items():
+                if a.h == h:
+                    out = vec_add(out, elem)
+            self._full_arrows[h] = out
         return out
+
+    def _product(
+        self, steps: Iterable[Arrow | str], element: Callable[..., Element]
+    ) -> Element:
+        """Product of the step elements, first step rightmost, read through
+        the prefix trie; ``element`` is called only for a new prefix.  A zero
+        prefix makes every extension zero without a multiplication."""
+        children = self._prefixes
+        value: Element | None = None
+        for key in steps:
+            node = children.get(key)
+            if node is None:
+                elem = element(key)
+                if value is None:
+                    product = elem
+                elif value:
+                    product = self.table.mul(elem, value)
+                else:
+                    product = value
+                node = children[key] = (product, {})
+            value, children = node
+        return value
 
     def walk_element(self, h: str, length: int) -> Element:
         """Product of the full arrows along h, sigma h, ..., sigma^{length-1} h."""
         if length < 1:
             raise ValueError("walks have at least one arrow")
-        acc = self.full_arrow(h)
-        x = h
-        for _ in range(length - 1):
-            x = self.graph.orientation(x)
-            acc = self.table.mul(self.full_arrow(x), acc)
-        return acc
+        orbit = self.graph.sigma_orbit_of(h)
+        steps = [orbit[k % len(orbit)] for k in range(length)]
+        return self._product(steps, self.full_arrow)
+
+    def evaluate_walk(self, walk: Walk) -> Element:
+        """The summed walk: the (end, start) corner of its walk element."""
+        graph = self.graph
+        last = graph.orientation.power(walk.length, walk.h)
+        s = self.vertex_position[(edge_name(graph, walk.h), walk.start)]
+        t = self.vertex_position[(edge_name(graph, last), walk.end)]
+        return self.table.corner(self.walk_element(walk.h, walk.length), t, s)
 
     def edge_positions(self, h: str) -> list[int]:
         name = edge_name(self.graph, h)
@@ -80,15 +134,17 @@ class GraphAlgebraModel:
         ]
 
     def evaluate_path(self, path: Path) -> Element:
-        acc = self.arrow_element[path[0]]
-        for a in path[1:]:
-            acc = self.table.mul(self.arrow_element[a], acc)
-        return acc
+        """Product of the arrows of ``path``; KeyError names a missing arrow."""
+        return self._product(path, self.arrow_element.__getitem__)
 
-    def evaluate_relation(self, rel) -> Element:
+    def evaluate_relation(self, rel: Relation) -> Element:
         out: Element = {}
-        for coeff, path in rel.terms:
-            out = vec_add(out, self.evaluate_path(path), coeff)
+        for coeff, body in rel.terms:
+            if isinstance(body, Walk):
+                value = self.evaluate_walk(body)
+            else:
+                value = self.evaluate_path(body)
+            out = vec_add(out, value, coeff)
         return out
 
 
@@ -159,12 +215,9 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
         w_index = index_of[("w", sheet_label(h, sheet), 1)]
         lifted = trunc.express({sheet * bd.dim + w_index: ONE})
         for a in arrows:
-            s, t = vertex_position[a.source], vertex_position[a.target]
-            corner = {
-                k: c
-                for k, c in lifted.items()
-                if table.src[k] == s and table.tgt[k] == t
-            }
+            corner = table.corner(
+                lifted, vertex_position[a.target], vertex_position[a.source]
+            )
             if corner:
                 arrow_element[a] = corner
 
@@ -267,17 +320,23 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
             problems.append(f"relation uses a missing arrow: {render_relation(rel)}")
             continue
         if value:
-            problems.append(f"relation does not vanish: {render_relation(rel)}")
+            problems.append(
+                f"relation does not vanish: {render_relation(rel)} "
+                f"= {model.table.render(value)}"
+            )
     for h in sorted(graph.half_edges):
         if not induces_arrow(graph, h):
             continue
         for i in vertex_indices(graph, h):
-            values = [
-                tuple(sorted(model.evaluate_path(route).items()))
-                for route in special_cycles(graph, h, i)
-            ]
-            if len(set(values)) > 1:
-                problems.append(f"special cycles at ({h}, {i}) differ in the model")
+            first, *rest = (
+                model.evaluate_path(route) for route in special_cycles(graph, h, i)
+            )
+            other = next((v for v in rest if v != first), None)
+            if other is not None:
+                problems.append(
+                    f"special cycles at ({h}, {i}) differ in the model: "
+                    f"{model.table.render(first)} vs {model.table.render(other)}"
+                )
     if graph.is_skew:
         expected_dim = skew_dimension_oracle(covered)
     else:

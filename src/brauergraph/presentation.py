@@ -8,8 +8,10 @@ convention used throughout the package.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import BrauerGraph, edge_name
@@ -36,10 +38,30 @@ class Arrow:
 
 Path = tuple[Arrow, ...]
 
+# The most paths one summed walk may expand to.  Only rendering and
+# well-formedness checks expand walks; past the cap they raise ValueError
+# instead of running for minutes.  At a vertex carrying L skew legs and
+# nothing else, with multiplicity 2, the longest walk sums 2^(2L) paths: six
+# legs reach the cap and render in about a second, seven are refused.
+MAX_WALK_PATHS = 1 << 12
+
+
+@dataclass(frozen=True)
+class Walk:
+    """The sum of all index-resolved walks of ``length`` arrows along the
+    sigma-orbit of ``h``, from copy ``start`` of the first vertex to copy
+    ``end`` of the last; the free middle indices are summed with coefficient 1.
+    """
+
+    h: str
+    start: int | None
+    length: int
+    end: int | None
+
 
 @dataclass(frozen=True)
 class Relation:
-    terms: tuple[tuple[Fraction, Path], ...]
+    terms: tuple[tuple[Fraction, Path | Walk], ...]
 
 
 @dataclass(frozen=True)
@@ -47,11 +69,17 @@ class Quiver:
     vertices: tuple[QVertex, ...]
     arrows: tuple[Arrow, ...]
 
+    @cached_property
+    def _by_indices(self) -> dict[tuple[str, int | None, int | None], Arrow]:
+        return {(a.h, a.source[1], a.target[1]): a for a in self.arrows}
+
     def arrow(self, h: str, i: int | None, j: int | None) -> Arrow:
-        for a in self.arrows:
-            if a.h == h and a.source[1] == i and a.target[1] == j:
-                return a
-        raise KeyError(f"no arrow for half-edge {h!r} with indices ({i}, {j})")
+        try:
+            return self._by_indices[h, i, j]
+        except KeyError:
+            raise KeyError(
+                f"no arrow for half-edge {h!r} with indices ({i}, {j})"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -59,14 +87,13 @@ class Presentation:
     quiver: Quiver
     relations: tuple[Relation, ...]
     symbol: str = "a"
+    # The graph whose sigma-orbits expand summed walks; None when no
+    # relation has one.
+    graph: BrauerGraph | None = None
 
 
-def _arrow(graph: BrauerGraph, h: str, i: int | None, j: int | None) -> Arrow:
-    source = (edge_name(graph, h), i)
-    target = (edge_name(graph, graph.orientation(h)), j)
-    return Arrow(h, source, target)
-
-
+# Cached per graph: relation builders and walk expansion read its arrow index.
+@lru_cache(maxsize=16)
 def quiver(graph: BrauerGraph) -> Quiver:
     vertices: list[QVertex] = []
     for edge in graph.edges:
@@ -78,40 +105,65 @@ def quiver(graph: BrauerGraph) -> Quiver:
     for h in sorted(graph.half_edges):
         if not induces_arrow(graph, h):
             continue
+        source = edge_name(graph, h)
+        target = edge_name(graph, graph.orientation(h))
         for i in vertex_indices(graph, h):
             for j in vertex_indices(graph, graph.orientation(h)):
-                arrows.append(_arrow(graph, h, i, j))
+                arrows.append(Arrow(h, (source, i), (target, j)))
     return Quiver(tuple(vertices), tuple(arrows))
 
 
-def _walk_paths(
-    graph: BrauerGraph,
-    h: str,
-    start_index: int | None,
-    n_arrows: int,
-    final_index: int | None,
-) -> list[Path]:
-    """All index-resolved walks of ``n_arrows`` arrows along the sigma-orbit of h.
+def _walk_paths(graph: BrauerGraph, walk: Walk) -> list[Path]:
+    """All index-resolved walks summed by ``walk``.
 
     Intermediate indices range over the copies of each visited vertex; the
     start and final indices are pinned.  Walk step k uses the arrow induced
     by sigma^k h.
     """
-    orbit = graph.sigma_orbit_of(h)
-    steps = [orbit[k % len(orbit)] for k in range(n_arrows)]
-    choice_sets = []
-    for k in range(1, n_arrows):
-        choice_sets.append(vertex_indices(graph, orbit[k % len(orbit)]))
+    by_indices = quiver(graph)._by_indices
+    orbit = graph.sigma_orbit_of(walk.h)
+    steps = [orbit[k % len(orbit)] for k in range(walk.length)]
+    choice_sets = [vertex_indices(graph, x) for x in steps[1:]]
     paths: list[Path] = []
     for choices in itertools.product(*choice_sets):
-        indices = (start_index,) + choices + (final_index,)
+        indices = (walk.start,) + choices + (walk.end,)
         paths.append(
             tuple(
-                _arrow(graph, steps[k], indices[k], indices[k + 1])
-                for k in range(n_arrows)
+                by_indices[x, indices[k], indices[k + 1]]
+                for k, x in enumerate(steps)
             )
         )
     return paths
+
+
+def expand_relation(
+    rel: Relation, graph: BrauerGraph | None = None
+) -> list[tuple[Fraction, Path]]:
+    """The terms of ``rel`` with each summed walk expanded to its paths.
+
+    ``graph`` supplies the sigma-orbits and is needed only when ``rel`` has
+    a summed walk.  A walk of more than ``MAX_WALK_PATHS`` paths raises
+    ValueError.
+    """
+    out: list[tuple[Fraction, Path]] = []
+    for coeff, body in rel.terms:
+        if not isinstance(body, Walk):
+            out.append((coeff, body))
+            continue
+        if graph is None:
+            raise ValueError(f"expanding {body} needs its graph")
+        orbit = graph.sigma_orbit_of(body.h)
+        count = math.prod(
+            len(vertex_indices(graph, orbit[k % len(orbit)]))
+            for k in range(1, body.length)
+        )
+        if count > MAX_WALK_PATHS:
+            raise ValueError(
+                f"{body} sums {count} paths, over the expansion cap of "
+                f"{MAX_WALK_PATHS}"
+            )
+        out.extend((coeff, path) for path in _walk_paths(graph, body))
+    return out
 
 
 def special_cycles(
@@ -126,7 +178,7 @@ def special_cycles(
     elif index is not None:
         raise ValueError(f"half-edge {h!r} has no copy index")
     n = len(graph.sigma_orbit_of(h))
-    return _walk_paths(graph, h, index, n, index)
+    return _walk_paths(graph, Walk(h, index, n, index))
 
 
 def n_cross(graph: BrauerGraph, h: str) -> int:
@@ -137,6 +189,7 @@ def n_cross(graph: BrauerGraph, h: str) -> int:
 def _crossing_relations(graph: BrauerGraph) -> list[Relation]:
     """Crossing to the other side of the next edge is zero (skew legs excepted)."""
     sigma = graph.orientation
+    arrow = quiver(graph).arrow
     out: list[Relation] = []
     for h in sorted(graph.half_edges):
         nxt = sigma(h)
@@ -147,7 +200,7 @@ def _crossing_relations(graph: BrauerGraph) -> list[Relation]:
             continue
         for i in vertex_indices(graph, h):
             for j in vertex_indices(graph, sigma(partner)):
-                path = (_arrow(graph, h, i, None), _arrow(graph, partner, None, j))
+                path = (arrow(h, i, None), arrow(partner, None, j))
                 out.append(Relation(((Fraction(1), path),)))
     return out
 
@@ -155,6 +208,7 @@ def _crossing_relations(graph: BrauerGraph) -> list[Relation]:
 def _two_route_relations(graph: BrauerGraph) -> list[Relation]:
     """The two routes through the doubled vertex at a skew leg agree."""
     sigma = graph.orientation
+    arrow = quiver(graph).arrow
     out: list[Relation] = []
     for h in sorted(graph.half_edges):
         if sigma(h) == h or sigma(h) not in graph.cross_half_edges:
@@ -162,7 +216,7 @@ def _two_route_relations(graph: BrauerGraph) -> list[Relation]:
         for i in vertex_indices(graph, h):
             for j in vertex_indices(graph, sigma(sigma(h))):
                 routes = [
-                    (_arrow(graph, h, i, k), _arrow(graph, sigma(h), k, j))
+                    (arrow(h, i, k), arrow(sigma(h), k, j))
                     for k in (0, 1)
                 ]
                 out.append(
@@ -174,6 +228,7 @@ def _two_route_relations(graph: BrauerGraph) -> list[Relation]:
 def relations(graph: BrauerGraph) -> list[Relation]:
     """The generating relations of the (skew) Brauer graph algebra."""
     cross = graph.cross_half_edges
+    arrow = quiver(graph).arrow
     out: list[Relation] = []
 
     # (I) equality of weighted cycle powers across each non-degenerate edge.
@@ -216,7 +271,7 @@ def relations(graph: BrauerGraph) -> list[Relation]:
             for route in special_cycles(graph, h, i):
                 last = route[-1]
                 shifted = route[:-1] + (
-                    Arrow(last.h, last.source, (last.target[0], (i + 1) % 2)),
+                    arrow(last.h, last.source[1], (i + 1) % 2),
                 )
                 path = route * (graph.multiplicity[h] - 1) + shifted
                 out.append(Relation(((Fraction(1), path),)))
@@ -236,7 +291,7 @@ def relation_violations(p: Presentation) -> list[str]:
     problems = []
     for k, rel in enumerate(p.relations):
         ends = set()
-        for _, path in rel.terms:
+        for _, path in expand_relation(rel, p.graph):
             if not path:
                 problems.append(f"relation {k} has an empty path")
                 continue
@@ -292,7 +347,8 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
 
     Relations come from representatives of the group orbits of the covering
     relations; on skew bases the arrows appear summed over their copy
-    indices, which expands to the free-index walks below.
+    indices, so rules (I')-(III') are sums over free-index walks, each kept
+    as one ``Walk`` term.
     """
     base = c.base.graph
     q = quiver(base)
@@ -308,8 +364,7 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
         for i in (0, 1):
             n = len(base.sigma_orbit_of(h))
             length = n * base.multiplicity[h]
-            paths = _walk_paths(base, h, i, length, (i + 1) % 2)
-            rels.append(Relation(tuple((Fraction(1), p) for p in paths)))
+            rels.append(Relation(((Fraction(1), Walk(h, i, length, (i + 1) % 2)),)))
 
     # (II') equality of summed cycle powers across non-degenerate edges.
     for edge in base.edges:
@@ -318,12 +373,10 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
         h, other = min(edge), max(edge)
         if not (induces_arrow(base, h) and induces_arrow(base, other)):
             continue
-        terms: list[tuple[Fraction, Path]] = []
+        terms = []
         for x, sign in ((h, Fraction(1)), (other, Fraction(-1))):
-            n = len(base.sigma_orbit_of(x))
-            length = n * base.multiplicity[x]
-            for p in _walk_paths(base, x, None, length, None):
-                terms.append((sign, p))
+            length = len(base.sigma_orbit_of(x)) * base.multiplicity[x]
+            terms.append((sign, Walk(x, None, length, None)))
         rels.append(Relation(tuple(terms)))
 
     # (III') overruns of summed cycle powers vanish.
@@ -334,15 +387,14 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
         length = n * base.multiplicity[h] + 1
         for i in vertex_indices(base, h):
             for j in vertex_indices(base, sigma(h)):
-                paths = _walk_paths(base, h, i, length, j)
-                rels.append(Relation(tuple((Fraction(1), p) for p in paths)))
+                rels.append(Relation(((Fraction(1), Walk(h, i, length, j)),)))
 
     # (IV') the two routes through a doubled vertex agree.
     rels.extend(_two_route_relations(base))
 
     # (V') crossing to the other side of the next edge.
     rels.extend(_crossing_relations(base))
-    return Presentation(q, tuple(rels), symbol="b")
+    return Presentation(q, tuple(rels), symbol="b", graph=base)
 
 
 def admissible_cut(graph: BrauerGraph, delta: frozenset[str]) -> Presentation:
@@ -430,9 +482,12 @@ def render_path(path: Path, symbol: str = "a") -> str:
     return " ".join(render_arrow(a, symbol) for a in reversed(path))
 
 
-def render_relation(rel: Relation, symbol: str = "a") -> str:
+def render_relation(
+    rel: Relation, symbol: str = "a", graph: BrauerGraph | None = None
+) -> str:
+    """The relation as text; ``graph`` expands its summed walks, if any."""
     parts: list[str] = []
-    for coeff, path in rel.terms:
+    for coeff, path in expand_relation(rel, graph):
         body = render_path(path, symbol)
         if coeff == 1:
             chunk = body
@@ -455,7 +510,7 @@ def render_presentation(p: Presentation) -> str:
             f"{render_vertex(a.source)} -> {render_vertex(a.target)}"
         )
     for rel in p.relations:
-        lines.append("relation " + render_relation(rel, p.symbol))
+        lines.append("relation " + render_relation(rel, p.symbol, p.graph))
     return "\n".join(lines) + "\n"
 
 
@@ -470,7 +525,7 @@ def to_dot(p: Presentation) -> str:
         )
     lines.append("  /* relations:")
     for rel in p.relations:
-        lines.append("   * " + render_relation(rel, p.symbol))
+        lines.append("   * " + render_relation(rel, p.symbol, p.graph))
     lines.append("   */")
     lines.append("}")
     return "\n".join(lines) + "\n"

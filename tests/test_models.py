@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import pytest
+
+from brauergraph import models
 from brauergraph.core import (
     BrauerGraph,
     GradedGraph,
@@ -10,6 +14,7 @@ from brauergraph.core import (
 )
 from brauergraph.covering import CoveredGraph, cover, default_grading
 from brauergraph.algebra import bga_dimension_formula, bga_table, check_table
+from brauergraph.linalg import vec_add, vec_scale
 from brauergraph.models import (
     edge_cartan,
     model_for,
@@ -19,7 +24,14 @@ from brauergraph.models import (
     truncation_model,
 )
 from brauergraph.permutations import Permutation
-from brauergraph.presentation import quiver, special_cycles
+from brauergraph.presentation import (
+    induces_arrow,
+    quiver,
+    relations,
+    render_relation,
+    special_cycles,
+    vertex_indices,
+)
 
 
 def test_presentations_match_ex1(ex1, ex1_graded):
@@ -115,3 +127,130 @@ def test_truncation_model_of_ordinary_cover_matches_bga(ex1, ex1_graded):
     direct = bga_table(ex1)
     assert model.table.dim == direct.dim
     assert model.table.cartan() == direct.cartan()
+
+
+def all_special_cycles(graph):
+    return [
+        route
+        for h in sorted(graph.half_edges)
+        if induces_arrow(graph, h)
+        for i in vertex_indices(graph, h)
+        for route in special_cycles(graph, h, i)
+    ]
+
+
+def uncached_path(model, path):
+    """The path's product, multiplied from its first arrow every time."""
+    acc = model.arrow_element[path[0]]
+    for a in path[1:]:
+        acc = model.table.mul(model.arrow_element[a], acc)
+    return acc
+
+
+def uncached_relation(model, rel):
+    out = {}
+    for coeff, path in rel.terms:
+        out = vec_add(out, uncached_path(model, path), coeff)
+    return out
+
+
+def skew_graph(seed, n_half):
+    graph = gen_random(seed, n_half=n_half, allow_skew=True)
+    assert graph.is_skew
+    return graph
+
+
+@pytest.mark.parametrize("source", ["ex2", (1, 8), (3, 8), (3, 16)])
+def test_cached_evaluation_matches_uncached(source, ex2):
+    graph = ex2 if source == "ex2" else skew_graph(*source)
+    model = truncation_model(cover(GradedGraph(graph, zero_grading(graph))))
+    for rel in relations(graph):
+        for _, path in rel.terms:
+            assert model.evaluate_path(path) == uncached_path(model, path)
+        assert model.evaluate_relation(rel) == uncached_relation(model, rel)
+    for route in all_special_cycles(graph):
+        assert model.evaluate_path(route) == uncached_path(model, route)
+
+
+def test_evaluation_multiplies_each_prefix_once(monkeypatch):
+    graph = gen_random(1, n_half=24, allow_skew=True, max_multiplicity=3)
+    model = truncation_model(cover(GradedGraph(graph, zero_grading(graph))))
+    rels = relations(graph)
+    cycles = all_special_cycles(graph)
+    paths = [path for rel in rels for _, path in rel.terms] + cycles
+    prefixes = {path[:k] for path in paths for k in range(2, len(path) + 1)}
+    calls = 0
+    mul = model.table.mul
+
+    def counting_mul(x, y):
+        nonlocal calls
+        calls += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(model.table, "mul", counting_mul)
+    for rel in rels:
+        model.evaluate_relation(rel)
+    for route in cycles:
+        model.evaluate_path(route)
+    steps = sum(len(path) - 1 for path in paths)
+    assert 0 < calls <= len(prefixes) < steps
+
+    # A zero prefix is extended without a multiplication.
+    crossing = next(
+        path
+        for rel in rels
+        if len(rel.terms) == 1 and len(path := rel.terms[0][1]) == 2
+    )
+    assert model.evaluate_path(crossing) == {}
+    after = next(a for a in model.arrow_element if a.source == crossing[-1].target)
+    calls = 0
+    assert model.evaluate_path(crossing + (after,)) == {}
+    assert calls == 0
+
+
+def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch):
+    covered = cover(ex2_graded)
+    model = truncation_model(covered)
+    for rel in relations(ex2):
+        assert model.evaluate_relation(rel) == {}
+    # Doubling one arrow into a doubled vertex breaks the two-route relation
+    # through it; the fresh model must not read the old model's prefixes.
+    arrow = next(a for a in model.arrow_element if a.target[1] == 0)
+    arrows = dict(model.arrow_element)
+    arrows[arrow] = vec_scale(arrows[arrow], 2)
+    perturbed = dataclasses.replace(model, arrow_element=arrows)
+    monkeypatch.setattr(models, "truncation_model", lambda c: perturbed)
+    report = presentations_match(ex2, covered)
+    assert not report.ok
+    labels = perturbed.table.labels
+    failing = [
+        (rel, value)
+        for rel in relations(ex2)
+        if (value := uncached_relation(perturbed, rel))
+    ]
+    assert failing
+    for rel, value in failing:
+        witness = f"relation does not vanish: {render_relation(rel)} = "
+        line = next(p for p in report.problems if p.startswith(witness))
+        terms = line[len(witness):].split(" + ")
+        assert terms == [f"{c}*{labels[k]}" for k, c in sorted(value.items())]
+    differing = 0
+    for h in sorted(ex2.half_edges):
+        if not induces_arrow(ex2, h):
+            continue
+        for i in vertex_indices(ex2, h):
+            first, *rest = (
+                uncached_path(perturbed, route) for route in special_cycles(ex2, h, i)
+            )
+            other = next((v for v in rest if v != first), None)
+            prefix = f"special cycles at ({h}, {i}) differ in the model: "
+            lines = [p for p in report.problems if p.startswith(prefix)]
+            if other is None:
+                assert lines == []
+                continue
+            differing += 1
+            assert lines == [
+                prefix + perturbed.table.render(first) + " vs "
+                + perturbed.table.render(other)
+            ]
+    assert differing

@@ -13,9 +13,14 @@ from brauergraph.core import (
     zero_grading,
 )
 from brauergraph.covering import cover
+from brauergraph.linalg import vec_add
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
+    MAX_WALK_PATHS,
+    Relation,
+    Walk,
     admissible_cut,
+    expand_relation,
     gentle_violations,
     induces_arrow,
     n_cross,
@@ -24,10 +29,12 @@ from brauergraph.presentation import (
     relation_violations,
     relations,
     render_path,
+    render_presentation,
     render_relation,
     special_cycles,
     to_dot,
     truncation_presentation,
+    vertex_indices,
 )
 
 from conftest import build_graph
@@ -45,6 +52,16 @@ def test_quiver_ex1(ex1):
     assert loop.source == loop.target == ("1", None)
     with pytest.raises(KeyError):
         q.arrow("4+", None, None)
+
+
+def test_quiver_arrow_reads_the_index(ex1, ex2):
+    graphs = [ex1, ex2] + [
+        gen_random(seed, n_half=8, allow_skew=seed % 2 == 0) for seed in range(1, 9)
+    ]
+    for graph in graphs:
+        q = quiver(graph)
+        for a in q.arrows:
+            assert q.arrow(a.h, a.source[1], a.target[1]) is a
 
 
 def test_quiver_ex2(ex2):
@@ -178,16 +195,18 @@ def test_truncation_presentation_trivial_cover():
 def test_truncation_presentation_skew(ex2, ex2_graded):
     covered = cover(ex2_graded)
     primed = truncation_presentation(covered)
+    # Summed walks are read as the paths they sum.
+    expanded = [expand_relation(rel, primed.graph) for rel in primed.relations]
     # (IV') difference relations appear exactly for h with sigma h a skew leg
-    diffs = [rel for rel in primed.relations if len(rel.terms) == 2
-             and rel.terms[0][0] == 1 and rel.terms[1][0] == -1
-             and len(rel.terms[0][1]) == 2]
-    heads = {rel.terms[0][1][0].h for rel in diffs}
+    diffs = [terms for terms in expanded if len(terms) == 2
+             and terms[0][0] == 1 and terms[1][0] == -1
+             and len(terms[0][1]) == 2]
+    heads = {terms[0][1][0].h for terms in diffs}
     assert heads == {"1-", "3"}
     # (V') monomial quadratics sit where sigma h is ordinary
-    monos = [rel for rel in primed.relations if len(rel.terms) == 1
-             and len(rel.terms[0][1]) == 2]
-    assert {rel.terms[0][1][0].h for rel in monos} == {"1+", "2", "4-", "5+"}
+    monos = [terms for terms in expanded if len(terms) == 1
+             and len(terms[0][1]) == 2]
+    assert {terms[0][1][0].h for terms in monos} == {"1+", "2", "4-", "5+"}
 
 
 def assert_truncation_relations_vanish(graded):
@@ -197,16 +216,16 @@ def assert_truncation_relations_vanish(graded):
     model = truncation_model(covered)
     primed = truncation_presentation(covered)
     for rel in primed.relations:
-        assert model.evaluate_relation(rel) == {}, render_relation(rel, primed.symbol)
+        assert model.evaluate_relation(rel) == {}, render_relation(
+            rel, primed.symbol, primed.graph
+        )
 
 
 def test_truncation_relations_vanish_in_model(ex2, ex2_graded):
     assert_truncation_relations_vanish(ex2_graded)
 
 
-# Seed 5 passes too, but its skew legs make the summed walks take ~14 s per
-# grading, so it is left out.
-@pytest.mark.parametrize("seed", [1, 3, 4, 7, 8])
+@pytest.mark.parametrize("seed", [1, 3, 4, 5, 7, 8])
 @pytest.mark.parametrize("kind", ["zero", "random"])
 def test_truncation_relations_vanish_in_model_fuzz(seed, kind):
     graph = gen_random(seed, n_half=8, allow_skew=True)
@@ -214,6 +233,74 @@ def test_truncation_relations_vanish_in_model_fuzz(seed, kind):
     if kind == "random":
         grading = random_valid_grading(graph, random.Random(seed), grading)
     assert_truncation_relations_vanish(GradedGraph(graph, grading))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 3])
+def test_walk_terms_sum_their_paths(seed, ex2):
+    from brauergraph.models import truncation_model
+
+    graph = ex2 if seed is None else gen_random(seed, n_half=8, allow_skew=True)
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    model = truncation_model(covered)
+    primed = truncation_presentation(covered)
+    walks = [body for rel in primed.relations for _, body in rel.terms
+             if isinstance(body, Walk)]
+    assert walks
+    # Walks of every shorter length too: most of them do not vanish, and
+    # their two ends are different vertices.
+    sigma = graph.orientation
+    for h in sorted(graph.half_edges):
+        if not induces_arrow(graph, h):
+            continue
+        for length in range(1, len(graph.sigma_orbit_of(h)) + 1):
+            for i in vertex_indices(graph, h):
+                for j in vertex_indices(graph, sigma.power(length, h)):
+                    walks.append(Walk(h, i, length, j))
+    nonzero = 0
+    for walk in walks:
+        total = {}
+        for _, path in expand_relation(Relation(((Fraction(1), walk),)), graph):
+            acc = model.arrow_element[path[0]]
+            for a in path[1:]:
+                acc = model.table.mul(model.arrow_element[a], acc)
+            total = vec_add(total, acc)
+        assert model.evaluate_walk(walk) == total, walk
+        nonzero += bool(total)
+    assert nonzero > len(walks) // 2
+
+
+def skew_leg_star(legs, multiplicity=2):
+    """One vertex carrying only skew legs."""
+    names = [str(k) for k in range(1, legs + 1)]
+    return build_graph(names, [], [tuple(names)], {h: multiplicity for h in names})
+
+
+def test_star_truncation_terms_stay_bounded():
+    graph = skew_leg_star(6)
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    primed = truncation_presentation(covered)
+    terms = sum(len(rel.terms) for rel in primed.relations)
+    # 122,928 terms when every summed walk was expanded to its paths
+    assert len(primed.relations) == 60
+    assert terms <= 4 * len(primed.relations)
+    assert_truncation_relations_vanish(GradedGraph(graph, zero_grading(graph)))
+
+
+def test_walk_expansion_over_the_cap_raises():
+    graph = skew_leg_star(7)
+    primed = truncation_presentation(cover(GradedGraph(graph, zero_grading(graph))))
+    walk = Walk("1", 0, 14, 1)
+    assert primed.relations[0].terms == ((1, walk),)
+    count = 2 ** 13
+    assert count > MAX_WALK_PATHS
+    message = f"{walk} sums {count} paths, over the expansion cap of {MAX_WALK_PATHS}"
+    with pytest.raises(ValueError) as info:
+        expand_relation(primed.relations[0], graph)
+    assert str(info.value) == message
+    with pytest.raises(ValueError):
+        render_presentation(primed)
+    with pytest.raises(ValueError):
+        relation_violations(primed)
 
 
 def test_admissible_cut_requires_transversal(ex2_multiplicity_one):
