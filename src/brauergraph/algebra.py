@@ -11,6 +11,7 @@ a skew leg, the pivots of a span).
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -530,6 +531,226 @@ def truncate(
         _spans=spans,
         _offsets=offsets,
     )
+
+
+# ---------------------------------------------------------------------------
+# The orbit basis of f (A#G) f
+# ---------------------------------------------------------------------------
+
+
+def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """Exact a / b: an ``int`` when b divides a, else a ``Fraction``."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _integral(x: Element) -> tuple[Element, int]:
+    """(d * x, d) for the least d > 0 that clears the denominators of x."""
+    d = math.lcm(*(Fraction(c).denominator for c in x.values()))
+    return {k: int(c * d) for k, c in x.items()}, d
+
+
+@dataclass(frozen=True)
+class OrbitTruncation:
+    """The corner algebra f (A#G) f built by ``orbit_truncation``.
+
+    ``express(x)`` gives the coordinates of an element x of A#G that lies in
+    f (A#G) f and raises ``ValueError`` for any other x; ``compress(x)`` is
+    f x f in A#G; ``vector(k)`` is basis element k as an element of A#G.
+    """
+
+    table: AlgebraTable
+    express: Callable[[Element], Element]
+    compress: Callable[[Element], Element]
+    vector: Callable[[int], Element]
+
+
+def orbit_truncation(
+    table: AlgebraTable,
+    act: GroupActionTable,
+    chosen: Sequence[tuple[str, Element]],
+) -> OrbitTruncation:
+    """f (A#G) f on the orbit basis, without building the skew group table.
+
+    ``table`` is A, ``act`` a monomial action of G = <g> on its basis and
+    ``chosen`` orthogonal idempotents of A#G with sum f, where index
+    k * table.dim + b is b (x) g^k as in ``skew_group_table``.  Products in
+    A#G are taken from ``table`` and ``act`` directly.
+
+    Multiplying by g on either side moves basis keys of A#G to basis keys,
+    up to a scalar.  So f_p (b (x) g^k) f_q lies on the G-orbit of (b, k)
+    under those moves, and for the sheet-zero idempotents of a covering the
+    keys of one orbit give multiples (some zero) of one element.  The
+    (p, q) corner's basis is one nonzero such element per orbit, admitted
+    in the order of ``truncate`` (the idempotents, then by ambient index);
+    its elements have disjoint supports, so an element of the corner is
+    written in the basis by reading its coefficient at one key of each.
+    Every reading is rebuilt and compared: a basis that does not span, a
+    product that leaves the truncation and an element outside it raise
+    ``ValueError``.
+
+    Basis element k is kept as the integer form (U, d) of U / d, where
+    U = F_p (b (x) g^k) F_q and F = d f clears the denominators of a chosen
+    idempotent; sweeps, products and checks then stay in ``int`` arithmetic.
+    """
+    problems = action_violations(table, act)
+    if problems:
+        raise ValueError("; ".join(problems))
+    n, dim = act.order, table.dim
+    moved = [[act.apply(k, c) for c in range(dim)] for k in range(n)]
+
+    def mul(x: Element, y: Element) -> Element:
+        """(b (x) g^k)(c (x) g^l) = b (g^k . c) (x) g^(k+l)."""
+        out: Element = {}
+        for i, ci in x.items():
+            k, b = divmod(i, dim)
+            for j, cj in y.items():
+                l, c = divmod(j, dim)
+                scalar, c = moved[k][c]
+                sheet = (k + l) % n * dim
+                coeff = ci * cj * scalar
+                for d, cd in table.pairwise(b, c).items():
+                    key = sheet + d
+                    new = out.get(key, 0) + coeff * cd
+                    if new:
+                        out[key] = new
+                    else:
+                        del out[key]
+        return out
+
+    forms = [_integral(x) for _, x in chosen]
+
+    # (a (x) g^i)(c (x) g^l) is nonzero only if src a = tgt (g^i . c), so the
+    # chosen idempotents are indexed by the keys their terms can multiply.
+    lefts: dict[tuple[int, int], set[int]] = {}
+    rights: dict[tuple[int, int], set[int]] = {}
+    for p, (form, _) in enumerate(forms):
+        for key in form:
+            i, a = divmod(key, dim)
+            lefts.setdefault((i, table.src[a]), set()).add(p)
+            for k in range(n):
+                rights.setdefault((k, table.tgt[moved[k][a][1]]), set()).add(p)
+
+    def left_factors(y: Element) -> list[int]:
+        """The p, ascending, for which F_p y can be nonzero."""
+        out: set[int] = set()
+        for key in y:
+            c = key % dim
+            for i in range(n):
+                out.update(lefts.get((i, table.tgt[moved[i][c][1]]), ()))
+        return sorted(out)
+
+    def right_factors(y: Element) -> list[int]:
+        """The q, ascending, for which y F_q can be nonzero."""
+        out: set[int] = set()
+        for key in y:
+            k, d = divmod(key, dim)
+            out.update(rights.get((k, table.src[d]), ()))
+        return sorted(out)
+
+    for (label, _), (form, scale) in zip(chosen, forms):
+        if mul(form, form) != vec_scale(form, scale):
+            raise ValueError(f"chosen element {label!r} is not idempotent")
+    for b, (lb, _) in enumerate(chosen):
+        for a in left_factors(forms[b][0]):
+            if a != b and mul(forms[a][0], forms[b][0]):
+                raise ValueError(
+                    f"chosen idempotents {chosen[a][0]!r}, {lb!r} not orthogonal"
+                )
+
+    def compressions(x: Element):
+        """The nonzero integer forms F_p x F_q, by corner (p, q)."""
+        for p in left_factors(x):
+            left = mul(forms[p][0], x)
+            for q in right_factors(left):
+                form = mul(left, forms[q][0])
+                if form:
+                    yield (p, q), form
+
+    basis: list[tuple[Element, int]] = []
+    reps: list[int] = []
+    owners: dict[tuple[int, int], dict[int, int]] = {}
+
+    def read(corner: tuple[int, int], form: Element) -> Element:
+        """Coordinates of ``form`` over the corner's integer forms."""
+        owner = owners.get(corner, {})
+        coords: Element = {}
+        for key in form:
+            k = owner.get(key)
+            if k is not None and k not in coords:
+                coords[k] = _quotient(form.get(reps[k], 0), basis[k][0][reps[k]])
+        return coords
+
+    def rebuild(coords: Element) -> Element:
+        return {
+            key: a * u for k, a in coords.items() for key, u in basis[k][0].items()
+        }
+
+    labels: list[str] = []
+    src: list[int] = []
+    tgt: list[int] = []
+
+    def admit(corner: tuple[int, int], form: Element, scale: int, label: str) -> None:
+        owner = owners.setdefault(corner, {})
+        if not owner.keys().isdisjoint(form):
+            if rebuild(read(corner, form)) != form:
+                raise ValueError(f"orbit elements of corner {corner} overlap")
+            return
+        owner.update(dict.fromkeys(form, len(basis)))
+        basis.append((form, scale))
+        reps.append(min(form))
+        labels.append(label)
+        tgt.append(corner[0])
+        src.append(corner[1])
+
+    for p, ((label, _), (form, scale)) in enumerate(zip(chosen, forms)):
+        admit((p, p), form, scale, label)
+    for key in range(n * dim):
+        k, b = divmod(key, dim)
+        for (p, q), form in compressions({key: ONE}):
+            scale = forms[p][1] * forms[q][1]
+            admit((p, q), form, scale, f"{table.labels[b]}|g{k}[{p}.{q}]")
+
+    def product(i: int, j: int) -> Element:
+        form = mul(basis[i][0], basis[j][0])
+        if not form:
+            return {}
+        coords = read((tgt[i], src[j]), form)
+        if rebuild(coords) != form:
+            raise ValueError("truncation is not multiplicatively closed")
+        scale = basis[i][1] * basis[j][1]
+        return {k: _quotient(a * basis[k][1], scale) for k, a in coords.items()}
+
+    def vector(k: int) -> Element:
+        form, scale = basis[k]
+        return {key: _quotient(u, scale) for key, u in form.items()}
+
+    def compress(x: Element) -> Element:
+        out: Element = {}
+        for (p, q), form in compressions(x):
+            scale = forms[p][1] * forms[q][1]
+            out = vec_add(out, {key: _quotient(c, scale) for key, c in form.items()})
+        return out
+
+    def express(x: Element) -> Element:
+        coords: Element = {}
+        for (p, q), form in compressions(x):
+            scale = forms[p][1] * forms[q][1]
+            for k, a in read((p, q), form).items():
+                if a:
+                    coords[k] = _quotient(a * basis[k][1], scale)
+        rebuilt: Element = {}
+        for k, c in coords.items():
+            rebuilt = vec_add(rebuilt, vector(k), c)
+        if rebuilt != x:
+            raise ValueError("element does not lie in the truncation")
+        return coords
+
+    idempotents = [(label, p) for p, (label, _) in enumerate(chosen)]
+    corner_table = AlgebraTable(labels, src, tgt, idempotents, product)
+    return OrbitTruncation(corner_table, express, compress, vector)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Ordinary graphs get their algebra table directly from the normal form
 basis.  Skew graph algebras are modelled exclusively through the covering:
-take the covering's algebra, form the skew group algebra for the sheet
-shift, and compress by the sheet-zero idempotents.  The same route validates
-the direct presentations.
+the compression f (A#G) f of the skew group algebra of the covering's
+algebra A, for the sheet shift g, by the sheet-zero idempotents f.  It is
+built on its G-orbit basis straight from the covering's basis keys
+(``algebra.orbit_truncation``), never building the skew group table; the
+generic route through ``skew_group_table`` and ``truncate`` is its test
+oracle.  The same model validates the direct presentations.
 """
 from __future__ import annotations
 
@@ -20,8 +23,7 @@ from .algebra import (
     GroupActionTable,
     ONE,
     bga_table_with_keys,
-    skew_group_table,
-    truncate,
+    orbit_truncation,
 )
 from .core import BrauerGraph, GradedGraph, Grading, check_grading, edge_name, zero_grading
 from .covering import CoveredGraph, cover, sheet_label
@@ -201,9 +203,8 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
     n = covered.group_order
     bd, keys, index_of = bga_table_with_keys(covered.total)
     action = sheet_shift_action(covered, keys, index_of)
-    skew = skew_group_table(bd, action)
     chosen = truncation_idempotents(covered, bd)
-    trunc = truncate(skew, [(str(v), elem) for v, elem in chosen])
+    trunc = orbit_truncation(bd, action, [(str(v), elem) for v, elem in chosen])
     table = trunc.table
     vertex_position = {v: p for p, (v, _) in enumerate(chosen)}
 
@@ -213,7 +214,7 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
     for h, arrows in itertools.groupby(quiver(base).arrows, key=lambda a: a.h):
         sheet = (-grading(h)) % n
         w_index = index_of[("w", sheet_label(h, sheet), 1)]
-        lifted = trunc.express({sheet * bd.dim + w_index: ONE})
+        lifted = trunc.express(trunc.compress({sheet * bd.dim + w_index: ONE}))
         for a in arrows:
             corner = table.corner(
                 lifted, vertex_position[a.target], vertex_position[a.source]
@@ -223,7 +224,8 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
 
     twist: Element | None = None
     if base.is_skew:
-        twist = trunc.express({bd.dim + index: ONE for _, index in bd.idempotents})
+        lift = {bd.dim + index: ONE for _, index in bd.idempotents}
+        twist = trunc.express(trunc.compress(lift))
 
     return GraphAlgebraModel(
         base, table, vertex_position, arrow_element, twist, grading
@@ -440,8 +442,7 @@ def cut_model_table(graph: BrauerGraph, delta: frozenset[str]) -> AlgebraTable:
     """Model of the cut algebra via the covering (works for skew graphs too)."""
     covered = cover(GradedGraph(graph, zero_grading(graph)))
     table, action, _ = cut_cover_table(covered, frozenset(delta))
-    skew = skew_group_table(table, action)
     chosen = [
         (render_vertex(v), elem) for v, elem in truncation_idempotents(covered, table)
     ]
-    return truncate(skew, chosen).table
+    return orbit_truncation(table, action, chosen).table

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -34,6 +34,15 @@ class Arrow:
     h: str
     source: QVertex
     target: QVertex
+    # Arrows key every path, relation and model dictionary, so the hash of
+    # the fields is computed once per arrow, not on every lookup.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.h, self.source, self.target)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Path = tuple[Arrow, ...]

@@ -33,3 +33,19 @@ def test_unused_imports_are_found():
 )
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_models_keep_the_generic_skew_group_route_out():
+    """``models`` builds f(A#G)f on the orbit basis; the skew group table,
+    the idempotent permutation and the generic truncation are test oracles."""
+    tree = ast.parse((PACKAGE / "models.py").read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used |= {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert "orbit_truncation" in used
+    assert used.isdisjoint({"skew_group_table", "idempotent_permutation", "truncate"})

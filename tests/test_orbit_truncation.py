@@ -1,0 +1,311 @@
+"""The orbit basis of f(A#G)f against the generic skew group route.
+
+``truncation_model`` builds f(A#G)f with ``algebra.orbit_truncation``; the
+generic ``truncate(skew_group_table(...))`` is the oracle.  Each case maps
+the orbit basis into the generic truncation with ``Truncation.express`` and
+checks that the map is an isomorphism taking every structure constant, arrow
+and twist onto the generic one.
+"""
+from __future__ import annotations
+
+import functools
+import itertools
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from brauergraph.algebra import (
+    GroupActionTable,
+    ONE,
+    bga_dimension_formula,
+    bga_table_with_keys,
+    orbit_truncation,
+    skew_group_table,
+    truncate,
+)
+from brauergraph.core import GradedGraph, gen_random, random_valid_grading, zero_grading
+from brauergraph.covering import cover, default_grading, sheet_label
+from brauergraph.graphfile import parse
+from brauergraph.linalg import RationalSpan, vec_add
+from brauergraph.models import (
+    cut_cover_table,
+    cut_model_table,
+    sheet_shift_action,
+    truncation_idempotents,
+    truncation_model,
+)
+from brauergraph.presentation import quiver
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# Skew graphs per n_half.  The cap on the cover's dimension, and
+# multiplicity one past ten half-edges, keep each case to a fraction of a
+# second: the generic oracle's products are the cost.
+PER_SIZE = 4
+MAX_COVER_DIM = 100
+
+
+def skew_cases():
+    """(name, graph, grading): skew gen_random graphs under two gradings."""
+    cases = []
+    for n_half in range(6, 17, 2):
+        m = 3 if n_half <= 10 else 1
+        taken = 0
+        for seed in itertools.count(1):
+            graph = gen_random(seed, n_half=n_half, allow_skew=True, max_multiplicity=m)
+            if not graph.is_skew:
+                continue
+            zero = zero_grading(graph)
+            cover_dim = bga_dimension_formula(cover(GradedGraph(graph, zero)).total)
+            if cover_dim > MAX_COVER_DIM:
+                continue
+            shifted = random_valid_grading(graph, random.Random(seed), zero)
+            for kind, grading in (("zero", zero), ("random", shifted)):
+                cases.append((f"skew-{n_half}-{seed}-{kind}", graph, grading))
+            taken += 1
+            if taken == PER_SIZE:
+                break
+    return cases
+
+
+def ordinary_cases():
+    """(name, graph, grading): ordinary graphs whose covers have three or more sheets."""
+    cases = []
+    for seed in itertools.count(1):
+        graph = gen_random(seed, n_half=8, max_multiplicity=3)
+        grading = default_grading(graph)
+        if grading.modulus > 2:
+            grading = random_valid_grading(graph, random.Random(seed), grading)
+            cases.append((f"ordinary-{seed}-m{grading.modulus}", graph, grading))
+        if len(cases) == 2:
+            return cases
+
+
+def paper_cases():
+    """ex1 under its file grading and ex2 under the zero grading."""
+    cases = []
+    for name in ("ex1", "ex2"):
+        parsed = parse((GOLDEN / f"{name}.bg").read_text(encoding="utf-8"))
+        grading = parsed.grading or zero_grading(parsed.graph)
+        cases.append((name, parsed.graph, grading))
+    return cases
+
+
+SKEW_CASES = skew_cases()
+ORDINARY_CASES = ordinary_cases()
+CASES = {name: (graph, grading) for name, graph, grading in
+         paper_cases() + SKEW_CASES + ORDINARY_CASES}
+
+
+@functools.lru_cache(maxsize=None)
+def routes(case):
+    """The cover, its table and key index, and the orbit and generic
+    truncations: (covered, bd, index_of, orbit, generic)."""
+    covered = cover(GradedGraph(*CASES[case]))
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    action = sheet_shift_action(covered, keys, index_of)
+    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    orbit = orbit_truncation(bd, action, chosen)
+    generic = truncate(skew_group_table(bd, action), chosen)
+    return covered, bd, index_of, orbit, generic
+
+
+@pytest.fixture(params=list(CASES))
+def case(request):
+    return request.param
+
+
+def test_the_case_list_is_as_wide_as_claimed():
+    ex1, file_grading = CASES["ex1"]
+    assert file_grading != zero_grading(ex1) and CASES["ex2"][0].is_skew
+    assert len({name.rsplit("-", 1)[0] for name, _, _ in SKEW_CASES}) + 1 >= 20
+    assert {name.split("-")[1] for name, _, _ in SKEW_CASES} == {
+        str(n) for n in range(6, 17, 2)
+    }
+    assert all(grading.modulus > 2 for _, _, grading in ORDINARY_CASES)
+
+
+def generic_arrows(covered, bd, index_of, generic):
+    """Arrows and twist read from the generic truncation, as ``truncation_model``
+    reads them from the orbit one."""
+    base, grading = covered.base.graph, covered.base.grading
+    table = generic.table
+    position = {label: p for p, (label, _) in enumerate(table.idempotents)}
+    arrows = {}
+    for a in quiver(base).arrows:
+        sheet = (-grading(a.h)) % covered.group_order
+        w_index = index_of[("w", sheet_label(a.h, sheet), 1)]
+        lifted = generic.express({sheet * bd.dim + w_index: ONE})
+        corner = table.corner(lifted, position[str(a.target)], position[str(a.source)])
+        if corner:
+            arrows[a] = corner
+    twist = None
+    if base.is_skew:
+        twist = generic.express({bd.dim + index: ONE for _, index in bd.idempotents})
+    return arrows, twist
+
+
+def corner_rows(table):
+    """Basis indices by target: the right factors composable with an element
+    whose source is that vertex."""
+    rows = {p: [] for p in range(len(table.idempotents))}
+    for j in range(table.dim):
+        rows[table.tgt[j]].append(j)
+    return rows
+
+
+def change_of_basis(orbit, generic):
+    """Check that writing each orbit basis element in generic coordinates is
+    an isomorphism of the two corner tables; return the map on elements."""
+    table, oracle = orbit.table, generic.table
+    assert table.dim == oracle.dim
+    assert [label for label, _ in table.idempotents] == [
+        label for label, _ in oracle.idempotents
+    ]
+    assert table.cartan() == oracle.cartan()
+
+    # The change of basis: each orbit basis element in generic coordinates.
+    image = [generic.express(orbit.vector(k)) for k in range(table.dim)]
+    span = RationalSpan()
+    assert all(span.add(v) is not None for v in image)
+    for p, (_, index) in enumerate(table.idempotents):
+        assert image[index] == oracle.idempotent_element(p)
+
+    def mapped(x):
+        out = {}
+        for k, c in x.items():
+            out = vec_add(out, image[k], c)
+        return out
+
+    row = corner_rows(table)
+    for i in range(table.dim):
+        for j in row[table.src[i]]:
+            assert mapped(table.pairwise(i, j)) == oracle.mul(image[i], image[j]), (
+                table.labels[i],
+                table.labels[j],
+            )
+    return mapped
+
+
+def test_orbit_table_is_isomorphic_to_the_generic_truncation(case):
+    covered, bd, index_of, orbit, generic = routes(case)
+    mapped = change_of_basis(orbit, generic)
+    model = truncation_model(covered)
+    assert model.table.labels == orbit.table.labels
+    arrows, twist = generic_arrows(covered, bd, index_of, generic)
+    assert set(model.arrow_element) == set(arrows)
+    for a, elem in model.arrow_element.items():
+        assert mapped(elem) == arrows[a], a
+    assert (model.twist is None) == (twist is None)
+    if twist is not None:
+        assert mapped(model.twist) == twist
+
+
+def test_express_is_certified(case):
+    """On every basis key x of A#G, ``compress`` is f x f, and ``express``
+    rebuilds x exactly when x = f x f and raises otherwise."""
+    covered, _, _, orbit, generic = routes(case)
+    skew = generic.ambient
+    f = {}
+    for _, x in generic.chosen:
+        f = vec_add(f, x)
+    outside = 0
+    for key in range(skew.dim):
+        x = {key: ONE}
+        fxf = skew.mul(skew.mul(f, x), f)
+        assert orbit.compress(x) == fxf
+        if fxf != x:
+            outside += 1
+            with pytest.raises(ValueError, match="does not lie in the truncation"):
+                orbit.express(x)
+            continue
+        rebuilt = {}
+        for k, c in orbit.express(x).items():
+            rebuilt = vec_add(rebuilt, orbit.vector(k), c)
+        assert rebuilt == x
+    # f = 1 only when every edge is a skew leg
+    assert outside or all(h in covered.base.graph.cross_half_edges
+                          for h in covered.base.graph.half_edges)
+    for k in range(orbit.table.dim):
+        assert orbit.express(orbit.vector(k)) == {k: ONE}
+
+
+def test_structure_constants_are_units_or_halves(case):
+    _, _, _, orbit, _ = routes(case)
+    table = orbit.table
+    row = corner_rows(table)
+    constants = {
+        c
+        for i in range(table.dim)
+        for j in row[table.src[i]]
+        for c in table.pairwise(i, j).values()
+    }
+    assert constants <= {1, -1, Fraction(1, 2), Fraction(-1, 2)}
+
+
+def test_diagonal_corners_are_local(case):
+    """Every basis element of e_p A e_p other than e_p is nilpotent, as
+    ``AlgebraTable.radical_coefficient_free`` assumes."""
+    _, _, _, orbit, _ = routes(case)
+    table = orbit.table
+    for p, (_, idem) in enumerate(table.idempotents):
+        corner = table.corner_basis(p, p)
+        for k in corner:
+            if k == idem:
+                continue
+            power = {k: ONE}
+            for _ in range(len(corner)):
+                power = table.mul(power, {k: ONE})
+            assert power == {}, table.labels[k]
+
+
+def test_truncation_model_rejects_a_non_multiplicative_action(
+    ex2_multiplicity_one, monkeypatch
+):
+    """Negating the arrows at one half-edge keeps an order-two permutation of
+    the basis that fixes the idempotents, but breaks products through it."""
+    from brauergraph import models
+
+    true_action = models.sheet_shift_action
+
+    def broken(covered, keys, index_of):
+        action = true_action(covered, keys, index_of)
+        arrows = {("w", "1+_0", 1), ("w", "1+_1", 1)}
+        flipped = {index_of[k] for k in keys if k in arrows}
+        assert len(flipped) == 2
+        scalars = tuple(-s if b in flipped else s for b, s in enumerate(action.scalars))
+        return GroupActionTable(action.order, scalars, action.images)
+
+    monkeypatch.setattr(models, "sheet_shift_action", broken)
+    graph = ex2_multiplicity_one
+    with pytest.raises(ValueError, match="not multiplicative"):
+        truncation_model(cover(GradedGraph(graph, zero_grading(graph))))
+
+
+def test_orbit_truncation_checks_the_chosen_idempotents(ex2_graded):
+    covered = cover(ex2_graded)
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    action = sheet_shift_action(covered, keys, index_of)
+    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    doubled = [(label, {k: 2 * c for k, c in x.items()}) for label, x in chosen]
+    with pytest.raises(ValueError, match="is not idempotent"):
+        orbit_truncation(bd, action, doubled)
+    # a skew leg's idempotent e (x) 1 = f_0 + f_1 overlaps both halves
+    half = next(x for _, x in chosen if len(x) == 2)
+    whole = {k: ONE for k in half if k < bd.dim}
+    with pytest.raises(ValueError, match="not orthogonal"):
+        orbit_truncation(bd, action, chosen + [("whole", whole)])
+
+
+def test_cut_model_table_is_isomorphic_to_the_generic_truncation(ex2_multiplicity_one):
+    graph = ex2_multiplicity_one
+    delta = frozenset(["1-", "1+", "4-", "5-"])
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    table, action, _ = cut_cover_table(covered, delta)
+    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, table)]
+    orbit = orbit_truncation(table, action, chosen)
+    change_of_basis(orbit, truncate(skew_group_table(table, action), chosen))
+    cut = cut_model_table(graph, delta)
+    assert cut.dim == orbit.table.dim == 18
+    assert cut.cartan() == orbit.table.cartan()

@@ -17,6 +17,7 @@ from brauergraph.linalg import vec_add
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
     MAX_WALK_PATHS,
+    Arrow,
     Relation,
     Walk,
     admissible_cut,
@@ -62,6 +63,31 @@ def test_quiver_arrow_reads_the_index(ex1, ex2):
         q = quiver(graph)
         for a in q.arrows:
             assert q.arrow(a.h, a.source[1], a.target[1]) is a
+
+
+def test_arrows_compare_sort_and_hash_by_their_fields(ex2):
+    """The hash cached on each arrow leaves equality, order and repr to the
+    three fields alone."""
+    arrows = list(quiver(ex2).arrows)
+    fields = [(a.h, a.source, a.target) for a in arrows]
+    assert fields == sorted(fields)
+    shuffled = list(arrows)
+    random.Random(0).shuffle(shuffled)
+    assert sorted(shuffled) == arrows
+    copies = [Arrow(*f) for f in fields]
+    assert copies == arrows
+    hashes = list(map(hash, fields))
+    assert [hash(a) for a in copies] == [hash(a) for a in arrows] == hashes
+    assert repr(copies[0]) == "Arrow(h=%r, source=%r, target=%r)" % fields[0]
+    assert copies[0] != Arrow("x", *fields[0][1:])
+    rels = relations(ex2)
+    rebuilt = [
+        Relation(tuple((c, tuple(Arrow(a.h, a.source, a.target) for a in path))
+                       for c, path in rel.terms))
+        for rel in rels
+    ]
+    assert rebuilt == list(rels)
+    assert set(rebuilt) == set(rels)
 
 
 def test_quiver_ex2(ex2):
