@@ -24,7 +24,7 @@ from .presentation import (
     admissible_cut,
     presentation,
     render_presentation,
-    render_relation,
+    render_relations,
     render_vertex,
     to_dot,
 )
@@ -160,7 +160,7 @@ def cmd_relations(args) -> Outcome:
     parsed = _load(args.file)
     _require_valid(parsed.graph)
     p = presentation(parsed.graph)
-    rendered = [render_relation(rel, p.symbol) for rel in p.relations]
+    rendered = render_relations(p)
     return Outcome(rendered, {"relations": rendered})
 
 

@@ -4,6 +4,9 @@ A sector (h, r) of a pairing-stable subset H' is a maximal run
 h, sigma h, ..., sigma^r h of consecutive half-edges inside H'; the move
 detaches the run and reattaches it at the far end of the next edge, updating
 orientation, multiplicity and grading.
+
+All sectors of a subset come from one walk per sigma-orbit; a single sector
+is checked in O(r), and a move edits a copy of sigma at three half-edges.
 """
 from __future__ import annotations
 
@@ -24,36 +27,55 @@ def _check_subset(graph: BrauerGraph, subset: frozenset[str]) -> frozenset[str]:
     stray = subset - graph.half_edges
     if stray:
         raise ValueError(f"subset contains unknown half-edges: {sorted(stray)}")
-    unstable = {h for h in subset if graph.pairing(h) not in subset}
-    if unstable:
-        raise ValueError(
-            f"subset is not pairing-stable at {sorted(unstable)}"
-        )
+    if graph.pairing.image(subset) != subset:
+        unstable = sorted(h for h in subset if graph.pairing(h) not in subset)
+        raise ValueError(f"subset is not pairing-stable at {unstable}")
     return subset
 
 
 def sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
-    """All sectors of ``subset``.
+    """All sectors of ``subset``, from one walk per sigma-orbit.
 
-    A half-edge whose whole sigma-orbit lies inside the subset yields no
-    sector: the defining escape index does not exist.
+    Each orbit that meets the subset is walked backwards from a half-edge
+    outside it: a subset half-edge just before an outside one has r = 0, and
+    each step further back adds one.  A half-edge whose whole sigma-orbit
+    lies inside the subset yields no sector: the defining escape index does
+    not exist.
     """
     subset = _check_subset(graph, subset)
+    sigma = graph.orientation
     out: set[Sector] = set()
+    seen: set[str] = set()
     for h in subset:
-        r = escape_index(graph, subset, h)
-        if r is not None:
-            out.add(Sector(h, r))
+        if h in seen:
+            continue
+        orbit = sigma.orbit(h)
+        seen.update(orbit)
+        outside = next((i for i, x in enumerate(orbit) if x not in subset), None)
+        if outside is None:
+            continue
+        r = -1
+        for k in range(1, len(orbit)):
+            x = orbit[outside - k]
+            if x in subset:
+                r += 1
+                out.add(Sector(x, r))
+            else:
+                r = -1
     return out
 
 
 def escape_index(graph: BrauerGraph, subset: frozenset[str], h: str) -> int | None:
     """Least r with sigma^{r+1} h outside ``subset``; None if h's orbit lies inside."""
-    orbit = graph.sigma_orbit_of(h)
-    for r, x in enumerate(orbit[1:] + orbit[:1]):
-        if x not in subset:
-            return r
-    return None
+    sigma = graph.orientation
+    x = sigma(h)
+    r = 0
+    while x in subset:
+        if x == h:
+            return None
+        x = sigma(x)
+        r += 1
+    return r
 
 
 def maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
@@ -62,43 +84,66 @@ def maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
     return {s for s in sectors(graph, subset) if inv(s.h) not in subset}
 
 
-def _sector_run(graph: BrauerGraph, sector: Sector) -> list[str]:
-    run = [sector.h]
-    for _ in range(sector.r):
-        run.append(graph.orientation(run[-1]))
-    return run
+def _check_sector(
+    graph: BrauerGraph, sector: Sector, subset: frozenset[str]
+) -> list[str]:
+    """The run h, sigma h, ..., sigma^r h of ``sector``, checked in O(r).
 
-
-def _check_sector(graph: BrauerGraph, sector: Sector, subset: frozenset[str]) -> None:
-    if sector not in sectors(graph, subset):
-        raise ValueError(f"({sector.h}, {sector.r}) is not a sector of the subset")
+    (h, r) is a sector when 0 <= r < |H|, the run lies in ``subset`` and
+    sigma^{r+1} h does not.
+    """
+    h, r = sector.h, sector.r
+    sigma = graph.orientation
+    if 0 <= r < len(graph.half_edges) and h in subset:
+        run = [h]
+        for _ in range(r):
+            x = sigma(run[-1])
+            if x not in subset:
+                break
+            run.append(x)
+        else:
+            if sigma(run[-1]) not in subset:
+                return run
+    raise ValueError(f"({sector.h}, {sector.r}) is not a sector of the subset")
 
 
 def _moved_orientation_multiplicity(
-    graph: BrauerGraph, sector: Sector
-) -> tuple[Permutation, dict[str, int], list[str], str, str]:
-    """Moved orientation and multiplicity, with the run, escape and target used."""
+    graph: BrauerGraph, sector: Sector, subset: frozenset[str]
+) -> tuple[Permutation, dict[str, int], list[str], str, str, str]:
+    """Check ``sector``; the moved orientation and multiplicity, with the run,
+    sigma^{-1} h, escape and target used.
+
+    The moved orientation (h escape) * sigma * (last target) differs from
+    sigma only at last = sigma^r h, at target and at sigma^{-1} h.
+    """
+    subset = _check_subset(graph, subset)
+    run = _check_sector(graph, sector, subset)
     sigma = graph.orientation
-    run = _sector_run(graph, sector)
-    escape = sigma(run[-1])                 # sigma^{r+1} h
+    h, last = run[0], run[-1]
+    escape = sigma(last)                    # sigma^{r+1} h
     target = graph.pairing(escape)          # iota sigma^{r+1} h
-    domain = graph.half_edges
-    left = Permutation.transposition(domain, sector.h, escape)
-    right = Permutation.transposition(domain, run[-1], target)
-    new_sigma = left * sigma * right
+    previous = sigma.power(-1, h)           # sigma^{-1} h
+
+    def swap(a: str, b: str, x: str) -> str:
+        return b if x == a else a if x == b else x
+
+    new_sigma = sigma.with_images(
+        {
+            x: swap(h, escape, sigma(swap(last, target, x)))
+            for x in (last, target, previous)
+        }
+    )
     new_m = dict(graph.multiplicity)
     for x in run:
         new_m[x] = graph.multiplicity[target]
-    return new_sigma, new_m, run, escape, target
+    return new_sigma, new_m, run, previous, escape, target
 
 
 def move_sector_underlying(
     graph: BrauerGraph, sector: Sector, subset: frozenset[str]
 ) -> BrauerGraph:
     """The ungraded Kauer move of one sector (orientation and multiplicity only)."""
-    subset = _check_subset(graph, subset)
-    _check_sector(graph, sector, subset)
-    new_sigma, new_m, *_ = _moved_orientation_multiplicity(graph, sector)
+    new_sigma, new_m, *_ = _moved_orientation_multiplicity(graph, sector, subset)
     return BrauerGraph(graph.half_edges, graph.pairing, new_sigma, new_m)
 
 
@@ -107,18 +152,15 @@ def move_sector(
 ) -> GradedGraph:
     """The graded generalized Kauer move of one sector."""
     graph, grading = g.graph, g.grading
-    subset = _check_subset(graph, subset)
-    _check_sector(graph, sector, subset)
-    new_sigma, new_m, run, escape, target = _moved_orientation_multiplicity(
-        graph, sector
+    new_sigma, new_m, run, previous, escape, target = _moved_orientation_multiplicity(
+        graph, sector, subset
     )
-    previous = graph.orientation.inverse()(sector.h)  # sigma^{-1} h
     last = run[-1]  # sigma^r h
 
     n = grading.modulus
-    d = dict(grading.degrees)
+    d = grading.degrees
     run_sum = sum(grading(x) for x in run)
-    cross_step = 1 if escape in graph.cross_half_edges else 0
+    cross_step = 1 if target == escape else 0  # escape is a cross half-edge
     new_d = dict(d)
     new_d[target] = -(run_sum + cross_step)
     if target != previous:
@@ -133,7 +175,12 @@ def move_sector(
 
 def _canonical_sector_order(graph: BrauerGraph, found: set[Sector]) -> list[Sector]:
     # Deterministic processing order; the result is order-independent.
-    return sorted(found, key=lambda s: (min(graph.sigma_orbit_of(s.h)), s.h))
+    least: dict[str, str] = {}  # half-edge -> least name on its sigma-orbit
+    for s in found:
+        if s.h not in least:
+            orbit = graph.sigma_orbit_of(s.h)
+            least.update(dict.fromkeys(orbit, min(orbit)))
+    return sorted(found, key=lambda s: (least[s.h], s.h))
 
 
 def move_set(g: GradedGraph, subset: frozenset[str]) -> GradedGraph:

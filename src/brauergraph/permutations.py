@@ -12,14 +12,18 @@ class Permutation:
     __slots__ = ("_map", "_domain", "_cycle_at")
 
     def __init__(self, mapping: Mapping[str, str]):
-        self._map = dict(mapping)
-        self._domain = frozenset(self._map)
+        mapping = dict(mapping)
+        domain = frozenset(mapping)
+        # Checked before any slot is set: the repr of a half-built object
+        # would otherwise walk a non-bijection's "cycles" forever.
+        if frozenset(mapping.values()) != domain:
+            raise ValueError("mapping is not a bijection of its domain")
+        self._map = mapping
+        self._domain = domain
         # name -> (its cycle, its position there), filled by ``power`` one
         # cycle at a time.  ``orbit`` reads it but does not fill it, so the
         # many short-lived permutations that are never powered pay nothing.
         self._cycle_at: dict[str, tuple[tuple[str, ...], int]] | None = None
-        if frozenset(self._map.values()) != self._domain:
-            raise ValueError("mapping is not a bijection of its domain")
 
     @classmethod
     def identity(cls, domain: Iterable[str]) -> "Permutation":
@@ -43,10 +47,6 @@ class Permutation:
                 mapping[name] = cycle[(i + 1) % len(cycle)]
         return cls(mapping)
 
-    @classmethod
-    def transposition(cls, domain: Iterable[str], a: str, b: str) -> "Permutation":
-        return cls.from_cycles(domain, [(a, b)] if a != b else [])
-
     @property
     def domain(self) -> frozenset[str]:
         return self._domain
@@ -58,6 +58,20 @@ class Permutation:
         if other._domain != self._domain:
             raise ValueError("cannot compose permutations on different domains")
         return Permutation({x: self._map[y] for x, y in other._map.items()})
+
+    def with_images(self, updates: Mapping[str, str]) -> "Permutation":
+        """A copy in which each name of ``updates`` maps to its new image.
+
+        The copy must still be a bijection of the same domain.
+        """
+        unknown = updates.keys() - self._domain
+        if unknown:
+            raise ValueError(f"unknown names {sorted(unknown)}")
+        return Permutation({**self._map, **updates})
+
+    def image(self, names: Iterable[str]) -> frozenset[str]:
+        """The set of images of ``names``."""
+        return frozenset(map(self._map.__getitem__, names))
 
     def inverse(self) -> "Permutation":
         return Permutation({y: x for x, y in self._map.items()})

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import BrauerGraph, edge_name
 from .covering import CoveredGraph
@@ -491,13 +491,15 @@ def render_path(path: Path, symbol: str = "a") -> str:
     return " ".join(render_arrow(a, symbol) for a in reversed(path))
 
 
-def render_relation(
-    rel: Relation, symbol: str = "a", graph: BrauerGraph | None = None
+def _render_terms(
+    terms: list[tuple[Fraction, Path]], symbol: str, names: Mapping[Arrow, str]
 ) -> str:
-    """The relation as text; ``graph`` expands its summed walks, if any."""
+    """Expanded relation terms as text; ``names`` holds arrows already rendered."""
     parts: list[str] = []
-    for coeff, path in expand_relation(rel, graph):
-        body = render_path(path, symbol)
+    for coeff, path in terms:
+        body = " ".join(
+            [names.get(a) or render_arrow(a, symbol) for a in reversed(path)]
+        )
         if coeff == 1:
             chunk = body
         elif coeff == -1:
@@ -511,6 +513,22 @@ def render_relation(
     return " ".join(parts)
 
 
+def render_relation(
+    rel: Relation, symbol: str = "a", graph: BrauerGraph | None = None
+) -> str:
+    """The relation as text; ``graph`` expands its summed walks, if any."""
+    return _render_terms(expand_relation(rel, graph), symbol, {})
+
+
+def render_relations(p: Presentation) -> list[str]:
+    """Every relation of ``p`` as text, each quiver arrow rendered once."""
+    names = {a: render_arrow(a, p.symbol) for a in p.quiver.arrows}
+    return [
+        _render_terms(expand_relation(rel, p.graph), p.symbol, names)
+        for rel in p.relations
+    ]
+
+
 def render_presentation(p: Presentation) -> str:
     lines = ["vertices: " + " ".join(render_vertex(v) for v in p.quiver.vertices)]
     for a in p.quiver.arrows:
@@ -518,8 +536,7 @@ def render_presentation(p: Presentation) -> str:
             f"arrow {render_arrow(a, p.symbol)} : "
             f"{render_vertex(a.source)} -> {render_vertex(a.target)}"
         )
-    for rel in p.relations:
-        lines.append("relation " + render_relation(rel, p.symbol, p.graph))
+    lines += ["relation " + text for text in render_relations(p)]
     return "\n".join(lines) + "\n"
 
 
@@ -533,8 +550,7 @@ def to_dot(p: Presentation) -> str:
             f' [label="{render_arrow(a, p.symbol)}"];'
         )
     lines.append("  /* relations:")
-    for rel in p.relations:
-        lines.append("   * " + render_relation(rel, p.symbol, p.graph))
+    lines += ["   * " + text for text in render_relations(p)]
     lines.append("   */")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from brauergraph.core import BrauerGraph, GradedGraph, Grading, zero_grading
+from brauergraph.moves import Sector, escape_index, maximal_sectors, sectors
 from brauergraph.permutations import Permutation
 
 
@@ -80,3 +81,35 @@ def ex2_multiplicity_one() -> BrauerGraph:
 def loop_graph() -> BrauerGraph:
     """One edge whose ends are orientation-fixed, multiplicity 2 on one side."""
     return build_graph(["a", "b"], [("a", "b")], [], {"a": 2})
+
+
+def reference_escape_index(graph, subset, h):
+    """Least r with sigma^{r+1} h outside ``subset``, over the rotated orbit."""
+    orbit = graph.sigma_orbit_of(h)
+    for r, x in enumerate(orbit[1:] + orbit[:1]):
+        if x not in subset:
+            return r
+    return None
+
+
+def reference_sectors(graph, subset):
+    """Every (h, escape index of h) for h in ``subset``, one orbit copy per h."""
+    out = set()
+    for h in subset:
+        r = reference_escape_index(graph, subset, h)
+        if r is not None:
+            out.add(Sector(h, r))
+    return out
+
+
+def reference_maximal_sectors(graph, subset):
+    inv = graph.orientation.inverse()
+    return {s for s in reference_sectors(graph, subset) if inv(s.h) not in subset}
+
+
+def assert_sectors_match_reference(graph, subset):
+    assert sectors(graph, subset) == reference_sectors(graph, subset)
+    assert maximal_sectors(graph, subset) == reference_maximal_sectors(graph, subset)
+    for h in graph.half_edges:
+        expected = reference_escape_index(graph, subset, h)
+        assert escape_index(graph, subset, h) == expected

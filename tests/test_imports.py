@@ -49,3 +49,19 @@ def test_models_keep_the_generic_skew_group_route_out():
             used.add(node.attr)
     assert "orbit_truncation" in used
     assert used.isdisjoint({"skew_group_table", "idempotent_permutation", "truncate"})
+
+
+def test_only_permutations_reads_the_permutation_map():
+    """``Permutation._map`` is private to ``permutations``; other modules go
+    through its methods."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "permutations.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_map"
+            for node in ast.walk(tree)
+        ):
+            readers.append(path.name)
+    assert readers == []

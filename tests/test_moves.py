@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,18 +14,19 @@ from brauergraph.core import (
     validate,
     zero_grading,
 )
-from brauergraph.covering import default_grading
+from brauergraph.covering import cover, default_grading, lift_subset
 from brauergraph.moves import (
     Sector,
     maximal_sectors,
     move_sector,
+    move_sector_underlying,
     move_set,
     move_set_underlying,
     sectors,
 )
 from brauergraph.permutations import Permutation
 
-from conftest import build_graph
+from conftest import assert_sectors_match_reference, build_graph
 
 
 def test_sectors_ex1(ex1, ex1_subset):
@@ -156,3 +158,98 @@ def test_moved_grading_always_valid_fuzz():
         moved = move_set(GradedGraph(g, default_grading(g, subset)), subset)
         assert validate(moved.graph) == [], seed
         assert grading_violations(moved.graph, moved.grading) == [], seed
+
+
+def _edge_subsets(graph):
+    edges = graph.edges
+    for chosen in itertools.product((False, True), repeat=len(edges)):
+        yield frozenset(h for edge, keep in zip(edges, chosen) if keep for h in edge)
+
+
+def test_sectors_match_the_orbit_reference_fuzz():
+    for seed in range(220):
+        rng = random.Random(70_000 + seed)
+        n_half = 4 + 2 * (seed % 11)
+        g = gen_random(seed, n_half=n_half, allow_skew=(seed % 2 == 1))
+        for _ in range(3):
+            subset = random_ih_stable_subset(g, rng)
+            assert_sectors_match_reference(g, subset)
+            covered = cover(GradedGraph(g, default_grading(g, subset)))
+            assert_sectors_match_reference(covered.total, lift_subset(covered, subset))
+
+
+def test_sectors_match_the_orbit_reference_on_every_subset():
+    for seed in range(60):
+        g = gen_random(seed, n_half=(4, 6, 8)[seed % 3], allow_skew=(seed % 2 == 1))
+        for subset in _edge_subsets(g):
+            assert_sectors_match_reference(g, subset)
+
+
+def _transposition(domain, a, b):
+    return Permutation.from_cycles(domain, [(a, b)] if a != b else [])
+
+
+def test_moved_orientation_is_the_transposition_product_fuzz():
+    for seed in range(150):
+        rng = random.Random(40_000 + seed)
+        g = gen_random(seed, n_half=(6, 8, 12)[seed % 3], allow_skew=(seed % 2 == 0))
+        subset = random_ih_stable_subset(g, rng)
+        graded = GradedGraph(g, default_grading(g, subset))
+        sigma = g.orientation
+        for s in sorted(sectors(g, subset)):
+            last = sigma.power(s.r, s.h)
+            escape = sigma(last)
+            target = g.pairing(escape)
+            expected = (
+                _transposition(g.half_edges, s.h, escape)
+                * sigma
+                * _transposition(g.half_edges, last, target)
+            )
+            moved = move_sector_underlying(g, s, subset)
+            assert moved.orientation == expected, (seed, s)
+            run = {sigma.power(k, s.h) for k in range(s.r + 1)}
+            assert moved.multiplicity == {
+                h: g.multiplicity[target] if h in run else m
+                for h, m in g.multiplicity.items()
+            }
+            assert move_sector(graded, s, subset).graph == moved
+
+
+def _non_sectors(graph, subset):
+    """Sectors of ``subset`` made wrong in every way the check must catch."""
+    found = sorted(sectors(graph, subset))
+    h = found[0].h
+    outside = min(graph.half_edges - subset)
+    wrong = [Sector(h, -1), Sector(h, len(graph.half_edges)), Sector(h, 10**9)]
+    wrong += [Sector(outside, 0), Sector("unknown", 0)]
+    wrong += [Sector(s.h, s.r + step) for s in found for step in (-1, 1)]
+    return wrong
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+def test_moves_reject_every_non_sector(example, request):
+    graph = request.getfixturevalue(example)
+    subset = request.getfixturevalue(f"{example}_subset")
+    graded = GradedGraph(graph, zero_grading(graph))
+    for bad in _non_sectors(graph, subset):
+        message = f"({bad.h}, {bad.r}) is not a sector of the subset"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            move_sector_underlying(graph, bad, subset)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            move_sector(graded, bad, subset)
+
+
+def test_out_of_range_sector_is_rejected_without_a_walk(ex1, ex1_subset, monkeypatch):
+    def no_walk(self, x):
+        raise AssertionError("walked the orientation")
+
+    monkeypatch.setattr(Permutation, "__call__", no_walk)
+    for r in (-1, len(ex1.half_edges), 10**9):
+        with pytest.raises(ValueError, match="is not a sector of the subset"):
+            move_sector_underlying(ex1, Sector("2-", r), ex1_subset)
+
+
+def test_unstable_subset_names_every_unstable_half_edge(ex1):
+    message = "subset is not pairing-stable at ['1+', '3-']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sectors(ex1, frozenset(["1+", "3-", "2+", "2-"]))

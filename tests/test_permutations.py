@@ -76,3 +76,42 @@ def test_power_and_orbit_match_iteration():
         with pytest.raises(KeyError):
             perm.power(1, "missing")
         assert perm == Permutation(dict(zip(names, images)))
+
+
+def test_with_images_replaces_only_the_given_images():
+    p = Permutation.from_cycles("abcde", [("a", "b", "c")])
+    q = p.with_images({"a": "c", "b": "a", "c": "b"})
+    assert q == Permutation.from_cycles("abcde", [("a", "c", "b")])
+    assert p == Permutation.from_cycles("abcde", [("a", "b", "c")])
+    assert p.with_images({}) == p
+
+
+def test_with_images_keeps_the_bijection_check():
+    p = Permutation.from_cycles("abcd", [("a", "b")])
+    with pytest.raises(ValueError, match="not a bijection"):
+        p.with_images({"a": "c"})
+    with pytest.raises(ValueError, match="unknown names"):
+        p.with_images({"z": "z"})
+
+
+def test_image_agrees_with_single_images():
+    rng = random.Random(5)
+    names = [f"x{i}" for i in range(10)]
+    for _ in range(20):
+        images = names[:]
+        rng.shuffle(images)
+        perm = Permutation(dict(zip(names, images)))
+        chosen = rng.sample(names, rng.randrange(len(names) + 1))
+        assert perm.image(chosen) == frozenset(perm(x) for x in chosen)
+    with pytest.raises(KeyError):
+        perm.image(["missing"])
+
+
+def test_rejected_mapping_sets_no_slot():
+    # A half-built object with a non-bijective map would make repr (and a
+    # test report showing the constructor's locals) walk forever.
+    with pytest.raises(ValueError) as info:
+        Permutation({"a": "b", "b": "b"})
+    half_built = info.tb.tb_next.tb_frame.f_locals["self"]
+    if hasattr(half_built, "_map"):  # no assert: its report would repr the object
+        pytest.fail("the rejected mapping was stored")

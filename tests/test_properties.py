@@ -1,0 +1,101 @@
+"""Property tests on graphs drawn straight from their data.
+
+A graph is drawn as its half-edge count, the pairing's fixed points and
+transpositions, an orientation permutation and one multiplicity per
+orientation orbit; ``validate`` filters out what is not a graph.  The runs
+are derandomized with a fixed example count, so each test run checks the
+same graphs.
+"""
+from __future__ import annotations
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from brauergraph.core import (
+    BrauerGraph,
+    GradedGraph,
+    grading_violations,
+    oz_invariants,
+    validate,
+)
+from brauergraph.covering import (
+    check_cover_commutes,
+    cover,
+    default_grading,
+    lift_subset,
+)
+from brauergraph.moves import maximal_sectors, move_sector, move_set
+from brauergraph.permutations import Permutation
+
+from conftest import assert_sectors_match_reference
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+@st.composite
+def graphs_with_subsets(draw) -> tuple[BrauerGraph, frozenset[str]]:
+    """A valid graph, ordinary or skew, and a pairing-stable subset of it."""
+    n_pairs = draw(st.integers(0, 5))
+    n_cross = draw(st.integers(0, 3))
+    n_half = 2 * n_pairs + n_cross
+    assume(n_half >= 2)
+    names = [f"h{i}" for i in range(n_half)]
+    order = draw(st.permutations(names))
+    pairing = Permutation.from_cycles(
+        names, [order[2 * i : 2 * i + 2] for i in range(n_pairs)]
+    )
+    orientation = Permutation(dict(zip(names, draw(st.permutations(names)))))
+    multiplicity = {}
+    for orbit in orientation.orbits():
+        m = draw(st.integers(1, 3))
+        multiplicity.update(dict.fromkeys(orbit, m))
+    graph = BrauerGraph(frozenset(names), pairing, orientation, multiplicity)
+    assume(not validate(graph))
+    n_edges = len(graph.edges)
+    keep = draw(st.lists(st.booleans(), min_size=n_edges, max_size=n_edges))
+    subset = frozenset(h for edge, k in zip(graph.edges, keep) if k for h in edge)
+    return graph, subset
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_subsets())
+def test_linear_sectors_equal_the_orbit_reference(drawn):
+    graph, subset = drawn
+    assert_sectors_match_reference(graph, subset)
+    covered = cover(GradedGraph(graph, default_grading(graph, subset)))
+    assert_sectors_match_reference(covered.total, lift_subset(covered, subset))
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_subsets())
+def test_move_verdict_holds(drawn):
+    """Cover and move commute, both maximal-sector orders agree, and an
+    ordinary graph keeps its derived invariants."""
+    graph, subset = drawn
+    grading = default_grading(graph, subset)
+    assert grading_violations(graph, grading) == []
+    graded = GradedGraph(graph, grading)
+    assert check_cover_commutes(graded, subset)
+    found = sorted(maximal_sectors(graph, subset))
+    outcomes = set()
+    for order in (found, found[::-1]):
+        current = graded
+        for sector in order:
+            current = move_sector(current, sector, subset)
+        outcomes.add(
+            (
+                current.graph.orientation,
+                frozenset(current.graph.multiplicity.items()),
+                current.grading,
+            )
+        )
+    assert len(outcomes) == 1
+    if not graph.is_skew:
+        moved = move_set(graded, subset)
+        assert oz_invariants(moved.graph) == oz_invariants(graph)
