@@ -34,7 +34,14 @@ ONE = 1
 
 
 class AlgebraTable:
-    """Basis, corner data and structure constants of a finite dimensional algebra."""
+    """Basis, corner data and structure constants of a finite dimensional algebra.
+
+    ``generators`` lists basis indices that, with the idempotents, generate
+    the algebra (the arrows of a path basis); a builder that knows them sets
+    it after construction.  Empty means every basis element that is not an
+    idempotent.  ``action_violations`` proves that it spans before relying
+    on it.
+    """
 
     def __init__(
         self,
@@ -48,6 +55,7 @@ class AlgebraTable:
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.idempotents = tuple(idempotents)
+        self.generators: tuple[int, ...] = ()
         self._product_fn = product_fn
         self._memo: dict[tuple[int, int], Element] = {}
         self._corners: dict[tuple[int, int], list[int]] | None = None
@@ -240,6 +248,7 @@ def bga_table_with_keys(
             labels.append(f"z[{k[1]}]")
     idempotents = tuple((name, index_of[("e", name)]) for name in edge_names)
     table = AlgebraTable(labels, src, tgt, idempotents, product)
+    table.generators = tuple(i for i, k in enumerate(keys) if k[0] == "w" and k[2] == 1)
     return table, keys, index_of
 
 
@@ -340,39 +349,76 @@ class GroupActionTable:
         return {k: v for k, v in out.items() if v}
 
 
-def action_violations(
-    table: AlgebraTable, act: GroupActionTable, seed: int = 0
-) -> list[str]:
-    problems = []
+def action_violations(table: AlgebraTable, act: GroupActionTable) -> list[str]:
+    """Why the action of g is not an automorphism of ``table``; empty when it is.
+
+    g must permute the basis up to scalars with g^order = 1, and send
+    idempotents to idempotents with scalar 1; pi is the permutation it makes
+    of the idempotent positions.  An empty answer is then a proof:
+
+    (a) src(g b) = pi(src b) and tgt(g b) = pi(tgt b) for every basis element
+        b, so a product that is zero because its corners do not match stays
+        zero under g;
+    (b) a search from the idempotents along single-term products a b, with
+        a a generator (``table.generators``), reaches every basis element,
+        else "generators do not span";
+    (c) g(a b) = g(a) g(b) for every generator a and every basis element b
+        with tgt b = src a, checked as the search reaches b.
+
+    By (b) every basis element is a multiple of a_k ... a_1 e with
+    generators a_i and an idempotent e; g(e y) = g(e) g(y) by (a), and by
+    (c) and induction on k, g(x y) = g(x) g(y) for all x, y.  The cost is one
+    product per composable generator-basis pair.
+    """
     if sorted(act.images) != list(range(table.dim)):
         return ["action images do not permute the basis"]
+    problems = []
     for b in range(table.dim):
-        s, i = act.apply(act.order, b)
-        if (s, i) != (ONE, b):
+        if act.apply(act.order, b) != (ONE, b):
             problems.append(f"action order is not {act.order} at {table.labels[b]}")
             break
+    idempotent_indices = {index for _, index in table.idempotents}
     for p, (_, i) in enumerate(table.idempotents):
         s, j = act.apply(1, i)
-        if s != ONE or all(j != idx for _, idx in table.idempotents):
+        if s != ONE or j not in idempotent_indices:
             problems.append(f"action does not permute the idempotents at {p}")
-    n = table.dim
-    if n <= 80:
-        pairs = ((i, j) for i in range(n) for j in range(n))
-    else:
-        rng = random.Random(seed)
-        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(2000))
-    for i, j in pairs:
-        product = table.pairwise(i, j)
-        si, ii = act.apply(1, i)
-        sj, jj = act.apply(1, j)
-        lhs = act.apply_element(1, product)
-        rhs = vec_scale(table.pairwise(ii, jj), si * sj)
-        if lhs != rhs:
-            problems.append(
-                f"action is not multiplicative on ({table.labels[i]}, {table.labels[j]})"
-            )
-            break
-    return problems
+    if problems:
+        return problems
+    pi = idempotent_permutation(table, act)
+    src, tgt = table.src, table.tgt
+    for b, image in enumerate(act.images):
+        if (src[image], tgt[image]) != (pi[src[b]], pi[tgt[b]]):
+            return [f"action does not move the corner of {table.labels[b]} by pi"]
+    by_source: dict[int, list[int]] = {}
+    generators = table.generators or [
+        b for b in range(table.dim) if b not in idempotent_indices
+    ]
+    for a in generators:
+        by_source.setdefault(src[a], []).append(a)
+    # Each product is read once, so it bypasses the table's memo, which
+    # would keep it for the table's lifetime.
+    product = table._product_fn
+    reached = set(idempotent_indices)
+    frontier = sorted(reached)
+    while frontier:
+        b = frontier.pop()
+        sb, gb = act.apply(1, b)
+        for a in by_source.get(tgt[b], ()):
+            ab = product(a, b)
+            sa, ga = act.apply(1, a)
+            if act.apply_element(1, ab) != vec_scale(product(ga, gb), sa * sb):
+                return [
+                    f"action is not multiplicative on ({table.labels[a]}, "
+                    f"{table.labels[b]})"
+                ]
+            if len(ab) == 1:
+                (c,) = ab
+                if c not in reached:
+                    reached.add(c)
+                    frontier.append(c)
+    if len(reached) != table.dim:
+        return ["generators do not span"]
+    return []
 
 
 def idempotent_permutation(table: AlgebraTable, act: GroupActionTable) -> list[int]:
@@ -580,16 +626,39 @@ def orbit_truncation(
     A#G are taken from ``table`` and ``act`` directly.
 
     Multiplying by g on either side moves basis keys of A#G to basis keys,
-    up to a scalar.  So f_p (b (x) g^k) f_q lies on the G-orbit of (b, k)
-    under those moves, and for the sheet-zero idempotents of a covering the
-    keys of one orbit give multiples (some zero) of one element.  The
-    (p, q) corner's basis is one nonzero such element per orbit, admitted
-    in the order of ``truncate`` (the idempotents, then by ambient index);
-    its elements have disjoint supports, so an element of the corner is
-    written in the basis by reading its coefficient at one key of each.
-    Every reading is rebuilt and compared: a basis that does not span, a
-    product that leaves the truncation and an element outside it raise
-    ``ValueError``.
+    up to a scalar.  So f_p (b (x) g^k) f_q lies on the G x G-orbit of
+    (b, k) under those moves, and for the sheet-zero idempotents of a
+    covering the keys of one orbit give multiples (some zero) of one
+    element.  The (p, q) corner's basis is one nonzero such element per
+    orbit, admitted in the order of ``truncate`` (the idempotents, then by
+    ambient index); its elements have disjoint supports, so an element of
+    the corner is written in the basis by reading its coefficient at one
+    key of each.  Every reading is rebuilt and compared: a basis that does
+    not span, a product that leaves the truncation and an element outside
+    it raise ``ValueError``.
+
+    The sweep compresses a key only when no earlier compression has it in
+    its support.  This rests on a precondition, checked at entry (else
+    ``ValueError``): every chosen F is a combination of keys e (x) g^i with
+    e an idempotent of A (the idempotents that carry F); F lies in sheet 0
+    or F (1 (x) g) = +-F = +-(1 (x) g) F; and the idempotents carrying a
+    g-stable F form a g-invariant set, disjoint from those carrying a
+    sheet-0 F.  The first two parts are checked; the last two follow, since
+    (1 (x) g) F = +-F moves each idempotent carrying F to another, and a
+    sheet-0 F is orthogonal to F only when no idempotent carries both.
+
+    Lemma: let y be a key in the support of F_p x F_q for an earlier key x.
+    Then every nonzero F_p' y F_q' is a multiple of F_p' x F_q' (by +-1 for
+    unit action scalars), which x's turn already admitted or found in the
+    span, so skipping y changes nothing.  Proof: F_p and F_q move a key only
+    by the powers of 1 (x) g that are sheets of their keys, so
+    y = c (1 (x) g)^i x (1 (x) g)^j with i = 0 when F_p lies in sheet 0 and
+    j = 0 when F_q does.  Left side: if F_p' is g-stable,
+    F_p' (1 (x) g)^i = +-F_p'.  If F_p' lies in sheet 0 and i != 0, then
+    F_p is g-stable and the target of y is an idempotent carrying F_p,
+    which no sheet-0 F carries, so F_p' y = 0.  The right side is the same,
+    the source of y being carried by F_q up to g.  So each G x G-orbit of
+    keys is compressed about once.
 
     Basis element k is kept as the integer form (U, d) of U / d, where
     U = F_p (b (x) g^k) F_q and F = d f clears the denominators of a chosen
@@ -660,6 +729,21 @@ def orbit_truncation(
                     f"chosen idempotents {chosen[a][0]!r}, {lb!r} not orthogonal"
                 )
 
+    # The sweep's precondition; its last two parts follow from the checks
+    # above, see the docstring.
+    idempotent_indices = {index for _, index in table.idempotents}
+    one_g = {dim + e: ONE for e in idempotent_indices}
+    for (label, _), (form, _) in zip(chosen, forms):
+        if any(key % dim not in idempotent_indices for key in form):
+            raise ValueError(f"chosen element {label!r} is not a sum over idempotents")
+        if all(key < dim for key in form):
+            continue
+        for side in (mul(form, one_g), mul(one_g, form)):
+            if side != form and side != vec_scale(form, -1):
+                raise ValueError(
+                    f"chosen element {label!r} is neither sheet 0 nor g-stable"
+                )
+
     def compressions(x: Element):
         """The nonzero integer forms F_p x F_q, by corner (p, q)."""
         for p in left_factors(x):
@@ -707,9 +791,13 @@ def orbit_truncation(
 
     for p, ((label, _), (form, scale)) in enumerate(zip(chosen, forms)):
         admit((p, p), form, scale, label)
+    covered: set[int] = set()
     for key in range(n * dim):
+        if key in covered:
+            continue
         k, b = divmod(key, dim)
         for (p, q), form in compressions({key: ONE}):
+            covered.update(form)
             scale = forms[p][1] * forms[q][1]
             admit((p, q), form, scale, f"{table.labels[b]}|g{k}[{p}.{q}]")
 

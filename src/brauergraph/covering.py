@@ -54,24 +54,24 @@ def cover(g: GradedGraph) -> CoveredGraph:
     check_grading(graph, grading)
     n = grading.modulus
     cross = graph.cross_half_edges
+    # Each covering half-edge's label, formatted once.
+    labels = {h: [sheet_label(h, i) for i in range(n)] for h in graph.half_edges}
     sheet_of: dict[str, tuple[str, int]] = {}
-    for h in graph.half_edges:
-        for i in range(n):
-            sheet_of[sheet_label(h, i)] = (h, i)
-    if len(sheet_of) != len(graph.half_edges) * n:
-        raise ValueError("half-edge names collide under sheet labelling")
     pairing = {}
     orientation = {}
     multiplicity = {}
-    for label, (h, i) in sheet_of.items():
-        if h in cross:
-            pairing[label] = sheet_label(h, (i + 1) % n)
-        else:
-            pairing[label] = sheet_label(graph.pairing(h), i)
-        orientation[label] = sheet_label(
-            graph.orientation(h), (i + grading(h)) % n
-        )
-        multiplicity[label] = graph.multiplicity[h] if graph.is_skew else 1
+    for h, row in labels.items():
+        partner = labels[graph.pairing(h)]
+        successor = labels[graph.orientation(h)]
+        degree = grading(h)
+        m = graph.multiplicity[h] if graph.is_skew else 1
+        for i, label in enumerate(row):
+            sheet_of[label] = (h, i)
+            pairing[label] = row[(i + 1) % n] if h in cross else partner[i]
+            orientation[label] = successor[(i + degree) % n]
+            multiplicity[label] = m
+    if len(sheet_of) != len(graph.half_edges) * n:
+        raise ValueError("half-edge names collide under sheet labelling")
     total = BrauerGraph(
         frozenset(sheet_of),
         Permutation(pairing),

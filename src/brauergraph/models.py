@@ -404,6 +404,7 @@ def monomial_table(
 
     idempotents = tuple((render_vertex(v), k) for k, v in enumerate(vertices))
     table = AlgebraTable(labels, src, tgt, idempotents, product)
+    table.generators = tuple(index_of[path] for path in paths if len(path) == 1)
     return table, paths, index_of
 
 

@@ -42,7 +42,11 @@ def sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
     lies inside the subset yields no sector: the defining escape index does
     not exist.
     """
-    subset = _check_subset(graph, subset)
+    return _sectors(graph, _check_subset(graph, subset))
+
+
+def _sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
+    """``sectors`` of a subset already checked."""
     sigma = graph.orientation
     out: set[Sector] = set()
     seen: set[str] = set()
@@ -79,9 +83,13 @@ def escape_index(graph: BrauerGraph, subset: frozenset[str], h: str) -> int | No
 
 
 def maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
-    subset = _check_subset(graph, subset)
+    return _maximal_sectors(graph, _check_subset(graph, subset))
+
+
+def _maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
+    """``maximal_sectors`` of a subset already checked."""
     inv = graph.orientation.inverse()
-    return {s for s in sectors(graph, subset) if inv(s.h) not in subset}
+    return {s for s in _sectors(graph, subset) if inv(s.h) not in subset}
 
 
 def _check_sector(
@@ -110,19 +118,20 @@ def _check_sector(
 def _moved_orientation_multiplicity(
     graph: BrauerGraph, sector: Sector, subset: frozenset[str]
 ) -> tuple[Permutation, dict[str, int], list[str], str, str, str]:
-    """Check ``sector``; the moved orientation and multiplicity, with the run,
-    sigma^{-1} h, escape and target used.
+    """Check ``sector`` of a subset already checked; the moved orientation
+    and multiplicity, with the run, sigma^{-1} h, escape and target used.
 
     The moved orientation (h escape) * sigma * (last target) differs from
     sigma only at last = sigma^r h, at target and at sigma^{-1} h.
     """
-    subset = _check_subset(graph, subset)
     run = _check_sector(graph, sector, subset)
     sigma = graph.orientation
     h, last = run[0], run[-1]
     escape = sigma(last)                    # sigma^{r+1} h
     target = graph.pairing(escape)          # iota sigma^{r+1} h
-    previous = sigma.power(-1, h)           # sigma^{-1} h
+    previous = escape                       # sigma^{-1} h, walked to from escape
+    while sigma(previous) != h:
+        previous = sigma(previous)
 
     def swap(a: str, b: str, x: str) -> str:
         return b if x == a else a if x == b else x
@@ -143,6 +152,12 @@ def move_sector_underlying(
     graph: BrauerGraph, sector: Sector, subset: frozenset[str]
 ) -> BrauerGraph:
     """The ungraded Kauer move of one sector (orientation and multiplicity only)."""
+    return _move_sector_underlying(graph, sector, _check_subset(graph, subset))
+
+
+def _move_sector_underlying(
+    graph: BrauerGraph, sector: Sector, subset: frozenset[str]
+) -> BrauerGraph:
     new_sigma, new_m, *_ = _moved_orientation_multiplicity(graph, sector, subset)
     return BrauerGraph(graph.half_edges, graph.pairing, new_sigma, new_m)
 
@@ -151,6 +166,13 @@ def move_sector(
     g: GradedGraph, sector: Sector, subset: frozenset[str]
 ) -> GradedGraph:
     """The graded generalized Kauer move of one sector."""
+    return _move_sector(g, sector, _check_subset(g.graph, subset))
+
+
+def _move_sector(
+    g: GradedGraph, sector: Sector, subset: frozenset[str]
+) -> GradedGraph:
+    """``move_sector`` on a subset already checked."""
     graph, grading = g.graph, g.grading
     new_sigma, new_m, run, previous, escape, target = _moved_orientation_multiplicity(
         graph, sector, subset
@@ -185,14 +207,16 @@ def _canonical_sector_order(graph: BrauerGraph, found: set[Sector]) -> list[Sect
 
 def move_set(g: GradedGraph, subset: frozenset[str]) -> GradedGraph:
     """Composite graded move of all maximal sectors of ``subset``."""
+    # Moves keep the half-edges and the pairing, so one check of the subset
+    # holds for every sector.
     subset = _check_subset(g.graph, subset)
-    for sector in _canonical_sector_order(g.graph, maximal_sectors(g.graph, subset)):
-        g = move_sector(g, sector, subset)
+    for sector in _canonical_sector_order(g.graph, _maximal_sectors(g.graph, subset)):
+        g = _move_sector(g, sector, subset)
     return g
 
 
 def move_set_underlying(graph: BrauerGraph, subset: frozenset[str]) -> BrauerGraph:
     subset = _check_subset(graph, subset)
-    for sector in _canonical_sector_order(graph, maximal_sectors(graph, subset)):
-        graph = move_sector_underlying(graph, sector, subset)
+    for sector in _canonical_sector_order(graph, _maximal_sectors(graph, subset)):
+        graph = _move_sector_underlying(graph, sector, subset)
     return graph

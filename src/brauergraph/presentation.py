@@ -239,6 +239,13 @@ def relations(graph: BrauerGraph) -> list[Relation]:
     cross = graph.cross_half_edges
     arrow = quiver(graph).arrow
     out: list[Relation] = []
+    # Rules (I), (II) and (IV) read the same special cycles: build each once.
+    cycles: dict[tuple[str, int | None], list[Path]] = {}
+
+    def cycles_at(h: str, i: int | None = None) -> list[Path]:
+        if (h, i) not in cycles:
+            cycles[h, i] = special_cycles(graph, h, i)
+        return cycles[h, i]
 
     # (I) equality of weighted cycle powers across each non-degenerate edge.
     for edge in graph.edges:
@@ -249,8 +256,8 @@ def relations(graph: BrauerGraph) -> list[Relation]:
             continue
         c_h = Fraction(2 ** n_cross(graph, h)) ** graph.multiplicity[h]
         c_o = Fraction(2 ** n_cross(graph, other)) ** graph.multiplicity[other]
-        for route_h in special_cycles(graph, h):
-            for route_o in special_cycles(graph, other):
+        for route_h in cycles_at(h):
+            for route_o in cycles_at(other):
                 out.append(
                     Relation(
                         (
@@ -265,7 +272,7 @@ def relations(graph: BrauerGraph) -> list[Relation]:
         if not induces_arrow(graph, h):
             continue
         for i in vertex_indices(graph, h):
-            for route in special_cycles(graph, h, i):
+            for route in cycles_at(h, i):
                 path = route * graph.multiplicity[h] + (route[0],)
                 out.append(Relation(((Fraction(1), path),)))
 
@@ -277,7 +284,7 @@ def relations(graph: BrauerGraph) -> list[Relation]:
         if not induces_arrow(graph, h):
             continue
         for i in (0, 1):
-            for route in special_cycles(graph, h, i):
+            for route in cycles_at(h, i):
                 last = route[-1]
                 shifted = route[:-1] + (
                     arrow(last.h, last.source[1], (i + 1) % 2),

@@ -19,6 +19,7 @@ import pytest
 from brauergraph.algebra import (
     GroupActionTable,
     ONE,
+    action_violations,
     bga_dimension_formula,
     bga_table_with_keys,
     orbit_truncation,
@@ -281,6 +282,72 @@ def test_truncation_model_rejects_a_non_multiplicative_action(
     graph = ex2_multiplicity_one
     with pytest.raises(ValueError, match="not multiplicative"):
         truncation_model(cover(GradedGraph(graph, zero_grading(graph))))
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_a_negated_socle_action_is_rejected(seed, monkeypatch):
+    """Negating the socle elements of cover edge 10+_0 and of its shift image
+    keeps an order-two permutation of the basis that fixes the idempotents
+    and the corners; only the products that land in those socles break, and
+    a check of sampled pairs passed it on these covers (dimensions 544 and
+    464)."""
+    from brauergraph import models
+
+    true_action = models.sheet_shift_action
+
+    def negated(covered, keys, index_of):
+        action = true_action(covered, keys, index_of)
+        socles = {index_of["z", e] for e in ("10+_0", covered.shift_edge("10+_0"))}
+        assert len(socles) == 2
+        scalars = tuple(-s if b in socles else s for b, s in enumerate(action.scalars))
+        return GroupActionTable(action.order, scalars, action.images)
+
+    graph = gen_random(seed, n_half=16, allow_skew=True)
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    assert action_violations(bd, true_action(covered, keys, index_of)) == []
+    problems = action_violations(bd, negated(covered, keys, index_of))
+    assert len(problems) == 1 and "not multiplicative" in problems[0]
+    monkeypatch.setattr(models, "sheet_shift_action", negated)
+    with pytest.raises(ValueError, match="not multiplicative"):
+        truncation_model(covered)
+
+
+def test_generators_that_do_not_span_are_reported(ex2_graded):
+    covered = cover(ex2_graded)
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    action = sheet_shift_action(covered, keys, index_of)
+    assert action_violations(bd, action) == []
+    arrows = bd.generators
+    assert arrows and all(keys[a][0] == "w" and keys[a][2] == 1 for a in arrows)
+    # No generator list: every basis element but the idempotents generates.
+    bd.generators = ()
+    assert action_violations(bd, action) == []
+    # An arrow is no product of other basis elements, so without it the rest
+    # do not span.
+    bd.generators = arrows[1:]
+    assert action_violations(bd, action) == ["generators do not span"]
+    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    with pytest.raises(ValueError, match="generators do not span"):
+        orbit_truncation(bd, action, chosen)
+
+
+def test_orbit_truncation_checks_the_sweep_precondition(ex2_graded):
+    covered = cover(ex2_graded)
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    action = sheet_shift_action(covered, keys, index_of)
+    # e (x) 1 + e (x) g is idempotent when e and g e are distinct, but it is
+    # moved by g on the left
+    e = next(i for _, i in bd.idempotents if action.images[i] != i)
+    moving = {e: ONE, bd.dim + e: ONE}
+    with pytest.raises(ValueError, match="neither sheet 0 nor g-stable"):
+        orbit_truncation(bd, action, [("moving", moving)])
+    # e_t + a, for an arrow a from s to t != s, is an idempotent on sheet 0
+    # that is not a sum over idempotents
+    a = next(i for i in bd.generators if bd.src[i] != bd.tgt[i])
+    e_t = bd.idempotents[bd.tgt[a]][1]
+    with pytest.raises(ValueError, match="not a sum over idempotents"):
+        orbit_truncation(bd, action, [("lopsided", {e_t: ONE, a: ONE})])
 
 
 def test_orbit_truncation_checks_the_chosen_idempotents(ex2_graded):
