@@ -198,26 +198,37 @@ def bga_table_with_keys(
 ) -> tuple[AlgebraTable, list[BasisKey], dict[BasisKey, int]]:
     if graph.is_skew:
         raise ValueError("Brauer graph algebra tables require an ordinary graph")
-    sigma = graph.orientation
     keys = bga_basis_keys(graph)
     index_of = {k: i for i, k in enumerate(keys)}
     edge_names = [k[1] for k in keys if k[0] == "e"]
     edge_pos = {name: p for p, name in enumerate(edge_names)}
+    # One walk per sigma-orbit gives every half-edge its cycle and position
+    # there; the walk key ("w", h, t) ends at sigma^t(h), which both the
+    # endpoints and the products read from ``ends``.
+    cycle_at: dict[str, tuple[tuple[str, ...], int]] = {}
+    for cycle in graph.orientation.orbits():
+        for position, h in enumerate(cycle):
+            cycle_at[h] = (cycle, position)
+    ends: list[str | None] = []
+    for k in keys:
+        if k[0] == "w":
+            cycle, position = cycle_at[k[1]]
+            ends.append(cycle[(position + k[2]) % len(cycle)])
+        else:
+            ends.append(None)
     socle_len = {
-        h: len(graph.sigma_orbit_of(h)) * graph.multiplicity[h]
+        h: len(cycle_at[h][0]) * graph.multiplicity[h]
         for h in graph.half_edges
         if induces_arrow(graph, h)
     }
 
-    def endpoints(key: BasisKey) -> tuple[int, int]:
+    def endpoints(k: int) -> tuple[int, int]:
+        key = keys[k]
         if key[0] == "w":
-            _, h, t = key
-            return edge_pos[edge_name(graph, graph.orientation.power(t, h))], edge_pos[
-                edge_name(graph, h)
-            ]
+            return edge_pos[edge_name(graph, ends[k])], edge_pos[edge_name(graph, key[1])]
         return edge_pos[key[1]], edge_pos[key[1]]
 
-    tgt, src = zip(*(endpoints(k) for k in keys))
+    tgt, src = zip(*(endpoints(k) for k in range(len(keys))))
 
     def product(i: int, j: int) -> Element:
         left, right = keys[i], keys[j]
@@ -229,7 +240,7 @@ def bga_table_with_keys(
             return {}
         _, lh, lt = left
         _, rh, rt = right
-        if lh != sigma.power(rt, rh):
+        if lh != ends[j]:
             return {}
         total = lt + rt
         if total < socle_len[rh]:

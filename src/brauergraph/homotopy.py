@@ -9,6 +9,12 @@ For complexes X, Y the maps form one complex Hom^{-1} -> Hom^0 -> Hom^1 with
 Hom^{-1} = Hom(X_0, Y_{-1}), Hom^0 = Hom(X_{-1}, Y_{-1}) + Hom(X_0, Y_0) and
 Hom^1 = Hom(X_{-1}, Y_0), and H^n Hom(X, Y) = Hom(X, Y[n]) in the homotopy
 category.  Every Hom dimension, the tilting check and End(T) read it.
+
+A degree-0 class is represented by a Hom^0 coordinate vector: a dict keyed
+(tag, t, s, b), where tag "m1" or "d0" names the component f_{-1} or f_0, t
+and s index the target and source summands and b is a corner basis element.
+End(T) composes classes in these coordinates; only ``hom_space`` turns them
+into matrix pairs, for its public basis.
 """
 from __future__ import annotations
 
@@ -178,18 +184,6 @@ def _slots(
     ]
 
 
-def _chain_map_vector(f_m1: Matrix, f_0: Matrix) -> dict:
-    """Hom^0 coordinates of a pair (f_{-1}, f_0), keyed (tag, t, s, basis)."""
-    return {
-        (tag, t_idx, s_idx, b): c
-        for tag, matrix in (("m1", f_m1), ("d0", f_0))
-        for t_idx, row in enumerate(matrix)
-        for s_idx, entry in enumerate(row)
-        for b, c in entry.items()
-        if c
-    }
-
-
 def _chain_map_from_vector(
     x: ProjPresentation, y: ProjPresentation, coords: dict
 ) -> tuple[Matrix, Matrix]:
@@ -265,13 +259,14 @@ class _HomComplex:
     n_boundaries: int
     cycles: list[dict]
 
-    def representatives(self, seed: tuple[dict, ...] = ()) -> list[tuple[Matrix, Matrix]]:
-        """Degree-0 class representatives: each ``seed`` vector, then each
-        cycle, that is independent of the boundaries and the classes kept so
-        far.  The boundary span keeps them, in order, after the boundaries,
-        so this is read once per complex."""
+    def representatives(self, seed: tuple[dict, ...] = ()) -> list[dict]:
+        """Degree-0 class representatives as Hom^0 coordinate vectors: each
+        ``seed`` vector, then each cycle, that is independent of the
+        boundaries and the classes kept so far.  The boundary span keeps
+        them, in order, after the boundaries, so this is read once per
+        complex."""
         return [
-            _chain_map_from_vector(self.x, self.y, vec)
+            vec
             for vec in (*seed, *self.cycles)
             if self.boundaries.add(vec) is not None
         ]
@@ -304,9 +299,8 @@ def _hom_complex(
     independent: list[tuple] = []
     cycles = []
     for key, column in columns:
-        coords = image.express(column)
-        if coords is None:
-            image.add(column)
+        index, coords = image.add_or_express(column)
+        if index is not None:
             independent.append(key)
             continue
         cycle = {key: ONE}
@@ -333,7 +327,9 @@ def hom_space(
     if shift != 0:
         return HomSpace(hom_dimension(table, x, y, shift))
     reps = _hom_complex(table, x, y).representatives()
-    return HomSpace(len(reps), tuple(reps))
+    return HomSpace(
+        len(reps), tuple(_chain_map_from_vector(x, y, vec) for vec in reps)
+    )
 
 
 def hom_dimension(
@@ -403,45 +399,82 @@ def _end_table_of_tilting(
     summands: list[tuple[str, ProjPresentation]],
     complexes: dict[tuple[int, int], _HomComplex],
 ) -> AlgebraTable:
-    """``end_table`` for summands whose shifted Homs are known to vanish."""
-    reps: dict[tuple[int, int], list[tuple[Matrix, Matrix]]] = {}
+    """``end_table`` for summands whose shifted Homs are known to vanish.
+
+    Raises when a summand is zero in the homotopy category: its identity is
+    then a boundary, so no class of its corner can be its idempotent.
+    """
+    reps: dict[tuple[int, int], list[dict]] = {}
     for (a, b), complex_ in complexes.items():
-        seed: tuple[dict, ...] = ()
-        if a == b:
-            # The identity of X in Hom^0 coordinates, so that it is class 0.
-            x = summands[a][1]
-            seed = ({
-                (tag, t, t, table.idempotents[p][1]): ONE
-                for tag, positions in (("m1", x.deg_minus1), ("d0", x.deg_0))
-                for t, p in enumerate(positions)
-            },)
-        reps[(a, b)] = complex_.representatives(seed)
+        if a != b:
+            reps[(a, b)] = complex_.representatives()
+            continue
+        # The identity of X in Hom^0 coordinates, so that it is class 0.
+        name, x = summands[a]
+        identity = {
+            (tag, t, t, table.idempotents[p][1]): ONE
+            for tag, positions in (("m1", x.deg_minus1), ("d0", x.deg_0))
+            for t, p in enumerate(positions)
+        }
+        kept = complex_.representatives((identity,))
+        if not kept or kept[0] is not identity:
+            raise ValueError(
+                f"summand {name!r} is zero in the homotopy category: "
+                "its identity is null-homotopic"
+            )
+        reps[(a, b)] = kept
 
     labels = []
     src = []
     tgt = []
     offsets: dict[tuple[int, int], int] = {}
-    where: list[tuple[int, int, int]] = []
+    where: list[tuple[int, int]] = []
+    vectors: list[dict] = []
     idempotents = []
     for (a, b), pair_reps in reps.items():
         offsets[(a, b)] = len(labels)
-        for k in range(len(pair_reps)):
+        for k, vec in enumerate(pair_reps):
             if a == b and k == 0:
                 idempotents.append((summands[a][0], len(labels)))
             labels.append(f"[{summands[a][0]}->{summands[b][0]}]{k}")
             src.append(a)
             tgt.append(b)
-            where.append((a, b, k))
+            where.append((a, b))
+            vectors.append(vec)
+
+    # Class j as the right factor, grouped by (tag, target index): the entries
+    # that the left factor's (tag, source index) entries compose with.
+    by_row: dict[int, dict] = {}
+
+    def rows_of(j: int) -> dict:
+        rows = by_row.get(j)
+        if rows is None:
+            rows = by_row[j] = {}
+            for (tag, t, s, b), c in vectors[j].items():
+                rows.setdefault((tag, t), []).append((s, b, c))
+        return rows
 
     def product(i: int, j: int) -> Element:
-        fa, fb, fk = where[i]
-        ga, gb, gk = where[j]
+        fa, fb = where[i]
+        ga, gb = where[j]
         # product i . j: j acts first, so j: ga -> gb then i: fa -> fb with fa == gb
         if gb != fa:
             return {}
-        u = reps[(fa, fb)][fk]
-        v = reps[(ga, gb)][gk]
-        vec = _chain_map_vector(compose(table, u[0], v[0]), compose(table, u[1], v[1]))
+        # Component by component, (u . v)[t][s] = sum over k of u[t][k] v[k][s].
+        right = rows_of(j)
+        pairwise = table.pairwise
+        vec: dict = {}
+        for (tag, t, k, b), c in vectors[i].items():
+            for s, b2, c2 in right.get((tag, k), ()):
+                for e, ce in pairwise(b, b2).items():
+                    key = (tag, t, s, e)
+                    new = vec.get(key, 0) + c * c2 * ce
+                    if new:
+                        vec[key] = new
+                    else:
+                        del vec[key]
+        if not vec:
+            return {}
         complex_ = complexes[(ga, fb)]
         coords = complex_.boundaries.express(vec)
         if coords is None:

@@ -6,6 +6,11 @@ division by a pivot brings in a denominator.  ``RationalSpan`` is the one
 solver: it keeps a forward-eliminated pivot table, so that adding a vector
 and writing one over the basis stay cheap on the small systems this package
 solves, and kernels are read from the coordinates of dependent vectors.
+
+The pivot of a new row is the first key of its residual, in the dict's
+insertion order.  No output depends on that choice: ranks, the indices
+``add`` hands out and the coordinates ``express`` returns are all taken over
+the basis of added vectors, and coordinates over a basis are unique.
 """
 from __future__ import annotations
 
@@ -34,6 +39,8 @@ def vec_scale(u: Mapping, scale: int | Fraction) -> Vector:
 
 def reciprocal(c: int | Fraction) -> int | Fraction:
     """Exact 1 / c: an ``int`` when c is +-1, else a ``Fraction``."""
+    if c == 1 or c == -1:
+        return int(c)
     inv = Fraction(1) / c
     return inv.numerator if inv.denominator == 1 else inv
 
@@ -43,55 +50,61 @@ class RationalSpan:
 
     Basis vectors are the added vectors that increased the rank, numbered in
     insertion order; ``express`` writes any vector of the span in terms of
-    them.
+    them.  Row k of the pivot table is scaled to 1 at its pivot and holds no
+    pivot of an earlier row (it was reduced by them before it was kept), so
+    one forward pass over the rows in insertion order clears every pivot from
+    a vector: subtracting row k can bring in pivots of later rows only.
     """
 
     def __init__(self) -> None:
-        self._pivots: dict[Hashable, tuple[int, Vector, Vector]] = {}
-        self._order: list[Hashable] = []
-        self._rank = 0
+        # (pivot key, row, row over the basis), in insertion order
+        self._rows: list[tuple[Hashable, Vector, Vector]] = []
 
     @property
     def rank(self) -> int:
-        return self._rank
+        return len(self._rows)
 
     def _reduce(self, vec: Mapping) -> tuple[Vector, Vector]:
+        """(residual, combo) with vec = residual + combo . basis."""
         residual: Vector = dict(vec)
         combo: Vector = {}
-        while True:
-            hit = None
-            for key in self._order:
-                if key in residual:
-                    hit = key
-                    break
-            if hit is None:
-                return residual, combo
-            _, row, row_combo = self._pivots[hit]
-            coeff = residual[hit]
-            residual = vec_add(residual, row, -coeff)
+        get = residual.get
+        for pivot, row, row_combo in self._rows:
+            coeff = get(pivot)
+            if coeff is None:
+                continue
+            for k, c in row.items():
+                new = get(k, 0) - coeff * c
+                if new:
+                    residual[k] = new
+                else:
+                    del residual[k]
             for idx, c in row_combo.items():
                 new = combo.get(idx, 0) + coeff * c
                 if new:
                     combo[idx] = new
                 else:
-                    combo.pop(idx, None)
+                    del combo[idx]
+        return residual, combo
+
+    def _keep(self, residual: Vector, combo: Vector) -> int:
+        """Keep a nonzero residual as a new row; return its basis index."""
+        pivot = next(iter(residual))
+        inv = reciprocal(residual[pivot])
+        index = len(self._rows)
+        row = residual if inv == 1 else {k: inv * c for k, c in residual.items()}
+        # row = inv * (vec - combo . basis), so express row over the basis:
+        row_combo = {i: -inv * c for i, c in combo.items()}
+        row_combo[index] = inv
+        self._rows.append((pivot, row, row_combo))
+        return index
 
     def add(self, vec: Mapping) -> int | None:
         """Add a vector; return its basis index if independent, else None."""
         residual, combo = self._reduce(vec)
         if not residual:
             return None
-        pivot = min(residual, key=repr)
-        inv = reciprocal(residual[pivot])
-        row = vec_scale(residual, inv)
-        index = self._rank
-        # row = inv * (vec - combo . basis), so express row over the basis:
-        row_combo = {i: -inv * c for i, c in combo.items()}
-        row_combo[index] = inv
-        self._pivots[pivot] = (index, row, row_combo)
-        self._order.append(pivot)
-        self._rank += 1
-        return index
+        return self._keep(residual, combo)
 
     def express(self, vec: Mapping) -> Vector | None:
         """Coordinates of ``vec`` over the basis, or None if outside the span."""
@@ -99,6 +112,17 @@ class RationalSpan:
         if residual:
             return None
         return combo
+
+    def add_or_express(self, vec: Mapping) -> tuple[int | None, Vector]:
+        """Add ``vec`` or write it over the basis, with one reduction.
+
+        (index, {}) when ``vec`` was independent and became basis vector
+        ``index``; (None, coordinates) when it already lay in the span.
+        """
+        residual, combo = self._reduce(vec)
+        if not residual:
+            return None, combo
+        return self._keep(residual, combo), {}
 
 
 def determinant(matrix: list[list[int]]) -> Fraction:

@@ -57,6 +57,46 @@ def test_bga_products_ex1(ex1):
     assert table.pairwise(w("1+", 1), w("1+", 1)) == {index_of[("z", "1")]: ONE}
 
 
+def test_bga_table_matches_the_walk_rule():
+    """Every endpoint and product of the table, against the walk rule read
+    from ``Permutation.power``: w[h:t] runs from the edge of h to the edge of
+    sigma^t(h), and w[h':t'] * w[h:t] continues the walk when h' = sigma^t(h)."""
+    from brauergraph.core import edge_name
+
+    for seed in range(1, 31):
+        g = gen_random(seed, n_half=(4, 6, 8, 10, 12)[seed % 5], max_multiplicity=3)
+        table, keys, index_of = bga_table_with_keys(g)
+        sigma = g.orientation
+        position = {name: p for p, (name, _) in enumerate(table.idempotents)}
+        for b, key in enumerate(keys):
+            if key[0] == "w":
+                _, h, t = key
+                ends = (position[edge_name(g, sigma.power(t, h))], position[edge_name(g, h)])
+                assert table.labels[b] == f"w[{h}:{t}]"
+            else:
+                ends = (position[key[1]], position[key[1]])
+                assert table.labels[b] == f"{key[0]}[{key[1]}]"
+            assert (table.tgt[b], table.src[b]) == ends, (seed, key)
+        for i, left in enumerate(keys):
+            for j, right in enumerate(keys):
+                if table.src[i] != table.tgt[j]:
+                    continue
+                if left[0] == "e" or right[0] == "e":
+                    want = {j if left[0] == "e" else i: ONE}
+                elif left[0] == "z" or right[0] == "z" or left[1] != sigma.power(right[2], right[1]):
+                    want = {}
+                else:
+                    h, total = right[1], left[2] + right[2]
+                    top = len(sigma.orbit(h)) * g.multiplicity[h]
+                    if total < top:
+                        want = {index_of[("w", h, total)]: ONE}
+                    elif total == top:
+                        want = {index_of[("z", edge_name(g, h))]: ONE}
+                    else:
+                        want = {}
+                assert table.pairwise(i, j) == want, (seed, left, right)
+
+
 def test_bga_loop_graph(loop_graph):
     table, keys, index_of = bga_table_with_keys(loop_graph)
     assert table.dim == 3

@@ -415,3 +415,109 @@ def test_hom_dimension_non_tilting_quartet(ex1):
     for (x, y), row in expected.items():
         assert [hom_dimension(table, x, y, k) for k in (-1, 0, 1)] == row
         assert [_ref_hom_dimension(table, x, y, k) for k in (-1, 0, 1)] == row
+
+
+# End(T) by the matrix route: class representatives turned into matrix pairs,
+# composed with ``compose`` and read back into Hom^0 coordinates.  It is the
+# reference for the table that composes coordinate vectors directly.
+
+
+def _ref_end_table(table, summands):
+    from brauergraph.algebra import AlgebraTable
+    from brauergraph.homotopy import _chain_map_from_vector, _hom_complexes, compose
+
+    complexes = _hom_complexes(table, summands)
+    reps = {}
+    for (a, b), complex_ in complexes.items():
+        seed = ()
+        if a == b:
+            x = summands[a][1]
+            seed = ({
+                (tag, t, t, table.idempotents[p][1]): 1
+                for tag, positions in (("m1", x.deg_minus1), ("d0", x.deg_0))
+                for t, p in enumerate(positions)
+            },)
+        x, y = summands[a][1], summands[b][1]
+        reps[(a, b)] = [
+            _chain_map_from_vector(x, y, vec) for vec in complex_.representatives(seed)
+        ]
+    labels, src, tgt, where, idempotents, offsets = [], [], [], [], [], {}
+    for (a, b), pair_reps in reps.items():
+        offsets[(a, b)] = len(labels)
+        for k in range(len(pair_reps)):
+            if a == b and k == 0:
+                idempotents.append((summands[a][0], len(labels)))
+            labels.append(f"[{summands[a][0]}->{summands[b][0]}]{k}")
+            src.append(a)
+            tgt.append(b)
+            where.append((a, b, k))
+
+    def product(i, j):
+        fa, fb, fk = where[i]
+        ga, gb, gk = where[j]
+        if gb != fa:
+            return {}
+        u, v = reps[(fa, fb)][fk], reps[(ga, gb)][gk]
+        vec = _ref_vector(compose(table, u[0], v[0]), "m1")
+        vec.update(_ref_vector(compose(table, u[1], v[1]), "d0"))
+        complex_ = complexes[(ga, fb)]
+        coords = complex_.boundaries.express(vec)
+        assert coords is not None
+        return {
+            offsets[(ga, fb)] + local - complex_.n_boundaries: c
+            for local, c in coords.items()
+            if local >= complex_.n_boundaries and c
+        }
+
+    return AlgebraTable(labels, src, tgt, idempotents, product)
+
+
+def _end_table_cases(ex1, ex2):
+    cases = [
+        (ex1, ordinary_model(ex1), random.Random(1)),
+        (ex2, skew_model(ex2), random.Random(2)),
+    ]
+    made = {False: 0, True: 0}
+    seed = 0
+    while min(made.values()) < 11:
+        seed += 1
+        for skew in (False, True):
+            g = gen_random(seed, n_half=(6, 8, 10, 12, 14, 16)[seed % 6],
+                           allow_skew=skew, max_multiplicity=2)
+            if g.is_skew != skew or made[skew] == 11:
+                continue
+            model = model_for(g)
+            if model.table.dim > 130:
+                continue
+            cases.append((g, model, random.Random(60_000 + seed)))
+            made[skew] += 1
+    return cases
+
+
+def test_end_table_composes_like_the_matrix_route(ex1, ex2):
+    from brauergraph.algebra import check_table
+
+    products = 0
+    for graph, model, rng in _end_table_cases(ex1, ex2):
+        summands = mutation_object(model, random_ih_stable_subset(graph, rng))
+        got = end_table(model.table, summands)
+        want = _ref_end_table(model.table, summands)
+        assert (got.labels, got.src, got.tgt, got.idempotents) == (
+            want.labels, want.src, want.tgt, want.idempotents
+        )
+        for i in range(got.dim):
+            for j in range(got.dim):
+                if got.src[i] == got.tgt[j]:
+                    assert got.pairwise(i, j) == want.pairwise(i, j), (graph, i, j)
+                    products += 1
+        assert check_table(got) == []
+    assert products > 10_000
+
+
+def test_end_table_rejects_a_contractible_summand():
+    from brauergraph.homotopy import make_complex
+
+    table = ordinary_model(gen_random(1, n_half=8, max_multiplicity=2)).table
+    cone = make_complex(table, (0,), (0,), [[table.idempotent_element(0)]])
+    with pytest.raises(ValueError, match="'b'"):
+        end_table(table, [("a", stalk(table, [0])), ("b", cone)])
