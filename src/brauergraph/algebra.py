@@ -484,113 +484,6 @@ def skew_group_table(table: AlgebraTable, act: GroupActionTable) -> AlgebraTable
 
 
 # ---------------------------------------------------------------------------
-# Idempotent truncation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Truncation:
-    table: AlgebraTable
-    ambient: AlgebraTable
-    chosen: tuple[tuple[str, Element], ...]
-    _spans: dict[tuple[int, int], RationalSpan]
-    _offsets: dict[tuple[int, int], list[int]]
-
-    def express(self, x: Element) -> Element:
-        """Coordinates of an f-compressed ambient element in the corner basis."""
-        out: Element = {}
-        lefts: dict[int, Element] = {}
-        for (ti, si), span in self._spans.items():
-            if ti not in lefts:
-                lefts[ti] = self.ambient.mul(self.chosen[ti][1], x)
-            if not lefts[ti]:
-                continue
-            proj = self.ambient.mul(lefts[ti], self.chosen[si][1])
-            if not proj:
-                continue
-            coords = span.express(proj)
-            if coords is None:
-                raise ValueError("element does not lie in the truncation")
-            for local, c in coords.items():
-                out[self._offsets[(ti, si)][local]] = c
-        return {k: v for k, v in out.items() if v}
-
-
-def truncate(
-    table: AlgebraTable, chosen: Sequence[tuple[str, Element]]
-) -> Truncation:
-    """Corner algebra f A f for f the sum of the chosen orthogonal idempotents."""
-    for label, x in chosen:
-        if table.mul(x, x) != x:
-            raise ValueError(f"chosen element {label!r} is not idempotent")
-    for a, (la, xa) in enumerate(chosen):
-        for b, (lb, xb) in enumerate(chosen):
-            if a != b and table.mul(xa, xb):
-                raise ValueError(f"chosen idempotents {la!r}, {lb!r} not orthogonal")
-
-    spans: dict[tuple[int, int], RationalSpan] = {}
-    offsets: dict[tuple[int, int], list[int]] = {}
-    vectors: list[Element] = []
-    labels: list[str] = []
-    src: list[int] = []
-    tgt: list[int] = []
-    idempotents: list[tuple[str, int]] = []
-
-    def admit(corner: tuple[int, int], vec: Element, label: str) -> None:
-        span = spans.setdefault(corner, RationalSpan())
-        if span.add(vec) is None:
-            return
-        offsets.setdefault(corner, []).append(len(vectors))
-        vectors.append(vec)
-        labels.append(label)
-        tgt.append(corner[0])
-        src.append(corner[1])
-
-    for p, (label, x) in enumerate(chosen):
-        idempotents.append((label, len(vectors)))
-        admit((p, p), x, label)
-    # f_p * b and left * f_q can only be nonzero on composable pairs, so the
-    # sweep skips the products that ``mul`` would find empty.
-    left_sources = [{table.src[i] for i in fp} for _, fp in chosen]
-    right_targets = [{table.tgt[j] for j in fq} for _, fq in chosen]
-    for b in range(table.dim):
-        xb = {b: ONE}
-        for p, (_, fp) in enumerate(chosen):
-            if table.tgt[b] not in left_sources[p]:
-                continue
-            left = table.mul(fp, xb)
-            if not left:
-                continue
-            sources = {table.src[k] for k in left}
-            for q, (_, fq) in enumerate(chosen):
-                if sources.isdisjoint(right_targets[q]):
-                    continue
-                vec = table.mul(left, fq)
-                if vec:
-                    admit((p, q), vec, f"t{len(vectors)}[{p}.{q}]")
-
-    def product(i: int, j: int) -> Element:
-        raw = table.mul(vectors[i], vectors[j])
-        if not raw:
-            return {}
-        corner = (tgt[i], src[j])
-        span = spans.get(corner)
-        coords = span.express(raw) if span is not None else None
-        if coords is None:
-            raise ValueError("truncation is not multiplicatively closed")
-        return {offsets[corner][local]: c for local, c in coords.items() if c}
-
-    corner_table = AlgebraTable(labels, src, tgt, idempotents, product)
-    return Truncation(
-        table=corner_table,
-        ambient=table,
-        chosen=tuple(chosen),
-        _spans=spans,
-        _offsets=offsets,
-    )
-
-
-# ---------------------------------------------------------------------------
 # The orbit basis of f (A#G) f
 # ---------------------------------------------------------------------------
 
@@ -641,8 +534,9 @@ def orbit_truncation(
     (b, k) under those moves, and for the sheet-zero idempotents of a
     covering the keys of one orbit give multiples (some zero) of one
     element.  The (p, q) corner's basis is one nonzero such element per
-    orbit, admitted in the order of ``truncate`` (the idempotents, then by
-    ambient index); its elements have disjoint supports, so an element of
+    orbit, admitted in the order of the generic corner sweep (the
+    idempotents, then by ambient index; the test suite's ``truncate`` is
+    that sweep); its elements have disjoint supports, so an element of
     the corner is written in the basis by reading its coefficient at one
     key of each.  Every reading is rebuilt and compared: a basis that does
     not span, a product that leaves the truncation and an element outside

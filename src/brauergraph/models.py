@@ -6,8 +6,9 @@ the compression f (A#G) f of the skew group algebra of the covering's
 algebra A, for the sheet shift g, by the sheet-zero idempotents f.  It is
 built on its G-orbit basis straight from the covering's basis keys
 (``algebra.orbit_truncation``), never building the skew group table; the
-generic route through ``skew_group_table`` and ``truncate`` is its test
-oracle.  The same model validates the direct presentations.
+generic route through ``algebra.skew_group_table`` and the corner sweep
+``truncate`` of the test suite is its test oracle.  The same model
+validates the direct presentations, checking rule (I) once per route.
 """
 from __future__ import annotations
 
@@ -27,24 +28,26 @@ from .algebra import (
 )
 from .core import BrauerGraph, GradedGraph, Grading, check_grading, edge_name, zero_grading
 from .covering import CoveredGraph, cover, sheet_label
-from .linalg import vec_add
+from .linalg import vec_add, vec_scale
 from .presentation import (
     Arrow,
     Path,
+    PowerFamily,
     Presentation,
     QVertex,
     Relation,
     Walk,
+    _other_relations,
+    _power_families,
+    _special_cycle_table,
     admissible_cut,
     find_subword,
     induces_arrow,
     normal_paths,
     quiver,
-    relations,
     render_arrow,
     render_relation,
     render_vertex,
-    special_cycles,
     vertex_indices,
 )
 
@@ -294,12 +297,58 @@ class MatchReport:
     expected_dim: int
 
 
+def _common_value(model: GraphAlgebraModel, paths: tuple[Path, ...]) -> Element | None:
+    """The value all ``paths`` share in the model, or None when two differ;
+    KeyError names a missing arrow."""
+    first = model.evaluate_path(paths[0])
+    for path in paths[1:]:
+        if model.evaluate_path(path) != first:
+            return None
+    return first
+
+
+def _family_vanishes(model: GraphAlgebraModel, family: PowerFamily) -> bool:
+    """Whether every relation of the rule-(I) family is zero in the model.
+
+    By the criterion of ``PowerFamily``: all route powers at h share one
+    value v_h, all at the other end share v_o, and c_h v_h = c_o v_o.  That
+    takes one evaluation per route, not one per pair of routes.  A missing
+    arrow counts as a failure, for the pairwise check to name.
+    """
+    try:
+        v_h = _common_value(model, family.powers_h)
+        v_o = None if v_h is None else _common_value(model, family.powers_o)
+    except KeyError:
+        return False
+    return v_o is not None and not vec_add(vec_scale(v_h, family.c_h), v_o, -family.c_o)
+
+
+def _relation_problem(model: GraphAlgebraModel, rel: Relation) -> str | None:
+    """The witness text of a relation that fails in the model, or None."""
+    try:
+        value = model.evaluate_relation(rel)
+    except KeyError:
+        return f"relation uses a missing arrow: {render_relation(rel)}"
+    if value:
+        return (
+            f"relation does not vanish: {render_relation(rel)} "
+            f"= {model.table.render(value)}"
+        )
+    return None
+
+
 def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchReport:
     """Verify the direct presentation against the compressed covering model.
 
     Checks that quiver vertices and arrows correspond, that every generating
     relation evaluates to zero in the model, that all special cycles at a
     vertex agree there, and that the dimensions match the independent count.
+
+    Rule (I) is checked one family per edge, with each route power
+    evaluated once (see ``PowerFamily``), so the check never lists the
+    pairs of ``relations``.  Only a family that fails is expanded to its
+    pairs; the problems name each failing relation as the pairwise check
+    would, in the order of ``relations``.
     """
     problems: list[str] = []
     try:
@@ -315,24 +364,24 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
         for a, elem in model.arrow_element.items():
             if not elem:
                 problems.append(f"arrow {render_arrow(a)} maps to zero in the model")
-    for rel in relations(graph):
-        try:
-            value = model.evaluate_relation(rel)
-        except KeyError:
-            problems.append(f"relation uses a missing arrow: {render_relation(rel)}")
-            continue
-        if value:
-            problems.append(
-                f"relation does not vanish: {render_relation(rel)} "
-                f"= {model.table.render(value)}"
-            )
+    cycles_at = _special_cycle_table(graph)
+    failing: list[Relation] = []
+    for family in _power_families(graph, cycles_at):
+        if not _family_vanishes(model, family):
+            failing.extend(family.pairs())
+    for rel in itertools.chain(failing, _other_relations(graph, cycles_at)):
+        problem = _relation_problem(model, rel)
+        if problem is not None:
+            problems.append(problem)
     for h in sorted(graph.half_edges):
         if not induces_arrow(graph, h):
             continue
         for i in vertex_indices(graph, h):
-            first, *rest = (
-                model.evaluate_path(route) for route in special_cycles(graph, h, i)
-            )
+            try:
+                first, *rest = [model.evaluate_path(r) for r in cycles_at(h, i)]
+            except KeyError:
+                problems.append(f"special cycles at ({h}, {i}) use a missing arrow")
+                continue
             other = next((v for v in rest if v != first), None)
             if other is not None:
                 problems.append(

@@ -234,12 +234,45 @@ def _two_route_relations(graph: BrauerGraph) -> list[Relation]:
     return out
 
 
-def relations(graph: BrauerGraph) -> list[Relation]:
-    """The generating relations of the (skew) Brauer graph algebra."""
-    cross = graph.cross_half_edges
-    arrow = quiver(graph).arrow
-    out: list[Relation] = []
-    # Rules (I), (II) and (IV) read the same special cycles: build each once.
+@dataclass(frozen=True)
+class PowerFamily:
+    """Rule (I) at one edge: c_h r^m_h - c_o s^m_o = 0 for every route r of
+    the special cycle at ``h`` and every route s at ``other``.
+
+    ``powers_h`` and ``powers_o`` hold each route power r^m once, so a family
+    of 2^k_h * 2^k_o relations keeps 2^k_h + 2^k_o paths.  The family
+    vanishes in an algebra exactly when the values c_h v(r) and c_o v(s) are
+    all one element: fixing s, c_h v(r) = c_o v(s) for every r makes all
+    c_h v(r) equal, and fixing r does the same for every c_o v(s).
+    """
+
+    h: str
+    other: str
+    c_h: Fraction
+    c_o: Fraction
+    powers_h: tuple[Path, ...]
+    powers_o: tuple[Path, ...]
+
+    def pairs(self) -> Iterator[Relation]:
+        """One relation per pair of routes, routes at ``h`` outermost."""
+        c_h, minus_c_o = self.c_h, -self.c_o
+        for power_h in self.powers_h:
+            for power_o in self.powers_o:
+                yield Relation(((c_h, power_h), (minus_c_o, power_o)))
+
+
+# The most relations one rule-(I) family may list in a ``presentation``.
+# Past it ``presentation`` raises ValueError instead of printing megabytes
+# through the ``relations`` and ``quiver`` commands.  ``relations`` itself
+# lists every pair, whatever the count; ``models.presentations_match``
+# checks a family per route and never lists its pairs.  A loop edge whose
+# vertex carries k skew legs has 2^(2k) pairs: six legs reach the cap,
+# seven are refused.
+MAX_RELATION_PAIRS = 1 << 12
+
+
+def _special_cycle_table(graph: BrauerGraph) -> Callable[..., list[Path]]:
+    """``special_cycles`` of ``graph``, each built once per (h, index)."""
     cycles: dict[tuple[str, int | None], list[Path]] = {}
 
     def cycles_at(h: str, i: int | None = None) -> list[Path]:
@@ -247,25 +280,51 @@ def relations(graph: BrauerGraph) -> list[Relation]:
             cycles[h, i] = special_cycles(graph, h, i)
         return cycles[h, i]
 
-    # (I) equality of weighted cycle powers across each non-degenerate edge.
+    return cycles_at
+
+
+def _rule_one_edges(graph: BrauerGraph) -> list[tuple[str, str]]:
+    """(h, other) for each non-degenerate edge whose ends both induce arrows.
+
+    Neither end is a skew leg, so the special cycle at h has 2^n_cross(h)
+    routes.
+    """
+    out: list[tuple[str, str]] = []
     for edge in graph.edges:
         if len(edge) != 2:
             continue
         h, other = min(edge), max(edge)
-        if not (induces_arrow(graph, h) and induces_arrow(graph, other)):
-            continue
-        c_h = Fraction(2 ** n_cross(graph, h)) ** graph.multiplicity[h]
-        c_o = Fraction(2 ** n_cross(graph, other)) ** graph.multiplicity[other]
-        for route_h in cycles_at(h):
-            for route_o in cycles_at(other):
-                out.append(
-                    Relation(
-                        (
-                            (c_h, route_h * graph.multiplicity[h]),
-                            (-c_o, route_o * graph.multiplicity[other]),
-                        )
-                    )
-                )
+        if induces_arrow(graph, h) and induces_arrow(graph, other):
+            out.append((h, other))
+    return out
+
+
+def _power_families(
+    graph: BrauerGraph, cycles_at: Callable[..., list[Path]]
+) -> list[PowerFamily]:
+    """(I) equality of weighted cycle powers across each non-degenerate edge."""
+    out: list[PowerFamily] = []
+    for h, other in _rule_one_edges(graph):
+        m_h, m_o = graph.multiplicity[h], graph.multiplicity[other]
+        out.append(
+            PowerFamily(
+                h,
+                other,
+                Fraction(2 ** n_cross(graph, h)) ** m_h,
+                Fraction(2 ** n_cross(graph, other)) ** m_o,
+                tuple(route * m_h for route in cycles_at(h)),
+                tuple(route * m_o for route in cycles_at(other)),
+            )
+        )
+    return out
+
+
+def _other_relations(
+    graph: BrauerGraph, cycles_at: Callable[..., list[Path]]
+) -> list[Relation]:
+    """Rules (II)-(V) of ``relations``, in its order."""
+    arrow = quiver(graph).arrow
+    out: list[Relation] = []
 
     # (II) a cycle power followed by its own first arrow.
     for h in sorted(graph.half_edges):
@@ -280,7 +339,7 @@ def relations(graph: BrauerGraph) -> list[Relation]:
     out.extend(_crossing_relations(graph))
 
     # (IV) full cycle powers at a skew leg land on the other copy.
-    for h in sorted(cross):
+    for h in sorted(graph.cross_half_edges):
         if not induces_arrow(graph, h):
             continue
         for i in (0, 1):
@@ -297,7 +356,34 @@ def relations(graph: BrauerGraph) -> list[Relation]:
     return out
 
 
+def relations(graph: BrauerGraph) -> list[Relation]:
+    """The generating relations of the (skew) Brauer graph algebra.
+
+    Rule (I) comes first, one relation per pair of routes of each
+    ``PowerFamily``, routes at its h outermost; rules (II)-(V) follow.
+    """
+    # Rules (I), (II) and (IV) read the same special cycles: build each once.
+    cycles_at = _special_cycle_table(graph)
+    out: list[Relation] = []
+    for family in _power_families(graph, cycles_at):
+        out.extend(family.pairs())
+    out.extend(_other_relations(graph, cycles_at))
+    return out
+
+
 def presentation(graph: BrauerGraph) -> Presentation:
+    """Quiver and ``relations`` of the graph.
+
+    A rule-(I) family of more than ``MAX_RELATION_PAIRS`` pairs raises
+    ValueError naming its edge and pair count, before any route is listed.
+    """
+    for h, other in _rule_one_edges(graph):
+        pairs = 2 ** (n_cross(graph, h) + n_cross(graph, other))
+        if pairs > MAX_RELATION_PAIRS:
+            raise ValueError(
+                f"rule (I) at edge {edge_name(graph, h)} has {pairs} "
+                f"relations, over the expansion cap of {MAX_RELATION_PAIRS}"
+            )
     return Presentation(quiver(graph), tuple(relations(graph)))
 
 

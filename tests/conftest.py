@@ -1,10 +1,25 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import pytest
 
+from brauergraph.algebra import ONE, AlgebraTable, Element, bga_table_with_keys
 from brauergraph.core import BrauerGraph, GradedGraph, Grading, zero_grading
 from brauergraph.moves import Sector, escape_index, maximal_sectors, sectors
+from brauergraph.linalg import RationalSpan
+from brauergraph.models import skew_dimension_oracle
 from brauergraph.permutations import Permutation
+from brauergraph.presentation import (
+    induces_arrow,
+    quiver,
+    relations,
+    render_arrow,
+    render_relation,
+    special_cycles,
+    vertex_indices,
+)
 
 
 def build_graph(names, pairing_cycles, orientation_cycles, multiplicities=None):
@@ -77,6 +92,14 @@ def ex2_multiplicity_one() -> BrauerGraph:
     )
 
 
+def skew_leg_loop(legs: int, multiplicity: int = 1) -> BrauerGraph:
+    """One loop edge (a b) whose vertex also carries ``legs`` skew legs."""
+    names = ["a", "b"] + [str(k) for k in range(1, legs + 1)]
+    return build_graph(
+        names, [("a", "b")], [tuple(names)], dict.fromkeys(names, multiplicity)
+    )
+
+
 @pytest.fixture
 def loop_graph() -> BrauerGraph:
     """One edge whose ends are orientation-fixed, multiplicity 2 on one side."""
@@ -113,3 +136,168 @@ def assert_sectors_match_reference(graph, subset):
     for h in graph.half_edges:
         expected = reference_escape_index(graph, subset, h)
         assert escape_index(graph, subset, h) == expected
+
+
+def pairwise_match_problems(graph, covered, model):
+    """The problems ``models.presentations_match`` reports for ``model``,
+    found by evaluating every relation of ``relations`` one pair of routes
+    at a time.
+
+    This is the check before rule (I) was read per route; it stays as the
+    oracle of that reading.
+    """
+    problems = []
+    q = quiver(graph)
+    if set(q.vertices) != set(model.vertex_position):
+        problems.append("quiver vertices do not match the model idempotents")
+    if set(q.arrows) != set(model.arrow_element):
+        problems.append("quiver arrows do not match the model arrows")
+    else:
+        for a, elem in model.arrow_element.items():
+            if not elem:
+                problems.append(f"arrow {render_arrow(a)} maps to zero in the model")
+    for rel in relations(graph):
+        try:
+            value = model.evaluate_relation(rel)
+        except KeyError:
+            problems.append(f"relation uses a missing arrow: {render_relation(rel)}")
+            continue
+        if value:
+            problems.append(
+                f"relation does not vanish: {render_relation(rel)} "
+                f"= {model.table.render(value)}"
+            )
+    for h in sorted(graph.half_edges):
+        if not induces_arrow(graph, h):
+            continue
+        for i in vertex_indices(graph, h):
+            try:
+                first, *rest = [
+                    model.evaluate_path(route) for route in special_cycles(graph, h, i)
+                ]
+            except KeyError:
+                problems.append(f"special cycles at ({h}, {i}) use a missing arrow")
+                continue
+            other = next((v for v in rest if v != first), None)
+            if other is not None:
+                problems.append(
+                    f"special cycles at ({h}, {i}) differ in the model: "
+                    f"{model.table.render(first)} vs {model.table.render(other)}"
+                )
+    if graph.is_skew:
+        expected_dim = skew_dimension_oracle(covered)
+    else:
+        expected_dim = bga_table_with_keys(graph)[0].dim
+    if model.table.dim != expected_dim:
+        problems.append(
+            f"model dimension {model.table.dim} differs from expected {expected_dim}"
+        )
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# Idempotent truncation: the generic corner algebra f A f, the oracle of the
+# orbit basis that ``algebra.orbit_truncation`` builds
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Truncation:
+    table: AlgebraTable
+    ambient: AlgebraTable
+    chosen: tuple[tuple[str, Element], ...]
+    _spans: dict[tuple[int, int], RationalSpan]
+    _offsets: dict[tuple[int, int], list[int]]
+
+    def express(self, x: Element) -> Element:
+        """Coordinates of an f-compressed ambient element in the corner basis."""
+        out: Element = {}
+        lefts: dict[int, Element] = {}
+        for (ti, si), span in self._spans.items():
+            if ti not in lefts:
+                lefts[ti] = self.ambient.mul(self.chosen[ti][1], x)
+            if not lefts[ti]:
+                continue
+            proj = self.ambient.mul(lefts[ti], self.chosen[si][1])
+            if not proj:
+                continue
+            coords = span.express(proj)
+            if coords is None:
+                raise ValueError("element does not lie in the truncation")
+            for local, c in coords.items():
+                out[self._offsets[(ti, si)][local]] = c
+        return {k: v for k, v in out.items() if v}
+
+
+def truncate(
+    table: AlgebraTable, chosen: Sequence[tuple[str, Element]]
+) -> Truncation:
+    """Corner algebra f A f for f the sum of the chosen orthogonal idempotents."""
+    for label, x in chosen:
+        if table.mul(x, x) != x:
+            raise ValueError(f"chosen element {label!r} is not idempotent")
+    for a, (la, xa) in enumerate(chosen):
+        for b, (lb, xb) in enumerate(chosen):
+            if a != b and table.mul(xa, xb):
+                raise ValueError(f"chosen idempotents {la!r}, {lb!r} not orthogonal")
+
+    spans: dict[tuple[int, int], RationalSpan] = {}
+    offsets: dict[tuple[int, int], list[int]] = {}
+    vectors: list[Element] = []
+    labels: list[str] = []
+    src: list[int] = []
+    tgt: list[int] = []
+    idempotents: list[tuple[str, int]] = []
+
+    def admit(corner: tuple[int, int], vec: Element, label: str) -> None:
+        span = spans.setdefault(corner, RationalSpan())
+        if span.add(vec) is None:
+            return
+        offsets.setdefault(corner, []).append(len(vectors))
+        vectors.append(vec)
+        labels.append(label)
+        tgt.append(corner[0])
+        src.append(corner[1])
+
+    for p, (label, x) in enumerate(chosen):
+        idempotents.append((label, len(vectors)))
+        admit((p, p), x, label)
+    # f_p * b and left * f_q can only be nonzero on composable pairs, so the
+    # sweep skips the products that ``mul`` would find empty.
+    left_sources = [{table.src[i] for i in fp} for _, fp in chosen]
+    right_targets = [{table.tgt[j] for j in fq} for _, fq in chosen]
+    for b in range(table.dim):
+        xb = {b: ONE}
+        for p, (_, fp) in enumerate(chosen):
+            if table.tgt[b] not in left_sources[p]:
+                continue
+            left = table.mul(fp, xb)
+            if not left:
+                continue
+            sources = {table.src[k] for k in left}
+            for q, (_, fq) in enumerate(chosen):
+                if sources.isdisjoint(right_targets[q]):
+                    continue
+                vec = table.mul(left, fq)
+                if vec:
+                    admit((p, q), vec, f"t{len(vectors)}[{p}.{q}]")
+
+    def product(i: int, j: int) -> Element:
+        raw = table.mul(vectors[i], vectors[j])
+        if not raw:
+            return {}
+        corner = (tgt[i], src[j])
+        span = spans.get(corner)
+        coords = span.express(raw) if span is not None else None
+        if coords is None:
+            raise ValueError("truncation is not multiplicatively closed")
+        return {offsets[corner][local]: c for local, c in coords.items() if c}
+
+    corner_table = AlgebraTable(labels, src, tgt, idempotents, product)
+    return Truncation(
+        table=corner_table,
+        ambient=table,
+        chosen=tuple(chosen),
+        _spans=spans,
+        _offsets=offsets,
+    )

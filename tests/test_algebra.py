@@ -18,7 +18,6 @@ from brauergraph.algebra import (
     skew_group_table,
     trivial_extension,
     trivial_extension_iso_report,
-    truncate,
 )
 from brauergraph.core import GradedGraph, gen_random, zero_grading
 from brauergraph.covering import cover
@@ -31,6 +30,7 @@ from brauergraph.models import (
     skew_model,
 )
 
+from conftest import truncate
 
 
 def test_bga_dimension_ex1(ex1):

@@ -16,7 +16,6 @@ from brauergraph.algebra import (
     skew_group_table,
     trivial_extension,
     trivial_extension_iso_report,
-    truncate,
 )
 from brauergraph.core import GradedGraph, gen_random, zero_grading
 from brauergraph.covering import cover, default_grading
@@ -28,6 +27,8 @@ from brauergraph.models import (
     skew_model,
     truncation_idempotents,
 )
+
+from conftest import truncate
 
 
 def is_exact(value) -> bool:

@@ -37,7 +37,8 @@ def test_module_has_no_unused_imports(module):
 
 def test_models_keep_the_generic_skew_group_route_out():
     """``models`` builds f(A#G)f on the orbit basis; the skew group table,
-    the idempotent permutation and the generic truncation are test oracles."""
+    the idempotent permutation and the generic truncation are test oracles,
+    and the generic truncation lives in the tests alone."""
     tree = ast.parse((PACKAGE / "models.py").read_text(encoding="utf-8"))
     used = set()
     for node in ast.walk(tree):
@@ -49,6 +50,13 @@ def test_models_keep_the_generic_skew_group_route_out():
             used.add(node.attr)
     assert "orbit_truncation" in used
     assert used.isdisjoint({"skew_group_table", "idempotent_permutation", "truncate"})
+    algebra = ast.parse((PACKAGE / "algebra.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name
+        for node in algebra.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert defined.isdisjoint({"truncate", "Truncation"})
 
 
 def test_only_permutations_reads_the_permutation_map():

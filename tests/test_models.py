@@ -6,6 +6,7 @@ import random
 import pytest
 
 from brauergraph import models
+from brauergraph.cli import main
 from brauergraph.core import (
     BrauerGraph,
     GradedGraph,
@@ -14,6 +15,7 @@ from brauergraph.core import (
 )
 from brauergraph.covering import CoveredGraph, cover, default_grading
 from brauergraph.algebra import bga_dimension_formula, bga_table, check_table
+from brauergraph.graphfile import emit
 from brauergraph.linalg import vec_add, vec_scale
 from brauergraph.models import (
     edge_cartan,
@@ -25,6 +27,10 @@ from brauergraph.models import (
 )
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
+    MAX_RELATION_PAIRS,
+    _other_relations,
+    _power_families,
+    _special_cycle_table,
     induces_arrow,
     quiver,
     relations,
@@ -33,6 +39,8 @@ from brauergraph.presentation import (
     vertex_indices,
 )
 
+from conftest import pairwise_match_problems, skew_leg_loop
+
 
 def test_presentations_match_ex1(ex1, ex1_graded):
     report = presentations_match(ex1, cover(ex1_graded))
@@ -40,10 +48,21 @@ def test_presentations_match_ex1(ex1, ex1_graded):
     assert report.model_dim == report.expected_dim == 27
 
 
-def test_presentations_match_ex2(ex2, ex2_graded):
+def test_presentations_match_ex2(ex2, ex2_graded, monkeypatch):
+    evaluated = []
+    evaluate_relation = models.GraphAlgebraModel.evaluate_relation
+
+    def counting(model, rel):
+        evaluated.append(rel)
+        return evaluate_relation(model, rel)
+
+    monkeypatch.setattr(models.GraphAlgebraModel, "evaluate_relation", counting)
     report = presentations_match(ex2, cover(ex2_graded))
     assert report.ok, report.problems
     assert report.model_dim == 63
+    # Rule (I) holds per route, with c_h = 1 and c_o = 16 at edge 1, so no
+    # pair of it is evaluated.
+    assert evaluated == _other_relations(ex2, _special_cycle_table(ex2))
 
 
 def test_presentations_match_corrupted_cover(ex1, ex1_graded):
@@ -222,6 +241,9 @@ def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch)
     monkeypatch.setattr(models, "truncation_model", lambda c: perturbed)
     report = presentations_match(ex2, covered)
     assert not report.ok
+    assert report.problems == pairwise_match_problems(
+        ex2, covered, dataclasses.replace(perturbed)
+    )
     labels = perturbed.table.labels
     failing = [
         (rel, value)
@@ -254,3 +276,84 @@ def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch)
                 + perturbed.table.render(other)
             ]
     assert differing
+
+
+def match_with_arrows(monkeypatch, graph, change):
+    """``presentations_match`` and the pairwise oracle on the zero-graded
+    model whose arrow dictionary ``change`` has edited in place."""
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    model = truncation_model(covered)
+    arrows = dict(model.arrow_element)
+    change(arrows, quiver(graph))
+    perturbed = dataclasses.replace(model, arrow_element=arrows)
+    monkeypatch.setattr(models, "truncation_model", lambda c: perturbed)
+    report = presentations_match(graph, covered)
+    # A fresh copy, so the oracle reads none of the check's prefixes.
+    oracle = pairwise_match_problems(graph, covered, dataclasses.replace(perturbed))
+    return report, oracle, perturbed
+
+
+def test_family_broken_on_some_pairs_matches_the_pairwise_oracle(ex2, monkeypatch):
+    """Edge 1 of ex2 has one route at 1+ and four at 1-, whose orbit carries
+    the legs 3 and 2; doubling one copy of the arrow at 3 breaks the pairs
+    through it and no other pair of the family.  The copy is on the last
+    route, so the check must read past the first one."""
+
+    def double_one_leg_copy(arrows, q):
+        arrow = q.arrow("3", 1, 1)
+        arrows[arrow] = vec_scale(arrows[arrow], 2)
+
+    report, oracle, perturbed = match_with_arrows(monkeypatch, ex2, double_one_leg_copy)
+    family = next(f for f in _power_families(ex2, _special_cycle_table(ex2)) if f.h == "1+")
+    assert (len(family.powers_h), len(family.powers_o)) == (1, 4)
+    broken = [rel for rel in family.pairs() if uncached_relation(perturbed, rel)]
+    assert 0 < len(broken) < 4
+    assert not report.ok
+    assert report.problems == oracle
+    for rel in broken:
+        assert any(
+            p.startswith(f"relation does not vanish: {render_relation(rel)} = ")
+            for p in report.problems
+        )
+
+
+def test_missing_arrow_matches_the_pairwise_oracle(ex2, monkeypatch):
+    def drop_one_leg_copy(arrows, q):
+        del arrows[q.arrow("3", 0, 1)]
+
+    report, oracle, _ = match_with_arrows(monkeypatch, ex2, drop_one_leg_copy)
+    assert not report.ok
+    assert report.problems == oracle
+    assert "quiver arrows do not match the model arrows" in report.problems
+    assert any(p.startswith("relation uses a missing arrow: ") for p in report.problems)
+    assert any(p.endswith("use a missing arrow") for p in report.problems)
+
+
+def test_loop_family_is_checked_once_per_route(monkeypatch, tmp_path, capsys):
+    """Eight legs give the loop edge 2^8 routes at each end and 2^16 pairs."""
+    graph = skew_leg_loop(8, multiplicity=2)
+    powers = {route * 2 for h in ("a", "b") for route in special_cycles(graph, h)}
+    assert len(powers) == 2 ** 8 + 2 ** 8
+    evaluated = []
+    evaluate_path = models.GraphAlgebraModel.evaluate_path
+
+    def counting(model, path):
+        if path in powers:
+            evaluated.append(path)
+        return evaluate_path(model, path)
+
+    monkeypatch.setattr(models.GraphAlgebraModel, "evaluate_path", counting)
+    report = presentations_match(graph, cover(GradedGraph(graph, zero_grading(graph))))
+    assert report.ok, report.problems[:2]
+    assert 0 < len(evaluated) <= 2 ** 8 + 2 ** 8
+
+    path = tmp_path / "loop.bg"
+    path.write_text(emit(graph), encoding="utf-8")
+    for command in ("relations", "quiver"):
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: rule (I) at edge a has {2 ** 16} relations, over the "
+            f"expansion cap of {MAX_RELATION_PAIRS}\n"
+        )

@@ -24,7 +24,6 @@ from brauergraph.algebra import (
     bga_table_with_keys,
     orbit_truncation,
     skew_group_table,
-    truncate,
 )
 from brauergraph.core import GradedGraph, gen_random, random_valid_grading, zero_grading
 from brauergraph.covering import cover, default_grading, sheet_label
@@ -38,6 +37,8 @@ from brauergraph.models import (
     truncation_model,
 )
 from brauergraph.presentation import quiver
+
+from conftest import truncate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Skew graphs per n_half.  The cap on the cover's dimension, and

@@ -16,6 +16,7 @@ from brauergraph.covering import cover
 from brauergraph.linalg import vec_add
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
+    MAX_RELATION_PAIRS,
     MAX_WALK_PATHS,
     Arrow,
     Relation,
@@ -38,7 +39,7 @@ from brauergraph.presentation import (
     vertex_indices,
 )
 
-from conftest import build_graph
+from conftest import build_graph, skew_leg_loop
 
 
 def rendered_relations(graph):
@@ -327,6 +328,27 @@ def test_walk_expansion_over_the_cap_raises():
         render_presentation(primed)
     with pytest.raises(ValueError):
         relation_violations(primed)
+
+
+# Relation counts of ``skew_leg_loop(k)`` as the pairwise listing found them.
+LOOP_RELATIONS = {4: 433, 5: 1429, 6: 5017, 7: 18461}
+
+
+@pytest.mark.parametrize("legs", sorted(LOOP_RELATIONS))
+def test_presentation_caps_a_rule_one_family(legs):
+    """k legs give the loop edge 2^(2k) pairs: six reach the cap, seven pass it."""
+    graph = skew_leg_loop(legs)
+    assert len(relations(graph)) == LOOP_RELATIONS[legs]
+    pairs = 2 ** (2 * legs)
+    if pairs <= MAX_RELATION_PAIRS:
+        assert len(presentation(graph).relations) == LOOP_RELATIONS[legs]
+        return
+    with pytest.raises(ValueError) as info:
+        presentation(graph)
+    assert str(info.value) == (
+        f"rule (I) at edge a has {pairs} relations, over the expansion cap of "
+        f"{MAX_RELATION_PAIRS}"
+    )
 
 
 def test_admissible_cut_requires_transversal(ex2_multiplicity_one):

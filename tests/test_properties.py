@@ -8,15 +8,22 @@ same graphs.
 """
 from __future__ import annotations
 
+import dataclasses
+import random
+from unittest import mock
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from brauergraph import models
 from brauergraph.core import (
     BrauerGraph,
     GradedGraph,
     grading_violations,
     oz_invariants,
+    random_valid_grading,
     validate,
+    zero_grading,
 )
 from brauergraph.covering import (
     check_cover_commutes,
@@ -24,10 +31,11 @@ from brauergraph.covering import (
     default_grading,
     lift_subset,
 )
+from brauergraph.linalg import vec_scale
 from brauergraph.moves import maximal_sectors, move_sector, move_set
 from brauergraph.permutations import Permutation
 
-from conftest import assert_sectors_match_reference
+from conftest import assert_sectors_match_reference, pairwise_match_problems
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -99,3 +107,28 @@ def test_move_verdict_holds(drawn):
     if not graph.is_skew:
         moved = move_set(graded, subset)
         assert oz_invariants(moved.graph) == oz_invariants(graph)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(graphs_with_subsets(), st.integers(0, 2**32 - 1), st.integers(0, 2**16))
+def test_skew_presentations_match_the_pairwise_oracle(drawn, seed, pick):
+    """On a skew graph under a random valid grading the presentation check
+    is ok, and with one arrow doubled it reports what the pairwise check
+    reports."""
+    graph, _ = drawn
+    assume(graph.is_skew)
+    grading = random_valid_grading(graph, random.Random(seed), zero_grading(graph))
+    covered = cover(GradedGraph(graph, grading))
+    report = models.presentations_match(graph, covered)
+    assert report.ok, report.problems[:2]
+
+    model = models.truncation_model(covered)
+    assume(model.arrow_element)
+    arrows = dict(model.arrow_element)
+    arrow = sorted(arrows)[pick % len(arrows)]
+    arrows[arrow] = vec_scale(arrows[arrow], 2)
+    perturbed = dataclasses.replace(model, arrow_element=arrows)
+    with mock.patch.object(models, "truncation_model", lambda c: perturbed):
+        report = models.presentations_match(graph, covered)
+    oracle = pairwise_match_problems(graph, covered, dataclasses.replace(perturbed))
+    assert report.problems == oracle
