@@ -352,13 +352,6 @@ class GroupActionTable:
             index = self.images[index]
         return scalar, index
 
-    def apply_element(self, power: int, x: Element) -> Element:
-        out: Element = {}
-        for i, c in x.items():
-            s, j = self.apply(power, i)
-            out[j] = out.get(j, 0) + s * c
-        return {k: v for k, v in out.items() if v}
-
 
 def action_violations(table: AlgebraTable, act: GroupActionTable) -> list[str]:
     """Why the action of g is not an automorphism of ``table``; empty when it is.
@@ -409,15 +402,18 @@ def action_violations(table: AlgebraTable, act: GroupActionTable) -> list[str]:
     # Each product is read once, so it bypasses the table's memo, which
     # would keep it for the table's lifetime.
     product = table._product_fn
+    scalars, images = act.scalars, act.images
     reached = set(idempotent_indices)
     frontier = sorted(reached)
     while frontier:
         b = frontier.pop()
-        sb, gb = act.apply(1, b)
+        sb, gb = scalars[b], images[b]
         for a in by_source.get(tgt[b], ()):
             ab = product(a, b)
-            sa, ga = act.apply(1, a)
-            if act.apply_element(1, ab) != vec_scale(product(ga, gb), sa * sb):
+            # g permutes the basis, so g(ab) has no two terms on one key
+            g_ab = {images[k]: scalars[k] * c for k, c in ab.items()}
+            s = scalars[a] * sb
+            if g_ab != {k: s * c for k, c in product(images[a], gb).items()}:
                 return [
                     f"action is not multiplicative on ({table.labels[a]}, "
                     f"{table.labels[b]})"
@@ -509,12 +505,15 @@ class OrbitTruncation:
     ``express(x)`` gives the coordinates of an element x of A#G that lies in
     f (A#G) f and raises ``ValueError`` for any other x; ``compress(x)`` is
     f x f in A#G; ``vector(k)`` is basis element k as an element of A#G.
+    ``compressions(x)`` lists the nonzero F_p x F_q by corner (p, q)
+    ascending, F = d f being the integer form of a chosen idempotent.
     """
 
     table: AlgebraTable
     express: Callable[[Element], Element]
     compress: Callable[[Element], Element]
     vector: Callable[[int], Element]
+    compressions: Callable[[Element], list[tuple[tuple[int, int], Element]]]
 
 
 def orbit_truncation(
@@ -541,6 +540,21 @@ def orbit_truncation(
     key of each.  Every reading is rebuilt and compared: a basis that does
     not span, a product that leaves the truncation and an element outside
     it raise ``ValueError``.
+
+    A compression takes no product in A.  Write g^i . c = s_i(c) g^i c for
+    a basis element c.  By the precondition below every chosen F is a
+    combination of keys e (x) g^i with e an idempotent, so
+
+        F_p (c (x) g^l) F_q = sum a b s_i(c) (g^i c) (x) g^(i+l+j)
+
+    over the terms a (e (x) g^i) of F_p and b (e' (x) g^j) of F_q with
+    tgt(g^i c) = e and src(g^i c) = tgt(g^(i+l) e'); ``compress`` and
+    ``express`` sum this over the keys of x.  It rests on the unit law:
+    e b = b when tgt b = e, and b e = b when src b = e, for every basis
+    element b and each idempotent e of A sitting in its own corner.  That
+    is checked at entry with one product per side of each b (else
+    ``ValueError``); that g sends idempotents to idempotents with scalar 1
+    is part of the action proof.
 
     The sweep compresses a key only when no earlier compression has it in
     its support.  This rests on a precondition, checked at entry (else
@@ -573,7 +587,21 @@ def orbit_truncation(
     if problems:
         raise ValueError("; ".join(problems))
     n, dim = act.order, table.dim
-    moved = [[act.apply(k, c) for c in range(dim)] for k in range(n)]
+    src, tgt = table.src, table.tgt
+    # The unit law the compressions read from the corners alone.  Like the
+    # action proof, it reads each product once and bypasses the memo.
+    at = [index for _, index in table.idempotents]
+    for p, e in enumerate(at):
+        if src[e] != p or tgt[e] != p:
+            raise ValueError(f"idempotent {p} does not lie in its own corner")
+    product_fn = table._product_fn
+    for b in range(dim):
+        if product_fn(at[tgt[b]], b) != {b: ONE} or product_fn(b, at[src[b]]) != {b: ONE}:
+            raise ValueError(f"unit law fails on {table.labels[b]}")
+    # moved[k][c] = (s, c') where g^k . c = s c'
+    moved = [[(ONE, c) for c in range(dim)]]
+    for _ in range(1, n):
+        moved.append([(s * act.scalars[c], act.images[c]) for s, c in moved[-1]])
 
     def mul(x: Element, y: Element) -> Element:
         """(b (x) g^k)(c (x) g^l) = b (g^k . c) (x) g^(k+l)."""
@@ -596,40 +624,26 @@ def orbit_truncation(
 
     forms = [_integral(x) for _, x in chosen]
 
-    # (a (x) g^i)(c (x) g^l) is nonzero only if src a = tgt (g^i . c), so the
-    # chosen idempotents are indexed by the keys their terms can multiply.
-    lefts: dict[tuple[int, int], set[int]] = {}
-    rights: dict[tuple[int, int], set[int]] = {}
+    # Term u = a (e (x) g^i) of F_p is filed under (i, src e): with a key
+    # c (x) g^l on its right it is nonzero only if tgt(g^i c) = src e.
+    lefts: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for p, (form, _) in enumerate(forms):
-        for key in form:
-            i, a = divmod(key, dim)
-            lefts.setdefault((i, table.src[a]), set()).add(p)
-            for k in range(n):
-                rights.setdefault((k, table.tgt[moved[k][a][1]]), set()).add(p)
-
-    def left_factors(y: Element) -> list[int]:
-        """The p, ascending, for which F_p y can be nonzero."""
-        out: set[int] = set()
-        for key in y:
-            c = key % dim
-            for i in range(n):
-                out.update(lefts.get((i, table.tgt[moved[i][c][1]]), ()))
-        return sorted(out)
-
-    def right_factors(y: Element) -> list[int]:
-        """The q, ascending, for which y F_q can be nonzero."""
-        out: set[int] = set()
-        for key in y:
-            k, d = divmod(key, dim)
-            out.update(rights.get((k, table.src[d]), ()))
-        return sorted(out)
+        for u, (key, a) in enumerate(form.items()):
+            i, e = divmod(key, dim)
+            lefts.setdefault((i, src[e]), []).append((p, u, a))
 
     for (label, _), (form, scale) in zip(chosen, forms):
         if mul(form, form) != vec_scale(form, scale):
             raise ValueError(f"chosen element {label!r} is not idempotent")
-    for b, (lb, _) in enumerate(chosen):
-        for a in left_factors(forms[b][0]):
-            if a != b and mul(forms[a][0], forms[b][0]):
+    for b, (lb, (form, _)) in enumerate(zip(chosen, forms)):
+        partners = {
+            p
+            for key in form
+            for i in range(n)
+            for p, _, _ in lefts.get((i, tgt[moved[i][key % dim][1]]), ())
+        }
+        for a in sorted(partners):
+            if a != b and mul(forms[a][0], form):
                 raise ValueError(
                     f"chosen idempotents {chosen[a][0]!r}, {lb!r} not orthogonal"
                 )
@@ -649,14 +663,56 @@ def orbit_truncation(
                     f"chosen element {label!r} is neither sheet 0 nor g-stable"
                 )
 
-    def compressions(x: Element):
-        """The nonzero integer forms F_p x F_q, by corner (p, q)."""
-        for p in left_factors(x):
-            left = mul(forms[p][0], x)
-            for q in right_factors(left):
-                form = mul(left, forms[q][0])
-                if form:
-                    yield (p, q), form
+    # Term b (e' (x) g^j) of F_q is filed under (m, tgt(g^m e')) for every m:
+    # with c (x) g^m on its left it is nonzero only if src c = tgt(g^m e').
+    rights: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for q, (form, _) in enumerate(forms):
+        for key, b in form.items():
+            j, e = divmod(key, dim)
+            for m in range(n):
+                rights.setdefault((m, tgt[moved[m][e][1]]), []).append((q, j, b))
+
+    # The terms of the F_p that meet c (x) g^l on their right, for each basis
+    # element c of A: (p, u, a s_i(c), i, g^i c), ascending in (p, u).
+    left_hits = []
+    for c in range(dim):
+        hits = []
+        for i in range(n):
+            s, c_i = moved[i][c]
+            for p, u, a in lefts.get((i, tgt[c_i]), ()):
+                hits.append((p, u, a * s, i, c_i))
+        hits.sort()
+        left_hits.append(hits)
+
+    def key_compressions(key: int) -> list[tuple[tuple[int, int], Element]]:
+        """The nonzero integer forms F_p (c (x) g^l) F_q, by corner (p, q)
+        ascending, for the key c (x) g^l: the docstring's formula, summed in
+        the order of ``mul(mul(F_p, key), F_q)``."""
+        l, c = divmod(key, dim)
+        out: dict[tuple[int, int], Element] = {}
+        for p, _, a, i, c_i in left_hits[c]:
+            m = (i + l) % n
+            for q, j, b in rights.get((m, src[c_i]), ()):
+                y = (m + j) % n * dim + c_i
+                form = out.get((p, q))
+                if form is None:
+                    out[p, q] = {y: a * b}
+                    continue
+                new = form.get(y, 0) + a * b
+                if new:
+                    form[y] = new
+                else:
+                    del form[y]
+        return [(corner, out[corner]) for corner in sorted(out) if out[corner]]
+
+    def compressions(x: Element) -> list[tuple[tuple[int, int], Element]]:
+        """The nonzero integer forms F_p x F_q, by corner (p, q) ascending:
+        the sums of the key compressions of x."""
+        sums: dict[tuple[int, int], Element] = {}
+        for key, c in x.items():
+            for corner, form in key_compressions(key):
+                sums[corner] = vec_add(sums.get(corner, {}), form, c)
+        return [(corner, sums[corner]) for corner in sorted(sums) if sums[corner]]
 
     basis: list[tuple[Element, int]] = []
     reps: list[int] = []
@@ -678,8 +734,8 @@ def orbit_truncation(
         }
 
     labels: list[str] = []
-    src: list[int] = []
-    tgt: list[int] = []
+    sources: list[int] = []
+    targets: list[int] = []
 
     def admit(corner: tuple[int, int], form: Element, scale: int, label: str) -> None:
         owner = owners.setdefault(corner, {})
@@ -691,17 +747,17 @@ def orbit_truncation(
         basis.append((form, scale))
         reps.append(min(form))
         labels.append(label)
-        tgt.append(corner[0])
-        src.append(corner[1])
+        targets.append(corner[0])
+        sources.append(corner[1])
 
     for p, ((label, _), (form, scale)) in enumerate(zip(chosen, forms)):
         admit((p, p), form, scale, label)
     covered: set[int] = set()
     for key in range(n * dim):
-        if key in covered:
-            continue
         k, b = divmod(key, dim)
-        for (p, q), form in compressions({key: ONE}):
+        if key in covered or not left_hits[b]:
+            continue
+        for (p, q), form in key_compressions(key):
             covered.update(form)
             scale = forms[p][1] * forms[q][1]
             admit((p, q), form, scale, f"{table.labels[b]}|g{k}[{p}.{q}]")
@@ -710,7 +766,7 @@ def orbit_truncation(
         form = mul(basis[i][0], basis[j][0])
         if not form:
             return {}
-        coords = read((tgt[i], src[j]), form)
+        coords = read((targets[i], sources[j]), form)
         if rebuild(coords) != form:
             raise ValueError("truncation is not multiplicatively closed")
         scale = basis[i][1] * basis[j][1]
@@ -742,8 +798,8 @@ def orbit_truncation(
         return coords
 
     idempotents = [(label, p) for p, (label, _) in enumerate(chosen)]
-    corner_table = AlgebraTable(labels, src, tgt, idempotents, product)
-    return OrbitTruncation(corner_table, express, compress, vector)
+    corner_table = AlgebraTable(labels, sources, targets, idempotents, product)
+    return OrbitTruncation(corner_table, express, compress, vector, compressions)
 
 
 # ---------------------------------------------------------------------------

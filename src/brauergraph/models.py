@@ -30,6 +30,7 @@ from .core import BrauerGraph, GradedGraph, Grading, check_grading, edge_name, z
 from .covering import CoveredGraph, cover, sheet_label
 from .linalg import vec_add, vec_scale
 from .presentation import (
+    MAX_WALK_PATHS,
     Arrow,
     Path,
     PowerFamily,
@@ -49,6 +50,7 @@ from .presentation import (
     render_relation,
     render_vertex,
     vertex_indices,
+    walk_path_count,
 )
 
 
@@ -349,7 +351,21 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
     pairs of ``relations``.  Only a family that fails is expanded to its
     pairs; the problems name each failing relation as the pairwise check
     would, in the order of ``relations``.
+
+    The routes themselves are listed, 2^k of them at a vertex whose
+    sigma-orbit carries k skew legs.  A special cycle of more than
+    ``MAX_WALK_PATHS`` routes raises ValueError naming its half-edge and
+    route count, before the model is built or any route is listed.
     """
+    for h in sorted(graph.half_edges):
+        if not induces_arrow(graph, h):
+            continue
+        routes = walk_path_count(graph, h, len(graph.sigma_orbit_of(h)))
+        if routes > MAX_WALK_PATHS:
+            raise ValueError(
+                f"special cycles at {h} have {routes} routes, over the cap of "
+                f"{MAX_WALK_PATHS}"
+            )
     problems: list[str] = []
     try:
         model = truncation_model(covered)

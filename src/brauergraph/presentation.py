@@ -52,6 +52,8 @@ Path = tuple[Arrow, ...]
 # instead of running for minutes.  At a vertex carrying L skew legs and
 # nothing else, with multiplicity 2, the longest walk sums 2^(2L) paths: six
 # legs reach the cap and render in about a second, seven are refused.
+# ``models.presentations_match`` caps the routes of one special cycle, a
+# walk once around a vertex, by the same number: 2^k for k skew legs.
 MAX_WALK_PATHS = 1 << 12
 
 
@@ -145,6 +147,15 @@ def _walk_paths(graph: BrauerGraph, walk: Walk) -> list[Path]:
     return paths
 
 
+def walk_path_count(graph: BrauerGraph, h: str, length: int) -> int:
+    """How many index-resolved paths a walk of ``length`` arrows from h sums:
+    one per choice of copy at each intermediate vertex."""
+    orbit = graph.sigma_orbit_of(h)
+    return math.prod(
+        len(vertex_indices(graph, orbit[k % len(orbit)])) for k in range(1, length)
+    )
+
+
 def expand_relation(
     rel: Relation, graph: BrauerGraph | None = None
 ) -> list[tuple[Fraction, Path]]:
@@ -161,11 +172,7 @@ def expand_relation(
             continue
         if graph is None:
             raise ValueError(f"expanding {body} needs its graph")
-        orbit = graph.sigma_orbit_of(body.h)
-        count = math.prod(
-            len(vertex_indices(graph, orbit[k % len(orbit)]))
-            for k in range(1, body.length)
-        )
+        count = walk_path_count(graph, body.h, body.length)
         if count > MAX_WALK_PATHS:
             raise ValueError(
                 f"{body} sums {count} paths, over the expansion cap of "

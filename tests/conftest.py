@@ -5,7 +5,7 @@ from typing import Sequence
 
 import pytest
 
-from brauergraph.algebra import ONE, AlgebraTable, Element, bga_table_with_keys
+from brauergraph.algebra import ONE, AlgebraTable, Element, _integral, bga_table_with_keys
 from brauergraph.core import BrauerGraph, GradedGraph, Grading, zero_grading
 from brauergraph.moves import Sector, escape_index, maximal_sectors, sectors
 from brauergraph.linalg import RationalSpan
@@ -199,6 +199,30 @@ def pairwise_match_problems(graph, covered, model):
 # Idempotent truncation: the generic corner algebra f A f, the oracle of the
 # orbit basis that ``algebra.orbit_truncation`` builds
 # ---------------------------------------------------------------------------
+
+
+def mul_compressions(
+    skew: AlgebraTable, chosen: Sequence[tuple[str, Element]], x: Element
+) -> list[tuple[tuple[int, int], Element]]:
+    """The nonzero F_p x F_q by corner (p, q) ascending, as products
+    ``mul(mul(F_p, x), F_q)`` in the skew group table ``skew``, F = d f being
+    the integer form of a chosen idempotent.
+
+    This is how ``algebra.orbit_truncation`` compressed before it read the
+    compressions off the action and the corners; it stays as the oracle of
+    ``OrbitTruncation.compressions``.
+    """
+    forms = [_integral(f)[0] for _, f in chosen]
+    out = []
+    for p, fp in enumerate(forms):
+        left = skew.mul(fp, x)
+        if not left:
+            continue
+        for q, fq in enumerate(forms):
+            form = skew.mul(left, fq)
+            if form:
+                out.append(((p, q), form))
+    return out
 
 
 @dataclass

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from brauergraph.models import (
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
     MAX_RELATION_PAIRS,
+    MAX_WALK_PATHS,
     _other_relations,
     _power_families,
     _special_cycle_table,
@@ -357,3 +359,25 @@ def test_loop_family_is_checked_once_per_route(monkeypatch, tmp_path, capsys):
             f"error: rule (I) at edge a has {2 ** 16} relations, over the "
             f"expansion cap of {MAX_RELATION_PAIRS}\n"
         )
+
+
+def test_presentations_match_caps_the_routes_of_a_special_cycle(monkeypatch):
+    """Thirteen legs give the loop's ends 2^13 routes each, past the cap; the
+    legs themselves have 2^12, at it.  The check refuses by count, before it
+    builds the model or lists a route."""
+    graph = skew_leg_loop(13)
+    assert 2 ** 12 == MAX_WALK_PATHS
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+
+    def unreachable(*args):
+        raise AssertionError("listed routes or built the model")
+
+    monkeypatch.setattr(models, "truncation_model", unreachable)
+    monkeypatch.setattr(models, "_special_cycle_table", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        presentations_match(graph, covered)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (
+        f"special cycles at a have {2 ** 13} routes, over the cap of {MAX_WALK_PATHS}"
+    )

@@ -11,12 +11,14 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from brauergraph.algebra import (
+    AlgebraTable,
     GroupActionTable,
     ONE,
     action_violations,
@@ -38,7 +40,7 @@ from brauergraph.models import (
 )
 from brauergraph.presentation import quiver
 
-from conftest import truncate
+from conftest import mul_compressions, truncate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Skew graphs per n_half.  The cap on the cover's dimension, and
@@ -233,6 +235,25 @@ def test_express_is_certified(case):
         assert orbit.express(orbit.vector(k)) == {k: ONE}
 
 
+def test_compressions_match_products_in_the_skew_group_algebra(case):
+    """On every key x of A#G the index kernel gives the forms F_p x F_q of
+    ``mul(mul(F_p, x), F_q)`` in A#G, corner for corner and with their keys
+    in the same order; on a sum of keys it gives the sum."""
+    _, _, _, orbit, generic = routes(case)
+    skew, chosen = generic.ambient, generic.chosen
+
+    def ordered(compressions):
+        return [(corner, list(form.items())) for corner, form in compressions]
+
+    for key in range(skew.dim):
+        x = {key: ONE}
+        assert ordered(orbit.compressions(x)) == ordered(
+            mul_compressions(skew, chosen, x)
+        ), skew.labels[key]
+    x = {key: Fraction(key + 1, 2) for key in range(skew.dim)}
+    assert orbit.compressions(x) == mul_compressions(skew, chosen, x)
+
+
 def test_structure_constants_are_units_or_halves(case):
     _, _, _, orbit, _ = routes(case)
     table = orbit.table
@@ -364,6 +385,49 @@ def test_orbit_truncation_checks_the_chosen_idempotents(ex2_graded):
     whole = {k: ONE for k in half if k < bd.dim}
     with pytest.raises(ValueError, match="not orthogonal"):
         orbit_truncation(bd, action, chosen + [("whole", whole)])
+
+
+def test_orbit_truncation_checks_the_unit_law(ex2_graded):
+    """The compressions read e b = b off the corners.  A table where one
+    idempotent kills an arrow in its own corner passes the action proof,
+    which never multiplies by an idempotent on the left, and is refused."""
+    covered = cover(ex2_graded)
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    action = sheet_shift_action(covered, keys, index_of)
+    arrow = bd.generators[0]
+    e = bd.idempotents[bd.tgt[arrow]][1]
+
+    def product(i, j):
+        return {} if (i, j) == (e, arrow) else bd._product_fn(i, j)
+
+    broken = AlgebraTable(bd.labels, bd.src, bd.tgt, bd.idempotents, product)
+    broken.generators = bd.generators
+    assert action_violations(broken, action) == []
+    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    with pytest.raises(ValueError, match=re.escape(f"unit law fails on {bd.labels[arrow]}")):
+        orbit_truncation(broken, action, chosen)
+
+
+def test_the_sweep_makes_no_products_in_the_cover_algebra(monkeypatch):
+    """Only the checks on the chosen idempotents multiply in A through its
+    memo; the action proof and the unit law bypass it, and the compressions
+    take no product.  The mul-based sweep left 978 memo entries here."""
+    from brauergraph import models
+
+    tables = []
+
+    def keep(graph):
+        out = bga_table_with_keys(graph)
+        tables.append(out[0])
+        return out
+
+    monkeypatch.setattr(models, "bga_table_with_keys", keep)
+    graph = gen_random(1, n_half=24, allow_skew=True, max_multiplicity=3)
+    assert graph.is_skew
+    model = truncation_model(cover(GradedGraph(graph, zero_grading(graph))))
+    (bd,) = tables
+    chosen = len(model.table.idempotents)
+    assert 0 < len(bd._memo) <= 2 * chosen
 
 
 def test_cut_model_table_is_isomorphic_to_the_generic_truncation(ex2_multiplicity_one):
