@@ -502,9 +502,11 @@ def _integral(x: Element) -> tuple[Element, int]:
 class OrbitTruncation:
     """The corner algebra f (A#G) f built by ``orbit_truncation``.
 
-    ``express(x)`` gives the coordinates of an element x of A#G that lies in
-    f (A#G) f and raises ``ValueError`` for any other x; ``compress(x)`` is
-    f x f in A#G; ``vector(k)`` is basis element k as an element of A#G.
+    ``compress(x)`` gives the coordinates of f x f for any element x of A#G,
+    and ``express(x)`` those of an x that lies in f (A#G) f, raising
+    ``ValueError`` for any other x; ``vector(k)`` is basis element k as an
+    element of A#G.  Both rebuild the element from its coordinates and raise
+    ``ValueError`` when the basis does not give it back.
     ``compressions(x)`` lists the nonzero F_p x F_q by corner (p, q)
     ascending, F = d f being the integer form of a chosen idempotent.
     """
@@ -777,19 +779,19 @@ def orbit_truncation(
         return {key: _quotient(u, scale) for key, u in form.items()}
 
     def compress(x: Element) -> Element:
-        out: Element = {}
-        for (p, q), form in compressions(x):
-            scale = forms[p][1] * forms[q][1]
-            out = vec_add(out, {key: _quotient(c, scale) for key, c in form.items()})
-        return out
-
-    def express(x: Element) -> Element:
         coords: Element = {}
         for (p, q), form in compressions(x):
+            read_coords = read((p, q), form)
+            if rebuild(read_coords) != form:
+                raise ValueError("element does not lie in the truncation")
             scale = forms[p][1] * forms[q][1]
-            for k, a in read((p, q), form).items():
+            for k, a in read_coords.items():
                 if a:
                     coords[k] = _quotient(a * basis[k][1], scale)
+        return coords
+
+    def express(x: Element) -> Element:
+        coords = compress(x)
         rebuilt: Element = {}
         for k, c in coords.items():
             rebuilt = vec_add(rebuilt, vector(k), c)

@@ -255,6 +255,15 @@ def cmd_mutate(args) -> Outcome:
             "dim_moved": report.dim_moved,
             "cartan_equal": report.cartan_equal,
         }
+        if report.cartan_witness is not None:
+            row, col, end, moved = report.cartan_witness
+            lines.append(
+                f"cartan witness: entry ({row}, {col}) is {end} in End(T), "
+                f"{moved} in the moved algebra"
+            )
+            payload["verify"]["cartan_witness"] = {
+                "row": row, "column": col, "end": end, "moved": moved
+            }
         code = 0 if report.ok else 1
     return Outcome(lines, payload, code)
 

@@ -9,12 +9,16 @@ For complexes X, Y the maps form one complex Hom^{-1} -> Hom^0 -> Hom^1 with
 Hom^{-1} = Hom(X_0, Y_{-1}), Hom^0 = Hom(X_{-1}, Y_{-1}) + Hom(X_0, Y_0) and
 Hom^1 = Hom(X_{-1}, Y_0), and H^n Hom(X, Y) = Hom(X, Y[n]) in the homotopy
 category.  Every Hom dimension, the tilting check and End(T) read it.
+``mutation_verification`` needs only the dimensions: End(T) has dim H^0
+Hom(X_a, X_b) classes from summand a to summand b, so its dimension and
+Cartan matrix are read off H^0, and no class is named.
 
 A degree-0 class is represented by a Hom^0 coordinate vector: a dict keyed
 (tag, t, s, b), where tag "m1" or "d0" names the component f_{-1} or f_0, t
 and s index the target and source summands and b is a corner basis element.
-End(T) composes classes in these coordinates; only ``hom_space`` turns them
-into matrix pairs, for its public basis.
+``end_table`` builds the algebra End(T) by composing classes in these
+coordinates; only ``hom_space`` turns them into matrix pairs, for its public
+basis.
 """
 from __future__ import annotations
 
@@ -231,16 +235,32 @@ def _with_differential(
     """Coordinates of sign * d . u (``after``) or sign * u . d, for the basis
     map u with its one corner basis element at ``slot``."""
     t, s, b = slot
-    unit = {b: ONE}
+    pairwise = table.pairwise
     if after:
-        products = ((t2, s, table.mul(row[t], unit)) for t2, row in enumerate(d))
+        terms = (
+            (t2, s, c, pairwise(k, b))
+            for t2, row in enumerate(d)
+            for k, c in row[t].items()
+        )
     else:
-        products = ((t, s2, table.mul(unit, entry)) for s2, entry in enumerate(d[s]))
-    return {
-        (tag, i, j, coord): sign * c
-        for i, j, product in products
-        for coord, c in product.items()
-    }
+        terms = (
+            (t, s2, c, pairwise(b, k))
+            for s2, entry in enumerate(d[s])
+            for k, c in entry.items()
+        )
+    # Each entry's product has its own (i, j), so summing every term into one
+    # dict gives the keys, in order, of taking the products entry by entry.
+    out: dict = {}
+    for i, j, c, product in terms:
+        c *= sign
+        for e, ce in product.items():
+            key = (tag, i, j, e)
+            new = out.get(key, 0) + c * ce
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
 
 
 @dataclass
@@ -249,7 +269,9 @@ class _HomComplex:
 
     ``cohomology`` holds dim H^n for n = -1, 0, 1; ``boundaries`` spans the
     image of D^{-1} in Hom^0 coordinates (``n_boundaries`` vectors) and
-    ``cycles`` is a basis of the kernel of D^0.
+    ``cycles`` is a basis of the kernel of D^0.  The tilting check and the
+    Cartan matrix of End(T) read ``cohomology`` alone; ``representatives``
+    is for ``hom_space`` and ``end_table``, which name the classes.
     """
 
     x: ProjPresentation
@@ -273,6 +295,22 @@ class _HomComplex:
 
 
 def _hom_complex(
+    table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
+) -> _HomComplex:
+    """The Hom complex of maps X -> Y.
+
+    Between two stalks Hom^{-1} and Hom^1 are zero, so the complex is the
+    corner maps X_0 -> Y_0: every basis map is a cycle and none is a
+    boundary.  That is the result of ``_eliminated_hom_complex``, read off
+    without elimination.
+    """
+    if x.deg_minus1 or y.deg_minus1:
+        return _eliminated_hom_complex(table, x, y)
+    cycles = [{("d0", *slot): ONE} for slot in _slots(table, x.deg_0, y.deg_0)]
+    return _HomComplex(x, y, (0, len(cycles), 0), RationalSpan(), 0, cycles)
+
+
+def _eliminated_hom_complex(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
 ) -> _HomComplex:
     """Apply D^{-1}: h -> (h.d_X, d_Y.h) and D^0: (f_{-1}, f_0) -> f_0.d_X - d_Y.f_{-1}
@@ -394,6 +432,34 @@ def end_table(
     return _end_table_of_tilting(table, summands, complexes)
 
 
+def _contractible(name: str) -> ValueError:
+    return ValueError(
+        f"summand {name!r} is zero in the homotopy category: "
+        "its identity is null-homotopic"
+    )
+
+
+def _end_cartan(
+    summands: list[tuple[str, ProjPresentation]],
+    complexes: dict[tuple[int, int], _HomComplex],
+) -> list[list[int]]:
+    """The Cartan matrix of End(T), for summands whose shifted Homs vanish.
+
+    Entry [b][a] is dim H^0 Hom(X_a, X_b): the classes from summand a to
+    summand b, in the orientation of ``AlgebraTable.cartan``.  Raises, as
+    ``end_table`` does, when a summand is zero in the homotopy category.  Its
+    identity is a cycle, and it is a boundary exactly when H^0 Hom(X, X) = 0,
+    since every f equals f . id.
+    """
+    cartan = [[0] * len(summands) for _ in summands]
+    for (a, b), complex_ in complexes.items():
+        cartan[b][a] = complex_.cohomology[1]
+    for a, (name, _) in enumerate(summands):
+        if not cartan[a][a]:
+            raise _contractible(name)
+    return cartan
+
+
 def _end_table_of_tilting(
     table: AlgebraTable,
     summands: list[tuple[str, ProjPresentation]],
@@ -418,10 +484,7 @@ def _end_table_of_tilting(
         }
         kept = complex_.representatives((identity,))
         if not kept or kept[0] is not identity:
-            raise ValueError(
-                f"summand {name!r} is zero in the homotopy category: "
-                "its identity is null-homotopic"
-            )
+            raise _contractible(name)
         reps[(a, b)] = kept
 
     labels = []
@@ -497,6 +560,10 @@ class MutationReport:
     dim_end: int
     dim_moved: int
     cartan_equal: bool
+    # The first entry where the Cartan matrices differ: (row edge, column
+    # edge, End(T) value, moved value); None when they agree or T is not
+    # tilting.
+    cartan_witness: tuple[str, str, int, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -529,9 +596,24 @@ def mutation_verification(
     dim_moved = moved_model.table.dim
     if not tilting:
         return MutationReport(summands, silting, tilting, minimal, -1, dim_moved, False)
-    end = _end_table_of_tilting(model.table, summands, complexes)
-    _, moved_cartan = edge_cartan(moved_model)
-    cartan_equal = end.cartan() == moved_cartan
+    cartan = _end_cartan(summands, complexes)
+    edges, moved_cartan = edge_cartan(moved_model)
+    witness = next(
+        (
+            (edges[r], edges[c], cartan[r][c], moved_cartan[r][c])
+            for r in range(len(edges))
+            for c in range(len(edges))
+            if cartan[r][c] != moved_cartan[r][c]
+        ),
+        None,
+    )
     return MutationReport(
-        summands, silting, tilting, minimal, end.dim, dim_moved, cartan_equal
+        summands,
+        silting,
+        tilting,
+        minimal,
+        sum(map(sum, cartan)),
+        dim_moved,
+        witness is None,
+        witness,
     )

@@ -219,7 +219,7 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
     for h, arrows in itertools.groupby(quiver(base).arrows, key=lambda a: a.h):
         sheet = (-grading(h)) % n
         w_index = index_of[("w", sheet_label(h, sheet), 1)]
-        lifted = trunc.express(trunc.compress({sheet * bd.dim + w_index: ONE}))
+        lifted = trunc.compress({sheet * bd.dim + w_index: ONE})
         for a in arrows:
             corner = table.corner(
                 lifted, vertex_position[a.target], vertex_position[a.source]
@@ -230,7 +230,7 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
     twist: Element | None = None
     if base.is_skew:
         lift = {bd.dim + index: ONE for _, index in bd.idempotents}
-        twist = trunc.express(trunc.compress(lift))
+        twist = trunc.compress(lift)
 
     return GraphAlgebraModel(
         base, table, vertex_position, arrow_element, twist, grading

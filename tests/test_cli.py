@@ -245,6 +245,44 @@ def test_cli_mutate_verify(ex1_file, capsys):
     assert "dim End(T) = 22" in out
     assert "dim moved algebra = 22" in out
     assert "cartan match: ok" in out
+    assert "cartan witness" not in out
+
+
+def test_cli_mutate_names_the_first_cartan_difference(
+    ex1, ex1_grading, ex1_file, capsys, monkeypatch
+):
+    from brauergraph import homotopy
+    from brauergraph.models import ordinary_model
+
+    real = homotopy.edge_cartan
+
+    def perturbed(model):
+        edges, cartan = real(model)
+        cartan[1][2] += 5
+        return edges, cartan
+
+    monkeypatch.setattr(homotopy, "edge_cartan", perturbed)
+    model = ordinary_model(ex1)
+    model.grading = ex1_grading
+    report = homotopy.mutation_verification(
+        model, frozenset(["1+", "1-", "2+", "2-"])
+    )
+    assert not report.cartan_equal and not report.ok
+    row, col, end, moved = report.cartan_witness
+    assert (row, col, moved) == ("2", "3", end + 5)
+
+    assert main(["mutate", ex1_file, "--edges", "1,2", "--verify"]) == 1
+    out = capsys.readouterr().out
+    assert "cartan match: FAIL" in out
+    assert (
+        f"cartan witness: entry (2, 3) is {end} in End(T), "
+        f"{end + 5} in the moved algebra"
+    ) in out
+    assert main(["--json", "mutate", ex1_file, "--edges", "1,2", "--verify"]) == 1
+    verify = json.loads(capsys.readouterr().out)["verify"]
+    assert verify["cartan_witness"] == {
+        "row": "2", "column": "3", "end": end, "moved": end + 5
+    }
 
 
 def test_cli_cut(tmp_path, capsys):

@@ -168,10 +168,20 @@ def test_mutation_verification_computes_the_vanishing_once(monkeypatch):
     monkeypatch.setattr(homotopy, "_hom_complex", counting)
     report = mutation_verification(ordinary_model(graph), subset)
     assert report.ok
-    # one Hom complex per ordered summand pair, read by both the vanishing
-    # check and End(T); four edges
+    # one Hom complex per ordered summand pair, whose cohomology gives both
+    # the vanishing check and the Cartan matrix of End(T); four edges
     assert len(graph.edges) == 4
     assert len(built) == 16
+
+
+def _assert_h0_is_end_table(model, report):
+    """The verify path's dimension and H^0 Cartan matrix are End(T)'s."""
+    from brauergraph.homotopy import _end_cartan, _hom_complexes
+
+    summands = report.summands
+    end = end_table(model.table, summands)
+    assert report.dim_end == end.dim
+    assert _end_cartan(summands, _hom_complexes(model.table, summands)) == end.cartan()
 
 
 def test_mutation_verification_ex1(ex1, ex1_grading, ex1_subset):
@@ -180,6 +190,24 @@ def test_mutation_verification_ex1(ex1, ex1_grading, ex1_subset):
     report = mutation_verification(model, ex1_subset)
     assert report.ok
     assert report.dim_end == report.dim_moved == 22
+    assert report.cartan_witness is None
+    _assert_h0_is_end_table(model, report)
+
+
+def test_mutation_verification_builds_no_end_table(
+    ex1, ex1_grading, ex1_subset, ex2, ex2_subset, monkeypatch
+):
+    from brauergraph import homotopy
+
+    def unreachable(*args):
+        raise AssertionError("End(T) built on the verify path")
+
+    monkeypatch.setattr(homotopy._HomComplex, "representatives", unreachable)
+    monkeypatch.setattr(homotopy, "_end_table_of_tilting", unreachable)
+    model = ordinary_model(ex1)
+    model.grading = ex1_grading
+    assert mutation_verification(model, ex1_subset).ok
+    assert mutation_verification(skew_model(ex2), ex2_subset).ok
 
 
 def test_summands_biject_with_edges(ex1, ex2, ex1_subset, ex2_subset):
@@ -205,6 +233,7 @@ def test_mutation_verification_ex2(ex2, ex2_subset):
     report = mutation_verification(model, ex2_subset)
     assert report.ok
     assert report.dim_end == report.dim_moved == 63
+    _assert_h0_is_end_table(model, report)
 
 
 def test_mutation_of_a_skew_leg(ex2):
@@ -219,6 +248,7 @@ def test_mutation_of_a_skew_leg(ex2):
     report = mutation_verification(model, subset)
     assert report.ok
     assert report.dim_end == report.dim_moved == 67
+    _assert_h0_is_end_table(model, report)
 
 
 def test_mutation_fuzz_ordinary():
@@ -231,8 +261,10 @@ def test_mutation_fuzz_ordinary():
                        max_multiplicity=2)
         if bga_dimension_formula(g) > 40:
             continue
-        report = mutation_verification(ordinary_model(g), random_ih_stable_subset(g, rng))
+        model = ordinary_model(g)
+        report = mutation_verification(model, random_ih_stable_subset(g, rng))
         assert report.ok, seed
+        _assert_h0_is_end_table(model, report)
         done += 1
 
 
@@ -250,6 +282,7 @@ def test_mutation_fuzz_skew():
             continue
         report = mutation_verification(model, random_ih_stable_subset(g, rng))
         assert report.ok, seed
+        _assert_h0_is_end_table(model, report)
         done += 1
 
 
@@ -400,6 +433,32 @@ def test_hom_dimension_matches_the_reference_systems(ex1, ex2):
     assert nonzero[-1] and nonzero[1], nonzero
 
 
+def test_stalk_pairs_skip_the_elimination(ex1, ex2):
+    from brauergraph.homotopy import _eliminated_hom_complex, _hom_complex
+
+    pairs = 0
+    for model in (ordinary_model(ex1), skew_model(ex2)):
+        table = model.table
+        n = len(table.idempotents)
+        stalks = [stalk(table, [p]) for p in range(n)]
+        stalks += [stalk(table, [0, n - 1]), stalk(table, [n - 1, 1, 1])]
+        for x in stalks:
+            for y in stalks:
+                got = _hom_complex(table, x, y)
+                want = _eliminated_hom_complex(table, x, y)
+                assert list(got.cohomology) == [
+                    _ref_hom_dimension(table, x, y, k) for k in (-1, 0, 1)
+                ]
+                assert got.cohomology == want.cohomology
+                assert [list(c.items()) for c in got.cycles] == [
+                    list(c.items()) for c in want.cycles
+                ]
+                assert got.n_boundaries == got.boundaries.rank == 0
+                assert want.n_boundaries == want.boundaries.rank == 0
+                pairs += got.cohomology[1] > 0
+    assert pairs > 50
+
+
 def test_hom_dimension_non_tilting_quartet(ex1):
     from brauergraph.homotopy import ProjPresentation
 
@@ -514,10 +573,27 @@ def test_end_table_composes_like_the_matrix_route(ex1, ex2):
     assert products > 10_000
 
 
-def test_end_table_rejects_a_contractible_summand():
+def test_end_table_rejects_a_contractible_summand(monkeypatch):
     from brauergraph.homotopy import make_complex
 
-    table = ordinary_model(gen_random(1, n_half=8, max_multiplicity=2)).table
+    from brauergraph import homotopy
+
+    model = ordinary_model(gen_random(1, n_half=8, max_multiplicity=2))
+    table = model.table
     cone = make_complex(table, (0,), (0,), [[table.idempotent_element(0)]])
-    with pytest.raises(ValueError, match="'b'"):
-        end_table(table, [("a", stalk(table, [0])), ("b", cone)])
+    summands = [("a", stalk(table, [0])), ("b", cone)]
+    message = (
+        "summand 'b' is zero in the homotopy category: "
+        "its identity is null-homotopic"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        end_table(table, summands)
+
+    # The verify path finds it from the H^0 diagonal, without End(T).
+    def unreachable(*args):
+        raise AssertionError("End(T) built on the verify path")
+
+    monkeypatch.setattr(homotopy, "mutation_object", lambda model, subset: summands)
+    monkeypatch.setattr(homotopy, "_end_table_of_tilting", unreachable)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mutation_verification(model, frozenset())
