@@ -63,10 +63,7 @@ def make_complex(
 ) -> ProjPresentation:
     for t, row in enumerate(matrix):
         for s, entry in enumerate(row):
-            target = table.idempotent_element(deg_0[t])
-            source = table.idempotent_element(deg_minus1[s])
-            squeezed = table.mul(table.mul(target, entry), source)
-            if squeezed != entry:
+            if table.corner(entry, deg_0[t], deg_minus1[s]) != entry:
                 raise ValueError("differential entry escapes its corner")
     return ProjPresentation(tuple(deg_minus1), tuple(deg_0), _freeze_matrix(matrix))
 
@@ -159,12 +156,7 @@ def mutation_object(
         for positions, elem in blocks:
             for t in positions:
                 deg0.append(t)
-                row = []
-                for s in source_positions:
-                    target_idem = table.idempotent_element(t)
-                    source_idem = table.idempotent_element(s)
-                    row.append(table.mul(table.mul(target_idem, elem), source_idem))
-                matrix.append(row)
+                matrix.append([table.corner(elem, t, s) for s in source_positions])
         out.append(
             (name, make_complex(table, tuple(source_positions), tuple(deg0), matrix))
         )

@@ -5,12 +5,18 @@ h, sigma h, ..., sigma^r h of consecutive half-edges inside H'; the move
 detaches the run and reattaches it at the far end of the next edge, updating
 orientation, multiplicity and grading.
 
-All sectors of a subset come from one walk per sigma-orbit; a single sector
-is checked in O(r), and a move edits a copy of sigma at three half-edges.
+All sectors of a subset, and the maximal ones, come from one forward walk
+per sigma-orbit that emits only whole runs.  A sector is checked in O(r),
+and its move edits sigma at three half-edges.  A composite move edits one
+mutable copy of the orientation, its inverse, the multiplicity and the
+degrees, sector by sector, and builds one ``Permutation``, one graph and
+one grading at the end; a single-sector move is the one-sector case of the
+same edit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import BrauerGraph, GradedGraph, Grading
 from .permutations import Permutation
@@ -33,22 +39,15 @@ def _check_subset(graph: BrauerGraph, subset: frozenset[str]) -> frozenset[str]:
     return subset
 
 
-def sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
-    """All sectors of ``subset``, from one walk per sigma-orbit.
+def _runs(graph: BrauerGraph, subset: frozenset[str]) -> Iterator[list[str]]:
+    """Each whole run h, sigma h, ..., sigma^r h of ``subset`` half-edges
+    with sigma^{-1} h and sigma^{r+1} h outside ``subset``.
 
-    Each orbit that meets the subset is walked backwards from a half-edge
-    outside it: a subset half-edge just before an outside one has r = 0, and
-    each step further back adds one.  A half-edge whose whole sigma-orbit
-    lies inside the subset yields no sector: the defining escape index does
-    not exist.
+    Each orbit that meets the subset is walked once, forwards from a
+    half-edge outside it.  A half-edge whose whole sigma-orbit lies inside
+    the subset is on no run: its escape index does not exist.
     """
-    return _sectors(graph, _check_subset(graph, subset))
-
-
-def _sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
-    """``sectors`` of a subset already checked."""
     sigma = graph.orientation
-    out: set[Sector] = set()
     seen: set[str] = set()
     for h in subset:
         if h in seen:
@@ -58,15 +57,23 @@ def _sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
         outside = next((i for i, x in enumerate(orbit) if x not in subset), None)
         if outside is None:
             continue
-        r = -1
-        for k in range(1, len(orbit)):
-            x = orbit[outside - k]
+        run: list[str] = []
+        for x in orbit[outside + 1 :] + orbit[: outside + 1]:
             if x in subset:
-                r += 1
-                out.add(Sector(x, r))
-            else:
-                r = -1
-    return out
+                run.append(x)
+            elif run:
+                yield run
+                run = []
+
+
+def sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
+    """All sectors of ``subset``: the k-th half-edge of a run of length
+    r + 1 has escape index r - k."""
+    return {
+        Sector(x, len(run) - 1 - k)
+        for run in _runs(graph, _check_subset(graph, subset))
+        for k, x in enumerate(run)
+    }
 
 
 def escape_index(graph: BrauerGraph, subset: frozenset[str], h: str) -> int | None:
@@ -87,112 +94,107 @@ def maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
 
 
 def _maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
-    """``maximal_sectors`` of a subset already checked."""
-    inv = graph.orientation.inverse()
-    return {s for s in _sectors(graph, subset) if inv(s.h) not in subset}
+    """``maximal_sectors`` of a subset already checked: one per whole run."""
+    return {Sector(run[0], len(run) - 1) for run in _runs(graph, subset)}
+
+
+def _check_range(graph: BrauerGraph, sector: Sector, subset: frozenset[str]) -> None:
+    """Reject ``sector`` unless 0 <= r < |H| and h lies in ``subset``."""
+    if not (0 <= sector.r < len(graph.half_edges) and sector.h in subset):
+        raise _not_a_sector(sector)
+
+
+def _not_a_sector(sector: Sector) -> ValueError:
+    return ValueError(f"({sector.h}, {sector.r}) is not a sector of the subset")
 
 
 def _check_sector(
-    graph: BrauerGraph, sector: Sector, subset: frozenset[str]
+    sigma: dict[str, str], sector: Sector, subset: frozenset[str]
 ) -> list[str]:
-    """The run h, sigma h, ..., sigma^r h of ``sector``, checked in O(r).
+    """The run h, sigma h, ..., sigma^r h of ``sector`` in the orientation
+    ``sigma`` (a dict of images), checked in O(r).
 
-    (h, r) is a sector when 0 <= r < |H|, the run lies in ``subset`` and
-    sigma^{r+1} h does not.
+    (h, r) is a sector when 0 <= r < |H| (see ``_check_range``), the run
+    lies in ``subset`` and sigma^{r+1} h does not.
     """
-    h, r = sector.h, sector.r
-    sigma = graph.orientation
-    if 0 <= r < len(graph.half_edges) and h in subset:
-        run = [h]
-        for _ in range(r):
-            x = sigma(run[-1])
-            if x not in subset:
-                break
-            run.append(x)
-        else:
-            if sigma(run[-1]) not in subset:
-                return run
-    raise ValueError(f"({sector.h}, {sector.r}) is not a sector of the subset")
+    run = [sector.h]
+    for _ in range(sector.r):
+        x = sigma[run[-1]]
+        if x not in subset:
+            break
+        run.append(x)
+    else:
+        if sigma[run[-1]] not in subset:
+            return run
+    raise _not_a_sector(sector)
 
 
-def _moved_orientation_multiplicity(
-    graph: BrauerGraph, sector: Sector, subset: frozenset[str]
-) -> tuple[Permutation, dict[str, int], list[str], str, str, str]:
-    """Check ``sector`` of a subset already checked; the moved orientation
-    and multiplicity, with the run, sigma^{-1} h, escape and target used.
+def _move_sectors(
+    graph: BrauerGraph,
+    found: list[Sector],
+    subset: frozenset[str],
+    grading: Grading | None = None,
+) -> tuple[BrauerGraph, Grading | None]:
+    """Move each sector of ``found`` in turn, on one mutable copy of the
+    orientation (with its inverse), the multiplicity and the degrees.
 
-    The moved orientation (h escape) * sigma * (last target) differs from
-    sigma only at last = sigma^r h, at target and at sigma^{-1} h.
+    Each sector is checked against the orientation as moved so far.  The
+    moved orientation (h escape) * sigma * (last target) differs from sigma
+    only at last = sigma^r h, at target and at sigma^{-1} h, whose images
+    sigma(target), h and escape it permutes, so every intermediate map is a
+    bijection; the final ``Permutation`` checks it once.
     """
-    run = _check_sector(graph, sector, subset)
-    sigma = graph.orientation
-    h, last = run[0], run[-1]
-    escape = sigma(last)                    # sigma^{r+1} h
-    target = graph.pairing(escape)          # iota sigma^{r+1} h
-    previous = escape                       # sigma^{-1} h, walked to from escape
-    while sigma(previous) != h:
-        previous = sigma(previous)
-
-    def swap(a: str, b: str, x: str) -> str:
-        return b if x == a else a if x == b else x
-
-    new_sigma = sigma.with_images(
-        {
-            x: swap(h, escape, sigma(swap(last, target, x)))
-            for x in (last, target, previous)
-        }
-    )
-    new_m = dict(graph.multiplicity)
-    for x in run:
-        new_m[x] = graph.multiplicity[target]
-    return new_sigma, new_m, run, previous, escape, target
+    for sector in found:
+        _check_range(graph, sector, subset)
+    pairing = graph.pairing
+    sigma = graph.orientation.mapping()
+    inverse = {y: x for x, y in sigma.items()}
+    m = dict(graph.multiplicity)
+    d = dict(grading.degrees) if grading is not None else None
+    n = grading.modulus if grading is not None else 1
+    for sector in found:
+        run = _check_sector(sigma, sector, subset)
+        h, last = run[0], run[-1]
+        escape = sigma[last]                    # sigma^{r+1} h
+        target = pairing(escape)                # iota sigma^{r+1} h
+        previous = inverse[h]                   # sigma^{-1} h
+        m.update(dict.fromkeys(run, m[target]))
+        # last -> sigma(target), target -> h, previous -> escape; when
+        # target = previous these are the old images and sigma stays.
+        if target != previous:
+            after = sigma[target]
+            sigma[last], sigma[target], sigma[previous] = after, h, escape
+            inverse[after], inverse[h], inverse[escape] = last, target, previous
+        if d is not None:
+            run_sum = sum(d[x] for x in run)
+            cross_step = 1 if target == escape else 0  # escape is a cross half-edge
+            if target != previous:
+                d[last], d[previous], d[target] = (
+                    (d[target] + d[last] + cross_step) % n,
+                    (run_sum + d[previous]) % n,
+                    -(run_sum + cross_step) % n,
+                )
+            else:
+                d[last] = (run_sum + d[previous] + d[last] + cross_step) % n
+                d[previous] = -(run_sum + cross_step) % n
+    moved = BrauerGraph(graph.half_edges, pairing, Permutation(sigma), m)
+    return moved, (Grading(n, d) if d is not None else None)
 
 
 def move_sector_underlying(
     graph: BrauerGraph, sector: Sector, subset: frozenset[str]
 ) -> BrauerGraph:
     """The ungraded Kauer move of one sector (orientation and multiplicity only)."""
-    return _move_sector_underlying(graph, sector, _check_subset(graph, subset))
-
-
-def _move_sector_underlying(
-    graph: BrauerGraph, sector: Sector, subset: frozenset[str]
-) -> BrauerGraph:
-    new_sigma, new_m, *_ = _moved_orientation_multiplicity(graph, sector, subset)
-    return BrauerGraph(graph.half_edges, graph.pairing, new_sigma, new_m)
+    subset = _check_subset(graph, subset)
+    return _move_sectors(graph, [sector], subset)[0]
 
 
 def move_sector(
     g: GradedGraph, sector: Sector, subset: frozenset[str]
 ) -> GradedGraph:
     """The graded generalized Kauer move of one sector."""
-    return _move_sector(g, sector, _check_subset(g.graph, subset))
-
-
-def _move_sector(
-    g: GradedGraph, sector: Sector, subset: frozenset[str]
-) -> GradedGraph:
-    """``move_sector`` on a subset already checked."""
-    graph, grading = g.graph, g.grading
-    new_sigma, new_m, run, previous, escape, target = _moved_orientation_multiplicity(
-        graph, sector, subset
-    )
-    last = run[-1]  # sigma^r h
-
-    n = grading.modulus
-    d = grading.degrees
-    run_sum = sum(grading(x) for x in run)
-    cross_step = 1 if target == escape else 0  # escape is a cross half-edge
-    new_d = dict(d)
-    new_d[target] = -(run_sum + cross_step)
-    if target != previous:
-        new_d[last] = d[target] + d[last] + cross_step
-        new_d[previous] = run_sum + d[previous]
-    else:
-        new_d[last] = run_sum + d[previous] + d[last] + cross_step
-        new_d[previous] = -(run_sum + cross_step)
-    moved = BrauerGraph(graph.half_edges, graph.pairing, new_sigma, new_m)
-    return GradedGraph(moved, Grading(n, new_d))
+    subset = _check_subset(g.graph, subset)
+    return GradedGraph(*_move_sectors(g.graph, [sector], subset, g.grading))
 
 
 def _canonical_sector_order(graph: BrauerGraph, found: set[Sector]) -> list[Sector]:
@@ -210,13 +212,11 @@ def move_set(g: GradedGraph, subset: frozenset[str]) -> GradedGraph:
     # Moves keep the half-edges and the pairing, so one check of the subset
     # holds for every sector.
     subset = _check_subset(g.graph, subset)
-    for sector in _canonical_sector_order(g.graph, _maximal_sectors(g.graph, subset)):
-        g = _move_sector(g, sector, subset)
-    return g
+    found = _canonical_sector_order(g.graph, _maximal_sectors(g.graph, subset))
+    return GradedGraph(*_move_sectors(g.graph, found, subset, g.grading))
 
 
 def move_set_underlying(graph: BrauerGraph, subset: frozenset[str]) -> BrauerGraph:
     subset = _check_subset(graph, subset)
-    for sector in _canonical_sector_order(graph, _maximal_sectors(graph, subset)):
-        graph = _move_sector_underlying(graph, sector, subset)
-    return graph
+    found = _canonical_sector_order(graph, _maximal_sectors(graph, subset))
+    return _move_sectors(graph, found, subset)[0]

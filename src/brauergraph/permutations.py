@@ -59,15 +59,9 @@ class Permutation:
             raise ValueError("cannot compose permutations on different domains")
         return Permutation({x: self._map[y] for x, y in other._map.items()})
 
-    def with_images(self, updates: Mapping[str, str]) -> "Permutation":
-        """A copy in which each name of ``updates`` maps to its new image.
-
-        The copy must still be a bijection of the same domain.
-        """
-        unknown = updates.keys() - self._domain
-        if unknown:
-            raise ValueError(f"unknown names {sorted(unknown)}")
-        return Permutation({**self._map, **updates})
+    def mapping(self) -> dict[str, str]:
+        """A fresh dict of the images; editing it leaves the permutation as is."""
+        return dict(self._map)
 
     def image(self, names: Iterable[str]) -> frozenset[str]:
         """The set of images of ``names``."""

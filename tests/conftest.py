@@ -7,7 +7,15 @@ import pytest
 
 from brauergraph.algebra import ONE, AlgebraTable, Element, _integral, bga_table_with_keys
 from brauergraph.core import BrauerGraph, GradedGraph, Grading, zero_grading
-from brauergraph.moves import Sector, escape_index, maximal_sectors, sectors
+from brauergraph.moves import (
+    Sector,
+    _canonical_sector_order,
+    escape_index,
+    maximal_sectors,
+    move_sector,
+    move_sector_underlying,
+    sectors,
+)
 from brauergraph.linalg import RationalSpan
 from brauergraph.models import skew_dimension_oracle
 from brauergraph.permutations import Permutation
@@ -126,6 +134,8 @@ def reference_sectors(graph, subset):
 
 
 def reference_maximal_sectors(graph, subset):
+    """The sectors whose first half-edge follows one outside ``subset``: the
+    oracle of the forward walk in ``maximal_sectors``."""
     inv = graph.orientation.inverse()
     return {s for s in reference_sectors(graph, subset) if inv(s.h) not in subset}
 
@@ -136,6 +146,23 @@ def assert_sectors_match_reference(graph, subset):
     for h in graph.half_edges:
         expected = reference_escape_index(graph, subset, h)
         assert escape_index(graph, subset, h) == expected
+
+
+def sector_fold(graded, subset):
+    """The public ``move_sector`` applied to each maximal sector of
+    ``subset`` in turn, in the order ``move_set`` uses: the oracle of the
+    one-pass composite move."""
+    found = _canonical_sector_order(graded.graph, maximal_sectors(graded.graph, subset))
+    for sector in found:
+        graded = move_sector(graded, sector, subset)
+    return graded
+
+
+def sector_fold_underlying(graph, subset):
+    """``sector_fold`` through ``move_sector_underlying``."""
+    for sector in _canonical_sector_order(graph, maximal_sectors(graph, subset)):
+        graph = move_sector_underlying(graph, sector, subset)
+    return graph
 
 
 def pairwise_match_problems(graph, covered, model):

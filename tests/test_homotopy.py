@@ -573,6 +573,20 @@ def test_end_table_composes_like_the_matrix_route(ex1, ex2):
     assert products > 10_000
 
 
+def test_make_complex_rejects_an_entry_outside_its_corner(ex1):
+    from brauergraph.homotopy import make_complex
+
+    table = ordinary_model(ex1).table
+    other = table.idempotent_element(1)
+    with pytest.raises(ValueError, match="^differential entry escapes its corner$"):
+        make_complex(table, (0,), (0,), [[other]])
+    # Half inside the corner is still outside it.
+    mixed = {**table.idempotent_element(0), **other}
+    with pytest.raises(ValueError, match="^differential entry escapes its corner$"):
+        make_complex(table, (0,), (0,), [[mixed]])
+    assert make_complex(table, (0,), (1,), [[{}]]).differential == (((),),)
+
+
 def test_end_table_rejects_a_contractible_summand(monkeypatch):
     from brauergraph.homotopy import make_complex
 

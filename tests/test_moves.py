@@ -11,6 +11,7 @@ from brauergraph.core import (
     gen_random,
     grading_violations,
     random_ih_stable_subset,
+    random_valid_grading,
     validate,
     zero_grading,
 )
@@ -26,7 +27,12 @@ from brauergraph.moves import (
 )
 from brauergraph.permutations import Permutation
 
-from conftest import assert_sectors_match_reference, build_graph
+from conftest import (
+    assert_sectors_match_reference,
+    build_graph,
+    sector_fold,
+    sector_fold_underlying,
+)
 
 
 def test_sectors_ex1(ex1, ex1_subset):
@@ -239,17 +245,75 @@ def test_moves_reject_every_non_sector(example, request):
             move_sector(graded, bad, subset)
 
 
-def test_out_of_range_sector_is_rejected_without_a_walk(ex1, ex1_subset, monkeypatch):
-    def no_walk(self, x):
-        raise AssertionError("walked the orientation")
+def test_out_of_range_sector_is_rejected_without_a_walk(
+    ex1, ex1_graded, ex1_subset, monkeypatch
+):
+    def no_walk(self, *args):
+        raise AssertionError("walked or copied the orientation")
 
     monkeypatch.setattr(Permutation, "__call__", no_walk)
+    monkeypatch.setattr(Permutation, "mapping", no_walk)
     for r in (-1, len(ex1.half_edges), 10**9):
         with pytest.raises(ValueError, match="is not a sector of the subset"):
             move_sector_underlying(ex1, Sector("2-", r), ex1_subset)
+        with pytest.raises(ValueError, match="is not a sector of the subset"):
+            move_sector(ex1_graded, Sector("2-", r), ex1_subset)
 
 
 def test_unstable_subset_names_every_unstable_half_edge(ex1):
     message = "subset is not pairing-stable at ['1+', '3-']"
     with pytest.raises(ValueError, match=re.escape(message)):
         sectors(ex1, frozenset(["1+", "3-", "2+", "2-"]))
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+def test_move_set_is_the_fold_of_single_moves(example, request):
+    graded = request.getfixturevalue(f"{example}_graded")
+    subset = request.getfixturevalue(f"{example}_subset")
+    assert move_set(graded, subset) == sector_fold(graded, subset)
+    covered = cover(graded)
+    lifted = lift_subset(covered, subset)
+    moved = move_set_underlying(covered.total, lifted)
+    assert moved == sector_fold_underlying(covered.total, lifted)
+
+
+def test_move_set_is_the_fold_of_single_moves_fuzz():
+    for seed in range(160):
+        rng = random.Random(60_000 + seed)
+        g = gen_random(seed, n_half=(6, 8, 10, 14)[seed % 4], allow_skew=(seed % 2 == 1))
+        subset = random_ih_stable_subset(g, rng)
+        grading = default_grading(g, subset)
+        if seed % 3 == 0:
+            grading = random_valid_grading(g, rng, grading)
+        graded = GradedGraph(g, grading)
+        assert move_set(graded, subset) == sector_fold(graded, subset), seed
+        assert move_set_underlying(g, subset) == sector_fold_underlying(g, subset), seed
+        covered = cover(graded)
+        lifted = lift_subset(covered, subset)
+        moved = move_set_underlying(covered.total, lifted)
+        assert moved == sector_fold_underlying(covered.total, lifted), seed
+
+
+def test_composite_move_builds_one_permutation(monkeypatch):
+    seed = 0
+    while True:
+        seed += 1
+        rng = random.Random(80_000 + seed)
+        g = gen_random(seed, n_half=12)
+        subset = random_ih_stable_subset(g, rng)
+        covered = cover(GradedGraph(g, default_grading(g, subset)))
+        lifted = lift_subset(covered, subset)
+        if len(maximal_sectors(covered.total, lifted)) >= 5:
+            break
+    expected = sector_fold_underlying(covered.total, lifted)
+    built = []
+    init = Permutation.__init__
+
+    def counted(self, mapping):
+        built.append(self)
+        init(self, mapping)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    moved = move_set_underlying(covered.total, lifted)
+    assert len(built) == 1
+    assert moved == expected

@@ -78,20 +78,15 @@ def test_power_and_orbit_match_iteration():
         assert perm == Permutation(dict(zip(names, images)))
 
 
-def test_with_images_replaces_only_the_given_images():
+def test_mapping_is_a_fresh_editable_copy():
     p = Permutation.from_cycles("abcde", [("a", "b", "c")])
-    q = p.with_images({"a": "c", "b": "a", "c": "b"})
-    assert q == Permutation.from_cycles("abcde", [("a", "c", "b")])
+    images = p.mapping()
+    assert images == {"a": "b", "b": "c", "c": "a", "d": "d", "e": "e"}
+    images["a"], images["b"] = "c", "a"
+    del images["e"]
     assert p == Permutation.from_cycles("abcde", [("a", "b", "c")])
-    assert p.with_images({}) == p
-
-
-def test_with_images_keeps_the_bijection_check():
-    p = Permutation.from_cycles("abcd", [("a", "b")])
-    with pytest.raises(ValueError, match="not a bijection"):
-        p.with_images({"a": "c"})
-    with pytest.raises(ValueError, match="unknown names"):
-        p.with_images({"z": "z"})
+    assert p("a") == "b" and p.domain == frozenset("abcde")
+    assert p.mapping() is not p.mapping()
 
 
 def test_image_agrees_with_single_images():

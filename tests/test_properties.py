@@ -35,7 +35,11 @@ from brauergraph.linalg import vec_scale
 from brauergraph.moves import maximal_sectors, move_sector, move_set
 from brauergraph.permutations import Permutation
 
-from conftest import assert_sectors_match_reference, pairwise_match_problems
+from conftest import (
+    assert_sectors_match_reference,
+    pairwise_match_problems,
+    sector_fold,
+)
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -107,6 +111,22 @@ def test_move_verdict_holds(drawn):
     if not graph.is_skew:
         moved = move_set(graded, subset)
         assert oz_invariants(moved.graph) == oz_invariants(graph)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(graphs_with_subsets(), st.integers(0, 2**32 - 1))
+def test_move_set_under_a_random_valid_grading(drawn, seed):
+    """Under a random valid grading the composite move is the fold of the
+    single-sector moves, its grading is valid, and it commutes with the
+    covering."""
+    graph, subset = drawn
+    base = default_grading(graph, subset)
+    grading = random_valid_grading(graph, random.Random(seed), base)
+    graded = GradedGraph(graph, grading)
+    moved = move_set(graded, subset)
+    assert moved == sector_fold(graded, subset)
+    assert grading_violations(moved.graph, moved.grading) == []
+    assert check_cover_commutes(graded, subset)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)
