@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import BrauerGraph, edge_name
-from .linalg import RationalSpan, vec_add, vec_scale
+from .linalg import vec_add, vec_scale
 from .presentation import (
     Arrow,
     find_subword,
@@ -39,8 +39,8 @@ class AlgebraTable:
     ``generators`` lists basis indices that, with the idempotents, generate
     the algebra (the arrows of a path basis); a builder that knows them sets
     it after construction.  Empty means every basis element that is not an
-    idempotent.  ``action_violations`` proves that it spans before relying
-    on it.
+    idempotent.  ``monomial_isomorphism_violations`` proves that it spans
+    before relying on it.
     """
 
     def __init__(
@@ -353,78 +353,99 @@ class GroupActionTable:
         return scalar, index
 
 
-def action_violations(table: AlgebraTable, act: GroupActionTable) -> list[str]:
-    """Why the action of g is not an automorphism of ``table``; empty when it is.
+def monomial_isomorphism_violations(
+    source: AlgebraTable,
+    target: AlgebraTable,
+    scalars: Sequence[int | Fraction],
+    images: Sequence[int],
+) -> str | None:
+    """Why b -> scalars[b] * images[b] is not an algebra isomorphism from
+    ``source`` onto ``target``; None when it is.
 
-    g must permute the basis up to scalars with g^order = 1, and send
-    idempotents to idempotents with scalar 1; pi is the permutation it makes
-    of the idempotent positions.  An empty answer is then a proof:
+    Precondition: both tables are associative and obey the unit law
+    (``check_table`` tests both).  The map must send the source basis
+    bijectively onto the target basis with nonzero scalars, and each
+    idempotent to an idempotent with scalar 1; pi is the permutation it
+    makes of the idempotent positions.  An answer of None is then a proof:
 
-    (a) src(g b) = pi(src b) and tgt(g b) = pi(tgt b) for every basis element
-        b, so a product that is zero because its corners do not match stays
-        zero under g;
+    (a) src(phi b) = pi(src b) and tgt(phi b) = pi(tgt b) for every basis
+        element b, so a product that is zero because its corners do not
+        match stays zero under phi;
     (b) a search from the idempotents along single-term products a b, with
-        a a generator (``table.generators``), reaches every basis element,
+        a a generator (``source.generators``), reaches every basis element,
         else "generators do not span";
-    (c) g(a b) = g(a) g(b) for every generator a and every basis element b
-        with tgt b = src a, checked as the search reaches b.
+    (c) phi(a b) = phi(a) phi(b) for every generator a and every basis
+        element b with tgt b = src a, checked as the search reaches b.
 
     By (b) every basis element is a multiple of a_k ... a_1 e with
-    generators a_i and an idempotent e; g(e y) = g(e) g(y) by (a), and by
-    (c) and induction on k, g(x y) = g(x) g(y) for all x, y.  The cost is one
-    product per composable generator-basis pair.
+    generators a_i and an idempotent e; phi(e y) = phi(e) phi(y) by (a) and
+    the unit law, and by (c), associativity and induction on k,
+    phi(x y) = phi(x) phi(y) for all x, y.  The cost is one product in each
+    table per composable generator-basis pair; each is read once, so the
+    products bypass the tables' memos, which would keep them for the
+    tables' lifetime.
     """
-    if sorted(act.images) != list(range(table.dim)):
-        return ["action images do not permute the basis"]
-    problems = []
-    for b in range(table.dim):
-        if act.apply(act.order, b) != (ONE, b):
-            problems.append(f"action order is not {act.order} at {table.labels[b]}")
-            break
-    idempotent_indices = {index for _, index in table.idempotents}
-    for p, (_, i) in enumerate(table.idempotents):
-        s, j = act.apply(1, i)
-        if s != ONE or j not in idempotent_indices:
-            problems.append(f"action does not permute the idempotents at {p}")
-    if problems:
-        return problems
-    pi = idempotent_permutation(table, act)
-    src, tgt = table.src, table.tgt
-    for b, image in enumerate(act.images):
-        if (src[image], tgt[image]) != (pi[src[b]], pi[tgt[b]]):
-            return [f"action does not move the corner of {table.labels[b]} by pi"]
+    if len(images) != source.dim or sorted(images) != list(range(target.dim)):
+        return "map images do not permute the basis"
+    if not all(scalars):
+        return "map has a zero scalar"
+    position_of = {index: q for q, (_, index) in enumerate(target.idempotents)}
+    if len(source.idempotents) != len(position_of):
+        return "map does not permute the idempotents"
+    pi = []
+    for label, index in source.idempotents:
+        if scalars[index] != ONE or images[index] not in position_of:
+            return f"map sends idempotent {label} to no idempotent with scalar 1"
+        pi.append(position_of[images[index]])
+    src, tgt = source.src, source.tgt
+    for b, image in enumerate(images):
+        if (target.src[image], target.tgt[image]) != (pi[src[b]], pi[tgt[b]]):
+            return f"map does not move the corner of {source.labels[b]} by pi"
+    idempotent_indices = {index for _, index in source.idempotents}
     by_source: dict[int, list[int]] = {}
-    generators = table.generators or [
-        b for b in range(table.dim) if b not in idempotent_indices
+    generators = source.generators or [
+        b for b in range(source.dim) if b not in idempotent_indices
     ]
     for a in generators:
         by_source.setdefault(src[a], []).append(a)
-    # Each product is read once, so it bypasses the table's memo, which
-    # would keep it for the table's lifetime.
-    product = table._product_fn
-    scalars, images = act.scalars, act.images
+    product, image_product = source._product_fn, target._product_fn
     reached = set(idempotent_indices)
     frontier = sorted(reached)
     while frontier:
         b = frontier.pop()
-        sb, gb = scalars[b], images[b]
+        sb, phi_b = scalars[b], images[b]
         for a in by_source.get(tgt[b], ()):
             ab = product(a, b)
-            # g permutes the basis, so g(ab) has no two terms on one key
-            g_ab = {images[k]: scalars[k] * c for k, c in ab.items()}
+            # phi permutes the basis, so phi(ab) has no two terms on one key
+            phi_ab = {images[k]: scalars[k] * c for k, c in ab.items()}
             s = scalars[a] * sb
-            if g_ab != {k: s * c for k, c in product(images[a], gb).items()}:
-                return [
-                    f"action is not multiplicative on ({table.labels[a]}, "
-                    f"{table.labels[b]})"
-                ]
+            if phi_ab != {k: s * c for k, c in image_product(images[a], phi_b).items()}:
+                return (
+                    f"map is not multiplicative on ({source.labels[a]}, "
+                    f"{source.labels[b]})"
+                )
             if len(ab) == 1:
                 (c,) = ab
                 if c not in reached:
                     reached.add(c)
                     frontier.append(c)
-    if len(reached) != table.dim:
-        return ["generators do not span"]
+    if len(reached) != source.dim:
+        return "generators do not span"
+    return None
+
+
+def action_violations(table: AlgebraTable, act: GroupActionTable) -> list[str]:
+    """Why the action of g is not an automorphism of ``table``; empty when it is.
+
+    That g is an automorphism is ``monomial_isomorphism_violations`` with
+    ``table`` as source and target; g^order = 1 is checked here.
+    """
+    why = monomial_isomorphism_violations(table, table, act.scalars, act.images)
+    if why is not None:
+        return [why]
+    for b in range(table.dim):
+        if act.apply(act.order, b) != (ONE, b):
+            return [f"action order is not {act.order} at {table.labels[b]}"]
     return []
 
 
@@ -502,17 +523,14 @@ def _integral(x: Element) -> tuple[Element, int]:
 class OrbitTruncation:
     """The corner algebra f (A#G) f built by ``orbit_truncation``.
 
-    ``compress(x)`` gives the coordinates of f x f for any element x of A#G,
-    and ``express(x)`` those of an x that lies in f (A#G) f, raising
-    ``ValueError`` for any other x; ``vector(k)`` is basis element k as an
-    element of A#G.  Both rebuild the element from its coordinates and raise
-    ``ValueError`` when the basis does not give it back.
-    ``compressions(x)`` lists the nonzero F_p x F_q by corner (p, q)
+    ``compress(x)`` gives the coordinates of f x f for any element x of A#G;
+    it rebuilds f x f from them and raises ``ValueError`` when the basis
+    does not give it back.  ``vector(k)`` is basis element k as an element
+    of A#G.  ``compressions(x)`` lists the nonzero F_p x F_q by corner (p, q)
     ascending, F = d f being the integer form of a chosen idempotent.
     """
 
     table: AlgebraTable
-    express: Callable[[Element], Element]
     compress: Callable[[Element], Element]
     vector: Callable[[int], Element]
     compressions: Callable[[Element], list[tuple[tuple[int, int], Element]]]
@@ -540,8 +558,7 @@ def orbit_truncation(
     that sweep); its elements have disjoint supports, so an element of
     the corner is written in the basis by reading its coefficient at one
     key of each.  Every reading is rebuilt and compared: a basis that does
-    not span, a product that leaves the truncation and an element outside
-    it raise ``ValueError``.
+    not span and a product that leaves the truncation raise ``ValueError``.
 
     A compression takes no product in A.  Write g^i . c = s_i(c) g^i c for
     a basis element c.  By the precondition below every chosen F is a
@@ -550,8 +567,8 @@ def orbit_truncation(
         F_p (c (x) g^l) F_q = sum a b s_i(c) (g^i c) (x) g^(i+l+j)
 
     over the terms a (e (x) g^i) of F_p and b (e' (x) g^j) of F_q with
-    tgt(g^i c) = e and src(g^i c) = tgt(g^(i+l) e'); ``compress`` and
-    ``express`` sum this over the keys of x.  It rests on the unit law:
+    tgt(g^i c) = e and src(g^i c) = tgt(g^(i+l) e'); ``compress`` sums
+    this over the keys of x.  It rests on the unit law:
     e b = b when tgt b = e, and b e = b when src b = e, for every basis
     element b and each idempotent e of A sitting in its own corner.  That
     is checked at entry with one product per side of each b (else
@@ -790,18 +807,9 @@ def orbit_truncation(
                     coords[k] = _quotient(a * basis[k][1], scale)
         return coords
 
-    def express(x: Element) -> Element:
-        coords = compress(x)
-        rebuilt: Element = {}
-        for k, c in coords.items():
-            rebuilt = vec_add(rebuilt, vector(k), c)
-        if rebuilt != x:
-            raise ValueError("element does not lie in the truncation")
-        return coords
-
     idempotents = [(label, p) for p, (label, _) in enumerate(chosen)]
     corner_table = AlgebraTable(labels, sources, targets, idempotents, product)
-    return OrbitTruncation(corner_table, express, compress, vector, compressions)
+    return OrbitTruncation(corner_table, compress, vector, compressions)
 
 
 # ---------------------------------------------------------------------------
@@ -857,47 +865,26 @@ def extend_action_to_trivial_extension(
 def trivial_extension_iso_report(
     table: AlgebraTable, act: GroupActionTable
 ) -> tuple[bool, str | None]:
-    """Verify Triv(A G) ~ Triv(A) G via the explicit basis-wise map."""
-    lhs_inner = skew_group_table(table, act)
-    lhs = trivial_extension(lhs_inner)
+    """Verify Triv(A G) ~ Triv(A) G via the explicit basis-wise map
+
+        b (x) g^k -> b (x) g^k,  dual(b (x) g^k) -> (1/s) dual(b') (x) g^-k
+
+    where g^-k . b = s b', by ``monomial_isomorphism_violations``.
+    """
+    lhs = trivial_extension(skew_group_table(table, act))
     rhs = skew_group_table(
         trivial_extension(table), extend_action_to_trivial_extension(table, act)
     )
-    n = act.order
-    dim = table.dim
-    dim_lg = lhs_inner.dim  # = n * dim
-    dim_triv = 2 * dim
-
-    def phi_basis(i: int) -> Element:
-        if i < dim_lg:
-            k, b = divmod(i, dim)
-            return {k * dim_triv + b: ONE}
-        k, b = divmod(i - dim_lg, dim)
-        # phi(dual(b (x) g^k)) = (1/s') dual(b') (x) g^{-k} where g^{-k} . b = s' b'
-        s_prime, b_prime = act.apply((-k) % n, b)
-        k_out = (-k) % n
-        return {k_out * dim_triv + dim + b_prime: Fraction(1) / s_prime}
-
-    images = [phi_basis(i) for i in range(lhs.dim)]
-    span = RationalSpan()
-    for img in images:
-        if span.add(img) is None:
-            return False, "phi is not injective"
-    if span.rank != rhs.dim:
-        return False, "phi is not surjective"
-    for i in range(lhs.dim):
-        for j in range(lhs.dim):
-            lhs_prod = lhs.pairwise(i, j)
-            expected: Element = {}
-            for k, c in lhs_prod.items():
-                expected = vec_add(expected, images[k], c)
-            got = rhs.mul(images[i], images[j])
-            if got != expected:
-                return (
-                    False,
-                    f"phi not multiplicative on ({lhs.labels[i]}, {lhs.labels[j]})",
-                )
-    return True, None
+    n, dim = act.order, table.dim
+    scalars: list[int | Fraction] = [ONE] * (n * dim)
+    images = [k * 2 * dim + b for k in range(n) for b in range(dim)]
+    for k in range(n):
+        for b in range(dim):
+            s, b_prime = act.apply(-k, b)
+            scalars.append(_quotient(ONE, s))
+            images.append((-k) % n * 2 * dim + dim + b_prime)
+    why = monomial_isomorphism_violations(lhs, rhs, scalars, images)
+    return why is None, why
 
 
 def cartan_determinant(table: AlgebraTable) -> int:

@@ -39,9 +39,12 @@ def _check_subset(graph: BrauerGraph, subset: frozenset[str]) -> frozenset[str]:
     return subset
 
 
-def _runs(graph: BrauerGraph, subset: frozenset[str]) -> Iterator[list[str]]:
+def _runs(
+    graph: BrauerGraph, subset: frozenset[str]
+) -> Iterator[tuple[str, list[str]]]:
     """Each whole run h, sigma h, ..., sigma^r h of ``subset`` half-edges
-    with sigma^{-1} h and sigma^{r+1} h outside ``subset``.
+    with sigma^{-1} h and sigma^{r+1} h outside ``subset``, with the least
+    name on its sigma-orbit.
 
     Each orbit that meets the subset is walked once, forwards from a
     half-edge outside it.  A half-edge whose whole sigma-orbit lies inside
@@ -57,12 +60,13 @@ def _runs(graph: BrauerGraph, subset: frozenset[str]) -> Iterator[list[str]]:
         outside = next((i for i, x in enumerate(orbit) if x not in subset), None)
         if outside is None:
             continue
+        least = min(orbit)
         run: list[str] = []
         for x in orbit[outside + 1 :] + orbit[: outside + 1]:
             if x in subset:
                 run.append(x)
             elif run:
-                yield run
+                yield least, run
                 run = []
 
 
@@ -71,7 +75,7 @@ def sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
     r + 1 has escape index r - k."""
     return {
         Sector(x, len(run) - 1 - k)
-        for run in _runs(graph, _check_subset(graph, subset))
+        for _, run in _runs(graph, _check_subset(graph, subset))
         for k, x in enumerate(run)
     }
 
@@ -90,12 +94,15 @@ def escape_index(graph: BrauerGraph, subset: frozenset[str], h: str) -> int | No
 
 
 def maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
-    return _maximal_sectors(graph, _check_subset(graph, subset))
+    return set(_maximal_sectors(graph, _check_subset(graph, subset)))
 
 
-def _maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> set[Sector]:
-    """``maximal_sectors`` of a subset already checked: one per whole run."""
-    return {Sector(run[0], len(run) - 1) for run in _runs(graph, subset)}
+def _maximal_sectors(graph: BrauerGraph, subset: frozenset[str]) -> list[Sector]:
+    """The maximal sectors of a subset already checked, one per whole run,
+    by the least name on their sigma-orbit and then by h: the deterministic
+    order of a composite move, whose result does not depend on it."""
+    found = sorted((least, run[0], len(run) - 1) for least, run in _runs(graph, subset))
+    return [Sector(h, r) for _, h, r in found]
 
 
 def _check_range(graph: BrauerGraph, sector: Sector, subset: frozenset[str]) -> None:
@@ -197,26 +204,15 @@ def move_sector(
     return GradedGraph(*_move_sectors(g.graph, [sector], subset, g.grading))
 
 
-def _canonical_sector_order(graph: BrauerGraph, found: set[Sector]) -> list[Sector]:
-    # Deterministic processing order; the result is order-independent.
-    least: dict[str, str] = {}  # half-edge -> least name on its sigma-orbit
-    for s in found:
-        if s.h not in least:
-            orbit = graph.sigma_orbit_of(s.h)
-            least.update(dict.fromkeys(orbit, min(orbit)))
-    return sorted(found, key=lambda s: (least[s.h], s.h))
-
-
 def move_set(g: GradedGraph, subset: frozenset[str]) -> GradedGraph:
     """Composite graded move of all maximal sectors of ``subset``."""
     # Moves keep the half-edges and the pairing, so one check of the subset
     # holds for every sector.
     subset = _check_subset(g.graph, subset)
-    found = _canonical_sector_order(g.graph, _maximal_sectors(g.graph, subset))
+    found = _maximal_sectors(g.graph, subset)
     return GradedGraph(*_move_sectors(g.graph, found, subset, g.grading))
 
 
 def move_set_underlying(graph: BrauerGraph, subset: frozenset[str]) -> BrauerGraph:
     subset = _check_subset(graph, subset)
-    found = _canonical_sector_order(graph, _maximal_sectors(graph, subset))
-    return _move_sectors(graph, found, subset)[0]
+    return _move_sectors(graph, _maximal_sectors(graph, subset), subset)[0]

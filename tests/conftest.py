@@ -9,7 +9,6 @@ from brauergraph.algebra import ONE, AlgebraTable, Element, _integral, bga_table
 from brauergraph.core import BrauerGraph, GradedGraph, Grading, zero_grading
 from brauergraph.moves import (
     Sector,
-    _canonical_sector_order,
     escape_index,
     maximal_sectors,
     move_sector,
@@ -148,19 +147,27 @@ def assert_sectors_match_reference(graph, subset):
         assert escape_index(graph, subset, h) == expected
 
 
+def sector_order(graph, subset):
+    """The maximal sectors of ``subset`` in the order ``move_set`` uses: by
+    the least name on their sigma-orbit, then by h."""
+    return sorted(
+        maximal_sectors(graph, subset),
+        key=lambda s: (min(graph.sigma_orbit_of(s.h)), s.h),
+    )
+
+
 def sector_fold(graded, subset):
     """The public ``move_sector`` applied to each maximal sector of
     ``subset`` in turn, in the order ``move_set`` uses: the oracle of the
     one-pass composite move."""
-    found = _canonical_sector_order(graded.graph, maximal_sectors(graded.graph, subset))
-    for sector in found:
+    for sector in sector_order(graded.graph, subset):
         graded = move_sector(graded, sector, subset)
     return graded
 
 
 def sector_fold_underlying(graph, subset):
     """``sector_fold`` through ``move_sector_underlying``."""
-    for sector in _canonical_sector_order(graph, maximal_sectors(graph, subset)):
+    for sector in sector_order(graph, subset):
         graph = move_sector_underlying(graph, sector, subset)
     return graph
 

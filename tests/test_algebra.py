@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauergraph import algebra
 from brauergraph.algebra import (
     AlgebraTable,
     GroupActionTable,
@@ -15,6 +16,7 @@ from brauergraph.algebra import (
     cartan_determinant,
     check_table,
     dimension_by_rewriting,
+    monomial_isomorphism_violations,
     skew_group_table,
     trivial_extension,
     trivial_extension_iso_report,
@@ -275,6 +277,45 @@ def test_trivial_extension_iso_small_cover(loop_graph):
     action = sheet_shift_action(covered, keys, index_of)
     ok, why = trivial_extension_iso_report(bd, action)
     assert ok, why
+
+
+def test_trivial_extension_map_with_a_negated_generator_names_a_pair(
+    loop_graph, monkeypatch
+):
+    """The report's map with one arrow's scalar negated is refused, and the
+    named pair is one where phi(x y) != phi(x) phi(y)."""
+    from brauergraph.covering import default_grading
+
+    covered = cover(GradedGraph(loop_graph, default_grading(loop_graph)))
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    action = sheet_shift_action(covered, keys, index_of)
+    calls = []
+    prove = algebra.monomial_isomorphism_violations
+    monkeypatch.setattr(
+        algebra,
+        "monomial_isomorphism_violations",
+        lambda *args: calls.append(args) or prove(*args),
+    )
+    assert trivial_extension_iso_report(bd, action) == (True, None)
+    # the last proof is phi's; the ones before it are the action's
+    lhs, rhs, scalars, images = calls[-1]
+    expected = {
+        "w[a_0:1]|g0": "w[a_0:1]|g0, D(z[a_1]|g1)",
+        "w[a_1:1]|g0": "w[a_1:1]|g0, D(w[a_0:1]|g1)",
+    }
+    assert [lhs.labels[a] for a in bd.generators] == list(expected)
+    for a in bd.generators:
+        negated = list(scalars)
+        negated[a] = -negated[a]
+        pair = expected[lhs.labels[a]]
+        why = monomial_isomorphism_violations(lhs, rhs, negated, images)
+        assert why == f"map is not multiplicative on ({pair})"
+        x, y = (lhs.labels.index(label) for label in pair.split(", "))
+
+        def phi(element):
+            return {images[k]: negated[k] * c for k, c in element.items()}
+
+        assert phi(lhs.pairwise(x, y)) != rhs.mul(phi({x: ONE}), phi({y: ONE}))
 
 
 def test_trivial_extension_iso_on_cut(ex2_multiplicity_one):

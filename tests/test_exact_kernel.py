@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauergraph import algebra
 from brauergraph.algebra import (
     AlgebraTable,
     GroupActionTable,
@@ -43,17 +44,25 @@ def structure_constants(table: AlgebraTable):
 
 @pytest.fixture
 def coefficient_log(monkeypatch):
-    """Every coefficient that enters or leaves ``AlgebraTable.mul``."""
+    """Every scalar that ``monomial_isomorphism_violations`` is handed and
+    every coefficient of a product it reads from either table."""
     seen: list = []
-    mul = AlgebraTable.mul
+    prove = algebra.monomial_isomorphism_violations
 
-    def logged(table, x, y):
-        out = mul(table, x, y)
-        for element in (x, y, out):
-            seen.extend(element.values())
-        return out
+    def logged(source, target, scalars, images):
+        for table in (source, target):
+            product = table._product_fn
 
-    monkeypatch.setattr(AlgebraTable, "mul", logged)
+            def logged_product(i, j, product=product):
+                out = product(i, j)
+                seen.extend(out.values())
+                return out
+
+            table._product_fn = logged_product
+        seen.extend(scalars)
+        return prove(source, target, scalars, images)
+
+    monkeypatch.setattr(algebra, "monomial_isomorphism_violations", logged)
     return seen
 
 

@@ -16,6 +16,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from brauergraph import models
+from brauergraph.algebra import (
+    ONE,
+    action_violations,
+    bga_table_with_keys,
+    monomial_isomorphism_violations,
+)
 from brauergraph.core import (
     BrauerGraph,
     GradedGraph,
@@ -152,3 +158,34 @@ def test_skew_presentations_match_the_pairwise_oracle(drawn, seed, pick):
         report = models.presentations_match(graph, covered)
     oracle = pairwise_match_problems(graph, covered, dataclasses.replace(perturbed))
     assert report.problems == oracle
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(graphs_with_subsets(), st.integers(0, 2**16))
+def test_the_generator_proof_agrees_with_every_pair(drawn, pick):
+    """The sheet shift of the covering passes the action proof.  With one
+    arrow's scalar negated, the generator proof refuses the map exactly
+    when some pair of basis elements breaks multiplicativity, and names
+    such a pair.  (It need not break: x -> -x is an automorphism of
+    k[x]/(x^2).)"""
+    graph, _ = drawn
+    covered = cover(GradedGraph(graph, default_grading(graph)))
+    table, keys, index_of = bga_table_with_keys(covered.total)
+    assume(table.generators and table.dim <= 100)
+    action = models.sheet_shift_action(covered, keys, index_of)
+    assert action_violations(table, action) == []
+    arrow = table.generators[pick % len(table.generators)]
+    scalars = list(action.scalars)
+    scalars[arrow] = -scalars[arrow]
+
+    def phi(x):
+        return {action.images[k]: scalars[k] * c for k, c in x.items()}
+
+    broken = {
+        f"map is not multiplicative on ({table.labels[x]}, {table.labels[y]})"
+        for x in range(table.dim)
+        for y in range(table.dim)
+        if phi(table.pairwise(x, y)) != table.mul(phi({x: ONE}), phi({y: ONE}))
+    }
+    why = monomial_isomorphism_violations(table, table, scalars, action.images)
+    assert why in broken if broken else why is None
