@@ -6,8 +6,12 @@ idempotent of b_i matches the target idempotent of b_j.
 
 An ``Element`` maps basis indices to nonzero coefficients that are ``int``
 or ``Fraction``, never ``float``: unit constants stay ``int``, and a
-``Fraction`` appears only where a denominator does (the +-1/2 idempotents of
-a skew leg, the pivots of a span).
+``Fraction`` appears only where a denominator does.  The tables built here
+have ``int`` structure constants, the skew model's included: its orbit basis
+is scaled so that the 1/2 of a skew leg's idempotents (e +- e g) / 2 cancels
+(``orbit_truncation``).  Denominators remain in elements of A#G, in
+compressions of elements that do not lie in the corner, and in the pivots
+of a span.
 """
 from __future__ import annotations
 
@@ -513,9 +517,10 @@ def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-def _integral(x: Element) -> tuple[Element, int]:
-    """(d * x, d) for the least d > 0 that clears the denominators of x."""
-    d = math.lcm(*(Fraction(c).denominator for c in x.values()))
+def integral_form(x: Element) -> tuple[Element, int]:
+    """(d * x, d), with ``int`` coefficients, for the least d > 0 that clears
+    the denominators of x."""
+    d = math.lcm(*(c.denominator for c in x.values()))
     return {k: int(c * d) for k, c in x.items()}, d
 
 
@@ -598,9 +603,20 @@ def orbit_truncation(
     the source of y being carried by F_q up to g.  So each G x G-orbit of
     keys is compressed about once.
 
-    Basis element k is kept as the integer form (U, d) of U / d, where
-    U = F_p (b (x) g^k) F_q and F = d f clears the denominators of a chosen
-    idempotent; sweeps, products and checks then stay in ``int`` arithmetic.
+    Basis element k of corner (p, q) is U / d_p, where U = F_p (b (x) g^k) F_q
+    is its integer form and F_p = d_p f_p clears the denominators of the
+    chosen idempotent f_p (d = 2 at a skew leg's (e +- e g) / 2, else 1);
+    the chosen idempotents themselves are F_p / d_p = f_p.  Sweeps and checks
+    stay in ``int`` arithmetic on the forms U.  If U_i U_j = sum a_k U_k for
+    basis elements i in (p, q) and j in (q, r), then b_i b_j = sum (a_k / d_q)
+    b_k, and f_p x f_q = sum (a_k / d_q) b_k when F_p x F_q = sum a_k U_k.
+    Since F_q F_q = d_q F_q, U_i U_j = d_q F_p (x F_q y) F_r for the keys of
+    U_i = F_p x F_q and U_j = F_q y F_r: d_q times an integer combination of
+    key compressions.  With unit action scalars, as for the sheet shift of a
+    covering, a key compression is +-U_k (the lemma), so every structure
+    constant a_k / d_q is an integer; the test suite pins them to +-1 on its
+    covers.  The scale d_p d_q, that of f_p (b (x) g^k) f_q, would leave the
+    products through a skew leg's idempotent at +-1/2.
     """
     problems = action_violations(table, act)
     if problems:
@@ -641,7 +657,7 @@ def orbit_truncation(
                         del out[key]
         return out
 
-    forms = [_integral(x) for _, x in chosen]
+    forms = [integral_form(x) for _, x in chosen]
 
     # Term u = a (e (x) g^i) of F_p is filed under (i, src e): with a key
     # c (x) g^l on its right it is nonzero only if tgt(g^i c) = src e.
@@ -733,7 +749,8 @@ def orbit_truncation(
                 sums[corner] = vec_add(sums.get(corner, {}), form, c)
         return [(corner, sums[corner]) for corner in sorted(sums) if sums[corner]]
 
-    basis: list[tuple[Element, int]] = []
+    scale = [d for _, d in forms]
+    basis: list[Element] = []
     reps: list[int] = []
     owners: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -744,33 +761,33 @@ def orbit_truncation(
         for key in form:
             k = owner.get(key)
             if k is not None and k not in coords:
-                coords[k] = _quotient(form.get(reps[k], 0), basis[k][0][reps[k]])
+                coords[k] = _quotient(form.get(reps[k], 0), basis[k][reps[k]])
         return coords
 
     def rebuild(coords: Element) -> Element:
         return {
-            key: a * u for k, a in coords.items() for key, u in basis[k][0].items()
+            key: a * u for k, a in coords.items() for key, u in basis[k].items()
         }
 
     labels: list[str] = []
     sources: list[int] = []
     targets: list[int] = []
 
-    def admit(corner: tuple[int, int], form: Element, scale: int, label: str) -> None:
+    def admit(corner: tuple[int, int], form: Element, label: str) -> None:
         owner = owners.setdefault(corner, {})
         if not owner.keys().isdisjoint(form):
             if rebuild(read(corner, form)) != form:
                 raise ValueError(f"orbit elements of corner {corner} overlap")
             return
         owner.update(dict.fromkeys(form, len(basis)))
-        basis.append((form, scale))
+        basis.append(form)
         reps.append(min(form))
         labels.append(label)
         targets.append(corner[0])
         sources.append(corner[1])
 
-    for p, ((label, _), (form, scale)) in enumerate(zip(chosen, forms)):
-        admit((p, p), form, scale, label)
+    for p, ((label, _), (form, _)) in enumerate(zip(chosen, forms)):
+        admit((p, p), form, label)
     covered: set[int] = set()
     for key in range(n * dim):
         k, b = divmod(key, dim)
@@ -778,22 +795,21 @@ def orbit_truncation(
             continue
         for (p, q), form in key_compressions(key):
             covered.update(form)
-            scale = forms[p][1] * forms[q][1]
-            admit((p, q), form, scale, f"{table.labels[b]}|g{k}[{p}.{q}]")
+            admit((p, q), form, f"{table.labels[b]}|g{k}[{p}.{q}]")
 
     def product(i: int, j: int) -> Element:
-        form = mul(basis[i][0], basis[j][0])
+        form = mul(basis[i], basis[j])
         if not form:
             return {}
         coords = read((targets[i], sources[j]), form)
         if rebuild(coords) != form:
             raise ValueError("truncation is not multiplicatively closed")
-        scale = basis[i][1] * basis[j][1]
-        return {k: _quotient(a * basis[k][1], scale) for k, a in coords.items()}
+        d = scale[sources[i]]
+        return {k: _quotient(a, d) for k, a in coords.items()}
 
     def vector(k: int) -> Element:
-        form, scale = basis[k]
-        return {key: _quotient(u, scale) for key, u in form.items()}
+        d = scale[targets[k]]
+        return {key: _quotient(u, d) for key, u in basis[k].items()}
 
     def compress(x: Element) -> Element:
         coords: Element = {}
@@ -801,10 +817,9 @@ def orbit_truncation(
             read_coords = read((p, q), form)
             if rebuild(read_coords) != form:
                 raise ValueError("element does not lie in the truncation")
-            scale = forms[p][1] * forms[q][1]
             for k, a in read_coords.items():
                 if a:
-                    coords[k] = _quotient(a * basis[k][1], scale)
+                    coords[k] = _quotient(a, scale[q])
         return coords
 
     idempotents = [(label, p) for p, (label, _) in enumerate(chosen)]

@@ -124,6 +124,15 @@ def mutation_object(
     One summand per edge: unmoved edges stay as stalks in degree 0, moved
     edges become the cone of their approximation, with the edge projective in
     degree -1.
+
+    Each block of a cone's differential, a walk element or its twist, is
+    built from the integral V = D * walk of ``scaled_walk`` (the twist is
+    +-1 on the idempotents of a skew leg's copies, already integral).
+    Scaling the target summands of a block by a nonzero constant (here a
+    power of two) is an isomorphism of complexes, the identity in degree
+    -1, so every Hom dimension, the tilting verdict, left minimality and
+    the Cartan matrix of End(T) are those of the cone of the unscaled walk
+    elements.
     """
     graph = model.graph
     table = model.table
@@ -140,7 +149,7 @@ def mutation_object(
         for side in data.sides:
             if side.target_edge is None:
                 continue
-            walk_elem = model.walk_element(side.half_edge, side.r + 1)
+            walk_elem, _ = model.scaled_walk(side.half_edge, side.r + 1)
             target_positions = model.edge_positions(
                 graph.orientation.power(side.r + 1, side.half_edge)
             )

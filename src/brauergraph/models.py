@@ -13,9 +13,10 @@ validates the direct presentations, checking rule (I) once per route.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .algebra import (
     AlgebraTable,
@@ -23,7 +24,9 @@ from .algebra import (
     Element,
     GroupActionTable,
     ONE,
+    _quotient,
     bga_table_with_keys,
+    integral_form,
     orbit_truncation,
 )
 from .core import BrauerGraph, GradedGraph, Grading, check_grading, edge_name, zero_grading
@@ -54,10 +57,31 @@ from .presentation import (
 )
 
 
-# A node of the prefix trie: the element of its prefix and its children.
-# A child is keyed by its arrow, or by the half-edge h for a step of a summed
-# walk, whose element is the full arrow at h.
-_Node = tuple[Element, dict["Arrow | str", "_Node"]]
+# A node of the prefix trie: the integral value V of its prefix, the
+# denominator D with prefix value V / D, and its children.  A child is keyed
+# by its arrow, or by the half-edge h for a step of a summed walk, whose
+# element is the full arrow at h.
+_Node = tuple[Element, int, dict["Arrow | str", "_Node"]]
+
+
+def _integral_coefficient(c: int | Fraction) -> int | Fraction:
+    """c as an ``int`` when it is one (relation coefficients are Fractions)."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact(value: Element, denominator: int) -> Element:
+    """The element value / denominator, ``int`` where a coefficient is one."""
+    if denominator == 1:
+        return value
+    return {k: _quotient(c, denominator) for k, c in value.items()}
+
+
+def _same(x: tuple[Element, int], y: tuple[Element, int]) -> bool:
+    """Whether two (value, denominator) pairs are one element."""
+    (u, d), (v, e) = x, y
+    if d == e:
+        return u == v
+    return vec_scale(u, e) == vec_scale(v, d)
 
 
 @dataclass
@@ -70,6 +94,18 @@ class GraphAlgebraModel:
     evaluation; a model built from new ones (``dataclasses.replace``) starts
     with an empty trie.  Evaluations return the trie's own elements, which
     callers must not modify.
+
+    The trie multiplies integral elements only.  Each step element x (an
+    arrow, or the full arrow at a half-edge) is held as (d x, d) with d the
+    least denominator that clears it (``integral_form``).  In a skew model
+    the structure constants are integers and an arrow whose source is a
+    skew leg's copy is +-1/2 times basis elements, so there d = 2, and
+    d = 1 elsewhere: a prefix's denominator is 2 to the power of its arrows
+    at split sources, and every route of one walk or rule-(I) power family,
+    sharing its half-edge sequence, shares that exponent.  The ``scaled_*``
+    methods return (V, D) with value V / D; a relation is zero exactly when
+    the sum of its terms' V, each scaled to the largest D, is zero.  The
+    ``evaluate_*`` methods return the value itself.
     """
 
     graph: BrauerGraph
@@ -81,58 +117,67 @@ class GraphAlgebraModel:
     _prefixes: dict[Arrow | str, _Node] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _full_arrows: dict[str, Element] = field(
+    _steps: dict[Arrow | str, tuple[Element, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def full_arrow(self, h: str) -> Element:
         """The sum of the quiver arrows at h."""
-        out = self._full_arrows.get(h)
-        if out is None:
-            out = {}
-            for a, elem in self.arrow_element.items():
-                if a.h == h:
-                    out = vec_add(out, elem)
-            self._full_arrows[h] = out
+        out: Element = {}
+        for a, elem in self.arrow_element.items():
+            if a.h == h:
+                out = vec_add(out, elem)
         return out
 
-    def _product(
-        self, steps: Iterable[Arrow | str], element: Callable[..., Element]
-    ) -> Element:
-        """Product of the step elements, first step rightmost, read through
-        the prefix trie; ``element`` is called only for a new prefix.  A zero
-        prefix makes every extension zero without a multiplication."""
+    def _step(self, key: Arrow | str) -> tuple[Element, int]:
+        """(d x, d) for the element x of a trie step; KeyError names a
+        missing arrow."""
+        out = self._steps.get(key)
+        if out is None:
+            x = self.full_arrow(key) if isinstance(key, str) else self.arrow_element[key]
+            out = self._steps[key] = integral_form(x)
+        return out
+
+    def _product(self, steps: Iterable[Arrow | str]) -> tuple[Element, int]:
+        """(V, D) for the product of the step elements, first step rightmost,
+        read through the prefix trie.  A zero prefix makes every extension
+        zero without a multiplication."""
         children = self._prefixes
         value: Element | None = None
+        denominator = 1
         for key in steps:
             node = children.get(key)
             if node is None:
-                elem = element(key)
+                elem, d = self._step(key)
                 if value is None:
                     product = elem
                 elif value:
                     product = self.table.mul(elem, value)
                 else:
                     product = value
-                node = children[key] = (product, {})
-            value, children = node
-        return value
+                node = children[key] = (product, denominator * d, {})
+            value, denominator, children = node
+        return value, denominator
 
-    def walk_element(self, h: str, length: int) -> Element:
-        """Product of the full arrows along h, sigma h, ..., sigma^{length-1} h."""
+    def scaled_walk(self, h: str, length: int) -> tuple[Element, int]:
+        """(V, D) for the product of the full arrows along h, sigma h, ...,
+        sigma^{length-1} h."""
         if length < 1:
             raise ValueError("walks have at least one arrow")
         orbit = self.graph.sigma_orbit_of(h)
-        steps = [orbit[k % len(orbit)] for k in range(length)]
-        return self._product(steps, self.full_arrow)
+        return self._product(orbit[k % len(orbit)] for k in range(length))
 
-    def evaluate_walk(self, walk: Walk) -> Element:
-        """The summed walk: the (end, start) corner of its walk element."""
+    def _scaled_summed_walk(self, walk: Walk) -> tuple[Element, int]:
         graph = self.graph
         last = graph.orientation.power(walk.length, walk.h)
         s = self.vertex_position[(edge_name(graph, walk.h), walk.start)]
         t = self.vertex_position[(edge_name(graph, last), walk.end)]
-        return self.table.corner(self.walk_element(walk.h, walk.length), t, s)
+        value, denominator = self.scaled_walk(walk.h, walk.length)
+        return self.table.corner(value, t, s), denominator
+
+    def evaluate_walk(self, walk: Walk) -> Element:
+        """The summed walk: the (end, start) corner of its walk element."""
+        return _exact(*self._scaled_summed_walk(walk))
 
     def edge_positions(self, h: str) -> list[int]:
         name = edge_name(self.graph, h)
@@ -140,19 +185,35 @@ class GraphAlgebraModel:
             self.vertex_position[(name, i)] for i in vertex_indices(self.graph, h)
         ]
 
+    def scaled_path(self, path: Path) -> tuple[Element, int]:
+        """(V, D) for the product of the arrows of ``path``; KeyError names a
+        missing arrow."""
+        return self._product(path)
+
     def evaluate_path(self, path: Path) -> Element:
         """Product of the arrows of ``path``; KeyError names a missing arrow."""
-        return self._product(path, self.arrow_element.__getitem__)
+        return _exact(*self.scaled_path(path))
+
+    def scaled_relation(self, rel: Relation) -> tuple[Element, int]:
+        """(V, D) for the value of ``rel``: its terms scaled to the least
+        common denominator D and summed."""
+        terms = [
+            (
+                _integral_coefficient(coeff),
+                self._scaled_summed_walk(body)
+                if isinstance(body, Walk)
+                else self.scaled_path(body),
+            )
+            for coeff, body in rel.terms
+        ]
+        denominator = math.lcm(*(d for _, (_, d) in terms))
+        out: Element = {}
+        for coeff, (value, d) in terms:
+            out = vec_add(out, value, coeff * (denominator // d))
+        return out, denominator
 
     def evaluate_relation(self, rel: Relation) -> Element:
-        out: Element = {}
-        for coeff, body in rel.terms:
-            if isinstance(body, Walk):
-                value = self.evaluate_walk(body)
-            else:
-                value = self.evaluate_path(body)
-            out = vec_add(out, value, coeff)
-        return out
+        return _exact(*self.scaled_relation(rel))
 
 
 def ordinary_model(graph: BrauerGraph) -> GraphAlgebraModel:
@@ -299,12 +360,14 @@ class MatchReport:
     expected_dim: int
 
 
-def _common_value(model: GraphAlgebraModel, paths: tuple[Path, ...]) -> Element | None:
-    """The value all ``paths`` share in the model, or None when two differ;
-    KeyError names a missing arrow."""
-    first = model.evaluate_path(paths[0])
+def _common_value(
+    model: GraphAlgebraModel, paths: tuple[Path, ...]
+) -> tuple[Element, int] | None:
+    """The (V, D) value all ``paths`` share in the model, or None when two
+    differ; KeyError names a missing arrow."""
+    first = model.scaled_path(paths[0])
     for path in paths[1:]:
-        if model.evaluate_path(path) != first:
+        if not _same(model.scaled_path(path), first):
             return None
     return first
 
@@ -314,15 +377,22 @@ def _family_vanishes(model: GraphAlgebraModel, family: PowerFamily) -> bool:
 
     By the criterion of ``PowerFamily``: all route powers at h share one
     value v_h, all at the other end share v_o, and c_h v_h = c_o v_o.  That
-    takes one evaluation per route, not one per pair of routes.  A missing
-    arrow counts as a failure, for the pairwise check to name.
+    takes one evaluation per route, not one per pair of routes.  With
+    v = u / d for the (u, d) of ``scaled_path``, the last test is
+    c_h d_o u_h = c_o d_h u_o.  A missing arrow counts as a failure, for
+    the pairwise check to name.
     """
     try:
         v_h = _common_value(model, family.powers_h)
         v_o = None if v_h is None else _common_value(model, family.powers_o)
     except KeyError:
         return False
-    return v_o is not None and not vec_add(vec_scale(v_h, family.c_h), v_o, -family.c_o)
+    if v_o is None:
+        return False
+    (u_h, d_h), (u_o, d_o) = v_h, v_o
+    c_h = _integral_coefficient(family.c_h) * d_o
+    c_o = _integral_coefficient(family.c_o) * d_h
+    return not vec_add(vec_scale(u_h, c_h), u_o, -c_o)
 
 
 def _relation_problem(model: GraphAlgebraModel, rel: Relation) -> str | None:
@@ -394,15 +464,16 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
             continue
         for i in vertex_indices(graph, h):
             try:
-                first, *rest = [model.evaluate_path(r) for r in cycles_at(h, i)]
+                first, *rest = [model.scaled_path(r) for r in cycles_at(h, i)]
             except KeyError:
                 problems.append(f"special cycles at ({h}, {i}) use a missing arrow")
                 continue
-            other = next((v for v in rest if v != first), None)
+            other = next((v for v in rest if not _same(v, first)), None)
             if other is not None:
                 problems.append(
                     f"special cycles at ({h}, {i}) differ in the model: "
-                    f"{model.table.render(first)} vs {model.table.render(other)}"
+                    f"{model.table.render(_exact(*first))} vs "
+                    f"{model.table.render(_exact(*other))}"
                 )
     if graph.is_skew:
         expected_dim = skew_dimension_oracle(covered)

@@ -5,7 +5,7 @@ from typing import Sequence
 
 import pytest
 
-from brauergraph.algebra import ONE, AlgebraTable, Element, _integral, bga_table_with_keys
+from brauergraph.algebra import ONE, AlgebraTable, Element, bga_table_with_keys, integral_form
 from brauergraph.core import BrauerGraph, GradedGraph, Grading, zero_grading
 from brauergraph.moves import (
     Sector,
@@ -246,7 +246,7 @@ def mul_compressions(
     compressions off the action and the corners; it stays as the oracle of
     ``OrbitTruncation.compressions``.
     """
-    forms = [_integral(f)[0] for _, f in chosen]
+    forms = [integral_form(f)[0] for _, f in chosen]
     out = []
     for p, fp in enumerate(forms):
         left = skew.mul(fp, x)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,11 +9,15 @@ from brauergraph.algebra import bga_dimension_formula, bga_table_with_keys
 from brauergraph.core import gen_random, random_ih_stable_subset
 from brauergraph.covering import cover, lift_subset
 from brauergraph.homotopy import (
+    _end_cartan,
+    _hom_complexes,
+    _vanishing,
     approximation,
     end_table,
     hom_dimension,
     hom_vanishing_report,
     left_minimality_report,
+    make_complex,
     mutation_object,
     mutation_verification,
     proj_hom,
@@ -284,6 +289,102 @@ def test_mutation_fuzz_skew():
         assert report.ok, seed
         _assert_h0_is_end_table(model, report)
         done += 1
+
+
+def unscaled_mutation_object(model, subset):
+    """The cones of ``mutation_object`` on the walk elements and the twist
+    themselves, as exact elements with their 1/2 coordinates, rather than on
+    their integral multiples.  The walks are multiplied out arrow by arrow,
+    not read from the model's prefix trie."""
+    graph, table = model.graph, model.table
+
+    def walk_element(h, length):
+        orbit = graph.sigma_orbit_of(h)
+        out = model.full_arrow(h)
+        for k in range(1, length):
+            out = table.mul(model.full_arrow(orbit[k % len(orbit)]), out)
+        return out
+
+    out = []
+    for name, edge in sorted(graph.edges_by_label.items()):
+        h = edge[0]
+        sources = model.edge_positions(h)
+        if h not in subset:
+            out.append((name, stalk(table, sources)))
+            continue
+        blocks = []
+        for side in approximation(graph, subset, h).sides:
+            if side.target_edge is None:
+                continue
+            walk = walk_element(side.half_edge, side.r + 1)
+            targets = model.edge_positions(graph.orientation.power(side.r + 1, side.half_edge))
+            blocks.append((targets, walk))
+            if len(edge) == 1:
+                blocks.append((targets, table.mul(walk, model.twist)))
+        deg0, matrix = [], []
+        for targets, elem in blocks:
+            for t in targets:
+                deg0.append(t)
+                matrix.append([table.corner(elem, t, s) for s in sources])
+        out.append((name, make_complex(table, tuple(sources), tuple(deg0), matrix)))
+    return out
+
+
+def _skew_guard_cases(ex2):
+    """ex2 and the first two skew gen_random graphs at n_half 8, 10 and 12,
+    each with two random edge subsets."""
+    graphs = [ex2]
+    for n_half in (8, 10, 12):
+        found = 0
+        for seed in range(1, 40):
+            g = gen_random(seed, n_half=n_half, allow_skew=True, max_multiplicity=2)
+            if g.is_skew:
+                graphs.append(g)
+                found += 1
+                if found == 2:
+                    break
+    for k, graph in enumerate(graphs):
+        rng = random.Random(60_000 + k)
+        model = skew_model(graph)
+        for _ in range(2):
+            yield model, random_ih_stable_subset(graph, rng)
+
+
+def test_integral_cones_are_isomorphic_to_the_unscaled_ones(ex2):
+    """Each row of an integral cone is its unscaled row times a power of two,
+    and the two builds agree on every Hom complex's cohomology, on left
+    minimality and on the Cartan matrix of End(T)."""
+    scaled_rows = verdicts = 0
+    for model, subset in _skew_guard_cases(ex2):
+        table = model.table
+        integral = mutation_object(model, subset)
+        unscaled = unscaled_mutation_object(model, subset)
+        assert [name for name, _ in integral] == [name for name, _ in unscaled]
+        for (_, x), (_, u) in zip(integral, unscaled):
+            assert (x.deg_minus1, x.deg_0) == (u.deg_minus1, u.deg_0)
+            for row, exact_row in zip(x.matrix(), u.matrix()):
+                assert all(type(c) is int for entry in row for c in entry.values())
+                # undo the row's power of two
+                scale = next(
+                    (Fraction(entry[k]) / c for entry, exact in zip(row, exact_row)
+                     for k, c in exact.items()),
+                    1,
+                )
+                assert scale in (1, 2, 4, 8, 16)
+                assert [{k: c / scale for k, c in entry.items()} for entry in row] == exact_row
+                scaled_rows += scale > 1
+        complexes = _hom_complexes(table, integral)
+        reference = _hom_complexes(table, unscaled)
+        assert {pair: c.cohomology for pair, c in complexes.items()} == {
+            pair: c.cohomology for pair, c in reference.items()
+        }
+        assert left_minimality_report(model, integral) == left_minimality_report(
+            model, unscaled
+        )
+        if not any(_vanishing(complexes).values()):
+            assert _end_cartan(integral, complexes) == _end_cartan(unscaled, reference)
+            verdicts += 1
+    assert scaled_rows and verdicts
 
 
 # Reference systems for homotopy Hom dimensions: three separate linear systems,

@@ -337,14 +337,14 @@ def test_loop_family_is_checked_once_per_route(monkeypatch, tmp_path, capsys):
     powers = {route * 2 for h in ("a", "b") for route in special_cycles(graph, h)}
     assert len(powers) == 2 ** 8 + 2 ** 8
     evaluated = []
-    evaluate_path = models.GraphAlgebraModel.evaluate_path
+    scaled_path = models.GraphAlgebraModel.scaled_path
 
     def counting(model, path):
         if path in powers:
             evaluated.append(path)
-        return evaluate_path(model, path)
+        return scaled_path(model, path)
 
-    monkeypatch.setattr(models.GraphAlgebraModel, "evaluate_path", counting)
+    monkeypatch.setattr(models.GraphAlgebraModel, "scaled_path", counting)
     report = presentations_match(graph, cover(GradedGraph(graph, zero_grading(graph))))
     assert report.ok, report.problems[:2]
     assert 0 < len(evaluated) <= 2 ** 8 + 2 ** 8

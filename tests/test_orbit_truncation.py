@@ -39,7 +39,7 @@ from brauergraph.models import (
     truncation_idempotents,
     truncation_model,
 )
-from brauergraph.presentation import quiver
+from brauergraph.presentation import quiver, relations
 
 from conftest import mul_compressions, truncate
 
@@ -246,16 +246,43 @@ def test_compressions_match_products_in_the_skew_group_algebra(case):
 
 
 def test_structure_constants_are_units_or_halves(case):
+    """Every structure constant is an ``int`` unit: the orbit basis is scaled
+    by the target's denominator alone, so no product keeps the 1/2 of a
+    skew leg's idempotents."""
     _, _, _, orbit, _ = routes(case)
     table = orbit.table
     row = corner_rows(table)
     constants = {
-        c
+        (type(c), c)
         for i in range(table.dim)
         for j in row[table.src[i]]
         for c in table.pairwise(i, j).values()
     }
-    assert constants <= {1, -1, Fraction(1, 2), Fraction(-1, 2)}
+    assert constants <= {(int, 1), (int, -1)}
+
+
+def test_paths_are_multiplied_in_integers(case):
+    """Each arrow is held as +-1 coordinates over a denominator 1 or 2, the
+    latter exactly at a skew leg's copy; so every prefix the trie multiplies
+    for the relations and the walks is an ``int`` element."""
+    covered = routes(case)[0]
+    graph = covered.base.graph
+    model = truncation_model(covered)
+    for a in model.arrow_element:
+        value, d = model.scaled_path((a,))
+        assert d == (2 if a.source[1] is not None else 1), a
+        assert {(type(c), c) for c in value.values()} <= {(int, 1), (int, -1)}
+    for rel in relations(graph):
+        assert model.scaled_relation(rel)[0] == {}
+    for h in graph.half_edges:
+        model.scaled_walk(h, 2 * len(graph.sigma_orbit_of(h)))
+    nodes = list(model._prefixes.values())
+    assert nodes
+    while nodes:
+        value, d, children = nodes.pop()
+        assert all(type(c) is int for c in value.values())
+        assert d & (d - 1) == 0
+        nodes.extend(children.values())
 
 
 def test_diagonal_corners_are_local(case):
