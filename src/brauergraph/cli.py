@@ -255,6 +255,15 @@ def cmd_mutate(args) -> Outcome:
             "dim_moved": report.dim_moved,
             "cartan_equal": report.cartan_equal,
         }
+        if report.hom_witness is not None:
+            source, target, shift, dim = report.hom_witness
+            lines.append(
+                f"hom witness: Hom(T_{source}, T_{target}[{shift}]) "
+                f"has dimension {dim}"
+            )
+            payload["verify"]["hom_witness"] = {
+                "source": source, "target": target, "shift": shift, "dim": dim
+            }
         if report.cartan_witness is not None:
             row, col, end, moved = report.cartan_witness
             lines.append(

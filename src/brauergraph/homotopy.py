@@ -11,7 +11,10 @@ Hom^1 = Hom(X_{-1}, Y_0), and H^n Hom(X, Y) = Hom(X, Y[n]) in the homotopy
 category.  Every Hom dimension, the tilting check and End(T) read it.
 ``mutation_verification`` needs only the dimensions: End(T) has dim H^0
 Hom(X_a, X_b) classes from summand a to summand b, so its dimension and
-Cartan matrix are read off H^0, and no class is named.
+Cartan matrix are read off H^0, and no class is named.  The moved graph's
+algebra is not built either: its dimension and Cartan matrix are counted
+from the moved graph, or its covering (``models.graph_edge_cartan``), so
+the only algebra table on the verify path is the one it is handed.
 
 A degree-0 class is represented by a Hom^0 coordinate vector: a dict keyed
 (tag, t, s, b), where tag "m1" or "d0" names the component f_{-1} or f_0, t
@@ -29,7 +32,7 @@ from .algebra import AlgebraTable, Element, ONE
 from .core import BrauerGraph, GradedGraph, edge_name
 from .covering import default_grading
 from .linalg import RationalSpan
-from .models import GraphAlgebraModel, edge_cartan, model_for
+from .models import GraphAlgebraModel, graph_edge_cartan
 from .moves import _check_subset, escape_index, move_set
 
 Matrix = list[list[Element]]
@@ -565,6 +568,10 @@ class MutationReport:
     # edge, End(T) value, moved value); None when they agree or T is not
     # tilting.
     cartan_witness: tuple[str, str, int, int] | None = None
+    # The first ordered summand pair and shift k = -1, then 1, with
+    # Hom(T_a, T_b[k]) nonzero: (edge a, edge b, k, dimension); None when T
+    # is tilting.
+    hom_witness: tuple[str, str, int, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -577,10 +584,30 @@ class MutationReport:
         )
 
 
+def _hom_witness(
+    summands: list[tuple[str, ProjPresentation]],
+    complexes: dict[tuple[int, int], _HomComplex],
+) -> tuple[str, str, int, int] | None:
+    return next(
+        (
+            (summands[a][0], summands[b][0], shift, complex_.cohomology[shift + 1])
+            for (a, b), complex_ in complexes.items()
+            for shift in (-1, 1)
+            if complex_.cohomology[shift + 1]
+        ),
+        None,
+    )
+
+
 def mutation_verification(
     model: GraphAlgebraModel, subset: frozenset[str]
 ) -> MutationReport:
-    """Run the full desk-scale mutation check against the moved graph's algebra."""
+    """Run the full desk-scale mutation check against the moved graph's algebra.
+
+    The moved algebra's dimension and edge Cartan matrix are counted from
+    the moved graph, or its covering (``graph_edge_cartan``): no second
+    algebra is built.
+    """
     graph = model.graph
     subset = _check_subset(graph, subset)
     summands = mutation_object(model, subset)
@@ -593,12 +620,20 @@ def mutation_verification(
     if grading is None:
         grading = default_grading(graph, subset)
     moved = move_set(GradedGraph(graph, grading), subset)
-    moved_model = model_for(moved.graph, moved.grading)
-    dim_moved = moved_model.table.dim
+    edges, moved_cartan = graph_edge_cartan(moved.graph, moved.grading)
+    dim_moved = sum(map(sum, moved_cartan))
     if not tilting:
-        return MutationReport(summands, silting, tilting, minimal, -1, dim_moved, False)
+        return MutationReport(
+            summands,
+            silting,
+            tilting,
+            minimal,
+            -1,
+            dim_moved,
+            False,
+            hom_witness=_hom_witness(summands, complexes),
+        )
     cartan = _end_cartan(summands, complexes)
-    edges, moved_cartan = edge_cartan(moved_model)
     witness = next(
         (
             (edges[r], edges[c], cartan[r][c], moved_cartan[r][c])

@@ -229,6 +229,34 @@ def pairwise_match_problems(graph, covered, model):
     return problems
 
 
+def table_corner_sum(covered) -> int:
+    """The dimension of the compressed algebra of a two-sheet covering, read
+    off the covering algebra's table: over ordered pairs of base edges, the
+    corners from the sheet-zero idempotent to the sheet-zero and sheet-one
+    idempotents.
+
+    This is the table route that ``models.skew_dimension_oracle`` took
+    before it counted.  It reads sheets 0 and 1 only, so it is the
+    dimension on two-sheet coverings (every skew graph's) and an undercount
+    on more sheets.
+    """
+    base = covered.base.graph
+    bd, _, _ = bga_table_with_keys(covered.total)
+    cartan = bd.cartan()
+    position = {name: p for p, (name, _) in enumerate(bd.idempotents)}
+
+    def cover_edge_position(label: str, sheet: int) -> int:
+        return position[covered.sheet_edge(label, sheet)]
+
+    dims = 0
+    for e1 in base.edges_by_label:
+        for e2 in base.edges_by_label:
+            row = cover_edge_position(e1, 0)
+            dims += cartan[row][cover_edge_position(e2, 0)]
+            dims += cartan[row][cover_edge_position(e2, 1 % covered.group_order)]
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # Idempotent truncation: the generic corner algebra f A f, the oracle of the
 # orbit basis that ``algebra.orbit_truncation`` builds

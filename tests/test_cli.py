@@ -254,14 +254,14 @@ def test_cli_mutate_names_the_first_cartan_difference(
     from brauergraph import homotopy
     from brauergraph.models import ordinary_model
 
-    real = homotopy.edge_cartan
+    real = homotopy.graph_edge_cartan
 
-    def perturbed(model):
-        edges, cartan = real(model)
+    def perturbed(graph, grading):
+        edges, cartan = real(graph, grading)
         cartan[1][2] += 5
         return edges, cartan
 
-    monkeypatch.setattr(homotopy, "edge_cartan", perturbed)
+    monkeypatch.setattr(homotopy, "graph_edge_cartan", perturbed)
     model = ordinary_model(ex1)
     model.grading = ex1_grading
     report = homotopy.mutation_verification(
@@ -283,6 +283,47 @@ def test_cli_mutate_names_the_first_cartan_difference(
     assert verify["cartan_witness"] == {
         "row": "2", "column": "3", "end": end, "moved": end + 5
     }
+
+
+def test_cli_mutate_names_the_first_nonvanishing_hom(
+    ex1, ex1_grading, ex1_file, capsys, monkeypatch
+):
+    """With T replaced by the stalk P_1 and the shifted stalk P_2[1], the
+    first nonzero shifted Hom is Hom(T_1, T_2[-1]) = Hom(P_1, P_2)."""
+    from brauergraph import homotopy
+    from brauergraph.models import ordinary_model
+
+    model = ordinary_model(ex1)
+    model.grading = ex1_grading
+    shifted = homotopy.ProjPresentation((1,), (), ())
+
+    def stalks(model, subset):
+        return [("1", homotopy.stalk(model.table, [0])), ("2", shifted)]
+
+    monkeypatch.setattr(homotopy, "mutation_object", stalks)
+    corner = model.table.cartan()[1][0]
+    assert corner
+    report = homotopy.mutation_verification(
+        model, frozenset(["1+", "1-", "2+", "2-"])
+    )
+    assert not report.tilting and not report.ok
+    assert report.hom_witness == ("1", "2", -1, corner)
+    assert report.cartan_witness is None
+
+    assert main(["mutate", ex1_file, "--edges", "1,2", "--verify"]) == 1
+    out = capsys.readouterr().out
+    assert "tilting: FAIL" in out
+    assert f"hom witness: Hom(T_1, T_2[-1]) has dimension {corner}" in out
+    assert main(["--json", "mutate", ex1_file, "--edges", "1,2", "--verify"]) == 1
+    verify = json.loads(capsys.readouterr().out)["verify"]
+    assert verify["hom_witness"] == {
+        "source": "1", "target": "2", "shift": -1, "dim": corner
+    }
+
+
+def test_cli_mutate_prints_no_hom_witness_for_a_tilting_object(ex1_file, capsys):
+    assert main(["--json", "mutate", ex1_file, "--edges", "1,2", "--verify"]) == 0
+    assert "hom_witness" not in json.loads(capsys.readouterr().out)["verify"]
 
 
 def test_cli_cut(tmp_path, capsys):

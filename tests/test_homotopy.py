@@ -195,7 +195,7 @@ def test_mutation_verification_ex1(ex1, ex1_grading, ex1_subset):
     report = mutation_verification(model, ex1_subset)
     assert report.ok
     assert report.dim_end == report.dim_moved == 22
-    assert report.cartan_witness is None
+    assert report.cartan_witness is None and report.hom_witness is None
     _assert_h0_is_end_table(model, report)
 
 
@@ -213,6 +213,42 @@ def test_mutation_verification_builds_no_end_table(
     model.grading = ex1_grading
     assert mutation_verification(model, ex1_subset).ok
     assert mutation_verification(skew_model(ex2), ex2_subset).ok
+
+
+def test_mutation_verification_builds_no_second_model(
+    ex1, ex1_grading, ex1_subset, ex2, ex2_subset, monkeypatch
+):
+    """The moved algebra's dimension and Cartan matrix are counted, so the
+    verify path builds no algebra table besides the one it is handed."""
+    from brauergraph import homotopy
+    from brauergraph.algebra import AlgebraTable
+
+    skew = gen_random(1, n_half=8, allow_skew=True)
+    assert skew.is_skew
+    skew_subset = frozenset(
+        h for name in ("1", "4", "5") for h in skew.edges_by_label[name]
+    )
+    graded = ordinary_model(ex1)
+    graded.grading = ex1_grading
+    cases = [
+        (graded, ex1_subset),
+        (skew_model(ex2), ex2_subset),
+        (skew_model(skew), skew_subset),
+    ]
+    built = []
+    init = AlgebraTable.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(AlgebraTable, "__init__", counting)
+    for model, subset in cases:
+        assert mutation_verification(model, subset).ok
+    assert built == []
+    ordinary_model(ex1)  # the counter sees a table being built
+    assert len(built) == 1
+    assert not hasattr(homotopy, "model_for") and not hasattr(homotopy, "edge_cartan")
 
 
 def test_summands_biject_with_edges(ex1, ex2, ex1_subset, ex2_subset):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,21 +12,25 @@ from brauergraph.cli import main
 from brauergraph.core import (
     BrauerGraph,
     GradedGraph,
+    Grading,
     gen_random,
+    random_valid_grading,
     zero_grading,
 )
 from brauergraph.covering import CoveredGraph, cover, default_grading
 from brauergraph.algebra import bga_dimension_formula, bga_table, check_table
-from brauergraph.graphfile import emit
+from brauergraph.graphfile import emit, parse
 from brauergraph.linalg import vec_add, vec_scale
 from brauergraph.models import (
     edge_cartan,
+    graph_edge_cartan,
     model_for,
     ordinary_model,
     presentations_match,
     skew_model,
     truncation_model,
 )
+from brauergraph.moves import move_set
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
     MAX_RELATION_PAIRS,
@@ -42,6 +47,8 @@ from brauergraph.presentation import (
 )
 
 from conftest import pairwise_match_problems, skew_leg_loop
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_presentations_match_ex1(ex1, ex1_graded):
@@ -141,6 +148,70 @@ def test_edge_cartan_ordinary_matches_table(ex1):
     edges, aggregated = edge_cartan(model)
     assert edges == ["1", "2", "3", "4"]
     assert aggregated == bga_table(ex1).cartan()
+
+
+def test_graph_edge_cartan_counts_the_ordinary_table():
+    """The counted Cartan matrix is the BGA table's, on ordinary graphs and
+    on their coverings under a random valid grading."""
+    seen = {"loop": False, "truncated": False, "cover": 0}
+    for seed in range(1, 61):
+        rng = random.Random(seed)
+        graph = gen_random(seed, n_half=rng.choice([2, 4, 6, 8, 10]))
+        grading = random_valid_grading(graph, rng, default_grading(graph))
+        total = cover(GradedGraph(graph, grading)).total
+        for g in (graph, total):
+            table = bga_table(g)
+            edges, counted = graph_edge_cartan(g)
+            assert edges == [name for name, _ in table.idempotents]
+            assert counted == table.cartan(), seed
+        seen["cover"] += grading.modulus > 1
+        seen["loop"] |= any(
+            len(e) == 2 and e[1] in graph.sigma_orbit_of(e[0]) for e in graph.edges
+        )
+        seen["truncated"] |= any(
+            len(orbit) == 1 and graph.multiplicity[orbit[0]] == 1
+            for orbit in graph.sigma_orbits
+        )
+    assert seen["loop"] and seen["truncated"] and seen["cover"] >= 20
+
+
+def _moved(graph, grading, edges):
+    subset = frozenset(h for name in edges for h in graph.edges_by_label[name])
+    if grading is None:
+        grading = default_grading(graph, subset)
+    return move_set(GradedGraph(graph, grading), subset)
+
+
+@pytest.mark.parametrize(
+    "name, edges",
+    [
+        ("ex1", "12"),
+        ("ex2", "14"),
+        ("ordinary-1", "12"),
+        ("ordinary-2", "12"),
+        ("skew-1", "13"),
+        ("skew-3", "13"),
+    ],
+)
+def test_graph_edge_cartan_is_the_moved_model_cartan(name, edges):
+    """On the moved graph of each golden ``mutate`` input, under the grading
+    ``mutate --verify`` moves it with, the count is the model's matrix."""
+    parsed = parse((GOLDEN / f"{name}.bg").read_text(encoding="utf-8"))
+    moved = _moved(parsed.graph, parsed.grading, edges)
+    assert graph_edge_cartan(moved.graph, moved.grading) == edge_cartan(
+        model_for(moved.graph, moved.grading)
+    )
+
+
+def test_graph_edge_cartan_rejects_an_invalid_grading_as_model_for(ex1, ex2):
+    for graph in (ex1, ex2):
+        bad = Grading(3, {h: 0 for h in graph.half_edges})
+        with pytest.raises(ValueError) as counted:
+            graph_edge_cartan(graph, bad)
+        with pytest.raises(ValueError) as built:
+            model_for(graph, bad)
+        assert str(counted.value) == str(built.value)
+        assert str(counted.value).startswith("invalid grading: modulus 3")
 
 
 def test_truncation_model_of_ordinary_cover_matches_bga(ex1, ex1_graded):

@@ -36,12 +36,13 @@ from brauergraph.models import (
     cut_cover_table,
     cut_model_table,
     sheet_shift_action,
+    skew_dimension_oracle,
     truncation_idempotents,
     truncation_model,
 )
 from brauergraph.presentation import quiver, relations
 
-from conftest import mul_compressions, truncate
+from conftest import mul_compressions, table_corner_sum, truncate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Skew graphs per n_half.  The cap on the cover's dimension, and
@@ -299,6 +300,17 @@ def test_diagonal_corners_are_local(case):
             for _ in range(len(corner)):
                 power = table.mul(power, {k: ONE})
             assert power == {}, table.labels[k]
+
+
+def test_the_dimension_count_is_the_table_route(case):
+    """``skew_dimension_oracle`` counts what the covering's table gives:
+    its corner sum on a two-sheet covering, and on every covering the
+    dimension of the orbit table."""
+    covered, _, _, orbit, _ = routes(case)
+    counted = skew_dimension_oracle(covered)
+    assert counted == orbit.table.dim
+    if covered.group_order == 2:
+        assert counted == table_corner_sum(covered)
 
 
 def test_truncation_model_rejects_a_non_multiplicative_action(

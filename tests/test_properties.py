@@ -204,3 +204,18 @@ def test_the_rescaled_skew_model_is_an_algebra(seed, n_half, grading_seed):
     grading = random_valid_grading(graph, random.Random(grading_seed), zero_grading(graph))
     model = models.truncation_model(cover(GradedGraph(graph, grading)))
     assert check_table(model.table, seed=seed, cap=0) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(graphs_with_subsets(), st.integers(0, 2**32 - 1))
+def test_the_counted_cartan_matrix_is_the_moved_models(drawn, seed):
+    """The moved graph's edge Cartan matrix, counted from the graph or its
+    covering (``graph_edge_cartan``), is the one its model's table gives,
+    under the moved image of a random valid grading."""
+    graph, subset = drawn
+    base = default_grading(graph, subset)
+    grading = random_valid_grading(graph, random.Random(seed), base)
+    moved = move_set(GradedGraph(graph, grading), subset)
+    assert models.graph_edge_cartan(moved.graph, moved.grading) == models.edge_cartan(
+        models.model_for(moved.graph, moved.grading)
+    )
