@@ -380,7 +380,7 @@ def _covering_edge_cartan(covered: CoveredGraph) -> tuple[list[str], list[list[i
 
 
 def graph_edge_cartan(
-    graph: BrauerGraph, grading: Grading | None = None
+    graph: BrauerGraph, grading: Grading
 ) -> tuple[list[str], list[list[int]]]:
     """The edge Cartan matrix of ``model_for(graph, grading)``, counted from
     the graph (or, for a skew graph, from its covering under ``grading``)
@@ -388,11 +388,8 @@ def graph_edge_cartan(
     the model's table; the test suite holds the two equal.  An invalid
     grading raises as in ``model_for``."""
     if graph.is_skew:
-        if grading is None:
-            grading = zero_grading(graph)
         return _covering_edge_cartan(cover(GradedGraph(graph, grading)))
-    if grading is not None:
-        check_grading(graph, grading)
+    check_grading(graph, grading)
     return _ordinary_edge_cartan(graph)
 
 

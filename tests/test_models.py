@@ -161,7 +161,7 @@ def test_graph_edge_cartan_counts_the_ordinary_table():
         total = cover(GradedGraph(graph, grading)).total
         for g in (graph, total):
             table = bga_table(g)
-            edges, counted = graph_edge_cartan(g)
+            edges, counted = graph_edge_cartan(g, default_grading(g))
             assert edges == [name for name, _ in table.idempotents]
             assert counted == table.cartan(), seed
         seen["cover"] += grading.modulus > 1
