@@ -27,16 +27,19 @@ class CoveredGraph:
     total: BrauerGraph
     sheet_of: Mapping[str, tuple[str, int]]
     group_order: int
+    # Each base half-edge's covering labels, by sheet: the inverse of
+    # ``sheet_of``.
+    labels: Mapping[str, list[str]]
 
     def shift_half(self, label: str) -> str:
         """The sheet shift h_i -> h_{i+1} on half-edges of the total graph."""
         h, i = self.sheet_of[label]
-        return sheet_label(h, (i + 1) % self.group_order)
+        return self.labels[h][(i + 1) % self.group_order]
 
     def sheet_edge(self, label: str, sheet: int) -> str:
         """Label of the covering edge over the base edge ``label`` on ``sheet``."""
         h = self.base.graph.edges_by_label[label][0]
-        return self.total.edge_labels[sheet_label(h, sheet)]
+        return self.total.edge_labels[self.labels[h][sheet]]
 
     def shift_edge(self, label: str) -> str:
         """Label of the sheet shift of the covering edge ``label``."""
@@ -48,47 +51,61 @@ def sheet_label(h: str, sheet: int) -> str:
     return f"{h}_{sheet}"
 
 
-def cover(g: GradedGraph) -> CoveredGraph:
-    """The covering graph on ``modulus`` sheets."""
-    graph, grading = g.graph, g.grading
-    check_grading(graph, grading)
-    n = grading.modulus
-    cross = graph.cross_half_edges
-    # Each covering half-edge's label, formatted once.
+def _sheets(
+    graph: BrauerGraph, n: int
+) -> tuple[dict[str, list[str]], dict[str, tuple[str, int]], Permutation]:
+    """The half-edge labels, ``sheet_of`` and the pairing of a covering on
+    ``n`` sheets: a cross half-edge pairs with itself on the next sheet.
+    None of them reads the orientation or the grading."""
     labels = {h: [sheet_label(h, i) for i in range(n)] for h in graph.half_edges}
-    sheet_of: dict[str, tuple[str, int]] = {}
+    sheet_of = {
+        label: (h, i) for h, row in labels.items() for i, label in enumerate(row)
+    }
+    if len(sheet_of) != len(graph.half_edges) * n:
+        raise ValueError("half-edge names collide under sheet labelling")
+    cross = graph.cross_half_edges
     pairing = {}
+    for h, row in labels.items():
+        partner = labels[graph.pairing(h)]
+        for i, label in enumerate(row):
+            pairing[label] = row[(i + 1) % n] if h in cross else partner[i]
+    return labels, sheet_of, Permutation(pairing)
+
+
+def _total(
+    g: GradedGraph, labels: Mapping[str, list[str]], pairing: Permutation
+) -> BrauerGraph:
+    """The covering graph of ``g`` on the sheets ``_sheets`` labelled."""
+    graph, grading = g.graph, g.grading
+    n = grading.modulus
+    skew = graph.is_skew
     orientation = {}
     multiplicity = {}
     for h, row in labels.items():
-        partner = labels[graph.pairing(h)]
         successor = labels[graph.orientation(h)]
         degree = grading(h)
-        m = graph.multiplicity[h] if graph.is_skew else 1
+        m = graph.multiplicity[h] if skew else 1
         for i, label in enumerate(row):
-            sheet_of[label] = (h, i)
-            pairing[label] = row[(i + 1) % n] if h in cross else partner[i]
             orientation[label] = successor[(i + degree) % n]
             multiplicity[label] = m
-    if len(sheet_of) != len(graph.half_edges) * n:
-        raise ValueError("half-edge names collide under sheet labelling")
-    total = BrauerGraph(
-        frozenset(sheet_of),
-        Permutation(pairing),
-        Permutation(orientation),
-        multiplicity,
-    )
-    return CoveredGraph(base=g, total=total, sheet_of=sheet_of, group_order=n)
+    return BrauerGraph(pairing.domain, pairing, Permutation(orientation), multiplicity)
+
+
+def cover(g: GradedGraph) -> CoveredGraph:
+    """The covering graph on ``modulus`` sheets."""
+    check_grading(g.graph, g.grading)
+    n = g.grading.modulus
+    labels, sheet_of, pairing = _sheets(g.graph, n)
+    return CoveredGraph(g, _total(g, labels, pairing), sheet_of, n, labels)
 
 
 def lift_subset(c: CoveredGraph, subset: frozenset[str]) -> frozenset[str]:
-    """Full preimage of a pairing-stable subset under the projection."""
+    """Full preimage of a set of base half-edges under the projection."""
     stray = frozenset(subset) - c.base.graph.half_edges
     if stray:
         raise ValueError(f"subset contains unknown half-edges: {sorted(stray)}")
-    return frozenset(
-        sheet_label(h, i) for h in subset for i in range(c.group_order)
-    )
+    labels = c.labels
+    return frozenset(label for h in subset for label in labels[h])
 
 
 def default_grading(graph: BrauerGraph, subset: frozenset[str] = frozenset()) -> Grading:
@@ -126,11 +143,16 @@ def check_cover_commutes(g: GradedGraph, subset: frozenset[str]) -> bool:
     """Does covering the moved graph equal moving the covered graph?
 
     Both sides are compared as labelled combinatorial maps under the
-    identification that keeps every sheet label fixed.
+    identification that keeps every sheet label fixed.  The moved graph has
+    the half-edges, the pairing and the modulus of g, so its covering shares
+    the sheet labels and the covering pairing with g's: they are built once,
+    and only its orientation and multiplicity anew.
     """
     subset = frozenset(subset)
     covered = cover(g)
-    moved_then_covered = cover(move_set(g, subset)).total
+    moved = move_set(g, subset)
+    check_grading(moved.graph, moved.grading)
+    moved_then_covered = _total(moved, covered.labels, covered.total.pairing)
     covered_then_moved = move_set_underlying(
         covered.total, lift_subset(covered, subset)
     )

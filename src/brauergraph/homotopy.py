@@ -11,7 +11,10 @@ Hom^1 = Hom(X_{-1}, Y_0), and H^n Hom(X, Y) = Hom(X, Y[n]) in the homotopy
 category.  Every Hom dimension, the tilting check and End(T) read it.
 ``mutation_verification`` needs only the dimensions: End(T) has dim H^0
 Hom(X_a, X_b) classes from summand a to summand b, so its dimension and
-Cartan matrix are read off H^0, and no class is named.  The moved graph's
+Cartan matrix are read off H^0, and no class is named.  Those dimensions
+come from the ranks of the two differentials (``_hom_complex``), with no
+kernel vector and no coordinates; only the class representatives of
+``end_table`` and ``hom_space`` eliminate with coordinates.  The moved graph's
 algebra is not built either: its dimension and Cartan matrix are counted
 from the moved graph, or its covering (``models.graph_edge_cartan``), so
 the only algebra table on the verify path is the one it is handed.
@@ -31,7 +34,7 @@ from fractions import Fraction
 from .algebra import AlgebraTable, Element, ONE
 from .core import BrauerGraph, GradedGraph, edge_name
 from .covering import default_grading
-from .linalg import RationalSpan
+from .linalg import RationalSpan, rank
 from .models import GraphAlgebraModel, graph_edge_cartan
 from .moves import _check_subset, escape_index, move_set
 
@@ -231,26 +234,28 @@ def compose(table: AlgebraTable, left: Matrix, right: Matrix) -> Matrix:
 def _with_differential(
     table: AlgebraTable,
     slot: tuple[int, int, int],
-    d: Matrix,
+    d: tuple,
     tag: str,
     after: bool,
     sign: int = 1,
 ) -> dict:
     """Coordinates of sign * d . u (``after``) or sign * u . d, for the basis
-    map u with its one corner basis element at ``slot``."""
+    map u with its one corner basis element at ``slot``; ``d`` is a
+    ``ProjPresentation.differential``, each entry its (basis, coefficient)
+    pairs."""
     t, s, b = slot
     pairwise = table.pairwise
     if after:
         terms = (
             (t2, s, c, pairwise(k, b))
             for t2, row in enumerate(d)
-            for k, c in row[t].items()
+            for k, c in row[t]
         )
     else:
         terms = (
             (t, s2, c, pairwise(b, k))
             for s2, entry in enumerate(d[s])
-            for k, c in entry.items()
+            for k, c in entry
         )
     # Each entry's product has its own (i, j), so summing every term into one
     # dict gives the keys, in order, of taking the products entry by entry.
@@ -269,78 +274,107 @@ def _with_differential(
 
 @dataclass
 class _HomComplex:
-    """The complex Hom^{-1} -> Hom^0 -> Hom^1 of maps X -> Y, eliminated once.
+    """The complex Hom^{-1} -> Hom^0 -> Hom^1 of maps X -> Y.
 
-    ``cohomology`` holds dim H^n for n = -1, 0, 1; ``boundaries`` spans the
-    image of D^{-1} in Hom^0 coordinates (``n_boundaries`` vectors) and
-    ``cycles`` is a basis of the kernel of D^0.  The tilting check and the
-    Cartan matrix of End(T) read ``cohomology`` alone; ``representatives``
-    is for ``hom_space`` and ``end_table``, which name the classes.
+    ``cohomology`` holds dim H^n for n = -1, 0, 1, read off the ranks of
+    D^{-1} and D^0 by ``_hom_complex``: no kernel vector is formed and no
+    coordinate kept.  The tilting check and the Cartan matrix of End(T) read
+    it alone.  ``representatives`` is for ``hom_space`` and ``end_table``,
+    which name the classes: only it eliminates with coordinates, and it sets
+    ``boundaries``, the span of the image of D^{-1} in Hom^0 coordinates
+    (``n_boundaries`` vectors) followed by the classes it keeps.
     """
 
+    table: AlgebraTable
     x: ProjPresentation
     y: ProjPresentation
     cohomology: tuple[int, int, int]
-    boundaries: RationalSpan
-    n_boundaries: int
-    cycles: list[dict]
+    boundaries: RationalSpan | None = None
+    n_boundaries: int = 0
 
     def representatives(self, seed: tuple[dict, ...] = ()) -> list[dict]:
         """Degree-0 class representatives as Hom^0 coordinate vectors: each
         ``seed`` vector, then each cycle, that is independent of the
-        boundaries and the classes kept so far.  The boundary span keeps
-        them, in order, after the boundaries, so this is read once per
-        complex."""
+        boundaries and the classes kept so far.  Each call eliminates
+        afresh and leaves ``boundaries`` holding the boundaries, then the
+        classes kept, in order, so that ``end_table`` writes products over
+        them."""
+        self.boundaries, cycles = _eliminated_hom_complex(self.table, self.x, self.y)
+        self.n_boundaries = self.boundaries.rank
         return [
             vec
-            for vec in (*seed, *self.cycles)
+            for vec in (*seed, *cycles)
             if self.boundaries.add(vec) is not None
         ]
+
+
+def _boundary_vectors(
+    table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
+):
+    """D^{-1}: h -> (h.d_X, d_Y.h) on the basis maps h of Hom^{-1}, in Hom^0
+    coordinates."""
+    dx = x.differential
+    dy = y.differential
+    for slot in _slots(table, x.deg_0, y.deg_minus1):
+        yield _with_differential(
+            table, slot, dx, "m1", after=False
+        ) | _with_differential(table, slot, dy, "d0", after=True)
+
+
+def _d0_columns(
+    table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
+):
+    """D^0: (f_{-1}, f_0) -> f_0.d_X - d_Y.f_{-1} on the basis maps of Hom^0,
+    as (basis map key, image) pairs, each formed when it is drawn."""
+    dx = x.differential
+    dy = y.differential
+    for slot in _slots(table, x.deg_minus1, y.deg_minus1):
+        yield ("m1", *slot), _with_differential(
+            table, slot, dy, "g", after=True, sign=-1
+        )
+    for slot in _slots(table, x.deg_0, y.deg_0):
+        yield ("d0", *slot), _with_differential(table, slot, dx, "g", after=False)
 
 
 def _hom_complex(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
 ) -> _HomComplex:
-    """The Hom complex of maps X -> Y.
+    """The Hom complex of maps X -> Y, its cohomology read off two ranks.
 
-    Between two stalks Hom^{-1} and Hom^1 are zero, so the complex is the
-    corner maps X_0 -> Y_0: every basis map is a cycle and none is a
-    boundary.  That is the result of ``_eliminated_hom_complex``, read off
-    without elimination.
+    H^{-1} = |Hom^{-1}| - rk D^{-1}, H^1 = |Hom^1| - rk D^0, and, by the
+    Euler characteristic, H^0 = |Hom^0| - rk D^0 - rk D^{-1}.  The columns
+    of D^0 are formed one at a time and stop once rk D^0 = |Hom^1|: every
+    later column lies in their span.  Likewise rk D^{-1} stops at
+    |Hom^{-1}|, so between two stalks, where Hom^{-1} and Hom^1 are zero, no
+    vector is formed at all.
     """
-    if x.deg_minus1 or y.deg_minus1:
-        return _eliminated_hom_complex(table, x, y)
-    cycles = [{("d0", *slot): ONE} for slot in _slots(table, x.deg_0, y.deg_0)]
-    return _HomComplex(x, y, (0, len(cycles), 0), RationalSpan(), 0, cycles)
+    n_minus1 = len(_slots(table, x.deg_0, y.deg_minus1))
+    n_0 = len(_slots(table, x.deg_minus1, y.deg_minus1)) + len(
+        _slots(table, x.deg_0, y.deg_0)
+    )
+    n_plus1 = len(_slots(table, x.deg_minus1, y.deg_0))
+    rk_minus1 = rank(_boundary_vectors(table, x, y), n_minus1)
+    rk_0 = rank((column for _, column in _d0_columns(table, x, y)), n_plus1)
+    cohomology = (n_minus1 - rk_minus1, n_0 - rk_0 - rk_minus1, n_plus1 - rk_0)
+    return _HomComplex(table, x, y, cohomology)
 
 
 def _eliminated_hom_complex(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
-) -> _HomComplex:
-    """Apply D^{-1}: h -> (h.d_X, d_Y.h) and D^0: (f_{-1}, f_0) -> f_0.d_X - d_Y.f_{-1}
-    to the basis maps and eliminate both images."""
-    dx = x.matrix()
-    dy = y.matrix()
+) -> tuple[RationalSpan, list[dict]]:
+    """The elimination that names classes: the span of the boundaries, with
+    coordinates, and a basis of the degree-0 cycles, the kernel of D^0.
+
+    Every column of D^0 is formed.  One that depends on the earlier
+    independent ones gives a cycle: the basis map minus their combination.
+    """
     boundaries = RationalSpan()
-    minus1 = _slots(table, x.deg_0, y.deg_minus1)
-    for slot in minus1:
-        boundaries.add(
-            _with_differential(table, slot, dx, "m1", after=False)
-            | _with_differential(table, slot, dy, "d0", after=True)
-        )
-    columns = [
-        (("m1", *slot), _with_differential(table, slot, dy, "g", after=True, sign=-1))
-        for slot in _slots(table, x.deg_minus1, y.deg_minus1)
-    ] + [
-        (("d0", *slot), _with_differential(table, slot, dx, "g", after=False))
-        for slot in _slots(table, x.deg_0, y.deg_0)
-    ]
-    # A column of D^0 that depends on the earlier independent ones gives a
-    # cycle: the basis map minus their combination.
+    for vec in _boundary_vectors(table, x, y):
+        boundaries.add(vec)
     image = RationalSpan()
     independent: list[tuple] = []
     cycles = []
-    for key, column in columns:
+    for key, column in _d0_columns(table, x, y):
         index, coords = image.add_or_express(column)
         if index is not None:
             independent.append(key)
@@ -349,10 +383,7 @@ def _eliminated_hom_complex(
         for index, c in coords.items():
             cycle[independent[index]] = -c
         cycles.append(cycle)
-    n_plus1 = len(_slots(table, x.deg_minus1, y.deg_0))
-    rank = boundaries.rank
-    cohomology = (len(minus1) - rank, len(cycles) - rank, n_plus1 - image.rank)
-    return _HomComplex(x, y, cohomology, boundaries, rank, cycles)
+    return boundaries, cycles
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .algebra import (
     orbit_truncation,
 )
 from .core import BrauerGraph, GradedGraph, Grading, check_grading, edge_name, zero_grading
-from .covering import CoveredGraph, cover, sheet_label
+from .covering import CoveredGraph, cover, lift_subset
 from .linalg import vec_add, vec_scale
 from .presentation import (
     MAX_WALK_PATHS,
@@ -279,7 +279,7 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
     arrow_element: dict[Arrow, Element] = {}
     for h, arrows in itertools.groupby(quiver(base).arrows, key=lambda a: a.h):
         sheet = (-grading(h)) % n
-        w_index = index_of[("w", sheet_label(h, sheet), 1)]
+        w_index = index_of[("w", covered.labels[h][sheet], 1)]
         lifted = trunc.compress({sheet * bd.dim + w_index: ONE})
         for a in arrows:
             corner = table.corner(
@@ -600,12 +600,7 @@ def cut_cover_table(
     covered: CoveredGraph, delta: frozenset[str]
 ) -> tuple[AlgebraTable, GroupActionTable, Presentation]:
     """Gentle cut of the covering algebra, with the sheet-shift action."""
-    total = covered.total
-    n = covered.group_order
-    delta_d = frozenset(
-        sheet_label(h, i) for h in delta for i in range(n)
-    )
-    cut_presentation = admissible_cut(total, delta_d)
+    cut_presentation = admissible_cut(covered.total, lift_subset(covered, delta))
     table, paths, index_of = monomial_table(cut_presentation)
 
     def shift_vertex(v: QVertex) -> QVertex:
@@ -622,7 +617,7 @@ def cut_cover_table(
         shifted = tuple(shift_arrow(a) for a in path)
         images.append(index_of[shifted])
     action = GroupActionTable(
-        n, tuple(ONE for _ in range(table.dim)), tuple(images)
+        covered.group_order, tuple(ONE for _ in range(table.dim)), tuple(images)
     )
     return table, action, cut_presentation
 

@@ -203,12 +203,20 @@ def test_mutation_verification_builds_no_end_table(
     ex1, ex1_grading, ex1_subset, ex2, ex2_subset, monkeypatch
 ):
     from brauergraph import homotopy
+    from brauergraph.linalg import RationalSpan
 
     def unreachable(*args):
         raise AssertionError("End(T) built on the verify path")
 
+    def no_coordinates(*args):
+        raise AssertionError("coordinates asked for on the verify path")
+
     monkeypatch.setattr(homotopy._HomComplex, "representatives", unreachable)
     monkeypatch.setattr(homotopy, "_end_table_of_tilting", unreachable)
+    monkeypatch.setattr(homotopy, "_eliminated_hom_complex", unreachable)
+    # H^0 comes from two ranks: no kernel vector, no coordinates.
+    monkeypatch.setattr(RationalSpan, "express", no_coordinates)
+    monkeypatch.setattr(RationalSpan, "add_or_express", no_coordinates)
     model = ordinary_model(ex1)
     model.grading = ex1_grading
     assert mutation_verification(model, ex1_subset).ok
@@ -570,8 +578,31 @@ def test_hom_dimension_matches_the_reference_systems(ex1, ex2):
     assert nonzero[-1] and nonzero[1], nonzero
 
 
-def test_stalk_pairs_skip_the_elimination(ex1, ex2):
-    from brauergraph.homotopy import _eliminated_hom_complex, _hom_complex
+def _full_cohomology(table, x, y):
+    """dim H^n from the coordinate elimination that ``representatives`` reads:
+    the boundary rank and the D^0 kernel basis, with every column formed."""
+    from brauergraph.homotopy import _eliminated_hom_complex
+
+    boundaries, cycles = _eliminated_hom_complex(table, x, y)
+    n_minus1 = len(_ref_slots(table, x.deg_0, y.deg_minus1))
+    n_0 = len(_ref_slots(table, x.deg_minus1, y.deg_minus1)) + len(
+        _ref_slots(table, x.deg_0, y.deg_0)
+    )
+    n_plus1 = len(_ref_slots(table, x.deg_minus1, y.deg_0))
+    rank_d0 = n_0 - len(cycles)
+    return (
+        n_minus1 - boundaries.rank,
+        len(cycles) - boundaries.rank,
+        n_plus1 - rank_d0,
+    )
+
+
+def test_stalk_pairs_skip_the_elimination(ex1, ex2, monkeypatch):
+    from brauergraph import homotopy
+    from brauergraph.homotopy import _hom_complex
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a differential applied between two stalks")
 
     pairs = 0
     for model in (ordinary_model(ex1), skew_model(ex2)):
@@ -581,19 +612,62 @@ def test_stalk_pairs_skip_the_elimination(ex1, ex2):
         stalks += [stalk(table, [0, n - 1]), stalk(table, [n - 1, 1, 1])]
         for x in stalks:
             for y in stalks:
-                got = _hom_complex(table, x, y)
-                want = _eliminated_hom_complex(table, x, y)
+                want = _full_cohomology(table, x, y)
+                with monkeypatch.context() as patch:
+                    patch.setattr(homotopy, "_with_differential", unreachable)
+                    got = _hom_complex(table, x, y)
                 assert list(got.cohomology) == [
                     _ref_hom_dimension(table, x, y, k) for k in (-1, 0, 1)
                 ]
-                assert got.cohomology == want.cohomology
-                assert [list(c.items()) for c in got.cycles] == [
-                    list(c.items()) for c in want.cycles
+                assert got.cohomology == want
+                # Every corner map is a class; none is a boundary.
+                reps = got.representatives()
+                assert [list(c.items()) for c in reps] == [
+                    [(("d0", *slot), 1)]
+                    for slot in _ref_slots(table, x.deg_0, y.deg_0)
                 ]
-                assert got.n_boundaries == got.boundaries.rank == 0
-                assert want.n_boundaries == want.boundaries.rank == 0
+                assert got.n_boundaries == 0
+                assert got.boundaries.rank == len(reps) == got.cohomology[1]
                 pairs += got.cohomology[1] > 0
     assert pairs > 50
+
+
+def test_d0_columns_stop_at_full_rank(ex1, ex1_subset, ex2, ex2_subset, monkeypatch):
+    """The rank route forms D^0 columns only until rk D^0 = |Hom^1|, and its
+    cohomology is that of the full elimination and of the reference systems."""
+    from brauergraph import homotopy
+    from brauergraph.homotopy import _hom_complex
+
+    counted = homotopy._d0_columns
+    built = []
+
+    def counting(*args):
+        for pair in counted(*args):
+            built.append(pair)
+            yield pair
+
+    monkeypatch.setattr(homotopy, "_d0_columns", counting)
+    stopped = 0
+    for model, subset in ((ordinary_model(ex1), ex1_subset), (skew_model(ex2), ex2_subset)):
+        table = model.table
+        summands = mutation_object(model, subset)
+        for _, x in summands:
+            for _, y in summands:
+                built.clear()
+                got = _hom_complex(table, x, y)
+                n_columns = len(_ref_slots(table, x.deg_minus1, y.deg_minus1)) + len(
+                    _ref_slots(table, x.deg_0, y.deg_0)
+                )
+                assert len(built) <= n_columns
+                if len(built) < n_columns:
+                    # it stopped at full rank
+                    assert got.cohomology[2] == 0
+                    stopped += 1
+                assert got.cohomology == _full_cohomology(table, x, y)
+                assert list(got.cohomology) == [
+                    _ref_hom_dimension(table, x, y, k) for k in (-1, 0, 1)
+                ]
+    assert stopped, "no pair reached full rank before its last column"
 
 
 def test_hom_dimension_non_tilting_quartet(ex1):

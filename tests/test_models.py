@@ -17,7 +17,7 @@ from brauergraph.core import (
     random_valid_grading,
     zero_grading,
 )
-from brauergraph.covering import CoveredGraph, cover, default_grading
+from brauergraph.covering import cover, default_grading
 from brauergraph.algebra import bga_dimension_formula, bga_table, check_table
 from brauergraph.graphfile import emit, parse
 from brauergraph.linalg import vec_add, vec_scale
@@ -84,12 +84,7 @@ def test_presentations_match_corrupted_cover(ex1, ex1_graded):
     corrupted_total = BrauerGraph(
         total.half_edges, total.pairing, Permutation(mapping), total.multiplicity
     )
-    corrupted = CoveredGraph(
-        base=covered.base,
-        total=corrupted_total,
-        sheet_of=covered.sheet_of,
-        group_order=covered.group_order,
-    )
+    corrupted = dataclasses.replace(covered, total=corrupted_total)
     report = presentations_match(ex1, corrupted)
     assert not report.ok
     assert report.problems

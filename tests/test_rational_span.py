@@ -1,4 +1,4 @@
-"""``RationalSpan`` against a dense Gauss-Jordan reference.
+"""``RationalSpan`` and ``rank`` against a dense Gauss-Jordan reference.
 
 The reference keeps the added vectors that raised the rank as dense
 ``Fraction`` columns and solves each query afresh, so it shares no code and
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauergraph.linalg import RationalSpan, reciprocal
+from brauergraph.linalg import RationalSpan, rank, reciprocal
 
 
 def _solve(columns: list[list[Fraction]], target: list[Fraction]) -> dict | None:
@@ -149,6 +149,37 @@ def test_span_matches_the_dense_reference(block):
             order = random.Random(20_000 + 7 * seed + trial)
             assert _replay([_shuffled(v, order) for v in vectors], ops) == results, seed
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_rank_matches_the_dense_reference(block):
+    capped = 0
+    for seed in SEEDS[block::2]:
+        keys, vectors = _system(seed)
+        ref = _Reference(keys)
+        ranks = []  # the reference rank after each prefix of the vectors
+        for vec in vectors:
+            ref.add(vec)
+            ranks.append(len(ref.columns))
+        full = ranks[-1]
+        assert rank(vectors) == full, seed
+        assert rank(iter(vectors)) == full, seed
+        assert rank(vectors, cap=len(keys)) == full, seed
+        order = random.Random(30_000 + seed)
+        assert rank([_shuffled(v, order) for v in vectors]) == full, seed
+        # With a cap, no vector is drawn once the rank reaches it.
+        for cap in range(full + 1):
+            drawn = []
+
+            def draw():
+                for vec in vectors:
+                    drawn.append(vec)
+                    yield vec
+
+            assert rank(draw(), cap) == cap, (seed, cap)
+            assert len(drawn) == (ranks.index(cap) + 1 if cap else 0), (seed, cap)
+            capped += len(drawn) < len(vectors)
+    assert capped
 
 
 def test_express_outside_the_span_and_of_the_basis():
