@@ -64,11 +64,6 @@ from .presentation import (
 _Node = tuple[Element, int, dict["Arrow | str", "_Node"]]
 
 
-def _integral_coefficient(c: int | Fraction) -> int | Fraction:
-    """c as an ``int`` when it is one (relation coefficients are Fractions)."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _exact(value: Element, denominator: int) -> Element:
     """The element value / denominator, ``int`` where a coefficient is one."""
     if denominator == 1:
@@ -199,7 +194,7 @@ class GraphAlgebraModel:
         common denominator D and summed."""
         terms = [
             (
-                _integral_coefficient(coeff),
+                coeff,
                 self._scaled_summed_walk(body)
                 if isinstance(body, Walk)
                 else self.scaled_path(body),
@@ -442,8 +437,8 @@ def _family_vanishes(model: GraphAlgebraModel, family: PowerFamily) -> bool:
     if v_o is None:
         return False
     (u_h, d_h), (u_o, d_o) = v_h, v_o
-    c_h = _integral_coefficient(family.c_h) * d_o
-    c_o = _integral_coefficient(family.c_o) * d_h
+    c_h = family.c_h * d_o
+    c_o = family.c_o * d_h
     return not vec_add(vec_scale(u_h, c_h), u_o, -c_o)
 
 

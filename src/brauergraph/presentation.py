@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -72,7 +71,34 @@ class Walk:
 
 @dataclass(frozen=True)
 class Relation:
-    terms: tuple[tuple[Fraction, Path | Walk], ...]
+    terms: tuple[tuple[int, Path | Walk], ...]
+
+
+@dataclass(frozen=True)
+class PowerFamily:
+    """Rule (I) at one edge: c_h r^m_h - c_o s^m_o = 0 for every route r of
+    the special cycle at ``h`` and every route s at ``other``.
+
+    ``powers_h`` and ``powers_o`` hold each route power r^m once, so a family
+    of 2^k_h * 2^k_o relations keeps 2^k_h + 2^k_o paths.  The family
+    vanishes in an algebra exactly when the values c_h v(r) and c_o v(s) are
+    all one element: fixing s, c_h v(r) = c_o v(s) for every r makes all
+    c_h v(r) equal, and fixing r does the same for every c_o v(s).
+    """
+
+    h: str
+    other: str
+    c_h: int
+    c_o: int
+    powers_h: tuple[Path, ...]
+    powers_o: tuple[Path, ...]
+
+    def pairs(self) -> Iterator[Relation]:
+        """One relation per pair of routes, routes at ``h`` outermost."""
+        c_h, minus_c_o = self.c_h, -self.c_o
+        for power_h in self.powers_h:
+            for power_o in self.powers_o:
+                yield Relation(((c_h, power_h), (minus_c_o, power_o)))
 
 
 @dataclass(frozen=True)
@@ -95,12 +121,25 @@ class Quiver:
 
 @dataclass(frozen=True)
 class Presentation:
+    """A quiver with relations.
+
+    Rule (I) of a graph's presentation is held as its ``families``, each
+    route power once; ``other_relations`` holds every other relation.
+    ``relations`` lists them all, each family expanded pair by pair ahead
+    of the others, and is built on first access.
+    """
+
     quiver: Quiver
-    relations: tuple[Relation, ...]
+    other_relations: tuple[Relation, ...]
     symbol: str = "a"
     # The graph whose sigma-orbits expand summed walks; None when no
     # relation has one.
     graph: BrauerGraph | None = None
+    families: tuple[PowerFamily, ...] = ()
+
+    @cached_property
+    def relations(self) -> tuple[Relation, ...]:
+        return tuple(_listed(self.families, self.other_relations))
 
 
 # Cached per graph: relation builders and walk expansion read its arrow index.
@@ -158,14 +197,14 @@ def walk_path_count(graph: BrauerGraph, h: str, length: int) -> int:
 
 def expand_relation(
     rel: Relation, graph: BrauerGraph | None = None
-) -> list[tuple[Fraction, Path]]:
+) -> list[tuple[int, Path]]:
     """The terms of ``rel`` with each summed walk expanded to its paths.
 
     ``graph`` supplies the sigma-orbits and is needed only when ``rel`` has
     a summed walk.  A walk of more than ``MAX_WALK_PATHS`` paths raises
     ValueError.
     """
-    out: list[tuple[Fraction, Path]] = []
+    out: list[tuple[int, Path]] = []
     for coeff, body in rel.terms:
         if not isinstance(body, Walk):
             out.append((coeff, body))
@@ -217,7 +256,7 @@ def _crossing_relations(graph: BrauerGraph) -> list[Relation]:
         for i in vertex_indices(graph, h):
             for j in vertex_indices(graph, sigma(partner)):
                 path = (arrow(h, i, None), arrow(partner, None, j))
-                out.append(Relation(((Fraction(1), path),)))
+                out.append(Relation(((1, path),)))
     return out
 
 
@@ -235,46 +274,18 @@ def _two_route_relations(graph: BrauerGraph) -> list[Relation]:
                     (arrow(h, i, k), arrow(sigma(h), k, j))
                     for k in (0, 1)
                 ]
-                out.append(
-                    Relation(((Fraction(1), routes[0]), (Fraction(-1), routes[1])))
-                )
+                out.append(Relation(((1, routes[0]), (-1, routes[1]))))
     return out
-
-
-@dataclass(frozen=True)
-class PowerFamily:
-    """Rule (I) at one edge: c_h r^m_h - c_o s^m_o = 0 for every route r of
-    the special cycle at ``h`` and every route s at ``other``.
-
-    ``powers_h`` and ``powers_o`` hold each route power r^m once, so a family
-    of 2^k_h * 2^k_o relations keeps 2^k_h + 2^k_o paths.  The family
-    vanishes in an algebra exactly when the values c_h v(r) and c_o v(s) are
-    all one element: fixing s, c_h v(r) = c_o v(s) for every r makes all
-    c_h v(r) equal, and fixing r does the same for every c_o v(s).
-    """
-
-    h: str
-    other: str
-    c_h: Fraction
-    c_o: Fraction
-    powers_h: tuple[Path, ...]
-    powers_o: tuple[Path, ...]
-
-    def pairs(self) -> Iterator[Relation]:
-        """One relation per pair of routes, routes at ``h`` outermost."""
-        c_h, minus_c_o = self.c_h, -self.c_o
-        for power_h in self.powers_h:
-            for power_o in self.powers_o:
-                yield Relation(((c_h, power_h), (minus_c_o, power_o)))
 
 
 # The most relations one rule-(I) family may list in a ``presentation``.
 # Past it ``presentation`` raises ValueError instead of printing megabytes
-# through the ``relations`` and ``quiver`` commands.  ``relations`` itself
-# lists every pair, whatever the count; ``models.presentations_match``
-# checks a family per route and never lists its pairs.  A loop edge whose
-# vertex carries k skew legs has 2^(2k) pairs: six legs reach the cap,
-# seven are refused.
+# through the ``relations`` and ``quiver`` commands.  A ``Presentation``
+# holds each family's route powers once and renders each of them once, but
+# still prints one line per pair; ``relations`` lists every pair, whatever
+# the count, and ``models.presentations_match`` checks a family per route
+# and never lists its pairs.  A loop edge whose vertex carries k skew legs
+# has 2^(2k) pairs: six legs reach the cap, seven are refused.
 MAX_RELATION_PAIRS = 1 << 12
 
 
@@ -317,8 +328,8 @@ def _power_families(
             PowerFamily(
                 h,
                 other,
-                Fraction(2 ** n_cross(graph, h)) ** m_h,
-                Fraction(2 ** n_cross(graph, other)) ** m_o,
+                2 ** (n_cross(graph, h) * m_h),
+                2 ** (n_cross(graph, other) * m_o),
                 tuple(route * m_h for route in cycles_at(h)),
                 tuple(route * m_o for route in cycles_at(other)),
             )
@@ -340,7 +351,7 @@ def _other_relations(
         for i in vertex_indices(graph, h):
             for route in cycles_at(h, i):
                 path = route * graph.multiplicity[h] + (route[0],)
-                out.append(Relation(((Fraction(1), path),)))
+                out.append(Relation(((1, path),)))
 
     # (III) crossing to the other side of the next edge.
     out.extend(_crossing_relations(graph))
@@ -356,11 +367,27 @@ def _other_relations(
                     arrow(last.h, last.source[1], (i + 1) % 2),
                 )
                 path = route * (graph.multiplicity[h] - 1) + shifted
-                out.append(Relation(((Fraction(1), path),)))
+                out.append(Relation(((1, path),)))
 
     # (V) the two routes through a doubled vertex agree.
     out.extend(_two_route_relations(graph))
     return out
+
+
+def _listed(
+    families: Iterable[PowerFamily], others: Iterable[Relation]
+) -> Iterator[Relation]:
+    """Each family pair by pair, then the other relations."""
+    for family in families:
+        yield from family.pairs()
+    yield from others
+
+
+def _rules(graph: BrauerGraph) -> tuple[list[PowerFamily], list[Relation]]:
+    """The rule-(I) families and rules (II)-(V) of the graph."""
+    # Rules (I), (II) and (IV) read the same special cycles: build each once.
+    cycles_at = _special_cycle_table(graph)
+    return _power_families(graph, cycles_at), _other_relations(graph, cycles_at)
 
 
 def relations(graph: BrauerGraph) -> list[Relation]:
@@ -369,17 +396,11 @@ def relations(graph: BrauerGraph) -> list[Relation]:
     Rule (I) comes first, one relation per pair of routes of each
     ``PowerFamily``, routes at its h outermost; rules (II)-(V) follow.
     """
-    # Rules (I), (II) and (IV) read the same special cycles: build each once.
-    cycles_at = _special_cycle_table(graph)
-    out: list[Relation] = []
-    for family in _power_families(graph, cycles_at):
-        out.extend(family.pairs())
-    out.extend(_other_relations(graph, cycles_at))
-    return out
+    return list(_listed(*_rules(graph)))
 
 
 def presentation(graph: BrauerGraph) -> Presentation:
-    """Quiver and ``relations`` of the graph.
+    """Quiver and relations of the graph, rule (I) held as its families.
 
     A rule-(I) family of more than ``MAX_RELATION_PAIRS`` pairs raises
     ValueError naming its edge and pair count, before any route is listed.
@@ -391,7 +412,8 @@ def presentation(graph: BrauerGraph) -> Presentation:
                 f"rule (I) at edge {edge_name(graph, h)} has {pairs} "
                 f"relations, over the expansion cap of {MAX_RELATION_PAIRS}"
             )
-    return Presentation(quiver(graph), tuple(relations(graph)))
+    families, others = _rules(graph)
+    return Presentation(quiver(graph), tuple(others), families=tuple(families))
 
 
 def relation_violations(p: Presentation) -> list[str]:
@@ -462,7 +484,8 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
     base = c.base.graph
     q = quiver(base)
     if not base.is_skew:
-        return Presentation(q, tuple(relations(base)), symbol="b")
+        families, others = _rules(base)
+        return Presentation(q, tuple(others), symbol="b", families=tuple(families))
 
     sigma = base.orientation
     cross = base.cross_half_edges
@@ -473,7 +496,7 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
         for i in (0, 1):
             n = len(base.sigma_orbit_of(h))
             length = n * base.multiplicity[h]
-            rels.append(Relation(((Fraction(1), Walk(h, i, length, (i + 1) % 2)),)))
+            rels.append(Relation(((1, Walk(h, i, length, (i + 1) % 2)),)))
 
     # (II') equality of summed cycle powers across non-degenerate edges.
     for edge in base.edges:
@@ -483,7 +506,7 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
         if not (induces_arrow(base, h) and induces_arrow(base, other)):
             continue
         terms = []
-        for x, sign in ((h, Fraction(1)), (other, Fraction(-1))):
+        for x, sign in ((h, 1), (other, -1)):
             length = len(base.sigma_orbit_of(x)) * base.multiplicity[x]
             terms.append((sign, Walk(x, None, length, None)))
         rels.append(Relation(tuple(terms)))
@@ -496,7 +519,7 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
         length = n * base.multiplicity[h] + 1
         for i in vertex_indices(base, h):
             for j in vertex_indices(base, sigma(h)):
-                rels.append(Relation(((Fraction(1), Walk(h, i, length, j)),)))
+                rels.append(Relation(((1, Walk(h, i, length, j)),)))
 
     # (IV') the two routes through a doubled vertex agree.
     rels.extend(_two_route_relations(base))
@@ -591,26 +614,29 @@ def render_path(path: Path, symbol: str = "a") -> str:
     return " ".join(render_arrow(a, symbol) for a in reversed(path))
 
 
+def _chunk(
+    coeff: int, path: Path, symbol: str, names: Mapping[Arrow, str]
+) -> str:
+    """One relation term as text; ``names`` holds arrows already rendered."""
+    body = " ".join([names.get(a) or render_arrow(a, symbol) for a in reversed(path)])
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return f"- {body}"
+    return f"{coeff} {body}"
+
+
+def _following(chunk: str) -> str:
+    """A term's text after the first: a sign joins it to the one before."""
+    return chunk if chunk.startswith("-") else "+ " + chunk
+
+
 def _render_terms(
-    terms: list[tuple[Fraction, Path]], symbol: str, names: Mapping[Arrow, str]
+    terms: list[tuple[int, Path]], symbol: str, names: Mapping[Arrow, str]
 ) -> str:
     """Expanded relation terms as text; ``names`` holds arrows already rendered."""
-    parts: list[str] = []
-    for coeff, path in terms:
-        body = " ".join(
-            [names.get(a) or render_arrow(a, symbol) for a in reversed(path)]
-        )
-        if coeff == 1:
-            chunk = body
-        elif coeff == -1:
-            chunk = f"- {body}"
-        else:
-            chunk = f"{coeff} {body}"
-        if parts and not chunk.startswith("-"):
-            parts.append("+ " + chunk)
-        else:
-            parts.append(chunk)
-    return " ".join(parts)
+    chunks = [_chunk(coeff, path, symbol, names) for coeff, path in terms]
+    return " ".join(chunks[:1] + [_following(chunk) for chunk in chunks[1:]])
 
 
 def render_relation(
@@ -621,12 +647,26 @@ def render_relation(
 
 
 def render_relations(p: Presentation) -> list[str]:
-    """Every relation of ``p`` as text, each quiver arrow rendered once."""
-    names = {a: render_arrow(a, p.symbol) for a in p.quiver.arrows}
-    return [
-        _render_terms(expand_relation(rel, p.graph), p.symbol, names)
-        for rel in p.relations
-    ]
+    """Every relation of ``p`` as text, in the order of ``p.relations``.
+
+    Each quiver arrow is rendered once, and each route power of a rule-(I)
+    family once: a pair's line joins the texts of its two route powers.
+    """
+    symbol = p.symbol
+    names = {a: render_arrow(a, symbol) for a in p.quiver.arrows}
+    out: list[str] = []
+    for family in p.families:
+        heads = [_chunk(family.c_h, r, symbol, names) for r in family.powers_h]
+        tails = [
+            " " + _following(_chunk(-family.c_o, s, symbol, names))
+            for s in family.powers_o
+        ]
+        out.extend([head + tail for head in heads for tail in tails])
+    out.extend(
+        _render_terms(expand_relation(rel, p.graph), symbol, names)
+        for rel in p.other_relations
+    )
+    return out
 
 
 def render_presentation(p: Presentation) -> str:

@@ -20,10 +20,12 @@ from brauergraph.models import skew_dimension_oracle
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
     induces_arrow,
+    presentation,
     quiver,
     relations,
     render_arrow,
     render_relation,
+    render_relations,
     special_cycles,
     vertex_indices,
 )
@@ -170,6 +172,16 @@ def sector_fold_underlying(graph, subset):
     for sector in sector_order(graph, subset):
         graph = move_sector_underlying(graph, sector, subset)
     return graph
+
+
+def assert_families_render_pair_by_pair(graph):
+    """A presentation's rendering, rule (I) read per route power, equals
+    each relation of ``relations`` rendered on its own, and the
+    presentation's expanded relations equal them."""
+    listed = relations(graph)
+    p = presentation(graph)
+    assert render_relations(p) == [render_relation(rel, "a", graph) for rel in listed]
+    assert p.relations == tuple(listed)
 
 
 def pairwise_match_problems(graph, covered, model):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from brauergraph import presentation as presentation_module
 from brauergraph.core import (
     BrauerGraph,
     GradedGraph,
@@ -13,12 +15,14 @@ from brauergraph.core import (
     zero_grading,
 )
 from brauergraph.covering import cover
+from brauergraph.graphfile import parse
 from brauergraph.linalg import vec_add
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
     MAX_RELATION_PAIRS,
     MAX_WALK_PATHS,
     Arrow,
+    PowerFamily,
     Relation,
     Walk,
     admissible_cut,
@@ -33,13 +37,20 @@ from brauergraph.presentation import (
     render_path,
     render_presentation,
     render_relation,
+    render_relations,
     special_cycles,
     to_dot,
     truncation_presentation,
     vertex_indices,
 )
 
-from conftest import build_graph, skew_leg_loop
+from conftest import (
+    assert_families_render_pair_by_pair,
+    build_graph,
+    skew_leg_loop,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def rendered_relations(graph):
@@ -349,6 +360,56 @@ def test_presentation_caps_a_rule_one_family(legs):
         f"rule (I) at edge a has {pairs} relations, over the expansion cap of "
         f"{MAX_RELATION_PAIRS}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.bg")))
+def test_families_render_pair_by_pair_on_the_golden_graphs(name):
+    parsed = parse((GOLDEN / f"{name}.bg").read_text(encoding="utf-8"))
+    assert_families_render_pair_by_pair(parsed.graph)
+
+
+@pytest.mark.parametrize("legs", [4, 5, 6])
+def test_families_render_pair_by_pair_on_leg_loops(legs):
+    assert 2 ** (2 * legs) <= MAX_RELATION_PAIRS
+    assert_families_render_pair_by_pair(skew_leg_loop(legs))
+
+
+def test_families_render_each_route_power_once(monkeypatch):
+    """Six legs give the loop edge 2^6 routes at each end and 2^12 pairs;
+    rendering reads each route power once and lists no pair."""
+    graph = skew_leg_loop(6)
+    powers = {route for h in ("a", "b") for route in special_cycles(graph, h)}
+    assert len(powers) == 2 ** 6 + 2 ** 6
+    p = presentation(graph)
+    rendered = []
+    chunk = presentation_module._chunk
+
+    def counting(coeff, path, symbol, names):
+        if path in powers:
+            rendered.append(path)
+        return chunk(coeff, path, symbol, names)
+
+    def unreachable(family):
+        raise AssertionError("listed the pairs of a family")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation_module, "_chunk", counting)
+        patch.setattr(PowerFamily, "pairs", unreachable)
+        lines = render_relations(p)
+        assert len(rendered) == len(powers)
+        assert set(rendered) == powers
+        text = render_presentation(p)
+        dot = to_dot(p)
+    assert len(lines) == LOOP_RELATIONS[6]
+    assert [
+        line[len("relation "):]
+        for line in text.splitlines()
+        if line.startswith("relation ")
+    ] == lines
+    assert [
+        line[len("   * "):] for line in dot.splitlines() if line.startswith("   * ")
+    ] == lines
+    assert len(p.relations) == LOOP_RELATIONS[6]
 
 
 def test_admissible_cut_requires_transversal(ex2_multiplicity_one):

@@ -44,6 +44,7 @@ from brauergraph.moves import maximal_sectors, move_sector, move_set
 from brauergraph.permutations import Permutation
 
 from conftest import (
+    assert_families_render_pair_by_pair,
     assert_sectors_match_reference,
     pairwise_match_problems,
     sector_fold,
@@ -204,6 +205,18 @@ def test_the_rescaled_skew_model_is_an_algebra(seed, n_half, grading_seed):
     grading = random_valid_grading(graph, random.Random(grading_seed), zero_grading(graph))
     model = models.truncation_model(cover(GradedGraph(graph, grading)))
     assert check_table(model.table, seed=seed, cap=0) == []
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(st.integers(1, 10**6), st.sampled_from([4, 6, 8]), st.integers(1, 3))
+def test_families_render_pair_by_pair(seed, n_half, max_multiplicity):
+    """Rendering a skew graph's presentation, each rule-(I) route power once,
+    gives the text of rendering its relations one pair at a time."""
+    graph = gen_random(
+        seed, n_half=n_half, allow_skew=True, max_multiplicity=max_multiplicity
+    )
+    assume(graph.is_skew)
+    assert_families_render_pair_by_pair(graph)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
