@@ -24,6 +24,7 @@ from .presentation import (
     admissible_cut,
     presentation,
     render_presentation,
+    render_quiver,
     render_relations,
     render_vertex,
     to_dot,
@@ -142,8 +143,7 @@ def cmd_quiver(args) -> Outcome:
     parsed = _load(args.file)
     _require_valid(parsed.graph)
     p = presentation(parsed.graph)
-    lines = render_presentation(p).rstrip("\n").split("\n")
-    lines = [l for l in lines if not l.startswith("relation ")]
+    lines = render_quiver(p)
     payload = {
         "vertices": [render_vertex(v) for v in p.quiver.vertices],
         "arrows": len(p.quiver.arrows),

@@ -13,8 +13,9 @@ category.  Every Hom dimension, the tilting check and End(T) read it.
 Hom(X_a, X_b) classes from summand a to summand b, so its dimension and
 Cartan matrix are read off H^0, and no class is named.  Those dimensions
 come from the ranks of the two differentials (``_hom_complex``), with no
-kernel vector and no coordinates; only the class representatives of
-``end_table`` and ``hom_space`` eliminate with coordinates.  The moved graph's
+kernel vector and no coordinates.  ``end_table`` and ``hom_space`` run one
+coordinate elimination per pair (``_eliminated_hom_complex``), which gives
+both the cohomology and the classes.  The moved graph's
 algebra is not built either: its dimension and Cartan matrix are counted
 from the moved graph, or its covering (``models.graph_edge_cartan``), so
 the only algebra table on the verify path is the one it is handed.
@@ -39,6 +40,8 @@ from .models import GraphAlgebraModel, graph_edge_cartan
 from .moves import _check_subset, escape_index, move_set
 
 Matrix = list[list[Element]]
+# dim H^n for n = -1, 0, 1 of a Hom complex.
+Cohomology = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -272,42 +275,6 @@ def _with_differential(
     return out
 
 
-@dataclass
-class _HomComplex:
-    """The complex Hom^{-1} -> Hom^0 -> Hom^1 of maps X -> Y.
-
-    ``cohomology`` holds dim H^n for n = -1, 0, 1, read off the ranks of
-    D^{-1} and D^0 by ``_hom_complex``: no kernel vector is formed and no
-    coordinate kept.  The tilting check and the Cartan matrix of End(T) read
-    it alone.  ``representatives`` is for ``hom_space`` and ``end_table``,
-    which name the classes: only it eliminates with coordinates, and it sets
-    ``boundaries``, the span of the image of D^{-1} in Hom^0 coordinates
-    (``n_boundaries`` vectors) followed by the classes it keeps.
-    """
-
-    table: AlgebraTable
-    x: ProjPresentation
-    y: ProjPresentation
-    cohomology: tuple[int, int, int]
-    boundaries: RationalSpan | None = None
-    n_boundaries: int = 0
-
-    def representatives(self, seed: tuple[dict, ...] = ()) -> list[dict]:
-        """Degree-0 class representatives as Hom^0 coordinate vectors: each
-        ``seed`` vector, then each cycle, that is independent of the
-        boundaries and the classes kept so far.  Each call eliminates
-        afresh and leaves ``boundaries`` holding the boundaries, then the
-        classes kept, in order, so that ``end_table`` writes products over
-        them."""
-        self.boundaries, cycles = _eliminated_hom_complex(self.table, self.x, self.y)
-        self.n_boundaries = self.boundaries.rank
-        return [
-            vec
-            for vec in (*seed, *cycles)
-            if self.boundaries.add(vec) is not None
-        ]
-
-
 def _boundary_vectors(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
 ):
@@ -336,10 +303,23 @@ def _d0_columns(
         yield ("d0", *slot), _with_differential(table, slot, dx, "g", after=False)
 
 
+def _hom_sizes(
+    table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
+) -> tuple[int, int, int]:
+    """|Hom^{-1}|, |Hom^0| and |Hom^1| for maps X -> Y."""
+    return (
+        len(_slots(table, x.deg_0, y.deg_minus1)),
+        len(_slots(table, x.deg_minus1, y.deg_minus1))
+        + len(_slots(table, x.deg_0, y.deg_0)),
+        len(_slots(table, x.deg_minus1, y.deg_0)),
+    )
+
+
 def _hom_complex(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
-) -> _HomComplex:
-    """The Hom complex of maps X -> Y, its cohomology read off two ranks.
+) -> Cohomology:
+    """dim H^n for n = -1, 0, 1 of the Hom complex of maps X -> Y, read off
+    two ranks with no kernel vector and no coordinate kept.
 
     H^{-1} = |Hom^{-1}| - rk D^{-1}, H^1 = |Hom^1| - rk D^0, and, by the
     Euler characteristic, H^0 = |Hom^0| - rk D^0 - rk D^{-1}.  The columns
@@ -348,29 +328,31 @@ def _hom_complex(
     |Hom^{-1}|, so between two stalks, where Hom^{-1} and Hom^1 are zero, no
     vector is formed at all.
     """
-    n_minus1 = len(_slots(table, x.deg_0, y.deg_minus1))
-    n_0 = len(_slots(table, x.deg_minus1, y.deg_minus1)) + len(
-        _slots(table, x.deg_0, y.deg_0)
-    )
-    n_plus1 = len(_slots(table, x.deg_minus1, y.deg_0))
+    n_minus1, n_0, n_plus1 = _hom_sizes(table, x, y)
     rk_minus1 = rank(_boundary_vectors(table, x, y), n_minus1)
     rk_0 = rank((column for _, column in _d0_columns(table, x, y)), n_plus1)
-    cohomology = (n_minus1 - rk_minus1, n_0 - rk_0 - rk_minus1, n_plus1 - rk_0)
-    return _HomComplex(table, x, y, cohomology)
+    return (n_minus1 - rk_minus1, n_0 - rk_0 - rk_minus1, n_plus1 - rk_0)
 
 
 def _eliminated_hom_complex(
-    table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
-) -> tuple[RationalSpan, list[dict]]:
-    """The elimination that names classes: the span of the boundaries, with
-    coordinates, and a basis of the degree-0 cycles, the kernel of D^0.
+    table: AlgebraTable,
+    x: ProjPresentation,
+    y: ProjPresentation,
+    seed: tuple[dict, ...] = (),
+) -> tuple[Cohomology, RationalSpan, list[dict]]:
+    """The coordinate pass over maps X -> Y: the cohomology, read off rk
+    D^{-1} and rk D^0 as in ``_hom_complex``, the span of the boundaries and
+    then the classes, and the classes as Hom^0 coordinate vectors: each
+    ``seed`` vector, then each cycle, kept if independent of the span so far.
 
-    Every column of D^0 is formed.  One that depends on the earlier
-    independent ones gives a cycle: the basis map minus their combination.
+    Each boundary image and each column of D^0 is formed once.  A column
+    that depends on the earlier independent ones gives a cycle: the basis
+    map minus their combination.
     """
-    boundaries = RationalSpan()
+    span = RationalSpan()
     for vec in _boundary_vectors(table, x, y):
-        boundaries.add(vec)
+        span.add(vec)
+    rk_minus1 = span.rank
     image = RationalSpan()
     independent: list[tuple] = []
     cycles = []
@@ -383,7 +365,11 @@ def _eliminated_hom_complex(
         for index, c in coords.items():
             cycle[independent[index]] = -c
         cycles.append(cycle)
-    return boundaries, cycles
+    n_minus1, n_0, n_plus1 = _hom_sizes(table, x, y)
+    rk_0 = len(independent)
+    cohomology = (n_minus1 - rk_minus1, n_0 - rk_0 - rk_minus1, n_plus1 - rk_0)
+    classes = [vec for vec in (*seed, *cycles) if span.add(vec) is not None]
+    return cohomology, span, classes
 
 
 @dataclass(frozen=True)
@@ -399,9 +385,9 @@ def hom_space(
 ) -> HomSpace:
     if shift != 0:
         return HomSpace(hom_dimension(table, x, y, shift))
-    reps = _hom_complex(table, x, y).representatives()
+    _, _, classes = _eliminated_hom_complex(table, x, y)
     return HomSpace(
-        len(reps), tuple(_chain_map_from_vector(x, y, vec) for vec in reps)
+        len(classes), tuple(_chain_map_from_vector(x, y, vec) for vec in classes)
     )
 
 
@@ -411,13 +397,13 @@ def hom_dimension(
     """dim Hom(X, Y[shift]) = dim H^shift of the Hom complex."""
     if abs(shift) >= 2:
         return 0
-    return _hom_complex(table, x, y).cohomology[shift + 1]
+    return _hom_complex(table, x, y)[shift + 1]
 
 
 def _hom_complexes(
     table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
-) -> dict[tuple[int, int], _HomComplex]:
-    """One Hom complex per ordered pair of summands."""
+) -> dict[tuple[int, int], Cohomology]:
+    """The Hom complex's cohomology for each ordered pair of summands."""
     return {
         (a, b): _hom_complex(table, x, y)
         for a, (_, x) in enumerate(summands)
@@ -425,9 +411,9 @@ def _hom_complexes(
     }
 
 
-def _vanishing(complexes: dict[tuple[int, int], _HomComplex]) -> dict[int, int]:
+def _vanishing(cohomology: dict[tuple[int, int], Cohomology]) -> dict[int, int]:
     return {
-        shift: sum(c.cohomology[shift + 1] for c in complexes.values())
+        shift: sum(c[shift + 1] for c in cohomology.values())
         for shift in (-1, 1)
     }
 
@@ -452,92 +438,79 @@ def left_minimality_report(
     return problems
 
 
+def _end_cartan(
+    summands: list[tuple[str, ProjPresentation]],
+    cohomology: dict[tuple[int, int], Cohomology],
+) -> list[list[int]]:
+    """The Cartan matrix of End(T), for summands whose shifted Homs vanish.
+
+    Entry [b][a] is dim H^0 Hom(X_a, X_b): the classes from summand a to
+    summand b, in the orientation of ``AlgebraTable.cartan``.  Raises when a
+    summand is zero in the homotopy category.  Its identity is a cycle, and
+    it is a boundary exactly when H^0 Hom(X, X) = 0, since every f equals
+    f . id.
+    """
+    cartan = [[0] * len(summands) for _ in summands]
+    for (a, b), c in cohomology.items():
+        cartan[b][a] = c[1]
+    for a, (name, _) in enumerate(summands):
+        if not cartan[a][a]:
+            raise ValueError(
+                f"summand {name!r} is zero in the homotopy category: "
+                "its identity is null-homotopic"
+            )
+    return cartan
+
+
 def end_table(
     table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
 ) -> AlgebraTable:
     """Endomorphism algebra of the direct sum, modulo homotopy.
 
-    Raises when a shifted Hom fails to vanish, since the composition table is
-    only an algebra on honest degree-0 classes of a tilting object.
+    One coordinate pass per ordered pair of summands gives both the
+    cohomology and the classes.  Raises when a shifted Hom fails to vanish,
+    since the composition table is only an algebra on honest degree-0
+    classes of a tilting object, and then, as ``_end_cartan`` does, when a
+    summand is zero in the homotopy category.
     """
-    complexes = _hom_complexes(table, summands)
-    vanishing = _vanishing(complexes)
-    if any(vanishing.values()):
-        raise ValueError(f"not tilting: shifted Hom dimensions {vanishing}")
-    return _end_table_of_tilting(table, summands, complexes)
-
-
-def _contractible(name: str) -> ValueError:
-    return ValueError(
-        f"summand {name!r} is zero in the homotopy category: "
-        "its identity is null-homotopic"
-    )
-
-
-def _end_cartan(
-    summands: list[tuple[str, ProjPresentation]],
-    complexes: dict[tuple[int, int], _HomComplex],
-) -> list[list[int]]:
-    """The Cartan matrix of End(T), for summands whose shifted Homs vanish.
-
-    Entry [b][a] is dim H^0 Hom(X_a, X_b): the classes from summand a to
-    summand b, in the orientation of ``AlgebraTable.cartan``.  Raises, as
-    ``end_table`` does, when a summand is zero in the homotopy category.  Its
-    identity is a cycle, and it is a boundary exactly when H^0 Hom(X, X) = 0,
-    since every f equals f . id.
-    """
-    cartan = [[0] * len(summands) for _ in summands]
-    for (a, b), complex_ in complexes.items():
-        cartan[b][a] = complex_.cohomology[1]
-    for a, (name, _) in enumerate(summands):
-        if not cartan[a][a]:
-            raise _contractible(name)
-    return cartan
-
-
-def _end_table_of_tilting(
-    table: AlgebraTable,
-    summands: list[tuple[str, ProjPresentation]],
-    complexes: dict[tuple[int, int], _HomComplex],
-) -> AlgebraTable:
-    """``end_table`` for summands whose shifted Homs are known to vanish.
-
-    Raises when a summand is zero in the homotopy category: its identity is
-    then a boundary, so no class of its corner can be its idempotent.
-    """
-    reps: dict[tuple[int, int], list[dict]] = {}
-    for (a, b), complex_ in complexes.items():
-        if a != b:
-            reps[(a, b)] = complex_.representatives()
-            continue
-        # The identity of X in Hom^0 coordinates, so that it is class 0.
-        name, x = summands[a]
-        identity = {
+    # The identity of each X in Hom^0 coordinates, so that it is class 0.
+    identities = [
+        {
             (tag, t, t, table.idempotents[p][1]): ONE
             for tag, positions in (("m1", x.deg_minus1), ("d0", x.deg_0))
             for t, p in enumerate(positions)
         }
-        kept = complex_.representatives((identity,))
-        if not kept or kept[0] is not identity:
-            raise _contractible(name)
-        reps[(a, b)] = kept
+        for _, x in summands
+    ]
+    eliminated = {
+        (a, b): _eliminated_hom_complex(
+            table, x, y, (identities[a],) if a == b else ()
+        )
+        for a, (_, x) in enumerate(summands)
+        for b, (_, y) in enumerate(summands)
+    }
+    cohomology = {pair: c for pair, (c, _, _) in eliminated.items()}
+    vanishing = _vanishing(cohomology)
+    if any(vanishing.values()):
+        raise ValueError(f"not tilting: shifted Hom dimensions {vanishing}")
+    # Raises on a contractible summand; otherwise no identity is a boundary,
+    # so each is kept first, as class 0 of its corner.
+    _end_cartan(summands, cohomology)
 
     labels = []
     src = []
     tgt = []
     offsets: dict[tuple[int, int], int] = {}
-    where: list[tuple[int, int]] = []
     vectors: list[dict] = []
     idempotents = []
-    for (a, b), pair_reps in reps.items():
+    for (a, b), (_, _, classes) in eliminated.items():
         offsets[(a, b)] = len(labels)
-        for k, vec in enumerate(pair_reps):
+        for k, vec in enumerate(classes):
             if a == b and k == 0:
                 idempotents.append((summands[a][0], len(labels)))
             labels.append(f"[{summands[a][0]}->{summands[b][0]}]{k}")
             src.append(a)
             tgt.append(b)
-            where.append((a, b))
             vectors.append(vec)
 
     # Class j as the right factor, grouped by (tag, target index): the entries
@@ -553,8 +526,8 @@ def _end_table_of_tilting(
         return rows
 
     def product(i: int, j: int) -> Element:
-        fa, fb = where[i]
-        ga, gb = where[j]
+        fa, fb = src[i], tgt[i]
+        ga, gb = src[j], tgt[j]
         # product i . j: j acts first, so j: ga -> gb then i: fa -> fb with fa == gb
         if gb != fa:
             return {}
@@ -573,14 +546,15 @@ def _end_table_of_tilting(
                         del vec[key]
         if not vec:
             return {}
-        complex_ = complexes[(ga, fb)]
-        coords = complex_.boundaries.express(vec)
+        _, span, classes = eliminated[(ga, fb)]
+        coords = span.express(vec)
         if coords is None:
             raise RuntimeError("composite chain map escaped its Hom space")
+        n_boundaries = span.rank - len(classes)
         out: Element = {}
         for local, c in coords.items():
-            if local >= complex_.n_boundaries and c:
-                out[offsets[(ga, fb)] + (local - complex_.n_boundaries)] = c
+            if local >= n_boundaries and c:
+                out[offsets[(ga, fb)] + (local - n_boundaries)] = c
         return out
 
     return AlgebraTable(labels, src, tgt, idempotents, product)
@@ -617,14 +591,14 @@ class MutationReport:
 
 def _hom_witness(
     summands: list[tuple[str, ProjPresentation]],
-    complexes: dict[tuple[int, int], _HomComplex],
+    cohomology: dict[tuple[int, int], Cohomology],
 ) -> tuple[str, str, int, int] | None:
     return next(
         (
-            (summands[a][0], summands[b][0], shift, complex_.cohomology[shift + 1])
-            for (a, b), complex_ in complexes.items()
+            (summands[a][0], summands[b][0], shift, c[shift + 1])
+            for (a, b), c in cohomology.items()
             for shift in (-1, 1)
-            if complex_.cohomology[shift + 1]
+            if c[shift + 1]
         ),
         None,
     )
@@ -642,8 +616,8 @@ def mutation_verification(
     graph = model.graph
     subset = _check_subset(graph, subset)
     summands = mutation_object(model, subset)
-    complexes = _hom_complexes(model.table, summands)
-    vanishing = _vanishing(complexes)
+    cohomology = _hom_complexes(model.table, summands)
+    vanishing = _vanishing(cohomology)
     silting = vanishing[1] == 0
     tilting = silting and vanishing[-1] == 0
     minimal = not left_minimality_report(model, summands)
@@ -662,9 +636,9 @@ def mutation_verification(
             -1,
             dim_moved,
             False,
-            hom_witness=_hom_witness(summands, complexes),
+            hom_witness=_hom_witness(summands, cohomology),
         )
-    cartan = _end_cartan(summands, complexes)
+    cartan = _end_cartan(summands, cohomology)
     witness = next(
         (
             (edges[r], edges[c], cartan[r][c], moved_cartan[r][c])

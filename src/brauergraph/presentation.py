@@ -669,13 +669,19 @@ def render_relations(p: Presentation) -> list[str]:
     return out
 
 
-def render_presentation(p: Presentation) -> str:
+def render_quiver(p: Presentation) -> list[str]:
+    """The vertex line and one line per arrow of ``p``'s quiver."""
     lines = ["vertices: " + " ".join(render_vertex(v) for v in p.quiver.vertices)]
     for a in p.quiver.arrows:
         lines.append(
             f"arrow {render_arrow(a, p.symbol)} : "
             f"{render_vertex(a.source)} -> {render_vertex(a.target)}"
         )
+    return lines
+
+
+def render_presentation(p: Presentation) -> str:
+    lines = render_quiver(p)
     lines += ["relation " + text for text in render_relations(p)]
     return "\n".join(lines) + "\n"
 

@@ -231,6 +231,34 @@ def test_cli_quiver_and_dot(ex1_file, tmp_path, capsys):
     assert dot_path.read_text(encoding="utf-8").startswith("digraph")
 
 
+def test_cli_quiver_renders_relations_only_for_dot(tmp_path, capsys, monkeypatch):
+    """``quiver`` prints no relation, so it renders none; with ``--dot`` the
+    dot file renders them once."""
+    from pathlib import Path
+
+    from brauergraph import cli, presentation
+
+    calls = []
+    render = presentation.render_relations
+
+    def counting(p):
+        calls.append(p)
+        return render(p)
+
+    monkeypatch.setattr(presentation, "render_relations", counting)
+    monkeypatch.setattr(cli, "render_relations", counting)
+    path = str(Path(__file__).parent / "golden" / "skew-3.bg")
+    assert main(["quiver", path]) == 0
+    out = capsys.readouterr().out
+    assert calls == []
+    assert out.startswith("vertices: ") and "relation" not in out
+    dot_path = tmp_path / "q.dot"
+    assert main(["quiver", path, "--dot", str(dot_path)]) == 0
+    assert capsys.readouterr().out == out + f"wrote {dot_path}\n"
+    assert len(calls) == 1
+    assert dot_path.read_text(encoding="utf-8").count("   * ") == len(render(calls[0]))
+
+
 def test_cli_relations(ex1_file, capsys):
     assert main(["relations", ex1_file]) == 0
     out = capsys.readouterr().out

@@ -180,13 +180,20 @@ def test_mutation_verification_computes_the_vanishing_once(monkeypatch):
 
 
 def _assert_h0_is_end_table(model, report):
-    """The verify path's dimension and H^0 Cartan matrix are End(T)'s."""
-    from brauergraph.homotopy import _end_cartan, _hom_complexes
+    """The verify path's dimension and H^0 Cartan matrix are End(T)'s, and
+    the coordinate pass that ``end_table`` runs reads the same cohomology as
+    the rank route on every summand pair."""
+    from brauergraph.homotopy import _eliminated_hom_complex, _end_cartan, _hom_complexes
 
     summands = report.summands
     end = end_table(model.table, summands)
     assert report.dim_end == end.dim
-    assert _end_cartan(summands, _hom_complexes(model.table, summands)) == end.cartan()
+    complexes = _hom_complexes(model.table, summands)
+    assert _end_cartan(summands, complexes) == end.cartan()
+    for a, (_, x) in enumerate(summands):
+        for b, (_, y) in enumerate(summands):
+            cohomology, _, _ = _eliminated_hom_complex(model.table, x, y)
+            assert cohomology == complexes[(a, b)], (a, b)
 
 
 def test_mutation_verification_ex1(ex1, ex1_grading, ex1_subset):
@@ -211,8 +218,7 @@ def test_mutation_verification_builds_no_end_table(
     def no_coordinates(*args):
         raise AssertionError("coordinates asked for on the verify path")
 
-    monkeypatch.setattr(homotopy._HomComplex, "representatives", unreachable)
-    monkeypatch.setattr(homotopy, "_end_table_of_tilting", unreachable)
+    monkeypatch.setattr(homotopy, "end_table", unreachable)
     monkeypatch.setattr(homotopy, "_eliminated_hom_complex", unreachable)
     # H^0 comes from two ranks: no kernel vector, no coordinates.
     monkeypatch.setattr(RationalSpan, "express", no_coordinates)
@@ -221,6 +227,60 @@ def test_mutation_verification_builds_no_end_table(
     model.grading = ex1_grading
     assert mutation_verification(model, ex1_subset).ok
     assert mutation_verification(skew_model(ex2), ex2_subset).ok
+
+
+def test_end_table_and_hom_space_eliminate_each_pair_once(
+    ex1, ex1_subset, ex2, ex2_subset, monkeypatch
+):
+    """``end_table`` and ``hom_space`` in degree 0 form each boundary image
+    and each D^0 column once per summand pair, in one coordinate pass, and
+    never take the rank route first."""
+    from brauergraph import homotopy
+    from brauergraph.homotopy import hom_space
+
+    drawn = {}
+
+    def counting(name):
+        generator = getattr(homotopy, name)
+
+        def wrapped(table, x, y):
+            key = (name, id(x), id(y))
+            calls, items = drawn.get(key, (0, 0))
+            drawn[key] = (calls + 1, items)
+            for item in generator(table, x, y):
+                calls, items = drawn[key]
+                drawn[key] = (calls, items + 1)
+                yield item
+
+        return wrapped
+
+    def unreachable(*args):
+        raise AssertionError("the rank route run beside the coordinate pass")
+
+    for name in ("_boundary_vectors", "_d0_columns"):
+        monkeypatch.setattr(homotopy, name, counting(name))
+    monkeypatch.setattr(homotopy, "_hom_complex", unreachable)
+    for model, subset in ((ordinary_model(ex1), ex1_subset), (skew_model(ex2), ex2_subset)):
+        table = model.table
+        summands = mutation_object(model, subset)
+        want = {}
+        for _, x in summands:
+            for _, y in summands:
+                n_minus1 = len(_ref_slots(table, x.deg_0, y.deg_minus1))
+                n_0 = len(_ref_slots(table, x.deg_minus1, y.deg_minus1)) + len(
+                    _ref_slots(table, x.deg_0, y.deg_0)
+                )
+                want[("_boundary_vectors", id(x), id(y))] = (1, n_minus1)
+                want[("_d0_columns", id(x), id(y))] = (1, n_0)
+        assert any(items for _, items in want.values())
+        drawn.clear()
+        end_table(table, summands)
+        assert drawn == want
+        drawn.clear()
+        for _, x in summands:
+            for _, y in summands:
+                hom_space(table, x, y, 0)
+        assert drawn == want
 
 
 def test_mutation_verification_builds_no_second_model(
@@ -419,9 +479,7 @@ def test_integral_cones_are_isomorphic_to_the_unscaled_ones(ex2):
                 scaled_rows += scale > 1
         complexes = _hom_complexes(table, integral)
         reference = _hom_complexes(table, unscaled)
-        assert {pair: c.cohomology for pair, c in complexes.items()} == {
-            pair: c.cohomology for pair, c in reference.items()
-        }
+        assert complexes == reference
         assert left_minimality_report(model, integral) == left_minimality_report(
             model, unscaled
         )
@@ -579,27 +637,21 @@ def test_hom_dimension_matches_the_reference_systems(ex1, ex2):
 
 
 def _full_cohomology(table, x, y):
-    """dim H^n from the coordinate elimination that ``representatives`` reads:
-    the boundary rank and the D^0 kernel basis, with every column formed."""
+    """dim H^n from the coordinate pass that ``end_table`` and ``hom_space``
+    run, with every column formed.  Its H^0 is the number of classes it
+    names, and its H^{-1} counts the boundary images its span left out."""
     from brauergraph.homotopy import _eliminated_hom_complex
 
-    boundaries, cycles = _eliminated_hom_complex(table, x, y)
-    n_minus1 = len(_ref_slots(table, x.deg_0, y.deg_minus1))
-    n_0 = len(_ref_slots(table, x.deg_minus1, y.deg_minus1)) + len(
-        _ref_slots(table, x.deg_0, y.deg_0)
-    )
-    n_plus1 = len(_ref_slots(table, x.deg_minus1, y.deg_0))
-    rank_d0 = n_0 - len(cycles)
-    return (
-        n_minus1 - boundaries.rank,
-        len(cycles) - boundaries.rank,
-        n_plus1 - rank_d0,
-    )
+    cohomology, span, classes = _eliminated_hom_complex(table, x, y)
+    n_boundaries = span.rank - len(classes)
+    assert cohomology[0] == len(_ref_slots(table, x.deg_0, y.deg_minus1)) - n_boundaries
+    assert cohomology[1] == len(classes)
+    return cohomology
 
 
 def test_stalk_pairs_skip_the_elimination(ex1, ex2, monkeypatch):
     from brauergraph import homotopy
-    from brauergraph.homotopy import _hom_complex
+    from brauergraph.homotopy import _eliminated_hom_complex, _hom_complex
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a differential applied between two stalks")
@@ -616,19 +668,19 @@ def test_stalk_pairs_skip_the_elimination(ex1, ex2, monkeypatch):
                 with monkeypatch.context() as patch:
                     patch.setattr(homotopy, "_with_differential", unreachable)
                     got = _hom_complex(table, x, y)
-                assert list(got.cohomology) == [
+                assert list(got) == [
                     _ref_hom_dimension(table, x, y, k) for k in (-1, 0, 1)
                 ]
-                assert got.cohomology == want
+                assert got == want
                 # Every corner map is a class; none is a boundary.
-                reps = got.representatives()
+                _, span, reps = _eliminated_hom_complex(table, x, y)
                 assert [list(c.items()) for c in reps] == [
                     [(("d0", *slot), 1)]
                     for slot in _ref_slots(table, x.deg_0, y.deg_0)
                 ]
-                assert got.n_boundaries == 0
-                assert got.boundaries.rank == len(reps) == got.cohomology[1]
-                pairs += got.cohomology[1] > 0
+                assert span.rank - len(reps) == 0
+                assert span.rank == len(reps) == got[1]
+                pairs += got[1] > 0
     assert pairs > 50
 
 
@@ -661,10 +713,10 @@ def test_d0_columns_stop_at_full_rank(ex1, ex1_subset, ex2, ex2_subset, monkeypa
                 assert len(built) <= n_columns
                 if len(built) < n_columns:
                     # it stopped at full rank
-                    assert got.cohomology[2] == 0
+                    assert got[2] == 0
                     stopped += 1
-                assert got.cohomology == _full_cohomology(table, x, y)
-                assert list(got.cohomology) == [
+                assert got == _full_cohomology(table, x, y)
+                assert list(got) == [
                     _ref_hom_dimension(table, x, y, k) for k in (-1, 0, 1)
                 ]
     assert stopped, "no pair reached full rank before its last column"
@@ -694,23 +746,27 @@ def test_hom_dimension_non_tilting_quartet(ex1):
 
 def _ref_end_table(table, summands):
     from brauergraph.algebra import AlgebraTable
-    from brauergraph.homotopy import _chain_map_from_vector, _hom_complexes, compose
+    from brauergraph.homotopy import (
+        _chain_map_from_vector,
+        _eliminated_hom_complex,
+        compose,
+    )
 
-    complexes = _hom_complexes(table, summands)
+    spans = {}
     reps = {}
-    for (a, b), complex_ in complexes.items():
-        seed = ()
-        if a == b:
-            x = summands[a][1]
-            seed = ({
-                (tag, t, t, table.idempotents[p][1]): 1
-                for tag, positions in (("m1", x.deg_minus1), ("d0", x.deg_0))
-                for t, p in enumerate(positions)
-            },)
-        x, y = summands[a][1], summands[b][1]
-        reps[(a, b)] = [
-            _chain_map_from_vector(x, y, vec) for vec in complex_.representatives(seed)
-        ]
+    for a, (_, x) in enumerate(summands):
+        for b, (_, y) in enumerate(summands):
+            seed = ()
+            if a == b:
+                seed = ({
+                    (tag, t, t, table.idempotents[p][1]): 1
+                    for tag, positions in (("m1", x.deg_minus1), ("d0", x.deg_0))
+                    for t, p in enumerate(positions)
+                },)
+            _, span, classes = _eliminated_hom_complex(table, x, y, seed)
+            # the span holds the boundaries, then the classes
+            spans[(a, b)] = span, span.rank - len(classes)
+            reps[(a, b)] = [_chain_map_from_vector(x, y, vec) for vec in classes]
     labels, src, tgt, where, idempotents, offsets = [], [], [], [], [], {}
     for (a, b), pair_reps in reps.items():
         offsets[(a, b)] = len(labels)
@@ -730,13 +786,13 @@ def _ref_end_table(table, summands):
         u, v = reps[(fa, fb)][fk], reps[(ga, gb)][gk]
         vec = _ref_vector(compose(table, u[0], v[0]), "m1")
         vec.update(_ref_vector(compose(table, u[1], v[1]), "d0"))
-        complex_ = complexes[(ga, fb)]
-        coords = complex_.boundaries.express(vec)
+        span, n_boundaries = spans[(ga, fb)]
+        coords = span.express(vec)
         assert coords is not None
         return {
-            offsets[(ga, fb)] + local - complex_.n_boundaries: c
+            offsets[(ga, fb)] + local - n_boundaries: c
             for local, c in coords.items()
-            if local >= complex_.n_boundaries and c
+            if local >= n_boundaries and c
         }
 
     return AlgebraTable(labels, src, tgt, idempotents, product)
@@ -819,6 +875,6 @@ def test_end_table_rejects_a_contractible_summand(monkeypatch):
         raise AssertionError("End(T) built on the verify path")
 
     monkeypatch.setattr(homotopy, "mutation_object", lambda model, subset: summands)
-    monkeypatch.setattr(homotopy, "_end_table_of_tilting", unreachable)
+    monkeypatch.setattr(homotopy, "_eliminated_hom_complex", unreachable)
     with pytest.raises(ValueError, match=f"^{message}$"):
         mutation_verification(model, frozenset())

@@ -73,3 +73,17 @@ def test_only_permutations_reads_the_permutation_map():
         ):
             readers.append(path.name)
     assert readers == []
+
+
+def test_homotopy_keeps_one_coordinate_pass():
+    """End(T) and degree-0 Hom spaces come from ``_eliminated_hom_complex``
+    alone: the Hom-complex object and the tilting-only End(T) builder are
+    gone."""
+    tree = ast.parse((PACKAGE / "homotopy.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "_eliminated_hom_complex" in defined
+    assert defined.isdisjoint({"_HomComplex", "_end_table_of_tilting"})
