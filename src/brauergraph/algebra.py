@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import BrauerGraph, edge_name
 from .linalg import vec_add, vec_scale
@@ -340,8 +339,7 @@ def dimension_by_rewriting(graph: BrauerGraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupActionTable:
+class GroupActionTable(NamedTuple):
     """A monomial action of a cyclic group generator on a table's basis."""
 
     order: int
@@ -524,8 +522,7 @@ def integral_form(x: Element) -> tuple[Element, int]:
     return {k: int(c * d) for k, c in x.items()}, d
 
 
-@dataclass(frozen=True)
-class OrbitTruncation:
+class OrbitTruncation(NamedTuple):
     """The corner algebra f (A#G) f built by ``orbit_truncation``.
 
     ``compress(x)`` gives the coordinates of f x f for any element x of A#G;

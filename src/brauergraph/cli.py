@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import covering, homotopy, models, moves
 from .core import (
@@ -35,8 +35,7 @@ class CommandError(Exception):
     pass
 
 
-@dataclass
-class Outcome:
+class Outcome(NamedTuple):
     lines: list[str]
     payload: dict
     code: int = 0

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .permutations import Permutation
 
@@ -128,22 +128,19 @@ class Grading:
         return hash((self.modulus, frozenset(self.degrees.items())))
 
 
-@dataclass(frozen=True)
-class GradedGraph:
+class GradedGraph(NamedTuple):
     graph: BrauerGraph
     grading: Grading
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A circ vertex: one sigma-orbit in cyclic order, with its multiplicity."""
 
     half_edges: tuple[str, ...]
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class OZInvariants:
+class OZInvariants(NamedTuple):
     """The derived invariants preserved by generalized Kauer moves.
 
     Faces are undefined for skew graphs; there the face fields are None.

@@ -7,8 +7,7 @@ the sheets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
     BrauerGraph,
@@ -21,8 +20,7 @@ from .moves import maximal_sectors, move_set, move_set_underlying
 from .permutations import Permutation
 
 
-@dataclass(frozen=True)
-class CoveredGraph:
+class CoveredGraph(NamedTuple):
     base: GradedGraph
     total: BrauerGraph
     sheet_of: Mapping[str, tuple[str, int]]

@@ -17,7 +17,7 @@ alias may not take the label of another edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import BrauerGraph, Grading
 from .permutations import Permutation
@@ -30,11 +30,10 @@ class GraphFileError(ValueError):
         self.column = column
 
 
-@dataclass
-class ParsedGraph:
+class ParsedGraph(NamedTuple):
     graph: BrauerGraph
     grading: Grading | None
-    aliases: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    aliases: dict[str, tuple[str, ...]]
 
 
 def _parse_cycles(body: str, line: int, offset: int, names: set[str]):

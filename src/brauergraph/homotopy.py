@@ -29,8 +29,8 @@ basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraTable, Element, ONE
 from .core import BrauerGraph, GradedGraph, edge_name
@@ -44,8 +44,7 @@ Matrix = list[list[Element]]
 Cohomology = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class ProjPresentation:
+class ProjPresentation(NamedTuple):
     """A complex (deg -1) -> (deg 0) of sums of idempotent projectives."""
 
     deg_minus1: tuple[int, ...]
@@ -86,16 +85,14 @@ def proj_hom(table: AlgebraTable, i: int, j: int) -> list[int]:
     return table.corner_basis(j, i)
 
 
-@dataclass(frozen=True)
-class SideApproximation:
+class SideApproximation(NamedTuple):
     half_edge: str
     r: int | None
     target_edge: str | None
     walk: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ApproximationData:
+class ApproximationData(NamedTuple):
     source_edge: str
     sides: tuple[SideApproximation, ...]
 
@@ -372,8 +369,7 @@ def _eliminated_hom_complex(
     return cohomology, span, classes
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(NamedTuple):
     """A homotopy Hom space: dimension and, in degree 0, class representatives."""
 
     dimension: int
@@ -560,8 +556,7 @@ def end_table(
     return AlgebraTable(labels, src, tgt, idempotents, product)
 
 
-@dataclass
-class MutationReport:
+class MutationReport(NamedTuple):
     summands: list[tuple[str, ProjPresentation]]
     silting: bool
     tilting: bool

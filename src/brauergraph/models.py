@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import (
     AlgebraTable,
@@ -399,8 +399,7 @@ def skew_dimension_oracle(covered: CoveredGraph) -> int:
     return sum(map(sum, _covering_edge_cartan(covered)[1]))
 
 
-@dataclass
-class MatchReport:
+class MatchReport(NamedTuple):
     ok: bool
     problems: list[str]
     model_dim: int

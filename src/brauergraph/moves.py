@@ -15,15 +15,13 @@ same edit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import BrauerGraph, GradedGraph, Grading
 from .permutations import Permutation
 
 
-@dataclass(frozen=True, order=True)
-class Sector:
+class Sector(NamedTuple):
     h: str
     r: int
 

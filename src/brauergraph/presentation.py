@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import BrauerGraph, edge_name
 from .covering import CoveredGraph
@@ -28,20 +28,10 @@ def induces_arrow(graph: BrauerGraph, h: str) -> bool:
     return graph.orientation(h) != h or graph.multiplicity[h] > 1
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     h: str
     source: QVertex
     target: QVertex
-    # Arrows key every path, relation and model dictionary, so the hash of
-    # the fields is computed once per arrow, not on every lookup.
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.h, self.source, self.target)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 Path = tuple[Arrow, ...]
@@ -56,8 +46,7 @@ Path = tuple[Arrow, ...]
 MAX_WALK_PATHS = 1 << 12
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """The sum of all index-resolved walks of ``length`` arrows along the
     sigma-orbit of ``h``, from copy ``start`` of the first vertex to copy
     ``end`` of the last; the free middle indices are summed with coefficient 1.
@@ -69,13 +58,11 @@ class Walk:
     end: int | None
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     terms: tuple[tuple[int, Path | Walk], ...]
 
 
-@dataclass(frozen=True)
-class PowerFamily:
+class PowerFamily(NamedTuple):
     """Rule (I) at one edge: c_h r^m_h - c_o s^m_o = 0 for every route r of
     the special cycle at ``h`` and every route s at ``other``.
 

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
+
+from brauergraph.moves import Sector
+from brauergraph.presentation import Arrow
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brauergraph"
 
@@ -87,3 +92,37 @@ def test_homotopy_keeps_one_coordinate_pass():
     }
     assert "_eliminated_hom_complex" in defined
     assert defined.isdisjoint({"_HomComplex", "_end_table_of_tilting"})
+
+
+STATEFUL = {"BrauerGraph", "Grading", "Quiver", "Presentation", "GraphAlgebraModel"}
+RECORDS = {
+    "GroupActionTable", "OrbitTruncation", "Outcome", "GradedGraph", "Vertex",
+    "OZInvariants", "CoveredGraph", "ParsedGraph", "ProjPresentation",
+    "SideApproximation", "ApproximationData", "HomSpace", "MutationReport",
+    "MatchReport", "Sector", "Arrow", "Walk", "Relation", "PowerFamily",
+}
+
+
+def test_only_the_stateful_types_are_dataclasses():
+    """Types with normalising constructors, cached properties or caches are
+    dataclasses; the immutable value records are NamedTuples."""
+    classes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"brauergraph.{path.stem}")
+        classes += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+    assert {c.__name__ for c in classes if dataclasses.is_dataclass(c)} == STATEFUL
+    assert {c.__name__ for c in classes if issubclass(c, tuple)} == RECORDS
+
+
+def test_arrows_and_sectors_sort_and_hash_by_their_fields():
+    fields = [("2+", ("2", None), ("1", None)), ("1-", ("1", 1), ("3", None)),
+              ("1-", ("1", 0), ("4", None)), ("1+", ("1", 0), ("1", 1))]
+    assert sorted(Arrow(*f) for f in fields) == [Arrow(*f) for f in sorted(fields)]
+    assert hash(Arrow(*fields[0])) == hash(Arrow(*fields[0]))
+    assert sorted([Sector("b", 0), Sector("a", 2), Sector("a", 1)]) == [
+        Sector("a", 1), Sector("a", 2), Sector("b", 0)
+    ]

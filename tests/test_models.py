@@ -84,7 +84,7 @@ def test_presentations_match_corrupted_cover(ex1, ex1_graded):
     corrupted_total = BrauerGraph(
         total.half_edges, total.pairing, Permutation(mapping), total.multiplicity
     )
-    corrupted = dataclasses.replace(covered, total=corrupted_total)
+    corrupted = covered._replace(total=corrupted_total)
     report = presentations_match(ex1, corrupted)
     assert not report.ok
     assert report.problems

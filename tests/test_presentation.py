@@ -78,8 +78,8 @@ def test_quiver_arrow_reads_the_index(ex1, ex2):
 
 
 def test_arrows_compare_sort_and_hash_by_their_fields(ex2):
-    """The hash cached on each arrow leaves equality, order and repr to the
-    three fields alone."""
+    """Equality, order, hash and repr of an arrow are those of its three
+    fields."""
     arrows = list(quiver(ex2).arrows)
     fields = [(a.h, a.source, a.target) for a in arrows]
     assert fields == sorted(fields)
