@@ -61,7 +61,8 @@ class AlgebraTable:
         self.generators: tuple[int, ...] = ()
         self._product_fn = product_fn
         self._memo: dict[tuple[int, int], Element] = {}
-        self._corners: dict[tuple[int, int], list[int]] | None = None
+        self._corners: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+        self._corner_sizes: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -93,6 +94,13 @@ class AlgebraTable:
                         del out[k]
         return out
 
+    def generator_indices(self) -> tuple[int, ...]:
+        """``generators``, or every basis element that is not an idempotent."""
+        if self.generators:
+            return self.generators
+        idempotent_indices = {index for _, index in self.idempotents}
+        return tuple(b for b in range(self.dim) if b not in idempotent_indices)
+
     def idempotent_element(self, position: int) -> Element:
         return {self.idempotents[position][1]: ONE}
 
@@ -105,20 +113,35 @@ class AlgebraTable:
             return "0"
         return " + ".join(f"{c}*{self.labels[k]}" for k, c in sorted(x.items()))
 
-    def cartan(self) -> list[list[int]]:
+    def _fill_corners(self) -> None:
         n = len(self.idempotents)
-        matrix = [[0] * n for _ in range(n)]
-        for b in range(self.dim):
-            matrix[self.tgt[b]][self.src[b]] += 1
-        return matrix
+        corners: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+        for b, (t, s) in enumerate(zip(self.tgt, self.src)):
+            corners[t][s].append(b)
+        self._corners = tuple(tuple(map(tuple, row)) for row in corners)
+        self._corner_sizes = tuple(tuple(map(len, row)) for row in corners)
+
+    @property
+    def corners(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """corners[t][s]: the basis indices b with tgt[b] == t and src[b] == s,
+        ascending; filled once, on first use."""
+        if self._corners is None:
+            self._fill_corners()
+        return self._corners
+
+    @property
+    def corner_sizes(self) -> tuple[tuple[int, ...], ...]:
+        """corner_sizes[t][s] = dim e_t A e_s, filled with ``corners``."""
+        if self._corner_sizes is None:
+            self._fill_corners()
+        return self._corner_sizes
+
+    def cartan(self) -> list[list[int]]:
+        return [list(row) for row in self.corner_sizes]
 
     def corner_basis(self, target: int, source: int) -> list[int]:
         """Basis indices b with tgt[b] == target and src[b] == source, ascending."""
-        if self._corners is None:
-            self._corners = {}
-            for b, corner in enumerate(zip(self.tgt, self.src)):
-                self._corners.setdefault(corner, []).append(b)
-        return list(self._corners.get((target, source), ()))
+        return list(self.corners[target][source])
 
     def corner(self, x: Element, target: int, source: int) -> Element:
         """The part of x in the corner e_target A e_source."""
@@ -405,10 +428,7 @@ def monomial_isomorphism_violations(
             return f"map does not move the corner of {source.labels[b]} by pi"
     idempotent_indices = {index for _, index in source.idempotents}
     by_source: dict[int, list[int]] = {}
-    generators = source.generators or [
-        b for b in range(source.dim) if b not in idempotent_indices
-    ]
-    for a in generators:
+    for a in source.generator_indices():
         by_source.setdefault(src[a], []).append(a)
     product, image_product = source._product_fn, target._product_fn
     reached = set(idempotent_indices)
@@ -496,10 +516,13 @@ def skew_group_table(table: AlgebraTable, act: GroupActionTable) -> AlgebraTable
             for d, coeff in table.pairwise(b, c2).items()
         }
 
-    idempotents = tuple(
-        (label, index) for (label, index) in table.idempotents
-    )
-    return AlgebraTable(labels, src, tgt, idempotents, product)
+    skew = AlgebraTable(labels, src, tgt, table.idempotents, product)
+    # A's generators on sheet 0 and e (x) g at each idempotent e: the search
+    # of ``monomial_isomorphism_violations`` reaches e' (x) g^k from e (x) 1
+    # through the e (x) g, then b (x) g^k through A's generators.
+    if n > 1:
+        skew.generators = (*table.generator_indices(), *(dim + e for _, e in table.idempotents))
+    return skew
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +880,26 @@ def trivial_extension(table: AlgebraTable) -> AlgebraTable:
             return dict(left_by_dual.get((j, i - dim), {}))
         return {}
 
-    return AlgebraTable(labels, src, tgt, table.idempotents, product)
+    triv = AlgebraTable(labels, src, tgt, table.idempotents, product)
+    # Generated by A's generators and some duals.  The search of
+    # ``monomial_isomorphism_violations`` steps from D(b) to D(c) when
+    # a . D(b) = lambda D(c) for a generator a; a dual that no step reaches
+    # from the duals chosen so far is chosen, from the highest index down,
+    # so few are chosen where longer basis elements come later.
+    generators = table.generator_indices()
+    reached: set[int] = set()
+    duals = []
+    for root in reversed(range(dim)):
+        frontier = [] if root in reached else [root]
+        duals += [dim + b for b in frontier]
+        while frontier:
+            reached.add(b := frontier.pop())
+            for a in generators:
+                image = right_by_dual.get((a, b), ())
+                if len(image) == 1 and (c := next(iter(image)) - dim) not in reached:
+                    frontier.append(c)
+    triv.generators = (*generators, *duals)
+    return triv
 
 
 def extend_action_to_trivial_extension(
@@ -897,10 +939,3 @@ def trivial_extension_iso_report(
             images.append((-k) % n * 2 * dim + dim + b_prime)
     why = monomial_isomorphism_violations(lhs, rhs, scalars, images)
     return why is None, why
-
-
-def cartan_determinant(table: AlgebraTable) -> int:
-    from .linalg import determinant
-
-    det = determinant([[int(x) for x in row] for row in table.cartan()])
-    return int(det)

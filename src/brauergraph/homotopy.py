@@ -13,12 +13,17 @@ category.  Every Hom dimension, the tilting check and End(T) read it.
 Hom(X_a, X_b) classes from summand a to summand b, so its dimension and
 Cartan matrix are read off H^0, and no class is named.  Those dimensions
 come from the ranks of the two differentials (``_hom_complex``), with no
-kernel vector and no coordinates.  ``end_table`` and ``hom_space`` run one
-coordinate elimination per pair (``_eliminated_hom_complex``), which gives
-both the cohomology and the classes.  The moved graph's
-algebra is not built either: its dimension and Cartan matrix are counted
-from the moved graph, or its covering (``models.graph_edge_cartan``), so
-the only algebra table on the verify path is the one it is handed.
+kernel vector and no coordinates.  |Hom^n| is a sum of the table's corner
+sizes, and a differential whose rank is bounded by 0 is not applied.  One
+generator (``_images``) forms the images, in one pass over the corner
+basis: u.d from the row terms of a d acting before the basis map u, d.u
+from the column terms of one acting after.  ``end_table`` and
+``hom_space`` run one coordinate elimination per pair
+(``_eliminated_hom_complex``), which gives both the cohomology and the
+classes.  The moved graph's algebra is not built either: its dimension and
+Cartan matrix are counted from the moved graph, or its covering
+(``models.graph_edge_cartan``), so the only algebra table on the verify
+path is the one it is handed.
 
 A degree-0 class is represented by a Hom^0 coordinate vector: a dict keyed
 (tag, t, s, b), where tag "m1" or "d0" names the component f_{-1} or f_0, t
@@ -78,11 +83,6 @@ def make_complex(
 
 def stalk(table: AlgebraTable, positions: list[int]) -> ProjPresentation:
     return ProjPresentation((), tuple(positions), tuple(() for _ in positions))
-
-
-def proj_hom(table: AlgebraTable, i: int, j: int) -> list[int]:
-    """Basis of Hom(e_i A, e_j A): the corner e_j A e_i, acting on the left."""
-    return table.corner_basis(j, i)
 
 
 class SideApproximation(NamedTuple):
@@ -183,18 +183,6 @@ def mutation_object(
 # ---------------------------------------------------------------------------
 
 
-def _slots(
-    table: AlgebraTable, sources: tuple[int, ...], targets: tuple[int, ...]
-) -> list[tuple[int, int, int]]:
-    """Basis maps (+ e_s A) -> (+ e_t A): (t, s, corner basis) coordinates."""
-    return [
-        (t_idx, s_idx, b)
-        for t_idx, t in enumerate(targets)
-        for s_idx, s in enumerate(sources)
-        for b in table.corner_basis(t, s)
-    ]
-
-
 def _chain_map_from_vector(
     x: ProjPresentation, y: ProjPresentation, coords: dict
 ) -> tuple[Matrix, Matrix]:
@@ -208,68 +196,59 @@ def _chain_map_from_vector(
     return f_m1, f_0
 
 
-def compose(table: AlgebraTable, left: Matrix, right: Matrix) -> Matrix:
-    """Matrix product: the right factor acts first."""
-    if not left or not right:
-        return [[{} for _ in (right[0] if right else [])] for _ in left]
-    n_mid = len(right)
-    out: Matrix = []
-    for t in range(len(left)):
-        row = []
-        for s in range(len(right[0])):
-            acc: Element = {}
-            for k in range(n_mid):
-                product = table.mul(left[t][k], right[k][s])
-                for b, c in product.items():
-                    new = acc.get(b, 0) + c
-                    if new:
-                        acc[b] = new
-                    else:
-                        del acc[b]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _with_differential(
+def _images(
     table: AlgebraTable,
-    slot: tuple[int, int, int],
-    d: tuple,
-    tag: str,
-    after: bool,
+    key_tag: str,
+    targets: tuple[int, ...],
+    sources: tuple[int, ...],
+    before: tuple[str, tuple] | None = None,
+    after: tuple[str, tuple] | None = None,
     sign: int = 1,
-) -> dict:
-    """Coordinates of sign * d . u (``after``) or sign * u . d, for the basis
-    map u with its one corner basis element at ``slot``; ``d`` is a
-    ``ProjPresentation.differential``, each entry its (basis, coefficient)
-    pairs."""
-    t, s, b = slot
+):
+    """Each basis map u: (+ e_s A) -> (+ e_t A), keyed (key_tag, t, s, b) in
+    (t, s, corner basis) order, with its image formed in one dict: sign * u.d
+    for ``before`` = (tag, d), then sign * d.u for ``after`` = (tag, d), each
+    keyed (tag, i, j, e).  Each d is a ``ProjPresentation.differential``:
+    u.d reads the row terms of d's row s, d.u the column terms of d's
+    column t."""
     pairwise = table.pairwise
-    if after:
-        terms = (
-            (t2, s, c, pairwise(k, b))
-            for t2, row in enumerate(d)
-            for k, c in row[t]
-        )
-    else:
-        terms = (
-            (t, s2, c, pairwise(b, k))
-            for s2, entry in enumerate(d[s])
-            for k, c in entry
-        )
-    # Each entry's product has its own (i, j), so summing every term into one
+    corners = table.corners
+    if before is not None:
+        before_tag, d = before
+        rows = [
+            [(j, k, sign * c) for j, entry in enumerate(row) for k, c in entry]
+            for row in d
+        ]
+    if after is not None:
+        after_tag, d = after
+        columns = [
+            [(i, k, sign * c) for i, row in enumerate(d) for k, c in row[t]]
+            for t in range(len(targets))
+        ]
+    # Each term's product has its own (i, j), so summing every term into one
     # dict gives the keys, in order, of taking the products entry by entry.
-    out: dict = {}
-    for i, j, c, product in terms:
-        c *= sign
-        for e, ce in product.items():
-            key = (tag, i, j, e)
-            new = out.get(key, 0) + c * ce
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
+    for t, target in enumerate(targets):
+        corner_row = corners[target]
+        for s, source in enumerate(sources):
+            for b in corner_row[source]:
+                image: dict = {}
+                if before is not None:
+                    for j, k, c in rows[s]:
+                        for e, ce in pairwise(b, k).items():
+                            key = (before_tag, t, j, e)
+                            if not (new := image.get(key, 0) + c * ce):
+                                del image[key]
+                            else:
+                                image[key] = new
+                if after is not None:
+                    for i, k, c in columns[t]:
+                        for e, ce in pairwise(k, b).items():
+                            key = (after_tag, i, s, e)
+                            if not (new := image.get(key, 0) + c * ce):
+                                del image[key]
+                            else:
+                                image[key] = new
+                yield (key_tag, t, s, b), image
 
 
 def _boundary_vectors(
@@ -277,12 +256,11 @@ def _boundary_vectors(
 ):
     """D^{-1}: h -> (h.d_X, d_Y.h) on the basis maps h of Hom^{-1}, in Hom^0
     coordinates."""
-    dx = x.differential
-    dy = y.differential
-    for slot in _slots(table, x.deg_0, y.deg_minus1):
-        yield _with_differential(
-            table, slot, dx, "m1", after=False
-        ) | _with_differential(table, slot, dy, "d0", after=True)
+    images = _images(
+        table, "h", y.deg_minus1, x.deg_0,
+        before=("m1", x.differential), after=("d0", y.differential),
+    )
+    return (image for _, image in images)
 
 
 def _d0_columns(
@@ -290,25 +268,27 @@ def _d0_columns(
 ):
     """D^0: (f_{-1}, f_0) -> f_0.d_X - d_Y.f_{-1} on the basis maps of Hom^0,
     as (basis map key, image) pairs, each formed when it is drawn."""
-    dx = x.differential
-    dy = y.differential
-    for slot in _slots(table, x.deg_minus1, y.deg_minus1):
-        yield ("m1", *slot), _with_differential(
-            table, slot, dy, "g", after=True, sign=-1
-        )
-    for slot in _slots(table, x.deg_0, y.deg_0):
-        yield ("d0", *slot), _with_differential(table, slot, dx, "g", after=False)
+    yield from _images(
+        table, "m1", y.deg_minus1, x.deg_minus1, after=("g", y.differential), sign=-1
+    )
+    yield from _images(table, "d0", y.deg_0, x.deg_0, before=("g", x.differential))
+
+
+def _map_count(sizes: tuple, targets: tuple[int, ...], sources: tuple[int, ...]) -> int:
+    """dim of the maps (+ e_s A) -> (+ e_t A), from the table's corner sizes."""
+    return sum([sizes[t][s] for t in targets for s in sources])
 
 
 def _hom_sizes(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation
 ) -> tuple[int, int, int]:
     """|Hom^{-1}|, |Hom^0| and |Hom^1| for maps X -> Y."""
+    sizes = table.corner_sizes
     return (
-        len(_slots(table, x.deg_0, y.deg_minus1)),
-        len(_slots(table, x.deg_minus1, y.deg_minus1))
-        + len(_slots(table, x.deg_0, y.deg_0)),
-        len(_slots(table, x.deg_minus1, y.deg_0)),
+        _map_count(sizes, y.deg_minus1, x.deg_0),
+        _map_count(sizes, y.deg_minus1, x.deg_minus1)
+        + _map_count(sizes, y.deg_0, x.deg_0),
+        _map_count(sizes, y.deg_0, x.deg_minus1),
     )
 
 
@@ -318,16 +298,19 @@ def _hom_complex(
     """dim H^n for n = -1, 0, 1 of the Hom complex of maps X -> Y, read off
     two ranks with no kernel vector and no coordinate kept.
 
-    H^{-1} = |Hom^{-1}| - rk D^{-1}, H^1 = |Hom^1| - rk D^0, and, by the
+    H^{-1} = |Hom^{-1}| - rk D^{-1}, H^1 = |Hom^1| - rk D^0 and, by the
     Euler characteristic, H^0 = |Hom^0| - rk D^0 - rk D^{-1}.  The columns
     of D^0 are formed one at a time and stop once rk D^0 = |Hom^1|: every
     later column lies in their span.  Likewise rk D^{-1} stops at
-    |Hom^{-1}|, so between two stalks, where Hom^{-1} and Hom^1 are zero, no
-    vector is formed at all.
+    |Hom^{-1}|, and a zero bound forms no vector and takes no rank, so
+    between two stalks, where Hom^{-1} and Hom^1 are zero, no differential
+    is applied at all.
     """
     n_minus1, n_0, n_plus1 = _hom_sizes(table, x, y)
-    rk_minus1 = rank(_boundary_vectors(table, x, y), n_minus1)
-    rk_0 = rank((column for _, column in _d0_columns(table, x, y)), n_plus1)
+    rk_minus1 = n_minus1 and rank(_boundary_vectors(table, x, y), n_minus1)
+    rk_0 = n_plus1 and rank(
+        (column for _, column in _d0_columns(table, x, y)), n_plus1
+    )
     return (n_minus1 - rk_minus1, n_0 - rk_0 - rk_minus1, n_plus1 - rk_0)
 
 

@@ -169,24 +169,3 @@ class RationalSpan:
         if not residual:
             return None, combo
         return self._keep(residual, combo), {}
-
-
-def determinant(matrix: list[list[int]]) -> Fraction:
-    """Determinant of a square integer matrix by fraction-free-ish elimination."""
-    n = len(matrix)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det

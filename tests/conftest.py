@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import pytest
@@ -399,3 +400,32 @@ def truncate(
         _spans=spans,
         _offsets=offsets,
     )
+
+
+# Cartan determinants, a derived invariant that the acceptance criteria
+# compare before and after a move.
+
+
+def determinant(matrix: list[list[int]]) -> Fraction:
+    """Determinant of a square integer matrix by fraction-free-ish elimination."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = Fraction(1) / rows[col][col]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                factor = rows[r][col] * inv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def cartan_determinant(table: AlgebraTable) -> int:
+    return int(determinant([[int(x) for x in row] for row in table.cartan()]))

@@ -12,7 +12,6 @@ import time
 from brauergraph.algebra import (
     bga_dimension_formula,
     bga_table,
-    cartan_determinant,
     check_table,
     dimension_by_rewriting,
     trivial_extension,
@@ -30,7 +29,6 @@ from brauergraph.core import (
 )
 from brauergraph.covering import check_cover_commutes, cover, default_grading
 from brauergraph.homotopy import hom_vanishing_report, mutation_object, mutation_verification
-from brauergraph.linalg import determinant
 from brauergraph.models import (
     cut_cover_table,
     cut_model_table,
@@ -42,7 +40,7 @@ from brauergraph.models import (
 from brauergraph.moves import maximal_sectors, move_sector, move_set
 from brauergraph.permutations import Permutation
 
-from conftest import build_graph
+from conftest import build_graph, cartan_determinant, determinant
 
 
 def _ex1():

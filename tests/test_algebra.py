@@ -13,7 +13,6 @@ from brauergraph.algebra import (
     bga_dimension_formula,
     bga_table,
     bga_table_with_keys,
-    cartan_determinant,
     check_table,
     dimension_by_rewriting,
     monomial_isomorphism_violations,
@@ -32,7 +31,7 @@ from brauergraph.models import (
     skew_model,
 )
 
-from conftest import truncate
+from conftest import cartan_determinant, truncate
 
 
 def test_bga_dimension_ex1(ex1):
@@ -301,7 +300,7 @@ def test_trivial_extension_map_with_a_negated_generator_names_a_pair(
     lhs, rhs, scalars, images = calls[-1]
     expected = {
         "w[a_0:1]|g0": "w[a_0:1]|g0, D(z[a_1]|g1)",
-        "w[a_1:1]|g0": "w[a_1:1]|g0, D(w[a_0:1]|g1)",
+        "w[a_1:1]|g0": "w[a_1:1]|g0, D(z[a_1]|g0)",
     }
     assert [lhs.labels[a] for a in bd.generators] == list(expected)
     for a in bd.generators:
@@ -316,6 +315,27 @@ def test_trivial_extension_map_with_a_negated_generator_names_a_pair(
             return {images[k]: negated[k] * c for k, c in element.items()}
 
         assert phi(lhs.pairwise(x, y)) != rhs.mul(phi({x: ONE}), phi({y: ONE}))
+
+
+def test_skew_and_trivial_extension_generators_span():
+    """The generators that ``skew_group_table`` and ``trivial_extension``
+    set span their tables: the identity map passes the proof, whose search
+    (b) reaches every basis element from them.  They are fewer than the
+    non-idempotents the proof would otherwise take."""
+    from brauergraph.covering import default_grading
+
+    for seed, n_half in ((1, 4), (3, 6)):
+        graph = gen_random(seed, n_half=n_half)
+        covered = cover(GradedGraph(graph, default_grading(graph)))
+        bd, keys, index_of = bga_table_with_keys(covered.total)
+        skew = skew_group_table(bd, sheet_shift_action(covered, keys, index_of))
+        for table in (trivial_extension(bd), skew, trivial_extension(skew)):
+            identity = list(range(table.dim))
+            assert table.generators
+            assert len(table.generators) < table.dim - len(table.idempotents) - 1
+            assert monomial_isomorphism_violations(
+                table, table, [ONE] * table.dim, identity
+            ) is None
 
 
 def test_trivial_extension_iso_on_cut(ex2_multiplicity_one):

@@ -20,12 +20,41 @@ from brauergraph.homotopy import (
     make_complex,
     mutation_object,
     mutation_verification,
-    proj_hom,
     stalk,
 )
 from brauergraph.models import edge_cartan, model_for, ordinary_model, skew_model
 
 from conftest import build_graph
+
+
+# Oracles: the maps between indecomposable projectives and the product of
+# map matrices, by which the reference systems below compose chain maps.
+
+
+def proj_hom(table, i, j):
+    """Basis of Hom(e_i A, e_j A): the corner e_j A e_i, acting on the left."""
+    return table.corner_basis(j, i)
+
+
+def compose(table, left, right):
+    """Matrix product: the right factor acts first."""
+    if not left or not right:
+        return [[{} for _ in (right[0] if right else [])] for _ in left]
+    out = []
+    for t in range(len(left)):
+        row = []
+        for s in range(len(right[0])):
+            acc = {}
+            for k in range(len(right)):
+                for b, c in table.mul(left[t][k], right[k][s]).items():
+                    new = acc.get(b, 0) + c
+                    if new:
+                        acc[b] = new
+                    else:
+                        del acc[b]
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def test_proj_hom_diagonal_is_cartan(ex1):
@@ -551,7 +580,6 @@ def _ref_unit(n_rows, n_cols, t_idx, s_idx, b):
 
 
 def _ref_hom_dimension(table, x, y, shift):
-    from brauergraph.homotopy import compose
     from brauergraph.linalg import RationalSpan
 
     dx, dy = x.matrix(), y.matrix()
@@ -666,7 +694,7 @@ def test_stalk_pairs_skip_the_elimination(ex1, ex2, monkeypatch):
             for y in stalks:
                 want = _full_cohomology(table, x, y)
                 with monkeypatch.context() as patch:
-                    patch.setattr(homotopy, "_with_differential", unreachable)
+                    patch.setattr(homotopy, "_images", unreachable)
                     got = _hom_complex(table, x, y)
                 assert list(got) == [
                     _ref_hom_dimension(table, x, y, k) for k in (-1, 0, 1)
@@ -682,6 +710,141 @@ def test_stalk_pairs_skip_the_elimination(ex1, ex2, monkeypatch):
                 assert span.rank == len(reps) == got[1]
                 pairs += got[1] > 0
     assert pairs > 50
+
+
+def test_stalk_pairs_take_no_rank(ex1, ex1_subset, ex2, monkeypatch):
+    """Between two stalks |Hom^{-1}| = |Hom^1| = 0, so ``_hom_complex``
+    reads H^0 off the corner sizes and takes no rank at all."""
+    from brauergraph import homotopy
+    from brauergraph.homotopy import _hom_complex
+
+    ranks = []
+    counted = homotopy.rank
+    monkeypatch.setattr(
+        homotopy, "rank", lambda *args: ranks.append(args) or counted(*args)
+    )
+    for model in (ordinary_model(ex1), skew_model(ex2)):
+        table = model.table
+        n = len(table.idempotents)
+        stalks = [stalk(table, [p]) for p in range(n)]
+        stalks += [stalk(table, [0, n - 1]), stalk(table, [n - 1, 1, 1])]
+        for x in stalks:
+            for y in stalks:
+                n_0 = len(_ref_slots(table, x.deg_0, y.deg_0))
+                assert _hom_complex(table, x, y) == (0, n_0, 0)
+    assert ranks == []
+    # The counter sees the ranks of a pair of cones.
+    model = ordinary_model(ex1)
+    cones = [x for _, x in mutation_object(model, ex1_subset) if x.deg_minus1]
+    _hom_complex(model.table, cones[0], cones[0])
+    assert ranks
+
+
+def _ref_with_differential(table, slot, d, tag, after, sign=1):
+    """Coordinates of sign * d . u (``after``) or sign * u . d, for the basis
+    map u with its one corner basis element at ``slot``, formed term by term
+    from the entries of d: the reference for the keys, their insertion order
+    and the coefficients of every boundary image and D^0 column."""
+    t, s, b = slot
+    if after:
+        terms = [(t2, s, c, table.pairwise(k, b)) for t2, row in enumerate(d)
+                 for k, c in row[t]]
+    else:
+        terms = [(t, s2, c, table.pairwise(b, k)) for s2, entry in enumerate(d[s])
+                 for k, c in entry]
+    out = {}
+    for i, j, c, product in terms:
+        c *= sign
+        for e, ce in product.items():
+            key = (tag, i, j, e)
+            new = out.get(key, 0) + c * ce
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
+
+
+def _typed(vec):
+    return [(key, type(c), c) for key, c in vec.items()]
+
+
+def _kernel_cases(ex1, ex2):
+    cases = [(ex1, ordinary_model(ex1)), (ex2, skew_model(ex2))]
+    for n_half in (6, 8, 10, 12):
+        for skew in (False, True):
+            g = gen_random(n_half, n_half=n_half, allow_skew=skew, max_multiplicity=2)
+            cases.append((g, model_for(g)))
+    return cases
+
+
+def _assert_images_match(table, summands) -> int:
+    """``_boundary_vectors`` and ``_d0_columns`` yield, for every pair of
+    summands, the vectors that applying each differential entry by entry to
+    each ``_ref_slots`` basis map gives: the same keys in the same order,
+    with equal coefficients of the same type; ``_hom_sizes`` counts those
+    basis maps.  Returns the number of zero images."""
+    from brauergraph.homotopy import _boundary_vectors, _d0_columns, _hom_sizes
+
+    zeros = 0
+    for _, x in summands:
+        dx = x.differential
+        for _, y in summands:
+            dy = y.differential
+            slots_h = _ref_slots(table, x.deg_0, y.deg_minus1)
+            slots_m1 = _ref_slots(table, x.deg_minus1, y.deg_minus1)
+            slots_0 = _ref_slots(table, x.deg_0, y.deg_0)
+            slots_1 = _ref_slots(table, x.deg_minus1, y.deg_0)
+            assert _hom_sizes(table, x, y) == (
+                len(slots_h), len(slots_m1) + len(slots_0), len(slots_1)
+            )
+            want = [
+                _ref_with_differential(table, slot, dx, "m1", after=False)
+                | _ref_with_differential(table, slot, dy, "d0", after=True)
+                for slot in slots_h
+            ]
+            got = list(_boundary_vectors(table, x, y))
+            assert list(map(_typed, got)) == list(map(_typed, want))
+            zeros += want.count({})
+            want = [
+                (("m1", *slot),
+                 _ref_with_differential(table, slot, dy, "g", after=True, sign=-1))
+                for slot in slots_m1
+            ] + [
+                (("d0", *slot), _ref_with_differential(table, slot, dx, "g", after=False))
+                for slot in slots_0
+            ]
+            got = list(_d0_columns(table, x, y))
+            assert [(key, _typed(v)) for key, v in got] == [
+                (key, _typed(v)) for key, v in want
+            ]
+            zeros += [v for _, v in want].count({})
+    return zeros
+
+
+def test_images_are_the_term_by_term_vectors(ex1, ex2):
+    for seed, (graph, model) in enumerate(_kernel_cases(ex1, ex2)):
+        rng = random.Random(95_000 + seed)
+        summands = []
+        for _ in range(2):
+            summands += mutation_object(model, random_ih_stable_subset(graph, rng))
+        _assert_images_match(model.table, summands)
+
+
+def test_images_drop_the_terms_that_cancel():
+    """With the differential x - y and x.x = x.y = y.x = y.y = z, the images
+    of x and y cancel, term by term, on either side of the differential."""
+    from brauergraph.algebra import AlgebraTable
+
+    def product(i, j):
+        if i == 0 or j == 0:
+            return {i + j: 1}
+        return {3: 1} if i < 3 and j < 3 else {}
+
+    table = AlgebraTable(["e", "x", "y", "z"], [0] * 4, [0] * 4, [("v", 0)], product)
+    cone = make_complex(table, (0,), (0,), [[{1: 1, 2: -1}]])
+    summands = [("cone", cone), ("stalk", stalk(table, [0]))]
+    assert _assert_images_match(table, summands) >= 4
 
 
 def test_d0_columns_stop_at_full_rank(ex1, ex1_subset, ex2, ex2_subset, monkeypatch):
@@ -746,11 +909,7 @@ def test_hom_dimension_non_tilting_quartet(ex1):
 
 def _ref_end_table(table, summands):
     from brauergraph.algebra import AlgebraTable
-    from brauergraph.homotopy import (
-        _chain_map_from_vector,
-        _eliminated_hom_complex,
-        compose,
-    )
+    from brauergraph.homotopy import _chain_map_from_vector, _eliminated_hom_complex
 
     spans = {}
     reps = {}

@@ -80,6 +80,56 @@ def test_only_permutations_reads_the_permutation_map():
     assert readers == []
 
 
+TABLE_INTERNALS = {"_corners", "_corner_sizes", "_memo", "_product_fn"}
+
+
+def test_only_algebra_reads_the_table_internals():
+    """The corner basis, the corner sizes, the product memo and the product
+    function of ``AlgebraTable`` are private to ``algebra``; other modules
+    go through its methods and properties."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(
+            isinstance(node, ast.Attribute) and node.attr in TABLE_INTERNALS
+            for node in ast.walk(tree)
+        ):
+            readers.append(path.name)
+    assert readers == []
+
+
+MOVED_TO_THE_TESTS = {
+    "homotopy.py": {"compose", "proj_hom"},
+    "algebra.py": {"cartan_determinant"},
+    "linalg.py": {"determinant"},
+}
+
+
+def _defined(module: str) -> set[str]:
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+@pytest.mark.parametrize("module", sorted(MOVED_TO_THE_TESTS))
+def test_oracles_live_in_the_tests(module):
+    """Oracles that only the tests call are defined in the tests."""
+    assert _defined(module).isdisjoint(MOVED_TO_THE_TESTS[module])
+
+
+def test_homotopy_forms_images_in_one_generator():
+    """Slot lists and the entry-by-entry differential are gone: the Hom
+    sizes come from the corner sizes and every image from ``_images``."""
+    defined = _defined("homotopy.py")
+    assert "_images" in defined
+    assert defined.isdisjoint({"_slots", "_with_differential"})
+
+
 def test_homotopy_keeps_one_coordinate_pass():
     """End(T) and degree-0 Hom spaces come from ``_eliminated_hom_complex``
     alone: the Hom-complex object and the tilting-only End(T) builder are
