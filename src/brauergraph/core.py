@@ -316,19 +316,6 @@ def is_bipartite(graph: BrauerGraph) -> bool:
     return True
 
 
-def euler_characteristics(graph: BrauerGraph) -> list[int]:
-    """|vertices| - |edges| + |faces| per connected component (ordinary only)."""
-    out = []
-    for component in connected_components(graph):
-        v = len({graph.sigma_orbit_of(h)[0] for h in component})
-        e = len({graph.edge_of(h) for h in component})
-        f = len(
-            {face_permutation(graph).orbit(h)[0] for h in component}
-        )
-        out.append(v - e + f)
-    return out
-
-
 def grading_violations(graph: BrauerGraph, grading: Grading) -> list[str]:
     """Check admissibility (ordinary) or 0-homogeneity (skew) of a grading."""
     report: list[str] = []

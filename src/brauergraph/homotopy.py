@@ -397,13 +397,6 @@ def _vanishing(cohomology: dict[tuple[int, int], Cohomology]) -> dict[int, int]:
     }
 
 
-def hom_vanishing_report(
-    table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
-) -> dict[int, int]:
-    """Total dim Hom(T, T[k]) for k = -1 and 1 (nonzero means not tilting)."""
-    return _vanishing(_hom_complexes(table, summands))
-
-
 def left_minimality_report(
     model: GraphAlgebraModel, summands: list[tuple[str, ProjPresentation]]
 ) -> list[str]:

@@ -60,8 +60,9 @@ from .presentation import (
 # A node of the prefix trie: the integral value V of its prefix, the
 # denominator D with prefix value V / D, and its children.  A child is keyed
 # by its arrow, or by the half-edge h for a step of a summed walk, whose
-# element is the full arrow at h.
-_Node = tuple[Element, int, dict["Arrow | str", "_Node"]]
+# element is the full arrow at h, or by an int q >= 2 for the q-th power of
+# the node's value.
+_Node = tuple["Element | None", int, dict["Arrow | str | int", "_Node"]]
 
 
 def _exact(value: Element, denominator: int) -> Element:
@@ -84,11 +85,30 @@ class GraphAlgebraModel:
     """A table together with the quiver dictionary needed to evaluate paths.
 
     Paths and walks are evaluated through one trie of prefixes, so a prefix
-    shared by many relation terms is multiplied once per model.  The trie
-    assumes ``table`` and ``arrow_element`` are not changed after the first
-    evaluation; a model built from new ones (``dataclasses.replace``) starts
-    with an empty trie.  Evaluations return the trie's own elements, which
-    callers must not modify.
+    shared by many relation terms is multiplied once per model.  Two things
+    make the trie a directed acyclic graph rather than a tree:
+
+    - Turn powers.  A turn is one walk round the sigma-orbit of the first
+      half-edge: the orbit of a walk's half-edge, looked up once per
+      half-edge, or a path's steps before its first arrow comes round
+      again.  A step sequence that starts with q >= 2 copies of its first
+      turn is evaluated as tail * turn^q.  The turn goes through the trie,
+      turn^q is the turn node's child keyed q, formed from turn^(q-1) by
+      one product, and the tail continues from there.  So a rule-(I) route
+      power r^m, rule (II)'s r^m r_0 and rule (IV)'s r^(m-1) r' cost one
+      turn through the trie plus at most m - 1 products per distinct turn
+      value.
+    - Shared subtrees.  Nodes with equal nonzero (V, D) are one node, since
+      a child's value depends only on its parent's value and its key.  A
+      zero node keeps its own children: after a step of denominator 1 it
+      would otherwise be its own child.
+
+    Every (V, D) is still the left-nested product of the steps, by the
+    associativity of ``table``.  The trie assumes ``table`` and
+    ``arrow_element`` are not changed after the first evaluation; a model
+    built from new ones (``dataclasses.replace``) starts with an empty
+    trie.  Evaluations return the trie's own elements, which callers must
+    not modify.
 
     The trie multiplies integral elements only.  Each step element x (an
     arrow, or the full arrow at a half-edge) is held as (d x, d) with d the
@@ -109,10 +129,17 @@ class GraphAlgebraModel:
     arrow_element: dict[Arrow, Element]
     twist: Element | None = None
     grading: Grading | None = None
-    _prefixes: dict[Arrow | str, _Node] = field(
+    _prefixes: dict[Arrow | str | int, _Node] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # The one node of each nonzero (V, D), keyed (D, frozenset(V.items())).
+    _nodes: dict[tuple[int, frozenset], _Node] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _steps: dict[Arrow | str, tuple[Element, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _orbits: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -133,16 +160,31 @@ class GraphAlgebraModel:
             out = self._steps[key] = integral_form(x)
         return out
 
-    def _product(self, steps: Iterable[Arrow | str]) -> tuple[Element, int]:
-        """(V, D) for the product of the step elements, first step rightmost,
-        read through the prefix trie.  A zero prefix makes every extension
-        zero without a multiplication."""
-        children = self._prefixes
-        value: Element | None = None
-        denominator = 1
+    def _orbit(self, h: str) -> tuple[str, ...]:
+        """The sigma-orbit of h, starting at h, looked up once per half-edge."""
+        out = self._orbits.get(h)
+        if out is None:
+            out = self._orbits[h] = self.graph.sigma_orbit_of(h)
+        return out
+
+    def _node(self, value: Element, denominator: int) -> _Node:
+        """The trie node of (value, denominator): shared when nonzero."""
+        if not value:
+            return value, denominator, {}
+        key = (denominator, frozenset(value.items()))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = (value, denominator, {})
+        return node
+
+    def _descend(self, node: _Node, steps: Iterable[Arrow | str]) -> _Node:
+        """The node reached from ``node`` by ``steps``, each step's element
+        multiplied on the left.  A zero node makes every extension zero
+        without a multiplication."""
+        value, denominator, children = node
         for key in steps:
-            node = children.get(key)
-            if node is None:
+            child = children.get(key)
+            if child is None:
                 elem, d = self._step(key)
                 if value is None:
                     product = elem
@@ -150,8 +192,40 @@ class GraphAlgebraModel:
                     product = self.table.mul(elem, value)
                 else:
                     product = value
-                node = children[key] = (product, denominator * d, {})
-            value, denominator, children = node
+                child = children[key] = self._node(product, denominator * d)
+            value, denominator, children = child
+        return value, denominator, children
+
+    def _power(self, turn: _Node, q: int) -> _Node:
+        """The node of turn^q for q >= 2: the child of ``turn`` keyed q, each
+        power formed from the one before."""
+        elem, d, children = turn
+        node = turn
+        for k in range(2, q + 1):
+            child = children.get(k)
+            if child is None:
+                value, denominator, _ = node
+                product = self.table.mul(elem, value) if value else value
+                child = children[k] = self._node(product, denominator * d)
+            node = child
+        return node
+
+    def _product(
+        self, steps: tuple[Arrow | str, ...], turn_length: int
+    ) -> tuple[Element, int]:
+        """(V, D) for the product of the step elements, first step rightmost:
+        tail * turn^q when the steps start with q >= 2 copies of their first
+        ``turn_length`` steps, else step by step through the trie."""
+        node: _Node = (None, 1, self._prefixes)
+        if len(steps) >= 2 * turn_length:
+            turn = steps[:turn_length]
+            q = 1
+            while steps[q * turn_length : (q + 1) * turn_length] == turn:
+                q += 1
+            if q > 1:
+                node = self._power(self._descend(node, turn), q)
+                steps = steps[q * turn_length :]
+        value, denominator, _ = self._descend(node, steps)
         return value, denominator
 
     def scaled_walk(self, h: str, length: int) -> tuple[Element, int]:
@@ -159,8 +233,9 @@ class GraphAlgebraModel:
         sigma^{length-1} h."""
         if length < 1:
             raise ValueError("walks have at least one arrow")
-        orbit = self.graph.sigma_orbit_of(h)
-        return self._product(orbit[k % len(orbit)] for k in range(length))
+        orbit = self._orbit(h)
+        turns, rest = divmod(length, len(orbit))
+        return self._product(orbit * turns + orbit[:rest], len(orbit))
 
     def _scaled_summed_walk(self, walk: Walk) -> tuple[Element, int]:
         graph = self.graph
@@ -183,7 +258,14 @@ class GraphAlgebraModel:
     def scaled_path(self, path: Path) -> tuple[Element, int]:
         """(V, D) for the product of the arrows of ``path``; KeyError names a
         missing arrow."""
-        return self._product(path)
+        if not path:
+            raise ValueError("paths have at least one arrow")
+        try:
+            # A repeated turn ends where the first arrow comes round again.
+            turn_length = path.index(path[0], 1)
+        except ValueError:
+            turn_length = len(path)
+        return self._product(path, turn_length)
 
     def evaluate_path(self, path: Path) -> Element:
         """Product of the arrows of ``path``; KeyError names a missing arrow."""
@@ -310,19 +392,6 @@ def model_for(graph: BrauerGraph, grading: Grading | None = None) -> GraphAlgebr
     return model
 
 
-def edge_cartan(model: GraphAlgebraModel) -> tuple[list[str], list[list[int]]]:
-    """Cartan matrix aggregated to edges (summing over doubled vertices)."""
-    vertex_cartan = model.table.cartan()
-    edges = sorted(model.graph.edges_by_label)
-    index = {name: k for k, name in enumerate(edges)}
-    out = [[0] * len(edges) for _ in edges]
-    positions = list(model.vertex_position.items())
-    for (name_i, _), pi in positions:
-        for (name_j, _), pj in positions:
-            out[index[name_i]][index[name_j]] += vertex_cartan[pi][pj]
-    return edges, out
-
-
 def _ordinary_edge_cartan(graph: BrauerGraph) -> tuple[list[str], list[list[int]]]:
     """The Cartan matrix of an ordinary graph's algebra, counted.
 
@@ -379,9 +448,9 @@ def graph_edge_cartan(
 ) -> tuple[list[str], list[list[int]]]:
     """The edge Cartan matrix of ``model_for(graph, grading)``, counted from
     the graph (or, for a skew graph, from its covering under ``grading``)
-    without building an algebra.  ``edge_cartan`` reads the same matrix off
-    the model's table; the test suite holds the two equal.  An invalid
-    grading raises as in ``model_for``."""
+    without building an algebra.  The test suite reads the same matrix off
+    the model's table (its ``edge_cartan``) and holds the two equal.  An
+    invalid grading raises as in ``model_for``."""
     if graph.is_skew:
         return _covering_edge_cartan(cover(GradedGraph(graph, grading)))
     check_grading(graph, grading)

@@ -71,6 +71,12 @@ class PowerFamily(NamedTuple):
     vanishes in an algebra exactly when the values c_h v(r) and c_o v(s) are
     all one element: fixing s, c_h v(r) = c_o v(s) for every r makes all
     c_h v(r) equal, and fixing r does the same for every c_o v(s).
+
+    A route power r^m is m copies of one turn round the sigma-orbit.  A
+    model (``models.GraphAlgebraModel``) evaluates it as the m-th power of
+    the turn's value: one turn through its prefix trie per route, then at
+    most m - 1 products per distinct turn value, and routes whose prefixes
+    meet in one value share the rest of the trie.
     """
 
     h: str

@@ -242,6 +242,20 @@ def pairwise_match_problems(graph, covered, model):
     return problems
 
 
+def left_nested(model, steps):
+    """(V, D) of the product of the step elements, first step rightmost,
+    multiplied one step at a time from the first: the value the prefix trie
+    of ``GraphAlgebraModel`` must give.  A step is an arrow, or a half-edge
+    standing for the full arrow there."""
+    value, denominator = None, 1
+    for key in steps:
+        x = model.full_arrow(key) if isinstance(key, str) else model.arrow_element[key]
+        elem, d = integral_form(x)
+        value = elem if value is None else model.table.mul(elem, value)
+        denominator *= d
+    return value, denominator
+
+
 def table_corner_sum(covered) -> int:
     """The dimension of the compressed algebra of a two-sheet covering, read
     off the covering algebra's table: over ordered pairs of base edges, the

@@ -12,8 +12,6 @@ import time
 from brauergraph.algebra import (
     bga_dimension_formula,
     bga_table,
-    check_table,
-    dimension_by_rewriting,
     trivial_extension,
     trivial_extension_iso_report,
 )
@@ -28,7 +26,7 @@ from brauergraph.core import (
     zero_grading,
 )
 from brauergraph.covering import check_cover_commutes, cover, default_grading
-from brauergraph.homotopy import hom_vanishing_report, mutation_object, mutation_verification
+from brauergraph.homotopy import mutation_object, mutation_verification
 from brauergraph.models import (
     cut_cover_table,
     cut_model_table,
@@ -41,6 +39,7 @@ from brauergraph.moves import maximal_sectors, move_sector, move_set
 from brauergraph.permutations import Permutation
 
 from conftest import build_graph, cartan_determinant, determinant
+from oracles import check_table, dimension_by_rewriting, hom_vanishing_report
 
 
 def _ex1():

@@ -15,16 +15,16 @@ from brauergraph.homotopy import (
     approximation,
     end_table,
     hom_dimension,
-    hom_vanishing_report,
     left_minimality_report,
     make_complex,
     mutation_object,
     mutation_verification,
     stalk,
 )
-from brauergraph.models import edge_cartan, model_for, ordinary_model, skew_model
+from brauergraph.models import model_for, ordinary_model, skew_model
 
 from conftest import build_graph
+from oracles import check_table, edge_cartan, hom_vanishing_report
 
 
 # Oracles: the maps between indecomposable projectives and the product of
@@ -357,7 +357,6 @@ def test_summands_biject_with_edges(ex1, ex2, ex1_subset, ex2_subset):
 
 
 def test_end_table_is_an_exact_algebra(ex1, ex1_subset):
-    from brauergraph.algebra import check_table
 
     model = ordinary_model(ex1)
     summands = mutation_object(model, ex1_subset)
@@ -980,7 +979,6 @@ def _end_table_cases(ex1, ex2):
 
 
 def test_end_table_composes_like_the_matrix_route(ex1, ex2):
-    from brauergraph.algebra import check_table
 
     products = 0
     for graph, model, rng in _end_table_cases(ex1, ex2):

@@ -32,6 +32,7 @@ from brauergraph.core import GradedGraph, gen_random, random_valid_grading, zero
 from brauergraph.covering import cover, default_grading, sheet_label
 from brauergraph.graphfile import parse
 from brauergraph.linalg import RationalSpan, vec_add
+from brauergraph import models
 from brauergraph.models import (
     cut_cover_table,
     cut_model_table,
@@ -42,7 +43,7 @@ from brauergraph.models import (
 )
 from brauergraph.presentation import quiver, relations
 
-from conftest import mul_compressions, table_corner_sum, truncate
+from conftest import left_nested, mul_compressions, table_corner_sum, truncate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Skew graphs per n_half.  The cap on the cover's dimension, and
@@ -265,7 +266,9 @@ def test_structure_constants_are_units_or_halves(case):
 def test_paths_are_multiplied_in_integers(case):
     """Each arrow is held as +-1 coordinates over a denominator 1 or 2, the
     latter exactly at a skew leg's copy; so every prefix the trie multiplies
-    for the relations and the walks is an ``int`` element."""
+    for the relations and the walks, and every turn power it keeps, is an
+    ``int`` element.  Equal nonzero values share one node, so the trie is
+    walked with a visited set."""
     covered = routes(case)[0]
     graph = covered.base.graph
     model = truncation_model(covered)
@@ -279,11 +282,87 @@ def test_paths_are_multiplied_in_integers(case):
         model.scaled_walk(h, 2 * len(graph.sigma_orbit_of(h)))
     nodes = list(model._prefixes.values())
     assert nodes
+    seen: set[int] = set()
+    values: set[tuple[int, frozenset]] = set()
+    powers = 0
     while nodes:
-        value, d, children = nodes.pop()
+        node = nodes.pop()
+        value, d, children = node
+        if id(children) in seen:
+            continue
+        seen.add(id(children))
         assert all(type(c) is int for c in value.values())
         assert d & (d - 1) == 0
-        nodes.extend(children.values())
+        if value:
+            values.add((d, frozenset(value.items())))
+        for key, child in children.items():
+            if type(key) is int:
+                powers += 1
+                assert child[:2] == power_of(model, node, key), key
+            nodes.append(child)
+    assert powers
+    # One node per nonzero value: no two nodes seen hold the same one.
+    assert len(values) == len(model._nodes)
+
+
+def power_of(model, node, q):
+    """(V^q, D^q) for the (V, D) of ``node``, multiplied from the left."""
+    value, d, _ = node
+    out = value
+    for _ in range(q - 1):
+        out = model.table.mul(value, out)
+    return out, d**q
+
+
+def golden_cases():
+    """(name, graph, grading): each golden graph under its file grading, or
+    the default one."""
+    cases = []
+    for path in sorted(GOLDEN.glob("*.bg")):
+        parsed = parse(path.read_text(encoding="utf-8"))
+        grading = parsed.grading or default_grading(parsed.graph)
+        cases.append((f"golden-{path.stem}", parsed.graph, grading))
+    return cases
+
+
+TRIE_CASES = {name: (graph, grading) for name, graph, grading in golden_cases()} | CASES
+
+
+@pytest.mark.parametrize("name", list(TRIE_CASES))
+def test_the_trie_gives_the_left_nested_products(name, monkeypatch):
+    """Every path ``presentations_match`` evaluates, and walks of up to three
+    turns and a step from each half-edge, have the (V, D) of multiplying
+    their steps one at a time: turn powers and shared subtrees change no
+    value."""
+    graph, grading = TRIE_CASES[name]
+    covered = cover(GradedGraph(graph, grading))
+    built = []
+    evaluated = []
+    real_model, real_path = models.truncation_model, models.GraphAlgebraModel.scaled_path
+
+    def recording_model(covered):
+        built.append(real_model(covered))
+        return built[-1]
+
+    def recording_path(model, path):
+        out = real_path(model, path)
+        evaluated.append((path, out))
+        return out
+
+    monkeypatch.setattr(models, "truncation_model", recording_model)
+    monkeypatch.setattr(models.GraphAlgebraModel, "scaled_path", recording_path)
+    assert models.presentations_match(graph, covered).ok
+    [model] = built
+    assert evaluated
+    for path, out in evaluated:
+        assert out == left_nested(model, path), path
+    for h in sorted(graph.half_edges):
+        if not any(a.h == h for a in model.arrow_element):
+            continue
+        orbit = graph.sigma_orbit_of(h)
+        for length in range(1, 3 * len(orbit) + 2):
+            steps = [orbit[k % len(orbit)] for k in range(length)]
+            assert model.scaled_walk(h, length) == left_nested(model, steps), (h, length)
 
 
 def test_diagonal_corners_are_local(case):

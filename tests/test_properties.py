@@ -9,7 +9,11 @@ same graphs.
 from __future__ import annotations
 
 import dataclasses
+import io
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -19,8 +23,9 @@ from brauergraph import models
 from brauergraph.algebra import (
     ONE,
     action_violations,
+    bga_dimension_formula,
+    bga_table,
     bga_table_with_keys,
-    check_table,
     monomial_isomorphism_violations,
 )
 from brauergraph.core import (
@@ -39,6 +44,8 @@ from brauergraph.covering import (
     default_grading,
     lift_subset,
 )
+from brauergraph.cli import main
+from brauergraph.graphfile import emit
 from brauergraph.linalg import vec_scale
 from brauergraph.moves import maximal_sectors, move_sector, move_set
 from brauergraph.permutations import Permutation
@@ -49,6 +56,12 @@ from conftest import (
     pairwise_match_problems,
     sector_fold,
 )
+from oracles import check_table, dimension_by_rewriting, edge_cartan
+
+# Fixed budgets: each of the two properties runs in about a second on a
+# 2-vCPU VM.
+MAX_DIMENSION_EXAMPLES = 20
+MAX_CLI_EXAMPLES = 16
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -60,12 +73,16 @@ PROPERTY_SETTINGS = settings(
 
 
 @st.composite
-def graphs_with_subsets(draw) -> tuple[BrauerGraph, frozenset[str]]:
-    """A valid graph, ordinary or skew, and a pairing-stable subset of it."""
+def graphs_with_subsets(
+    draw, max_cross: int = 3, max_half: int = 13
+) -> tuple[BrauerGraph, frozenset[str]]:
+    """A valid graph, ordinary or skew, and a pairing-stable subset of it;
+    at most ``max_cross`` fixed points of the pairing and ``max_half``
+    half-edges."""
     n_pairs = draw(st.integers(0, 5))
-    n_cross = draw(st.integers(0, 3))
+    n_cross = draw(st.integers(0, max_cross))
     n_half = 2 * n_pairs + n_cross
-    assume(n_half >= 2)
+    assume(2 <= n_half <= max_half)
     names = [f"h{i}" for i in range(n_half)]
     order = draw(st.permutations(names))
     pairing = Permutation.from_cycles(
@@ -229,6 +246,65 @@ def test_the_counted_cartan_matrix_is_the_moved_models(drawn, seed):
     base = default_grading(graph, subset)
     grading = random_valid_grading(graph, random.Random(seed), base)
     moved = move_set(GradedGraph(graph, grading), subset)
-    assert models.graph_edge_cartan(moved.graph, moved.grading) == models.edge_cartan(
+    assert models.graph_edge_cartan(moved.graph, moved.grading) == edge_cartan(
         models.model_for(moved.graph, moved.grading)
     )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=MAX_DIMENSION_EXAMPLES)
+@given(graphs_with_subsets(max_cross=0), st.integers(0, 2**32 - 1))
+def test_the_dimension_oracles_agree(drawn, seed):
+    """On an ordinary graph the closed count, path rewriting with the
+    printed relations and the table's basis give one dimension, and the
+    ordinary model's table keeps the unit law, orthogonal idempotents and
+    associativity (``check_table``, on 10,000 sampled triples)."""
+    graph, _ = drawn
+    table = models.ordinary_model(graph).table
+    assert bga_dimension_formula(graph) == dimension_by_rewriting(graph) == table.dim
+    assert bga_table(graph).dim == table.dim
+    assert check_table(table, seed=seed, cap=0) == []
+
+
+COMMANDS = ("validate", "invariants", "quiver", "relations", "dim", "cartan",
+            "move", "cover", "check-commute", "mutate", "cut")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=MAX_CLI_EXAMPLES)
+@given(
+    graphs_with_subsets(max_half=8),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["default", "file", "auto"]),
+)
+def test_the_cli_answers_or_refuses(drawn, seed, graded, choice):
+    """On an accepted graph, written with a random valid grading or none,
+    every command exits 0 or 2, with or without ``--json``, and prints no
+    traceback: each failure is a one-line error."""
+    graph, subset = drawn
+    grading = None
+    if graded:
+        base = default_grading(graph, subset)
+        grading = random_valid_grading(graph, random.Random(seed), base)
+    labels = graph.edge_labels
+    edges = ",".join(sorted({labels[h] for h in subset}))
+    delta = ",".join(sorted(subset))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.bg"
+        extra = {
+            "quiver": ["--dot", str(Path(tmp) / "drawn.dot")],
+            "move": ["--edges", edges, "--grading", choice],
+            "cover": ["--grading", choice],
+            "check-commute": ["--edges", edges, "--grading", choice],
+            "mutate": ["--edges", edges, "--verify"],
+            "cut": ["--delta", delta],
+        }
+        path.write_text(emit(graph, grading), encoding="utf-8")
+        for command in COMMANDS:
+            for style in ([], ["--json"]):
+                argv = [*style, command, str(path), *extra.get(command, [])]
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2), (argv, err.getvalue())
+                assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+                assert (code == 2) == bool(err.getvalue()), (argv, err.getvalue())
