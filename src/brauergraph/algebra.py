@@ -161,10 +161,11 @@ def bga_basis_keys(graph: BrauerGraph) -> list[BasisKey]:
     keys: list[BasisKey] = []
     edge_names = sorted(edge_name(graph, e[0]) for e in graph.edges)
     keys.extend(("e", name) for name in edge_names)
+    valency = {h: len(orbit) for orbit in graph.sigma_orbits for h in orbit}
     for h in sorted(graph.half_edges):
         if not induces_arrow(graph, h):
             continue
-        top = len(graph.sigma_orbit_of(h)) * graph.multiplicity[h]
+        top = valency[h] * graph.multiplicity[h]
         keys.extend(("w", h, t) for t in range(1, top))
     keys.extend(("z", name) for name in edge_names)
     return keys
@@ -183,7 +184,7 @@ def bga_table_with_keys(
     # there; the walk key ("w", h, t) ends at sigma^t(h), which both the
     # endpoints and the products read from ``ends``.
     cycle_at: dict[str, tuple[tuple[str, ...], int]] = {}
-    for cycle in graph.orientation.orbits():
+    for cycle in graph.sigma_orbits:
         for position, h in enumerate(cycle):
             cycle_at[h] = (cycle, position)
     ends: list[str | None] = []
@@ -200,6 +201,7 @@ def bga_table_with_keys(
     }
 
     edge_labels = graph.edge_labels
+    socle_of = {h: index_of["z", edge_labels[h]] for h in socle_len}
 
     def endpoints(k: int) -> tuple[int, int]:
         key = keys[k]
@@ -223,9 +225,11 @@ def bga_table_with_keys(
             return {}
         total = lt + rt
         if total < socle_len[rh]:
-            return {index_of[("w", rh, total)]: ONE}
+            # the keys ("w", rh, t) are consecutive in t, so ("w", rh, total)
+            # sits lt places after ("w", rh, rt)
+            return {j + lt: ONE}
         if total == socle_len[rh]:
-            return {index_of[("z", edge_labels[rh])]: ONE}
+            return {socle_of[rh]: ONE}
         return {}
 
     labels = []
@@ -275,6 +279,10 @@ class GroupActionTable(NamedTuple):
         return scalar, index
 
 
+def _not_multiplicative(source: AlgebraTable, a: int, b: int) -> str:
+    return f"map is not multiplicative on ({source.labels[a]}, {source.labels[b]})"
+
+
 def monomial_isomorphism_violations(
     source: AlgebraTable,
     target: AlgebraTable,
@@ -298,6 +306,10 @@ def monomial_isomorphism_violations(
         else "generators do not span";
     (c) phi(a b) = phi(a) phi(b) for every generator a and every basis
         element b with tgt b = src a, checked as the search reaches b.
+        phi permutes the basis, so phi(a b) has one term on images[k] for
+        each term on k of a b: the check compares the term counts of a b
+        and phi(a) phi(b), then each term of a b, moved by phi, with the
+        term of phi(a) phi(b) on its image.
 
     By (b) every basis element is a multiple of a_k ... a_1 e with
     generators a_i and an idempotent e; phi(e y) = phi(e) phi(y) by (a) and
@@ -324,25 +336,27 @@ def monomial_isomorphism_violations(
         if (target.src[image], target.tgt[image]) != (pi[src[b]], pi[tgt[b]]):
             return f"map does not move the corner of {source.labels[b]} by pi"
     idempotent_indices = {index for _, index in source.idempotents}
-    by_source: dict[int, list[int]] = {}
+    # (a, phi a, s_a) for each generator a, by the corner of its source
+    by_source: dict[int, list[tuple[int, int, int | Fraction]]] = {}
     for a in source.generator_indices():
-        by_source.setdefault(src[a], []).append(a)
+        by_source.setdefault(src[a], []).append((a, images[a], scalars[a]))
     product, image_product = source._product_fn, target._product_fn
     reached = set(idempotent_indices)
     frontier = sorted(reached)
     while frontier:
         b = frontier.pop()
         sb, phi_b = scalars[b], images[b]
-        for a in by_source.get(tgt[b], ()):
+        for a, phi_a, sa in by_source.get(tgt[b], ()):
             ab = product(a, b)
-            # phi permutes the basis, so phi(ab) has no two terms on one key
-            phi_ab = {images[k]: scalars[k] * c for k, c in ab.items()}
-            s = scalars[a] * sb
-            if phi_ab != {k: s * c for k, c in image_product(images[a], phi_b).items()}:
-                return (
-                    f"map is not multiplicative on ({source.labels[a]}, "
-                    f"{source.labels[b]})"
-                )
+            image = image_product(phi_a, phi_b)
+            # (c), term by term
+            s = sa * sb
+            if len(ab) != len(image):
+                return _not_multiplicative(source, a, b)
+            for k, c in ab.items():
+                d = image.get(images[k])
+                if d is None or scalars[k] * c != s * d:
+                    return _not_multiplicative(source, a, b)
             if len(ab) == 1:
                 (c,) = ab
                 if c not in reached:
@@ -354,16 +368,30 @@ def monomial_isomorphism_violations(
 
 
 def action_violations(table: AlgebraTable, act: GroupActionTable) -> list[str]:
-    """Why the action of g is not an automorphism of ``table``; empty when it is.
+    """Why g is no automorphism of ``table`` with g^order = 1; empty when it is.
 
     That g is an automorphism is ``monomial_isomorphism_violations`` with
-    ``table`` as source and target; g^order = 1 is checked here.
+    ``table`` as source and target.  g^order = 1 is read off the cycles of
+    the image permutation in one pass: on a cycle of length L whose scalars
+    multiply to c, g^order is c^(order / L) times the identity when L
+    divides the order, and moves every element of the cycle otherwise.  A
+    failure names the least basis element of the least failing cycle, which
+    is the least b with g^order . b != b.
     """
     why = monomial_isomorphism_violations(table, table, act.scalars, act.images)
     if why is not None:
         return [why]
+    seen = [False] * table.dim
     for b in range(table.dim):
-        if act.apply(act.order, b) != (ONE, b):
+        if seen[b]:
+            continue
+        length, c, x = 0, ONE, b
+        while not seen[x]:
+            seen[x] = True
+            c *= act.scalars[x]
+            x = act.images[x]
+            length += 1
+        if act.order % length or c ** (act.order // length) != ONE:
             return [f"action order is not {act.order} at {table.labels[b]}"]
     return []
 
@@ -445,10 +473,10 @@ def integral_form(x: Element) -> tuple[Element, int]:
 class OrbitTruncation(NamedTuple):
     """The corner algebra f (A#G) f built by ``orbit_truncation``.
 
-    ``compress(x)`` gives the coordinates of f x f for any element x of A#G;
-    it rebuilds f x f from them and raises ``ValueError`` when the basis
-    does not give it back.  ``vector(k)`` is basis element k as an element
-    of A#G.  ``compressions(x)`` lists the nonzero F_p x F_q by corner (p, q)
+    ``compress(x)`` gives the coordinates of f x f for any element x of A#G,
+    and raises ``ValueError`` when f x f is no combination of the basis.
+    ``vector(k)`` is basis element k as an element of A#G.
+    ``compressions(x)`` lists the nonzero F_p x F_q by corner (p, q)
     ascending, F = d f being the integer form of a chosen idempotent.
     """
 
@@ -479,8 +507,13 @@ def orbit_truncation(
     idempotents, then by ambient index; the test suite's ``truncate`` is
     that sweep); its elements have disjoint supports, so an element of
     the corner is written in the basis by reading its coefficient at one
-    key of each.  Every reading is rebuilt and compared: a basis that does
-    not span and a product that leaves the truncation raise ``ValueError``.
+    key of each.  Every reading is checked in place: each other key of that
+    basis element must carry the same multiple of it, and the terms so
+    checked must be all the terms of the element read.  With disjoint
+    supports this is the test that the combination rebuilt from the
+    readings equals the element, without building it.  So a basis that
+    does not span, a product that leaves the truncation and two orbit
+    elements that overlap in a corner raise ``ValueError``.
 
     A compression takes no product in A.  Write g^i . c = s_i(c) g^i c for
     a basis element c.  By the precondition below every chosen F is a
@@ -558,14 +591,21 @@ def orbit_truncation(
     def mul(x: Element, y: Element) -> Element:
         """(b (x) g^k)(c (x) g^l) = b (g^k . c) (x) g^(k+l)."""
         out: Element = {}
+        right = [(*divmod(j, dim), cj) for j, cj in y.items()]
+        memo = table._memo
         for i, ci in x.items():
             k, b = divmod(i, dim)
-            for j, cj in y.items():
-                l, c = divmod(j, dim)
-                scalar, c = moved[k][c]
+            moved_k, src_b = moved[k], src[b]
+            for l, c, cj in right:
+                scalar, c = moved_k[c]
+                if tgt[c] != src_b:
+                    continue
                 sheet = (k + l) % n * dim
                 coeff = ci * cj * scalar
-                for d, cd in table.pairwise(b, c).items():
+                bc = memo.get((b, c))
+                if bc is None:
+                    bc = table.pairwise(b, c)
+                for d, cd in bc.items():
                     key = sheet + d
                     new = out.get(key, 0) + coeff * cd
                     if new:
@@ -576,13 +616,14 @@ def orbit_truncation(
 
     forms = [integral_form(x) for _, x in chosen]
 
-    # Term u = a (e (x) g^i) of F_p is filed under (i, src e): with a key
-    # c (x) g^l on its right it is nonzero only if tgt(g^i c) = src e.
-    lefts: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    # Term u = a (e (x) g^i) of F_p is filed under lefts[i][src e]: with a
+    # key c (x) g^l on its right it is nonzero only if tgt(g^i c) = src e.
+    Terms = list[list[list[tuple[int, int, int]]]]
+    lefts: Terms = [[[] for _ in at] for _ in range(n)]
     for p, (form, _) in enumerate(forms):
         for u, (key, a) in enumerate(form.items()):
             i, e = divmod(key, dim)
-            lefts.setdefault((i, src[e]), []).append((p, u, a))
+            lefts[i][src[e]].append((p, u, a))
 
     for (label, _), (form, scale) in zip(chosen, forms):
         if mul(form, form) != vec_scale(form, scale):
@@ -592,7 +633,7 @@ def orbit_truncation(
             p
             for key in form
             for i in range(n)
-            for p, _, _ in lefts.get((i, tgt[moved[i][key % dim][1]]), ())
+            for p, _, _ in lefts[i][tgt[moved[i][key % dim][1]]]
         }
         for a in sorted(partners):
             if a != b and mul(forms[a][0], form):
@@ -615,26 +656,27 @@ def orbit_truncation(
                     f"chosen element {label!r} is neither sheet 0 nor g-stable"
                 )
 
-    # Term b (e' (x) g^j) of F_q is filed under (m, tgt(g^m e')) for every m:
-    # with c (x) g^m on its left it is nonzero only if src c = tgt(g^m e').
-    rights: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    # Term b (e' (x) g^j) of F_q is filed under rights[m][tgt(g^m e')] for
+    # every m, as (q, (m + j) mod n times dim, b): with c (x) g^m on its left
+    # it is nonzero only if src c = tgt(g^m e'), and the product's key is
+    # c (x) g^(m+j).
+    rights: Terms = [[[] for _ in at] for _ in range(n)]
     for q, (form, _) in enumerate(forms):
         for key, b in form.items():
             j, e = divmod(key, dim)
             for m in range(n):
-                rights.setdefault((m, tgt[moved[m][e][1]]), []).append((q, j, b))
+                rights[m][tgt[moved[m][e][1]]].append((q, (m + j) % n * dim, b))
 
     # The terms of the F_p that meet c (x) g^l on their right, for each basis
-    # element c of A: (p, u, a s_i(c), i, g^i c), ascending in (p, u).
-    left_hits = []
-    for c in range(dim):
-        hits = []
-        for i in range(n):
-            s, c_i = moved[i][c]
-            for p, u, a in lefts.get((i, tgt[c_i]), ()):
-                hits.append((p, u, a * s, i, c_i))
+    # element c of A: (p, u, a s_i(c), i, g^i c, src g^i c), ascending in
+    # (p, u).
+    left_hits: list[list[tuple]] = [[] for _ in range(dim)]
+    for i, (lefts_i, moved_i) in enumerate(zip(lefts, moved)):
+        for c, (s, c_i) in enumerate(moved_i):
+            for p, u, a in lefts_i[tgt[c_i]]:
+                left_hits[c].append((p, u, a * s, i, c_i, src[c_i]))
+    for hits in left_hits:
         hits.sort()
-        left_hits.append(hits)
 
     def key_compressions(key: int) -> list[tuple[tuple[int, int], Element]]:
         """The nonzero integer forms F_p (c (x) g^l) F_q, by corner (p, q)
@@ -642,10 +684,10 @@ def orbit_truncation(
         the order of ``mul(mul(F_p, key), F_q)``."""
         l, c = divmod(key, dim)
         out: dict[tuple[int, int], Element] = {}
-        for p, _, a, i, c_i in left_hits[c]:
+        for p, _, a, i, c_i, v in left_hits[c]:
             m = (i + l) % n
-            for q, j, b in rights.get((m, src[c_i]), ()):
-                y = (m + j) % n * dim + c_i
+            for q, sheet, b in rights[m][v]:
+                y = sheet + c_i
                 form = out.get((p, q))
                 if form is None:
                     out[p, q] = {y: a * b}
@@ -671,20 +713,31 @@ def orbit_truncation(
     reps: list[int] = []
     owners: dict[tuple[int, int], dict[int, int]] = {}
 
-    def read(corner: tuple[int, int], form: Element) -> Element:
-        """Coordinates of ``form`` over the corner's integer forms."""
+    def read(corner: tuple[int, int], form: Element) -> Element | None:
+        """Coordinates of ``form`` over the corner's integer forms; None when
+        ``form`` is no combination of them, checked in place as the
+        docstring of ``orbit_truncation`` says."""
         owner = owners.get(corner, {})
+        get = form.get
         coords: Element = {}
+        terms = 0
         for key in form:
             k = owner.get(key)
-            if k is not None and k not in coords:
-                coords[k] = _quotient(form.get(reps[k], 0), basis[k][reps[k]])
-        return coords
-
-    def rebuild(coords: Element) -> Element:
-        return {
-            key: a * u for k, a in coords.items() for key, u in basis[k].items()
-        }
+            if k is None:
+                return None
+            if k in coords:
+                continue
+            u, rep = basis[k], reps[k]
+            c = get(rep)
+            if c is None:
+                return None
+            a = _quotient(c, u[rep])
+            for key_u, c_u in u.items():
+                if get(key_u) != a * c_u:
+                    return None
+            coords[k] = a
+            terms += len(u)
+        return coords if terms == len(form) else None
 
     labels: list[str] = []
     sources: list[int] = []
@@ -693,7 +746,7 @@ def orbit_truncation(
     def admit(corner: tuple[int, int], form: Element, label: str) -> None:
         owner = owners.setdefault(corner, {})
         if not owner.keys().isdisjoint(form):
-            if rebuild(read(corner, form)) != form:
+            if read(corner, form) is None:
                 raise ValueError(f"orbit elements of corner {corner} overlap")
             return
         owner.update(dict.fromkeys(form, len(basis)))
@@ -719,7 +772,7 @@ def orbit_truncation(
         if not form:
             return {}
         coords = read((targets[i], sources[j]), form)
-        if rebuild(coords) != form:
+        if coords is None:
             raise ValueError("truncation is not multiplicatively closed")
         d = scale[sources[i]]
         return {k: _quotient(a, d) for k, a in coords.items()}
@@ -732,11 +785,10 @@ def orbit_truncation(
         coords: Element = {}
         for (p, q), form in compressions(x):
             read_coords = read((p, q), form)
-            if rebuild(read_coords) != form:
+            if read_coords is None:
                 raise ValueError("element does not lie in the truncation")
             for k, a in read_coords.items():
-                if a:
-                    coords[k] = _quotient(a, scale[q])
+                coords[k] = _quotient(a, scale[q])
         return coords
 
     idempotents = [(label, p) for p, (label, _) in enumerate(chosen)]

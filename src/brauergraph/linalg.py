@@ -87,12 +87,15 @@ def rank(vectors: Iterable[Mapping], cap: int | None = None) -> int:
     The vectors are drawn one at a time, and none is drawn once the rank
     reaches ``cap``, a bound the caller knows the rank cannot pass (the
     dimension of the space the vectors lie in, or their number): vectors
-    drawn from a generator past that point are never formed.
+    drawn from a generator past that point are never formed.  A zero vector
+    is skipped before it is copied or reduced.
     """
     if cap == 0:
         return 0
     rows: list[tuple[Hashable, Vector]] = []
     for vec in vectors:
+        if not vec:
+            continue
         residual = dict(vec)
         _clear(residual, rows)
         if residual:

@@ -306,13 +306,16 @@ def sheet_shift_action(
     covered: CoveredGraph, keys: list[BasisKey], index_of: dict[BasisKey, int]
 ) -> GroupActionTable:
     """The sheet shift h_i -> h_{i+1} on the covering algebra's path basis."""
-
-    def shift_key(key: BasisKey) -> BasisKey:
-        if key[0] == "w":
-            return ("w", covered.shift_half(key[1]), key[2])
-        return (key[0], covered.shift_edge(key[1]))
-
-    images = tuple(index_of[shift_key(k)] for k in keys)
+    shift = {h: covered.shift_half(h) for h in covered.total.half_edges}
+    # Half-edge and edge labels can coincide, so edges get their own map.
+    edge_labels = covered.total.edge_labels
+    shift_edge = {edge_labels[h]: edge_labels[t] for h, t in shift.items()}
+    images = tuple(
+        index_of["w", shift[k[1]], k[2]]
+        if k[0] == "w"
+        else index_of[k[0], shift_edge[k[1]]]
+        for k in keys
+    )
     return GroupActionTable(covered.group_order, tuple(ONE for _ in keys), images)
 
 

@@ -32,7 +32,7 @@ from brauergraph.core import GradedGraph, gen_random, random_valid_grading, zero
 from brauergraph.covering import cover, default_grading, sheet_label
 from brauergraph.graphfile import parse
 from brauergraph.linalg import RationalSpan, vec_add
-from brauergraph import models
+from brauergraph import algebra, models
 from brauergraph.models import (
     cut_cover_table,
     cut_model_table,
@@ -544,6 +544,142 @@ def test_orbit_truncation_checks_the_unit_law(ex2_graded):
     chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
     with pytest.raises(ValueError, match=re.escape(f"unit law fails on {bd.labels[arrow]}")):
         orbit_truncation(broken, action, chosen)
+
+
+def dual_numbers():
+    """k[x]/(x^2) with the generator x."""
+    def product(i, j):
+        if i == 0 or j == 0:
+            return {i + j: ONE}
+        return {}
+
+    table = AlgebraTable(["e", "x"], [0, 0], [0, 0], [("e", 0)], product)
+    table.generators = (1,)
+    return table
+
+
+def least_unmoved_failure(act, order):
+    """The least b with g^order . b != b, g applied ``order`` times (no
+    reduction of the power), or None."""
+    for b in range(len(act.images)):
+        scalar, image = ONE, b
+        for _ in range(order):
+            scalar, image = scalar * act.scalars[image], act.images[image]
+        if (scalar, image) != (ONE, b):
+            return b
+    return None
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_the_action_order_is_checked(order):
+    """The skew-3.bg sheet shift is an involution: declared with order 1 or
+    3 it is refused, with the least basis element g^order moves, by the
+    proof and by both builders that run it; orders 2 and 4 pass.  x -> -x
+    on the dual numbers moves no basis element, and its scalar -1 gives
+    the same verdicts."""
+    parsed = parse((GOLDEN / "skew-3.bg").read_text(encoding="utf-8"))
+    graph = parsed.graph
+    covered = cover(GradedGraph(graph, parsed.grading or zero_grading(graph)))
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    shift = sheet_shift_action(covered, keys, index_of)
+    assert shift.order == 2
+    act = GroupActionTable(order, shift.scalars, shift.images)
+    failing = least_unmoved_failure(act, order)
+    assert (failing is None) == (order % 2 == 0)
+    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    if failing is None:
+        assert action_violations(bd, act) == []
+    else:
+        why = f"action order is not {order} at {bd.labels[failing]}"
+        assert action_violations(bd, act) == [why]
+        with pytest.raises(ValueError, match=re.escape(why)):
+            skew_group_table(bd, act)
+        with pytest.raises(ValueError, match=re.escape(why)):
+            orbit_truncation(bd, act, chosen)
+    dual = dual_numbers()
+    negate = GroupActionTable(order, (ONE, -1), (0, 1))
+    expected = [] if order % 2 == 0 else [f"action order is not {order} at x"]
+    assert action_violations(dual, negate) == expected
+
+
+def truncation_with_a_fault(graded, fault, monkeypatch):
+    """``orbit_truncation`` of the sheet shift, with ``fault`` seeded into
+    the action once the action proof has passed: ("negate", key) flips the
+    scalar of a basis key, ("swap", key, key) swaps the images of two."""
+    covered = cover(graded)
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    shift = sheet_shift_action(covered, keys, index_of)
+    scalars, images = list(shift.scalars), list(shift.images)
+    true_violations = algebra.action_violations
+
+    def then_seed_the_fault(table, act):
+        problems = true_violations(table, act)
+        assert problems == []
+        kind, *where = fault
+        b, *other = [index_of[key] for key in where]
+        if kind == "negate":
+            scalars[b] = -scalars[b]
+        else:
+            images[b], images[other[0]] = images[other[0]], images[b]
+        return problems
+
+    monkeypatch.setattr(algebra, "action_violations", then_seed_the_fault)
+    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    seeded = GroupActionTable(shift.order, scalars, images)
+    return bd, orbit_truncation(bd, seeded, chosen)
+
+
+def closure_failures(bd, orbit):
+    """The messages of ``compress`` on every basis key of A#G and of every
+    product of the orbit table, by where they were raised."""
+    failures = set()
+    for key in range(2 * bd.dim):
+        try:
+            orbit.compress({key: ONE})
+        except ValueError as error:
+            failures.add(("compress", str(error)))
+    table = orbit.table
+    for i in range(table.dim):
+        for j in range(table.dim):
+            try:
+                table.pairwise(i, j)
+            except ValueError as error:
+                failures.add(("product", str(error)))
+    return failures
+
+
+def test_a_fault_after_the_proof_makes_orbit_elements_overlap(ex2_graded, monkeypatch):
+    """Swapping the images of w[2_0:3] and z[2_0] after the proof makes the
+    sweep meet a compression that shares keys with an admitted basis
+    element without being a multiple of it."""
+    fault = ("swap", ("w", "2_0", 3), ("z", "2_0"))
+    why = "orbit elements of corner (1, 1) overlap"
+    with pytest.raises(ValueError, match=re.escape(why)):
+        truncation_with_a_fault(ex2_graded, fault, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "key, failures",
+    [
+        (("w", "2_0", 2), {"compress", "product"}),
+        (("e", "1+_0"), {"product"}),
+        (("w", "4+_0", 1), set()),
+    ],
+)
+def test_a_fault_after_the_proof_fails_the_closure_checks(
+    ex2_graded, monkeypatch, key, failures
+):
+    """With one scalar negated after the proof, the orbit table is still
+    built, but a compression or a product that leaves the span of the orbit
+    basis is refused.  The scalar of w[4+_0:1] enters no nonzero product
+    between the chosen idempotents, so that fault leaves the table and every
+    compression as they are, and nothing is refused."""
+    bd, orbit = truncation_with_a_fault(ex2_graded, ("negate", key), monkeypatch)
+    why = {
+        "compress": "element does not lie in the truncation",
+        "product": "truncation is not multiplicatively closed",
+    }
+    assert closure_failures(bd, orbit) == {(where, why[where]) for where in failures}
 
 
 def test_the_sweep_makes_no_products_in_the_cover_algebra(monkeypatch):

@@ -45,7 +45,7 @@ from brauergraph.covering import (
     lift_subset,
 )
 from brauergraph.cli import main
-from brauergraph.graphfile import emit
+from brauergraph.graphfile import emit, parse
 from brauergraph.linalg import vec_scale
 from brauergraph.moves import maximal_sectors, move_sector, move_set
 from brauergraph.permutations import Permutation
@@ -59,9 +59,10 @@ from conftest import (
 from oracles import check_table, dimension_by_rewriting, edge_cartan
 
 # Fixed budgets: each of the two properties runs in about a second on a
-# 2-vCPU VM.
+# 2-vCPU VM, and the graph-file round trip in about 0.7 s.
 MAX_DIMENSION_EXAMPLES = 20
 MAX_CLI_EXAMPLES = 16
+MAX_ROUND_TRIP_EXAMPLES = 60
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -308,3 +309,25 @@ def test_the_cli_answers_or_refuses(drawn, seed, graded, choice):
                 assert code in (0, 2), (argv, err.getvalue())
                 assert "Traceback" not in out.getvalue() + err.getvalue(), argv
                 assert (code == 2) == bool(err.getvalue()), (argv, err.getvalue())
+
+
+@settings(PROPERTY_SETTINGS, max_examples=MAX_ROUND_TRIP_EXAMPLES)
+@given(graphs_with_subsets(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_a_graph_file_round_trips(drawn, seed, graded, data):
+    """``parse(emit(graph, grading, aliases))`` gives back the graph, the
+    grading, a random valid one or none, and the aliases: up to two per
+    edge, named by the edge's own label or a fresh name, each listing the
+    edge's half-edges in a drawn order."""
+    graph, subset = drawn
+    grading = None
+    if graded:
+        base = default_grading(graph, subset)
+        grading = random_valid_grading(graph, random.Random(seed), base)
+    labels = graph.edge_labels
+    names = st.lists(st.sampled_from(["own", "a", "b"]), unique=True, max_size=2)
+    aliases = {}
+    for k, edge in enumerate(graph.edges):
+        for kind in data.draw(names):
+            name = labels[edge[0]] if kind == "own" else f"{kind}{k}"
+            aliases[name] = tuple(data.draw(st.permutations(edge)))
+    assert parse(emit(graph, grading, aliases)) == (graph, grading, aliases)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauergraph import linalg
 from brauergraph.linalg import RationalSpan, rank, reciprocal
 
 
@@ -180,6 +181,33 @@ def test_rank_matches_the_dense_reference(block):
             assert len(drawn) == (ranks.index(cap) + 1 if cap else 0), (seed, cap)
             capped += len(drawn) < len(vectors)
     assert capped
+
+
+def test_rank_skips_zero_vectors(monkeypatch):
+    """A zero vector reaches no elimination, and the ranks stay those of the
+    dense reference, with the systems' zero vectors and with more of them
+    spread among the others."""
+    true_clear = linalg._clear
+    cleared = []
+
+    def nonempty_clear(residual, rows):
+        assert residual, "rank handed _clear an empty residual"
+        cleared.append(len(residual))
+        return true_clear(residual, rows)
+
+    monkeypatch.setattr(linalg, "_clear", nonempty_clear)
+    zeros = 0
+    for seed in SEEDS:
+        keys, vectors = _system(seed)
+        ref = _Reference(keys)
+        for vec in vectors:
+            ref.add(vec)
+        padded = [v for vec in vectors for v in ({}, vec)] + [{}]
+        for system in (vectors, padded):
+            assert rank(system) == len(ref.columns), seed
+            assert rank(iter(system), cap=len(keys)) == len(ref.columns), seed
+        zeros += sum(not vec for vec in vectors)
+    assert zeros and cleared
 
 
 def test_express_outside_the_span_and_of_the_basis():
