@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .core import BrauerGraph, edge_name
-from .linalg import vec_add, vec_scale
+from .linalg import _quotient, vec_add, vec_scale
 from .presentation import induces_arrow
 
 Element = dict[int, int | Fraction]
@@ -93,12 +93,6 @@ class AlgebraTable:
         idempotent_indices = {index for _, index in self.idempotents}
         return tuple(b for b in range(self.dim) if b not in idempotent_indices)
 
-    def idempotent_element(self, position: int) -> Element:
-        return {self.idempotents[position][1]: ONE}
-
-    def unit(self) -> Element:
-        return {index: ONE for _, index in self.idempotents}
-
     def render(self, x: Element) -> str:
         """``x`` as coefficient*label terms in basis order; "0" when zero."""
         if not x:
@@ -130,10 +124,6 @@ class AlgebraTable:
 
     def cartan(self) -> list[list[int]]:
         return [list(row) for row in self.corner_sizes]
-
-    def corner_basis(self, target: int, source: int) -> list[int]:
-        """Basis indices b with tgt[b] == target and src[b] == source, ascending."""
-        return list(self.corners[target][source])
 
     def corner(self, x: Element, target: int, source: int) -> Element:
         """The part of x in the corner e_target A e_source."""
@@ -453,14 +443,6 @@ def skew_group_table(table: AlgebraTable, act: GroupActionTable) -> AlgebraTable
 # ---------------------------------------------------------------------------
 # The orbit basis of f (A#G) f
 # ---------------------------------------------------------------------------
-
-
-def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """Exact a / b: an ``int`` when b divides a, else a ``Fraction``."""
-    if type(a) is int and type(b) is int and a % b == 0:
-        return a // b
-    q = Fraction(a, b)
-    return q.numerator if q.denominator == 1 else q
 
 
 def integral_form(x: Element) -> tuple[Element, int]:
@@ -866,7 +848,7 @@ def extend_action_to_trivial_extension(
     images = list(act.images)
     for b in range(dim):
         s, b2 = act.apply(1, b)
-        scalars.append(Fraction(1) / s)
+        scalars.append(_quotient(ONE, s))
         images.append(dim + b2)
     return GroupActionTable(act.order, tuple(scalars), tuple(images))
 

@@ -1,8 +1,9 @@
 """Command line interface.
 
-Every subcommand reads a graph file, runs one library pipeline and prints a
-deterministic report; ``--json`` swaps the human output for one JSON object
-on stdout and machine-readable errors on stderr.
+``main`` reads the graph file once and rejects an invalid graph for every
+subcommand but ``validate``; the subcommand runs one library pipeline on the
+parsed file and prints a deterministic report.  ``--json`` swaps the human
+output for one JSON object on stdout and machine-readable errors on stderr.
 """
 from __future__ import annotations
 
@@ -12,13 +13,7 @@ import sys
 from typing import NamedTuple
 
 from . import covering, homotopy, models, moves
-from .core import (
-    BrauerGraph,
-    GradedGraph,
-    check_grading,
-    oz_invariants,
-    validate,
-)
+from .core import GradedGraph, check_grading, oz_invariants, validate
 from .graphfile import GraphFileError, ParsedGraph, emit, parse
 from .presentation import (
     admissible_cut,
@@ -50,12 +45,6 @@ def _load(path: str) -> ParsedGraph:
     except GraphFileError as exc:
         raise CommandError(f"{path}: {exc}") from exc
     return parsed
-
-
-def _require_valid(graph: BrauerGraph) -> None:
-    problems = validate(graph)
-    if problems:
-        raise CommandError("invalid graph: " + "; ".join(problems))
 
 
 def _subset_from_edges(parsed: ParsedGraph, listing: str) -> frozenset[str]:
@@ -94,8 +83,7 @@ def _write_output(text: str, path: str | None, lines: list[str]) -> None:
         lines.extend(text.rstrip("\n").split("\n"))
 
 
-def cmd_validate(args) -> Outcome:
-    parsed = _load(args.file)
+def cmd_validate(args, parsed: ParsedGraph) -> Outcome:
     problems = validate(parsed.graph)
     if problems:
         return Outcome(
@@ -106,9 +94,7 @@ def cmd_validate(args) -> Outcome:
     return Outcome(["valid"], {"valid": True, "violations": []})
 
 
-def cmd_invariants(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_invariants(args, parsed: ParsedGraph) -> Outcome:
     inv = oz_invariants(parsed.graph)
     payload = {
         "edges": inv.edge_count,
@@ -138,9 +124,7 @@ def cmd_invariants(args) -> Outcome:
     return Outcome(lines, payload)
 
 
-def cmd_quiver(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_quiver(args, parsed: ParsedGraph) -> Outcome:
     p = presentation(parsed.graph)
     lines = render_quiver(p)
     payload = {
@@ -155,24 +139,18 @@ def cmd_quiver(args) -> Outcome:
     return Outcome(lines, payload)
 
 
-def cmd_relations(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_relations(args, parsed: ParsedGraph) -> Outcome:
     p = presentation(parsed.graph)
     rendered = render_relations(p)
     return Outcome(rendered, {"relations": rendered})
 
 
-def cmd_dim(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_dim(args, parsed: ParsedGraph) -> Outcome:
     model = models.model_for(parsed.graph, parsed.grading)
     return Outcome([f"dim = {model.table.dim}"], {"dim": model.table.dim})
 
 
-def cmd_cartan(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_cartan(args, parsed: ParsedGraph) -> Outcome:
     model = models.model_for(parsed.graph, parsed.grading)
     cartan = model.table.cartan()
     order = sorted(model.vertex_position, key=lambda v: model.vertex_position[v])
@@ -182,9 +160,7 @@ def cmd_cartan(args) -> Outcome:
     return Outcome(lines, {"vertices": labels, "cartan": cartan})
 
 
-def cmd_move(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_move(args, parsed: ParsedGraph) -> Outcome:
     subset = _subset_from_edges(parsed, args.edges)
     graded = _graded(parsed, args.grading, subset)
     moved = moves.move_set(graded, subset)
@@ -194,9 +170,7 @@ def cmd_move(args) -> Outcome:
     return Outcome(lines, {"moved": text})
 
 
-def cmd_cover(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_cover(args, parsed: ParsedGraph) -> Outcome:
     graded = _graded(parsed, args.grading, frozenset())
     covered = covering.cover(graded)
     text = emit(covered.total)
@@ -205,9 +179,7 @@ def cmd_cover(args) -> Outcome:
     return Outcome(lines, {"total": text, "sheets": covered.group_order})
 
 
-def cmd_check_commute(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_check_commute(args, parsed: ParsedGraph) -> Outcome:
     subset = _subset_from_edges(parsed, args.edges)
     graded = _graded(parsed, args.grading, subset)
     result = covering.check_cover_commutes(graded, subset)
@@ -215,9 +187,7 @@ def cmd_check_commute(args) -> Outcome:
     return Outcome([text], {"commutes": result}, 0 if result else 1)
 
 
-def cmd_mutate(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_mutate(args, parsed: ParsedGraph) -> Outcome:
     subset = _subset_from_edges(parsed, args.edges)
     model = models.model_for(parsed.graph, parsed.grading)
     if args.verify:
@@ -276,9 +246,7 @@ def cmd_mutate(args) -> Outcome:
     return Outcome(lines, payload, code)
 
 
-def cmd_cut(args) -> Outcome:
-    parsed = _load(args.file)
-    _require_valid(parsed.graph)
+def cmd_cut(args, parsed: ParsedGraph) -> Outcome:
     delta = frozenset(t.strip() for t in args.delta.split(",") if t.strip())
     p = admissible_cut(parsed.graph, delta)
     text = render_presentation(p)
@@ -328,7 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        outcome = args.handler(args)
+        parsed = _load(args.file)
+        if args.command != "validate" and (problems := validate(parsed.graph)):
+            raise CommandError("invalid graph: " + "; ".join(problems))
+        outcome = args.handler(args, parsed)
     except (CommandError, ValueError, RuntimeError) as exc:
         if args.json:
             print(json.dumps({"error": str(exc)}), file=sys.stderr)

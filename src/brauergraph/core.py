@@ -63,10 +63,6 @@ class BrauerGraph:
         """Each edge under its label (labels are distinct once ``validate`` passes)."""
         return {self.edge_labels[e[0]]: e for e in self.edges}
 
-    def edge_of(self, h: str) -> tuple[str, ...]:
-        other = self.pairing(h)
-        return (h,) if other == h else tuple(sorted((h, other)))
-
     @cached_property
     def sigma_orbits(self) -> list[tuple[str, ...]]:
         return self.orientation.orbits()

@@ -17,20 +17,18 @@ kernel vector and no coordinates.  |Hom^n| is a sum of the table's corner
 sizes, and a differential whose rank is bounded by 0 is not applied.  One
 generator (``_images``) forms the images, in one pass over the corner
 basis: u.d from the row terms of a d acting before the basis map u, d.u
-from the column terms of one acting after.  ``end_table`` and
-``hom_space`` run one coordinate elimination per pair
-(``_eliminated_hom_complex``), which gives both the cohomology and the
-classes.  The moved graph's algebra is not built either: its dimension and
-Cartan matrix are counted from the moved graph, or its covering
-(``models.graph_edge_cartan``), so the only algebra table on the verify
-path is the one it is handed.
+from the column terms of one acting after.  ``end_table`` runs one
+coordinate elimination per pair (``_eliminated_hom_complex``), which gives
+both the cohomology and the classes.  The moved graph's algebra is not
+built either: its dimension and Cartan matrix are counted from the moved
+graph, or its covering (``models.graph_edge_cartan``), so the only algebra
+table on the verify path is the one it is handed.
 
 A degree-0 class is represented by a Hom^0 coordinate vector: a dict keyed
 (tag, t, s, b), where tag "m1" or "d0" names the component f_{-1} or f_0, t
 and s index the target and source summands and b is a corner basis element.
 ``end_table`` builds the algebra End(T) by composing classes in these
-coordinates; only ``hom_space`` turns them into matrix pairs, for its public
-basis.
+coordinates, with no matrix of algebra elements formed.
 """
 from __future__ import annotations
 
@@ -56,11 +54,6 @@ class ProjPresentation(NamedTuple):
     deg_0: tuple[int, ...]
     differential: tuple[tuple[tuple[tuple[int, int | Fraction], ...], ...], ...]
 
-    def matrix(self) -> Matrix:
-        return [
-            [dict(entry) for entry in row] for row in self.differential
-        ]
-
 
 def _freeze_matrix(matrix: Matrix) -> tuple:
     return tuple(
@@ -81,7 +74,7 @@ def make_complex(
     return ProjPresentation(tuple(deg_minus1), tuple(deg_0), _freeze_matrix(matrix))
 
 
-def stalk(table: AlgebraTable, positions: list[int]) -> ProjPresentation:
+def stalk(positions: list[int]) -> ProjPresentation:
     return ProjPresentation((), tuple(positions), tuple(() for _ in positions))
 
 
@@ -148,7 +141,7 @@ def mutation_object(
         h = edge[0]
         source_positions = model.edge_positions(h)
         if h not in subset:
-            out.append((name, stalk(table, source_positions)))
+            out.append((name, stalk(source_positions)))
             continue
         data = approximation(graph, subset, h)
         blocks: list[tuple[list[int], Element]] = []
@@ -181,19 +174,6 @@ def mutation_object(
 # ---------------------------------------------------------------------------
 # Hom spaces in the homotopy category
 # ---------------------------------------------------------------------------
-
-
-def _chain_map_from_vector(
-    x: ProjPresentation, y: ProjPresentation, coords: dict
-) -> tuple[Matrix, Matrix]:
-    """The components (f_{-1}, f_0) of a chain map X -> Y from its coordinates."""
-    f_m1: Matrix = [[dict() for _ in x.deg_minus1] for _ in y.deg_minus1]
-    f_0: Matrix = [[dict() for _ in x.deg_0] for _ in y.deg_0]
-    component = {"m1": f_m1, "d0": f_0}
-    for (tag, t_idx, s_idx, b), value in coords.items():
-        entry = component[tag][t_idx][s_idx]
-        entry[b] = entry.get(b, 0) + value
-    return f_m1, f_0
 
 
 def _images(
@@ -352,24 +332,6 @@ def _eliminated_hom_complex(
     return cohomology, span, classes
 
 
-class HomSpace(NamedTuple):
-    """A homotopy Hom space: dimension and, in degree 0, class representatives."""
-
-    dimension: int
-    basis: tuple[tuple[Matrix, Matrix], ...] = ()
-
-
-def hom_space(
-    table: AlgebraTable, x: ProjPresentation, y: ProjPresentation, shift: int
-) -> HomSpace:
-    if shift != 0:
-        return HomSpace(hom_dimension(table, x, y, shift))
-    _, _, classes = _eliminated_hom_complex(table, x, y)
-    return HomSpace(
-        len(classes), tuple(_chain_map_from_vector(x, y, vec) for vec in classes)
-    )
-
-
 def hom_dimension(
     table: AlgebraTable, x: ProjPresentation, y: ProjPresentation, shift: int
 ) -> int:
@@ -403,9 +365,9 @@ def left_minimality_report(
     """Radical-entry witness: no differential entry has an idempotent component."""
     problems = []
     for name, x in summands:
-        for row in x.matrix():
+        for row in x.differential:
             for entry in row:
-                if entry and not model.table.radical_coefficient_free(entry):
+                if entry and not model.table.radical_coefficient_free(dict(entry)):
                     problems.append(f"non-radical differential entry at edge {name}")
     return problems
 

@@ -2,7 +2,9 @@
 
 Vectors are dicts mapping hashable keys to nonzero coefficients that are
 ``int`` or ``Fraction``, never ``float``; integer input stays ``int`` until a
-division by a pivot brings in a denominator.  One forward elimination
+division by a pivot brings in a denominator.  ``_quotient`` is the package's
+one exact division, also for ``algebra`` and ``models``: a whole quotient is
+an ``int``, so a unit pivot keeps its row integral.  One forward elimination
 (``_clear``) serves two solvers.  ``RationalSpan`` keeps its pivot table with
 each row written over the basis, so that adding a vector and writing one
 over the basis stay cheap on the small systems this package solves, and
@@ -39,12 +41,12 @@ def vec_scale(u: Mapping, scale: int | Fraction) -> Vector:
     return {k: scale * c for k, c in u.items()}
 
 
-def reciprocal(c: int | Fraction) -> int | Fraction:
-    """Exact 1 / c: an ``int`` when c is +-1, else a ``Fraction``."""
-    if c == 1 or c == -1:
-        return int(c)
-    inv = Fraction(1) / c
-    return inv.numerator if inv.denominator == 1 else inv
+def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """Exact a / b: an ``int`` when b divides a, else a ``Fraction``."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _clear(
@@ -76,7 +78,7 @@ def _clear(
 def _pivot_row(residual: Vector) -> tuple[Hashable, int | Fraction, Vector]:
     """(pivot, inv, row): a nonzero residual scaled by inv to 1 at its pivot."""
     pivot = next(iter(residual))
-    inv = reciprocal(residual[pivot])
+    inv = _quotient(1, residual[pivot])
     row = residual if inv == 1 else {k: inv * c for k, c in residual.items()}
     return pivot, inv, row
 

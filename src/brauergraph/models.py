@@ -24,14 +24,13 @@ from .algebra import (
     Element,
     GroupActionTable,
     ONE,
-    _quotient,
     bga_table_with_keys,
     integral_form,
     orbit_truncation,
 )
 from .core import BrauerGraph, GradedGraph, Grading, check_grading, edge_name, zero_grading
 from .covering import CoveredGraph, cover, lift_subset
-from .linalg import vec_add, vec_scale
+from .linalg import _quotient, vec_add, vec_scale
 from .presentation import (
     MAX_WALK_PATHS,
     Arrow,

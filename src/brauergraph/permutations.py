@@ -26,10 +26,6 @@ class Permutation:
         self._cycle_at: dict[str, tuple[tuple[str, ...], int]] | None = None
 
     @classmethod
-    def identity(cls, domain: Iterable[str]) -> "Permutation":
-        return cls({x: x for x in domain})
-
-    @classmethod
     def from_cycles(
         cls, domain: Iterable[str], cycles: Sequence[Sequence[str]]
     ) -> "Permutation":

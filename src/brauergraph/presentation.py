@@ -603,10 +603,6 @@ def render_arrow(a: Arrow, symbol: str = "a") -> str:
     return f"{left}{symbol}[{a.h}]{right}"
 
 
-def render_path(path: Path, symbol: str = "a") -> str:
-    return " ".join(render_arrow(a, symbol) for a in reversed(path))
-
-
 def _chunk(
     coeff: int, path: Path, symbol: str, names: Mapping[Arrow, str]
 ) -> str:

@@ -30,7 +30,7 @@ from brauergraph.presentation import (
 def check_table(table: AlgebraTable, seed: int = 0, cap: int = 40) -> list[str]:
     """Associativity, unit law and idempotent axioms; exhaustive up to ``cap``."""
     problems = []
-    unit = table.unit()
+    unit = {index: ONE for _, index in table.idempotents}
     for b in range(table.dim):
         e = {b: ONE}
         if table.mul(unit, e) != e or table.mul(e, unit) != e:
@@ -144,7 +144,7 @@ def euler_characteristics(graph: BrauerGraph) -> list[int]:
     out = []
     for component in connected_components(graph):
         v = len({graph.sigma_orbit_of(h)[0] for h in component})
-        e = len({graph.edge_of(h) for h in component})
+        e = len({frozenset((h, graph.pairing(h))) for h in component})
         f = len(
             {face_permutation(graph).orbit(h)[0] for h in component}
         )

@@ -360,3 +360,23 @@ def test_cartan_determinant_invariance(ex1, ex1_graded, ex1_subset):
     before = abs(cartan_determinant(bga_table(ex1)))
     after = abs(cartan_determinant(bga_table(moved.graph)))
     assert before == after
+
+
+def test_the_extended_action_keeps_unit_scalars_integral(ex2_graded):
+    """The dual scalar 1/s of a unit s is an ``int``, so the skew group table
+    of Triv(A) has ``int`` structure constants, and the isomorphism proof
+    still passes."""
+    covered = cover(ex2_graded)
+    bd, keys, index_of = bga_table_with_keys(covered.total)
+    action = sheet_shift_action(covered, keys, index_of)
+    extended = algebra.extend_action_to_trivial_extension(bd, action)
+    assert {type(s) for s in extended.scalars} == {int}
+    skew = skew_group_table(trivial_extension(bd), extended)
+    constants = {
+        type(c)
+        for i in range(skew.dim)
+        for j in range(skew.dim)
+        for c in skew.pairwise(i, j).values()
+    }
+    assert constants == {int}
+    assert trivial_extension_iso_report(bd, action) == (True, None)

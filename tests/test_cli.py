@@ -90,6 +90,71 @@ def test_parse_pairing_must_be_involution():
         parse("halfedges a b c\npairing (a b c)\n")
 
 
+HALFEDGES = "halfedges a b\n"
+
+# One file for each ``GraphFileError`` raise that the tests above do not
+# reach, with its exact text.
+# A cycle-list column counts from the character after the keyword, so it is
+# one less than the character's own column when one space follows the
+# keyword.
+PARSE_ERRORS = {
+    "nested-paren": (HALFEDGES + "pairing ((a b)\n", "line 2, column 9: nested '(' in cycle list"),
+    "stray-token": (HALFEDGES + "pairing a(a b)\n", "line 2, column 8: stray token 'a'"),
+    "unmatched-paren": (HALFEDGES + "orientation (a b))\n", "line 2, column 17: unmatched ')'"),
+    "empty-cycle": (HALFEDGES + "pairing ()\n", "line 2, column 9: empty cycle"),
+    "token-outside": (
+        HALFEDGES + "pairing a (a b)\n", "line 2, column 8: token 'a' outside any cycle"
+    ),
+    "unterminated": (HALFEDGES + "pairing (a b\n", "line 2, column 11: unterminated cycle"),
+    "no-equals": (
+        HALFEDGES + "multiplicity a 2\n",
+        "line 2, column 1: multiplicity lines read 'name = value'",
+    ),
+    "duplicate-half-edge": ("halfedges a b a\n", "line 1, column 1: duplicate half-edge 'a'"),
+    "unknown-multiplicity-name": (
+        HALFEDGES + "multiplicity c = 2\n", "line 2, column 1: unknown half-edge name 'c'"
+    ),
+    "unknown-grading-name": (
+        HALFEDGES + "grading c = 1\n", "line 2, column 1: unknown half-edge name 'c'"
+    ),
+    "unknown-edge-member": (
+        HALFEDGES + "edge e = a c\n", "line 2, column 1: unknown half-edge name 'c'"
+    ),
+    "bad-multiplicity": (
+        HALFEDGES + "multiplicity a = two\n", "line 2, column 1: bad multiplicity 'two'"
+    ),
+    "bad-degree": (HALFEDGES + "grading a = x\n", "line 2, column 1: bad degree 'x'"),
+    "unknown-keyword": (
+        HALFEDGES + "colour a = red\n", "line 2, column 1: unknown keyword 'colour'"
+    ),
+    "missing-halfedges": ("# no graph\n", "line 1, column 1: missing 'halfedges' section"),
+    "duplicate-alias": (
+        HALFEDGES + "pairing (a b)\nedge e = a b\nedge e = a b\n",
+        "line 4, column 1: duplicate edge alias 'e'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_name_their_line_and_column(case):
+    text, message = PARSE_ERRORS[case]
+    with pytest.raises(GraphFileError) as err:
+        parse(text)
+    assert str(err.value) == message
+    line, column = (int(n) for n in re.match(r"line (\d+), column (\d+)", message).groups())
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_cli_reports_a_parse_error_as_json(tmp_path, capsys):
+    text, message = PARSE_ERRORS["nested-paren"]
+    path = tmp_path / "nested.bg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--json", "dim", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"{path}: {message}"}
+
+
 def test_roundtrip_examples(ex1, ex2, ex1_grading):
     text1 = emit(ex1, ex1_grading)
     again = parse(text1)
@@ -163,6 +228,18 @@ def test_cli_rejects_edge_label_collisions(label, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: invalid graph: edge label {label} ")
+
+
+def test_cli_reports_file_then_graph_then_command_errors(tmp_path, capsys):
+    """An unreadable file is reported before anything else, and an invalid
+    graph before the command's own errors, such as an unknown edge."""
+    missing = tmp_path / "missing.bg"
+    assert main(["move", str(missing), "--edges", "nope"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+    path = tmp_path / "collide.bg"
+    path.write_text(LABEL_COLLISIONS["a"], encoding="utf-8")
+    assert main(["move", str(path), "--edges", "nope"]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid graph: edge label a ")
 
 
 def test_cli_invariants(ex2_file, capsys):
@@ -276,6 +353,31 @@ def test_cli_mutate_verify(ex1_file, capsys):
     assert "cartan witness" not in out
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cli_mutate_without_verify_lists_the_summands(ex1_file, capsys, monkeypatch, as_json):
+    from brauergraph import homotopy
+
+    def unreachable(*args):
+        raise AssertionError("mutate checked the object without --verify")
+
+    monkeypatch.setattr(homotopy, "mutation_verification", unreachable)
+    argv = ["mutate", ex1_file, "--edges", "1,2"]
+    assert main(["--json", *argv] if as_json else argv) == 0
+    out = capsys.readouterr().out
+    kinds = [
+        ("1", "cone with 1 target component(s)"),
+        ("2", "cone with 2 target component(s)"),
+        ("3", "stalk"),
+        ("4", "stalk"),
+    ]
+    if as_json:
+        assert json.loads(out) == {
+            "summands": [{"edge": edge, "kind": kind} for edge, kind in kinds]
+        }
+    else:
+        assert out == "".join(f"edge {edge}: {kind}\n" for edge, kind in kinds)
+
+
 def test_cli_mutate_names_the_first_cartan_difference(
     ex1, ex1_grading, ex1_file, capsys, monkeypatch
 ):
@@ -326,7 +428,7 @@ def test_cli_mutate_names_the_first_nonvanishing_hom(
     shifted = homotopy.ProjPresentation((1,), (), ())
 
     def stalks(model, subset):
-        return [("1", homotopy.stalk(model.table, [0])), ("2", shifted)]
+        return [("1", homotopy.stalk([0])), ("2", shifted)]
 
     monkeypatch.setattr(homotopy, "mutation_object", stalks)
     corner = model.table.cartan()[1][0]

@@ -52,8 +52,8 @@ def test_excluded_single_edge_component():
 def test_excluded_single_skew_leg():
     graph = BrauerGraph(
         frozenset(["2"]),
-        Permutation.identity(["2"]),
-        Permutation.identity(["2"]),
+        Permutation.from_cycles(["2"], []),
+        Permutation.from_cycles(["2"], []),
         {"2": 1},
     )
     report = validate(graph)
@@ -239,3 +239,48 @@ def test_validate_reports_a_three_cycle_pairing_alone():
     names = ["a", "b", "c"]
     graph = build_graph(names, [("a", "b", "c")], [("a", "b", "c")])
     assert validate(graph) == ["pairing is not an involution"]
+
+
+def _broken_ex1(ex1, case):
+    """ex1 with one field broken, so that ``validate`` reports that field
+    alone: a domain or an undefined multiplicity stops the check, and a
+    non-positive value is set on a whole sigma-orbit."""
+    half_edges, pairing, orientation = ex1.half_edges, ex1.pairing, ex1.orientation
+    multiplicity = dict(ex1.multiplicity)
+    if case == "pairing":
+        # 4- is missing from the pairing's domain
+        pairing = Permutation.from_cycles(
+            sorted(half_edges - {"4-"}), [("1+", "1-"), ("2+", "2-"), ("3+", "3-")]
+        )
+    elif case == "orientation":
+        # 5+ is not a half-edge
+        orientation = Permutation.from_cycles(
+            [*half_edges, "5+"], [("1-", "4-", "3-", "2-"), ("2+", "3+")]
+        )
+    elif case == "undefined":
+        del multiplicity["2-"], multiplicity["1-"]
+    else:
+        multiplicity.update({"2+": 0, "3+": 0})
+    return BrauerGraph(half_edges, pairing, orientation, multiplicity)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("pairing", "pairing domain differs from the half-edge set"),
+        ("orientation", "orientation domain differs from the half-edge set"),
+        ("undefined", "multiplicity undefined on 1-, 2-"),
+        ("non-positive", "non-positive multiplicity on 2+, 3+"),
+    ],
+)
+def test_validate_reports_a_broken_field(ex1, case, message):
+    assert validate(_broken_ex1(ex1, case)) == [message]
+
+
+def test_grading_domain_must_be_the_half_edge_set(ex1, ex1_grading):
+    degrees = dict(ex1_grading.degrees)
+    del degrees["4-"]
+    short = Grading(ex1_grading.modulus, degrees)
+    assert grading_violations(ex1, short) == ["grading domain differs from the half-edge set"]
+    extra = Grading(ex1_grading.modulus, {**ex1_grading.degrees, "5+": 0})
+    assert grading_violations(ex1, extra) == ["grading domain differs from the half-edge set"]

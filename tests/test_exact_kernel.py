@@ -193,10 +193,10 @@ def test_corner_basis_matches_linear_scan():
                     for b in range(table.dim)
                     if table.tgt[b] == target and table.src[b] == source
                 ]
-                assert table.corner_basis(target, source) == scan
-        # the returned list is the caller's own
-        table.corner_basis(0, 0).append(-1)
-        assert -1 not in table.corner_basis(0, 0)
+                assert table.corners[target][source] == tuple(scan)
+        # the corners are frozen, so no caller can change them
+        assert isinstance(table.corners, tuple)
+        assert all(isinstance(row, tuple) for row in table.corners)
 
 
 def test_truncate_matches_the_full_sweep():

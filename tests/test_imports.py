@@ -101,7 +101,7 @@ def test_only_algebra_reads_the_table_internals():
 
 
 MOVED_TO_THE_TESTS = {
-    "homotopy.py": {"compose", "proj_hom", "hom_vanishing_report"},
+    "homotopy.py": {"compose", "proj_hom", "hom_vanishing_report", "_chain_map_from_vector"},
     "algebra.py": {"cartan_determinant", "check_table", "dimension_by_rewriting"},
     "linalg.py": {"determinant"},
     "models.py": {"edge_cartan"},
@@ -109,19 +109,58 @@ MOVED_TO_THE_TESTS = {
 }
 
 
+# Definitions with no caller in the package whose job another name does;
+# methods are named Class.method.
+DELETED = {
+    "homotopy.py": {"hom_space", "HomSpace", "ProjPresentation.matrix"},
+    "algebra.py": {
+        "AlgebraTable.corner_basis",
+        "AlgebraTable.unit",
+        "AlgebraTable.idempotent_element",
+    },
+    "linalg.py": {"reciprocal"},
+    "core.py": {"BrauerGraph.edge_of"},
+    "permutations.py": {"Permutation.identity"},
+    "presentation.py": {"render_path"},
+}
+
+
 def _defined(module: str) -> set[str]:
+    """The module's top-level functions and classes, and each class's
+    methods as Class.method."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            defined |= {
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            }
+    return defined
 
 
 @pytest.mark.parametrize("module", sorted(MOVED_TO_THE_TESTS))
 def test_oracles_live_in_the_tests(module):
     """Oracles that only the tests call are defined in the tests."""
     assert _defined(module).isdisjoint(MOVED_TO_THE_TESTS[module])
+
+
+@pytest.mark.parametrize("module", sorted(DELETED))
+def test_uncalled_duplicates_stay_deleted(module):
+    """Definitions that no code in the package called, and whose job another
+    name does, are not defined again."""
+    assert _defined(module).isdisjoint(DELETED[module])
+
+
+def test_exact_division_is_defined_once():
+    """``linalg._quotient`` is the one exact division.  ``_defined`` names
+    each method as Class.method, so the guard above sees deleted methods."""
+    owners = [p.name for p in sorted(PACKAGE.glob("*.py")) if "_quotient" in _defined(p.name)]
+    assert owners == ["linalg.py"]
+    assert {"AlgebraTable", "AlgebraTable.mul"} <= _defined("algebra.py")
 
 
 def test_homotopy_forms_images_in_one_generator():
@@ -136,12 +175,7 @@ def test_homotopy_keeps_one_coordinate_pass():
     """End(T) and degree-0 Hom spaces come from ``_eliminated_hom_complex``
     alone: the Hom-complex object and the tilting-only End(T) builder are
     gone."""
-    tree = ast.parse((PACKAGE / "homotopy.py").read_text(encoding="utf-8"))
-    defined = {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
+    defined = _defined("homotopy.py")
     assert "_eliminated_hom_complex" in defined
     assert defined.isdisjoint({"_HomComplex", "_end_table_of_tilting"})
 
@@ -150,7 +184,7 @@ STATEFUL = {"BrauerGraph", "Grading", "Quiver", "Presentation", "GraphAlgebraMod
 RECORDS = {
     "GroupActionTable", "OrbitTruncation", "Outcome", "GradedGraph", "Vertex",
     "OZInvariants", "CoveredGraph", "ParsedGraph", "ProjPresentation",
-    "SideApproximation", "ApproximationData", "HomSpace", "MutationReport",
+    "SideApproximation", "ApproximationData", "MutationReport",
     "MatchReport", "Sector", "Arrow", "Walk", "Relation", "PowerFamily",
 }
 

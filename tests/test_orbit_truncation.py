@@ -177,7 +177,7 @@ def change_of_basis(orbit, generic):
     span = RationalSpan()
     assert all(span.add(v) is not None for v in image)
     for p, (_, index) in enumerate(table.idempotents):
-        assert image[index] == oracle.idempotent_element(p)
+        assert image[index] == {oracle.idempotents[p][1]: ONE}
 
     def mapped(x):
         out = {}
@@ -371,7 +371,7 @@ def test_diagonal_corners_are_local(case):
     _, _, _, orbit, _ = routes(case)
     table = orbit.table
     for p, (_, idem) in enumerate(table.idempotents):
-        corner = table.corner_basis(p, p)
+        corner = table.corners[p][p]
         for k in corner:
             if k == idem:
                 continue

@@ -48,7 +48,7 @@ def test_orbits_are_canonical():
 def test_cycle_string():
     p = Permutation.from_cycles("abc", [("a", "b")])
     assert cycle_string(p) == "(a b)"
-    assert cycle_string(Permutation.identity("abc")) == "()"
+    assert cycle_string(Permutation.from_cycles("abc", [])) == "()"
 
 
 def test_involution_check():

@@ -34,7 +34,6 @@ from brauergraph.presentation import (
     quiver,
     relation_violations,
     relations,
-    render_path,
     render_presentation,
     render_relation,
     render_relations,
@@ -120,7 +119,7 @@ def test_quiver_loop_graph(loop_graph):
 
 def test_special_cycle_ex1(ex1):
     (cycle,) = special_cycles(ex1, "1-")
-    assert render_path(cycle) == "a[2-] a[3-] a[4-] a[1-]"
+    assert render_relation(Relation(((1, cycle),))) == "a[2-] a[3-] a[4-] a[1-]"
 
 
 def test_special_cycles_ex2(ex2):

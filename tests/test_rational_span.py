@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from brauergraph import linalg
-from brauergraph.linalg import RationalSpan, rank, reciprocal
+from brauergraph.linalg import RationalSpan, _quotient, rank
 
 
 def _solve(columns: list[list[Fraction]], target: list[Fraction]) -> dict | None:
@@ -225,7 +225,9 @@ def test_express_outside_the_span_and_of_the_basis():
 
 
 def test_reciprocal_keeps_units_integral():
-    assert reciprocal(1) == 1 and type(reciprocal(1)) is int
-    assert reciprocal(Fraction(-1)) == -1 and type(reciprocal(Fraction(-1))) is int
-    assert reciprocal(Fraction(1, 3)) == 3 and type(reciprocal(Fraction(1, 3))) is int
-    assert reciprocal(-2) == Fraction(-1, 2)
+    """1 / c by ``_quotient``, the package's one exact division."""
+    for c, want in ((1, 1), (Fraction(-1), -1), (Fraction(1, 3), 3), (-1, -1)):
+        assert _quotient(1, c) == want and type(_quotient(1, c)) is int
+    assert _quotient(1, -2) == Fraction(-1, 2)
+    assert _quotient(6, 3) == 2 and type(_quotient(6, 3)) is int
+    assert _quotient(Fraction(3, 2), Fraction(1, 2)) == 3
