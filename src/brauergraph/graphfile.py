@@ -37,6 +37,8 @@ class ParsedGraph(NamedTuple):
 
 
 def _parse_cycles(body: str, line: int, offset: int, names: set[str]):
+    """The cycles of ``body``, with error columns counted from ``offset``,
+    the index in its line of the body's first character."""
     cycles: list[list[str]] = []
     current: list[str] | None = None
     token = ""
@@ -107,6 +109,9 @@ def parse(text: str) -> ParsedGraph:
             continue
         keyword, _, body = stripped.partition(" ")
         body = body.strip()
+        # The index in ``raw`` of the body's first character: the body ends
+        # where the line does, before any comment and trailing space.
+        body_at = len(raw.split("#", 1)[0].rstrip()) - len(body)
         if keyword == "halfedges":
             saw_halfedges = True
             for name in body.split():
@@ -114,16 +119,14 @@ def parse(text: str) -> ParsedGraph:
                     raise GraphFileError(f"duplicate half-edge {name!r}", lineno)
                 names.append(name)
         elif keyword == "pairing":
-            offset = raw.index("pairing") + len("pairing")
-            pairing_cycles = _parse_cycles(body, lineno, offset, set(names))
+            pairing_cycles = _parse_cycles(body, lineno, body_at, set(names))
             for cycle in pairing_cycles:
                 if len(cycle) != 2:
                     raise GraphFileError(
                         "pairing cycles must be transpositions", lineno
                     )
         elif keyword == "orientation":
-            offset = raw.index("orientation") + len("orientation")
-            orientation_cycles = _parse_cycles(body, lineno, offset, set(names))
+            orientation_cycles = _parse_cycles(body, lineno, body_at, set(names))
         elif keyword == "multiplicity":
             name, value = _parse_assignment(body, lineno, "multiplicity")
             if name not in names:
@@ -159,8 +162,6 @@ def parse(text: str) -> ParsedGraph:
         raise GraphFileError("missing 'halfedges' section", 1)
     name_set = set(names)
     pairing = Permutation.from_cycles(name_set, pairing_cycles or [])
-    if not pairing.is_involution():
-        raise GraphFileError("pairing is not an involution", 1)
     orientation = Permutation.from_cycles(name_set, orientation_cycles or [])
 
     multiplicity = {}

@@ -17,12 +17,19 @@ kernel vector and no coordinates.  |Hom^n| is a sum of the table's corner
 sizes, and a differential whose rank is bounded by 0 is not applied.  One
 generator (``_images``) forms the images, in one pass over the corner
 basis: u.d from the row terms of a d acting before the basis map u, d.u
-from the column terms of one acting after.  ``end_table`` runs one
-coordinate elimination per pair (``_eliminated_hom_complex``), which gives
-both the cohomology and the classes.  The moved graph's algebra is not
-built either: its dimension and Cartan matrix are counted from the moved
-graph, or its covering (``models.graph_edge_cartan``), so the only algebra
-table on the verify path is the one it is handed.
+from the column terms of one acting after.  A pair of two cones X -> Y
+takes no rank when the pairs with a stalk prove its answer
+(``_hom_complexes``): h -> d_Y.h splits over the components P_s of X_0, so
+D^{-1} is injective when each such s is held by a stalk S with
+H^{-1} Hom(S, Y) = 0, and f_0 -> f_0.d_X splits over the components P_t of
+Y_0, so D^0 is onto when each such t is held by a stalk S with
+H^1 Hom(X, S) = 0; then the shifted Homs vanish and
+H^0 = |Hom^0| - |Hom^{-1}| - |Hom^1|.  ``end_table`` runs one coordinate
+elimination per pair (``_eliminated_hom_complex``), which gives both the
+cohomology and the classes.  The moved graph's algebra is not built
+either: its dimension and Cartan matrix are counted from the moved graph,
+or its covering (``models.graph_edge_cartan``), so the only algebra table
+on the verify path is the one it is handed.
 
 A degree-0 class is represented by a Hom^0 coordinate vector: a dict keyed
 (tag, t, s, b), where tag "m1" or "d0" names the component f_{-1} or f_0, t
@@ -344,12 +351,50 @@ def hom_dimension(
 def _hom_complexes(
     table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
 ) -> dict[tuple[int, int], Cohomology]:
-    """The Hom complex's cohomology for each ordered pair of summands."""
-    return {
+    """The Hom complex's cohomology for each ordered pair of summands, keyed
+    (a, b) in row order.
+
+    A pair with a stalk goes through ``_hom_complex``.  A pair of two cones
+    X -> Y is read off those pairs when they prove it.
+    D^{-1}(h) = (h.d_X, d_Y.h), and h -> d_Y.h splits over the components
+    P_s of X_0: on P_s it is D^{-1} of S -> Y for a stalk S holding s.  So
+    D^{-1} is injective when each s is held by a stalk S with
+    H^{-1} Hom(S, Y) = 0.  On (0, f_0), D^0 is f_0 -> f_0.d_X, which splits
+    over the components P_t of Y_0: on P_t it is D^0 of X -> S for a stalk
+    S holding t.  So D^0 is onto when each t is held by a stalk S with
+    H^1 Hom(X, S) = 0.  Then the cohomology is
+    (0, |Hom^0| - |Hom^{-1}| - |Hom^1|, 0).  Any other pair of cones goes
+    through ``_hom_complex``.
+    """
+    known = {
         (a, b): _hom_complex(table, x, y)
         for a, (_, x) in enumerate(summands)
         for b, (_, y) in enumerate(summands)
+        if not (x.deg_minus1 and y.deg_minus1)
     }
+    stalks = [(s, x.deg_0) for s, (_, x) in enumerate(summands) if not x.deg_minus1]
+    # The positions of the stalks S with Hom(S, X_b[-1]) = 0, per b, and of
+    # the stalks S with Hom(X_a, S[1]) = 0, per a.
+    into = [
+        {p for s, held in stalks if not known[s, b][0] for p in held}
+        for b in range(len(summands))
+    ]
+    onto = [
+        {p for s, held in stalks if not known[a, s][2] for p in held}
+        for a in range(len(summands))
+    ]
+    cohomology = {}
+    for a, (_, x) in enumerate(summands):
+        for b, (_, y) in enumerate(summands):
+            c = known.get((a, b))
+            if c is None:
+                if into[b].issuperset(x.deg_0) and onto[a].issuperset(y.deg_0):
+                    n_minus1, n_0, n_plus1 = _hom_sizes(table, x, y)
+                    c = (0, n_0 - n_minus1 - n_plus1, 0)
+                else:
+                    c = _hom_complex(table, x, y)
+            cohomology[a, b] = c
+    return cohomology
 
 
 def _vanishing(cohomology: dict[tuple[int, int], Cohomology]) -> dict[int, int]:

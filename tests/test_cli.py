@@ -94,18 +94,21 @@ HALFEDGES = "halfedges a b\n"
 
 # One file for each ``GraphFileError`` raise that the tests above do not
 # reach, with its exact text.
-# A cycle-list column counts from the character after the keyword, so it is
-# one less than the character's own column when one space follows the
-# keyword.
+# A column is the character's own column in its line, counted from 1, also
+# after extra spaces around the keyword and before a comment.
 PARSE_ERRORS = {
-    "nested-paren": (HALFEDGES + "pairing ((a b)\n", "line 2, column 9: nested '(' in cycle list"),
-    "stray-token": (HALFEDGES + "pairing a(a b)\n", "line 2, column 8: stray token 'a'"),
-    "unmatched-paren": (HALFEDGES + "orientation (a b))\n", "line 2, column 17: unmatched ')'"),
-    "empty-cycle": (HALFEDGES + "pairing ()\n", "line 2, column 9: empty cycle"),
-    "token-outside": (
-        HALFEDGES + "pairing a (a b)\n", "line 2, column 8: token 'a' outside any cycle"
+    "nested-paren": (HALFEDGES + "pairing ((a b)\n", "line 2, column 10: nested '(' in cycle list"),
+    "nested-paren-spaced": (
+        HALFEDGES + "  pairing   ((a b)  # note\n",
+        "line 2, column 14: nested '(' in cycle list",
     ),
-    "unterminated": (HALFEDGES + "pairing (a b\n", "line 2, column 11: unterminated cycle"),
+    "stray-token": (HALFEDGES + "pairing a(a b)\n", "line 2, column 9: stray token 'a'"),
+    "unmatched-paren": (HALFEDGES + "orientation (a b))\n", "line 2, column 18: unmatched ')'"),
+    "empty-cycle": (HALFEDGES + "pairing ()\n", "line 2, column 10: empty cycle"),
+    "token-outside": (
+        HALFEDGES + "pairing a (a b)\n", "line 2, column 9: token 'a' outside any cycle"
+    ),
+    "unterminated": (HALFEDGES + "pairing (a b\n", "line 2, column 12: unterminated cycle"),
     "no-equals": (
         HALFEDGES + "multiplicity a 2\n",
         "line 2, column 1: multiplicity lines read 'name = value'",

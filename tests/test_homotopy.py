@@ -205,10 +205,82 @@ def test_mutation_verification_computes_the_vanishing_once(monkeypatch):
     monkeypatch.setattr(homotopy, "_hom_complex", counting)
     report = mutation_verification(ordinary_model(graph), subset)
     assert report.ok
-    # one Hom complex per ordered summand pair, whose cohomology gives both
-    # the vanishing check and the Cartan matrix of End(T); four edges
+    # one Hom complex per ordered summand pair with a stalk, whose cohomology
+    # gives both the vanishing check and the Cartan matrix of End(T); four
+    # edges, two of them moved, so the four pairs of two cones are read off
+    # the cone-stalk pairs
     assert len(graph.edges) == 4
-    assert len(built) == 16
+    assert sum(bool(x.deg_minus1) for _, x in report.summands) == 2
+    assert len(built) == 12
+
+
+def _assert_cone_pairs_fall_back(monkeypatch, model, summands):
+    """Some pair of two cones is not proved by the cone-stalk pairs and goes
+    through ``_hom_complex``; the cohomology and the named witness are those
+    of the per-pair computation."""
+    from brauergraph import homotopy
+    from brauergraph.homotopy import _hom_complex, _hom_witness
+
+    table = model.table
+    direct = {
+        (a, b): _hom_complex(table, x, y)
+        for a, (_, x) in enumerate(summands)
+        for b, (_, y) in enumerate(summands)
+    }
+    cone_pairs = []
+
+    def counting(table, x, y):
+        if x.deg_minus1 and y.deg_minus1:
+            cone_pairs.append((x, y))
+        return _hom_complex(table, x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homotopy, "_hom_complex", counting)
+        got = _hom_complexes(table, summands)
+    assert list(got.items()) == list(direct.items())
+    assert cone_pairs
+    monkeypatch.setattr(homotopy, "mutation_object", lambda model, subset: summands)
+    report = mutation_verification(model, frozenset())
+    assert report.hom_witness == _hom_witness(summands, direct)
+    return report
+
+
+def test_a_cone_with_a_zero_differential_falls_back(ex1, ex1_subset, monkeypatch):
+    """With the differential of edge 2's cone zeroed, a stalk maps into it
+    with H^{-1} != 0, so no pair of cones into it is read off."""
+    model = ordinary_model(ex1)
+    summands = mutation_object(model, ex1_subset)
+    k = next(k for k, (name, _) in enumerate(summands) if name == "2")
+    x = summands[k][1]
+    zero = [[{} for _ in x.deg_minus1] for _ in x.deg_0]
+    zeroed = make_complex(model.table, x.deg_minus1, x.deg_0, zero)
+    summands[k] = ("2", zeroed)
+    assert any(
+        hom_dimension(model.table, y, zeroed, -1)
+        for _, y in summands
+        if not y.deg_minus1
+    )
+    report = _assert_cone_pairs_fall_back(monkeypatch, model, summands)
+    assert report.hom_witness is not None and report.hom_witness[2] == -1
+
+
+def test_a_cone_into_no_stalk_falls_back(ex1, ex1_subset, monkeypatch):
+    """Edge 1's cone, re-aimed at edge 2's projective, has a degree-0
+    position that no stalk holds."""
+    model = ordinary_model(ex1)
+    table = model.table
+    summands = mutation_object(model, ex1_subset)
+    cones = {name: x for name, x in summands if x.deg_minus1}
+    assert set(cones) == {"1", "2"}
+    (p1,), (p2,) = cones["1"].deg_minus1, cones["2"].deg_minus1
+    arrow = table.corners[p2][p1][0]
+    aimed = make_complex(table, (p1,), (p2,), [[{arrow: 1}]])
+    summands = [(name, aimed if name == "1" else x) for name, x in summands]
+    held = {p for _, x in summands if not x.deg_minus1 for p in x.deg_0}
+    assert p2 not in held
+    report = _assert_cone_pairs_fall_back(monkeypatch, model, summands)
+    # the first nonzero shifted Hom lies between the two cones
+    assert report.hom_witness == ("1", "2", -1, 1)
 
 
 def _assert_h0_is_end_table(model, report):

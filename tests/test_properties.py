@@ -46,6 +46,12 @@ from brauergraph.covering import (
 )
 from brauergraph.cli import main
 from brauergraph.graphfile import emit, parse
+from brauergraph.homotopy import (
+    _hom_complex,
+    _hom_complexes,
+    mutation_object,
+    mutation_verification,
+)
 from brauergraph.linalg import vec_scale
 from brauergraph.moves import maximal_sectors, move_sector, move_set
 from brauergraph.permutations import Permutation
@@ -63,6 +69,10 @@ from oracles import check_table, dimension_by_rewriting, edge_cartan
 MAX_DIMENSION_EXAMPLES = 20
 MAX_CLI_EXAMPLES = 16
 MAX_ROUND_TRIP_EXAMPLES = 60
+# The two mutation properties draw models of dimension at most
+# MAX_MUTATION_DIM and run in about a second each.
+MAX_MUTATION_EXAMPLES = 60
+MAX_MUTATION_DIM = 80
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -264,6 +274,45 @@ def test_the_dimension_oracles_agree(drawn, seed):
     assert bga_dimension_formula(graph) == dimension_by_rewriting(graph) == table.dim
     assert bga_table(graph).dim == table.dim
     assert check_table(table, seed=seed, cap=0) == []
+
+
+def _small_model(graph):
+    """``model_for(graph)``, drawn only when its counted dimension is at
+    most ``MAX_MUTATION_DIM``."""
+    if graph.is_skew:
+        covered = cover(GradedGraph(graph, zero_grading(graph)))
+        dim = models.skew_dimension_oracle(covered)
+    else:
+        dim = bga_dimension_formula(graph)
+    assume(dim <= MAX_MUTATION_DIM)
+    return models.model_for(graph)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=MAX_MUTATION_EXAMPLES)
+@given(graphs_with_subsets(max_half=12))
+def test_the_hom_complexes_are_the_per_pair_ones(drawn):
+    """Reading the pairs of two cones off the cone-stalk pairs gives the
+    cohomology of every pair's own Hom complex, in the same key order."""
+    graph, subset = drawn
+    model = _small_model(graph)
+    summands = mutation_object(model, subset)
+    assert list(_hom_complexes(model.table, summands).items()) == [
+        ((a, b), _hom_complex(model.table, x, y))
+        for a, (_, x) in enumerate(summands)
+        for b, (_, y) in enumerate(summands)
+    ]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=MAX_MUTATION_EXAMPLES)
+@given(graphs_with_subsets(max_half=12))
+def test_a_left_mutation_is_verified(drawn):
+    """Left mutation at a nonempty proper set of edges gives a tilting
+    object whose End(T) has the moved graph's dimension and Cartan
+    matrix."""
+    graph, subset = drawn
+    assume(subset and subset != graph.half_edges)
+    report = mutation_verification(_small_model(graph), subset)
+    assert report.ok, report[1:]
 
 
 COMMANDS = ("validate", "invariants", "quiver", "relations", "dim", "cartan",
