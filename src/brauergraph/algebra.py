@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .core import BrauerGraph, edge_name
@@ -53,8 +54,6 @@ class AlgebraTable:
         self.generators: tuple[int, ...] = ()
         self._product_fn = product_fn
         self._memo: dict[tuple[int, int], Element] = {}
-        self._corners: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-        self._corner_sizes: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -99,28 +98,20 @@ class AlgebraTable:
             return "0"
         return " + ".join(f"{c}*{self.labels[k]}" for k, c in sorted(x.items()))
 
-    def _fill_corners(self) -> None:
+    @cached_property
+    def corners(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """corners[t][s]: the basis indices b with tgt[b] == t and src[b] == s,
+        ascending."""
         n = len(self.idempotents)
         corners: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
         for b, (t, s) in enumerate(zip(self.tgt, self.src)):
             corners[t][s].append(b)
-        self._corners = tuple(tuple(map(tuple, row)) for row in corners)
-        self._corner_sizes = tuple(tuple(map(len, row)) for row in corners)
+        return tuple(tuple(map(tuple, row)) for row in corners)
 
-    @property
-    def corners(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """corners[t][s]: the basis indices b with tgt[b] == t and src[b] == s,
-        ascending; filled once, on first use."""
-        if self._corners is None:
-            self._fill_corners()
-        return self._corners
-
-    @property
+    @cached_property
     def corner_sizes(self) -> tuple[tuple[int, ...], ...]:
-        """corner_sizes[t][s] = dim e_t A e_s, filled with ``corners``."""
-        if self._corner_sizes is None:
-            self._fill_corners()
-        return self._corner_sizes
+        """corner_sizes[t][s] = dim e_t A e_s."""
+        return tuple(tuple(map(len, row)) for row in self.corners)
 
     def cartan(self) -> list[list[int]]:
         return [list(row) for row in self.corner_sizes]
@@ -146,29 +137,15 @@ class AlgebraTable:
 BasisKey = tuple  # ("e", edge) | ("w", half_edge, length) | ("z", edge)
 
 
-def bga_basis_keys(graph: BrauerGraph) -> list[BasisKey]:
-    """Normal form basis: idempotents, proper cycle-power prefixes, socles."""
-    keys: list[BasisKey] = []
-    edge_names = sorted(edge_name(graph, e[0]) for e in graph.edges)
-    keys.extend(("e", name) for name in edge_names)
-    valency = {h: len(orbit) for orbit in graph.sigma_orbits for h in orbit}
-    for h in sorted(graph.half_edges):
-        if not induces_arrow(graph, h):
-            continue
-        top = valency[h] * graph.multiplicity[h]
-        keys.extend(("w", h, t) for t in range(1, top))
-    keys.extend(("z", name) for name in edge_names)
-    return keys
-
-
 def bga_table_with_keys(
     graph: BrauerGraph,
 ) -> tuple[AlgebraTable, list[BasisKey], dict[BasisKey, int]]:
+    """The table on the normal form basis: idempotents ("e", edge), proper
+    prefixes ("w", h, t) of the special cycle at each half-edge h that
+    induces an arrow, and socles ("z", edge)."""
     if graph.is_skew:
         raise ValueError("Brauer graph algebra tables require an ordinary graph")
-    keys = bga_basis_keys(graph)
-    index_of = {k: i for i, k in enumerate(keys)}
-    edge_names = [k[1] for k in keys if k[0] == "e"]
+    edge_names = sorted(edge_name(graph, e[0]) for e in graph.edges)
     edge_pos = {name: p for p, name in enumerate(edge_names)}
     # One walk per sigma-orbit gives every half-edge its cycle and position
     # there; the walk key ("w", h, t) ends at sigma^t(h), which both the
@@ -177,18 +154,21 @@ def bga_table_with_keys(
     for cycle in graph.sigma_orbits:
         for position, h in enumerate(cycle):
             cycle_at[h] = (cycle, position)
-    ends: list[str | None] = []
-    for k in keys:
-        if k[0] == "w":
-            cycle, position = cycle_at[k[1]]
-            ends.append(cycle[(position + k[2]) % len(cycle)])
-        else:
-            ends.append(None)
     socle_len = {
         h: len(cycle_at[h][0]) * graph.multiplicity[h]
         for h in graph.half_edges
         if induces_arrow(graph, h)
     }
+    keys: list[BasisKey] = [("e", name) for name in edge_names]
+    ends: list[str | None] = [None] * len(keys)
+    for h in sorted(socle_len):
+        cycle, position = cycle_at[h]
+        for t in range(1, socle_len[h]):
+            keys.append(("w", h, t))
+            ends.append(cycle[(position + t) % len(cycle)])
+    keys.extend(("z", name) for name in edge_names)
+    ends.extend([None] * len(edge_names))
+    index_of = {k: i for i, k in enumerate(keys)}
 
     edge_labels = graph.edge_labels
     socle_of = {h: index_of["z", edge_labels[h]] for h in socle_len}

@@ -12,7 +12,9 @@ A file is a sequence of keyword lines (``#`` starts a comment):
 Names missing from ``pairing`` are skew legs, names missing from
 ``orientation`` are orientation-fixed.  Multiplicities propagate along
 orientation orbits and default to 1; grading values default to 0 and live
-modulo the graph's natural modulus.  ``edge`` lines are optional aliases; an
+modulo the graph's natural modulus.  ``pairing`` and ``orientation`` appear
+at most once, and a half-edge's degree may be repeated only with a value
+equal modulo the modulus.  ``edge`` lines are optional aliases; an
 alias may not take the label of another edge.
 """
 from __future__ import annotations
@@ -95,8 +97,7 @@ def _parse_assignment(body: str, line: int, keyword: str) -> tuple[str, str]:
 
 def parse(text: str) -> ParsedGraph:
     names: list[str] = []
-    pairing_cycles = None
-    orientation_cycles = None
+    cycle_lists: dict[str, list[list[str]]] = {}
     multiplicity_entries: list[tuple[str, int, int]] = []
     grading_entries: list[tuple[str, int, int]] = []
     alias_entries: list[tuple[str, tuple[str, ...], int]] = []
@@ -118,15 +119,13 @@ def parse(text: str) -> ParsedGraph:
                 if name in names:
                     raise GraphFileError(f"duplicate half-edge {name!r}", lineno)
                 names.append(name)
-        elif keyword == "pairing":
-            pairing_cycles = _parse_cycles(body, lineno, body_at, set(names))
-            for cycle in pairing_cycles:
-                if len(cycle) != 2:
-                    raise GraphFileError(
-                        "pairing cycles must be transpositions", lineno
-                    )
-        elif keyword == "orientation":
-            orientation_cycles = _parse_cycles(body, lineno, body_at, set(names))
+        elif keyword in ("pairing", "orientation"):
+            if keyword in cycle_lists:
+                raise GraphFileError(f"repeated {keyword!r} line", lineno)
+            cycles = _parse_cycles(body, lineno, body_at, set(names))
+            cycle_lists[keyword] = cycles
+            if keyword == "pairing" and any(len(cycle) != 2 for cycle in cycles):
+                raise GraphFileError("pairing cycles must be transpositions", lineno)
         elif keyword == "multiplicity":
             name, value = _parse_assignment(body, lineno, "multiplicity")
             if name not in names:
@@ -161,8 +160,8 @@ def parse(text: str) -> ParsedGraph:
     if not saw_halfedges:
         raise GraphFileError("missing 'halfedges' section", 1)
     name_set = set(names)
-    pairing = Permutation.from_cycles(name_set, pairing_cycles or [])
-    orientation = Permutation.from_cycles(name_set, orientation_cycles or [])
+    pairing = Permutation.from_cycles(name_set, cycle_lists.get("pairing", []))
+    orientation = Permutation.from_cycles(name_set, cycle_lists.get("orientation", []))
 
     multiplicity = {}
     for orbit in orientation.orbits():
@@ -179,10 +178,12 @@ def parse(text: str) -> ParsedGraph:
     grading = None
     if saw_grading:
         modulus = 2 if graph.is_skew else graph.m_bar
-        degrees = {h: 0 for h in names}
-        for name, value, _ in grading_entries:
-            degrees[name] = value % modulus
-        grading = Grading(modulus, degrees)
+        degrees: dict[str, int] = {}
+        for name, value, lineno in grading_entries:
+            degree = value % modulus
+            if degrees.setdefault(name, degree) != degree:
+                raise GraphFileError(f"conflicting degrees for {name!r}", lineno)
+        grading = Grading(modulus, {h: degrees.get(h, 0) for h in names})
     aliases = {}
     for name, members, lineno in alias_entries:
         if name in aliases:

@@ -109,16 +109,17 @@ def approximation(
     subset = _check_subset(graph, subset)
     if h not in subset:
         raise ValueError(f"half-edge {h!r} is not in the moved subset")
-    sigma = graph.orientation
     sides = []
     for side in dict.fromkeys((h, graph.pairing(h))):
         r = escape_index(graph, subset, side)
         if r is None:
             sides.append(SideApproximation(side, None, None, ()))
             continue
-        walk = tuple(sigma.power(k, side) for k in range(r + 1))
-        target = edge_name(graph, sigma.power(r + 1, side))
-        sides.append(SideApproximation(side, r, target, walk))
+        # sigma^{r+1} side lies outside the subset and side inside it, so
+        # r + 1 < len(orbit).
+        orbit = graph.sigma_orbit_of(side)
+        target = edge_name(graph, orbit[r + 1])
+        sides.append(SideApproximation(side, r, target, orbit[: r + 1]))
     return ApproximationData(edge_name(graph, h), tuple(sides))
 
 

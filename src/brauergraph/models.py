@@ -88,15 +88,14 @@ class GraphAlgebraModel:
     make the trie a directed acyclic graph rather than a tree:
 
     - Turn powers.  A turn is one walk round the sigma-orbit of the first
-      half-edge: the orbit of a walk's half-edge, looked up once per
-      half-edge, or a path's steps before its first arrow comes round
-      again.  A step sequence that starts with q >= 2 copies of its first
-      turn is evaluated as tail * turn^q.  The turn goes through the trie,
-      turn^q is the turn node's child keyed q, formed from turn^(q-1) by
-      one product, and the tail continues from there.  So a rule-(I) route
-      power r^m, rule (II)'s r^m r_0 and rule (IV)'s r^(m-1) r' cost one
-      turn through the trie plus at most m - 1 products per distinct turn
-      value.
+      half-edge: the orbit of a walk's half-edge, or a path's steps before
+      its first arrow comes round again.  A step sequence that starts with
+      q >= 2 copies of its first turn is evaluated as tail * turn^q.  The
+      turn goes through the trie, turn^q is the turn node's child keyed q,
+      formed from turn^(q-1) by one product, and the tail continues from
+      there.  So a rule-(I) route power r^m, rule (II)'s r^m r_0 and rule
+      (IV)'s r^(m-1) r' cost one turn through the trie plus at most m - 1
+      products per distinct turn value.
     - Shared subtrees.  Nodes with equal nonzero (V, D) are one node, since
       a child's value depends only on its parent's value and its key.  A
       zero node keeps its own children: after a step of denominator 1 it
@@ -138,9 +137,6 @@ class GraphAlgebraModel:
     _steps: dict[Arrow | str, tuple[Element, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _orbits: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def full_arrow(self, h: str) -> Element:
         """The sum of the quiver arrows at h."""
@@ -157,13 +153,6 @@ class GraphAlgebraModel:
         if out is None:
             x = self.full_arrow(key) if isinstance(key, str) else self.arrow_element[key]
             out = self._steps[key] = integral_form(x)
-        return out
-
-    def _orbit(self, h: str) -> tuple[str, ...]:
-        """The sigma-orbit of h, starting at h, looked up once per half-edge."""
-        out = self._orbits.get(h)
-        if out is None:
-            out = self._orbits[h] = self.graph.sigma_orbit_of(h)
         return out
 
     def _node(self, value: Element, denominator: int) -> _Node:
@@ -232,7 +221,7 @@ class GraphAlgebraModel:
         sigma^{length-1} h."""
         if length < 1:
             raise ValueError("walks have at least one arrow")
-        orbit = self._orbit(h)
+        orbit = self.graph.sigma_orbit_of(h)
         turns, rest = divmod(length, len(orbit))
         return self._product(orbit * turns + orbit[:rest], len(orbit))
 
@@ -398,12 +387,12 @@ def _ordinary_edge_cartan(graph: BrauerGraph) -> tuple[list[str], list[list[int]
     """The Cartan matrix of an ordinary graph's algebra, counted.
 
     C = sum over the sigma-orbits v of m(v) a_v a_v^T, where a_v(i) is the
-    number of half-edges of edge i at v: the basis walks of
-    ``bga_basis_keys`` around v from edge j to edge i number m a_v(i) a_v(j),
-    less one on the diagonal per half-edge of i at v (its walk of length
-    zero).  An edge has two half-edges, and the idempotent and the socle
-    element make up those two (a truncated vertex has no walks, and
-    m a_v^2 - a_v = 0 there).
+    number of half-edges of edge i at v: the basis walks ("w", h, t) of
+    ``bga_table_with_keys`` around v from edge j to edge i number
+    m a_v(i) a_v(j), less one on the diagonal per half-edge of i at v (its
+    walk of length zero).  An edge has two half-edges, and the idempotent
+    and the socle element make up those two (a truncated vertex has no
+    walks, and m a_v^2 - a_v = 0 there).
     """
     edges = sorted(graph.edges_by_label)
     index = {name: k for k, name in enumerate(edges)}

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class Permutation:
-    __slots__ = ("_map", "_domain", "_cycle_at")
+    __slots__ = ("_map", "_domain")
 
     def __init__(self, mapping: Mapping[str, str]):
         mapping = dict(mapping)
@@ -20,10 +20,6 @@ class Permutation:
             raise ValueError("mapping is not a bijection of its domain")
         self._map = mapping
         self._domain = domain
-        # name -> (its cycle, its position there), filled by ``power`` one
-        # cycle at a time.  ``orbit`` reads it but does not fill it, so the
-        # many short-lived permutations that are never powered pay nothing.
-        self._cycle_at: dict[str, tuple[tuple[str, ...], int]] | None = None
 
     @classmethod
     def from_cycles(
@@ -68,23 +64,11 @@ class Permutation:
 
     def power(self, k: int, x: str) -> str:
         """Image of ``x`` under the k-th power (k may be negative)."""
-        if self._cycle_at is None:
-            self._cycle_at = {}
-        hit = self._cycle_at.get(x)
-        if hit is None:
-            cycle = self.orbit(x)
-            for position, y in enumerate(cycle):
-                self._cycle_at[y] = (cycle, position)
-            hit = (cycle, 0)
-        cycle, position = hit
-        return cycle[(position + k) % len(cycle)]
+        cycle = self.orbit(x)
+        return cycle[k % len(cycle)]
 
     def orbit(self, x: str) -> tuple[str, ...]:
         """The cycle through ``x``, starting at ``x``."""
-        hit = self._cycle_at.get(x) if self._cycle_at else None
-        if hit is not None:
-            cycle, position = hit
-            return cycle[position:] + cycle[:position]
         out = [x]
         y = self._map[x]
         while y != x:

@@ -492,12 +492,7 @@ def truncation_presentation(c: CoveredGraph) -> Presentation:
             rels.append(Relation(((1, Walk(h, i, length, (i + 1) % 2)),)))
 
     # (II') equality of summed cycle powers across non-degenerate edges.
-    for edge in base.edges:
-        if len(edge) != 2:
-            continue
-        h, other = min(edge), max(edge)
-        if not (induces_arrow(base, h) and induces_arrow(base, other)):
-            continue
+    for h, other in _rule_one_edges(base):
         terms = []
         for x, sign in ((h, 1), (other, -1)):
             length = len(base.sigma_orbit_of(x)) * base.multiplicity[x]

@@ -135,6 +135,19 @@ PARSE_ERRORS = {
         HALFEDGES + "pairing (a b)\nedge e = a b\nedge e = a b\n",
         "line 4, column 1: duplicate edge alias 'e'",
     ),
+    "repeated-pairing": (
+        "halfedges 1+ 1- 2+ 2-\npairing (1+ 1-)\npairing (2+ 2-)\n"
+        "orientation (1+ 2+)(1- 2-)\n",
+        "line 3, column 1: repeated 'pairing' line",
+    ),
+    "repeated-orientation": (
+        HALFEDGES + "orientation (a b)\norientation (a b)\n",
+        "line 3, column 1: repeated 'orientation' line",
+    ),
+    "conflicting-degree": (
+        HALFEDGES + "grading a = 1\ngrading a = 0\n",
+        "line 3, column 1: conflicting degrees for 'a'",
+    ),
 }
 
 
@@ -146,6 +159,12 @@ def test_parse_errors_name_their_line_and_column(case):
     assert str(err.value) == message
     line, column = (int(n) for n in re.match(r"line (\d+), column (\d+)", message).groups())
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_a_degree_may_repeat_modulo_the_modulus():
+    # Both names are skew legs, so degrees live modulo 2.
+    parsed = parse(HALFEDGES + "grading a = 1\ngrading a = 3\n")
+    assert parsed.grading.degrees == {"a": 1, "b": 0}
 
 
 def test_cli_reports_a_parse_error_as_json(tmp_path, capsys):

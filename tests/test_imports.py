@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from brauergraph.algebra import bga_table
+from brauergraph.core import gen_random
 from brauergraph.moves import Sector
+from brauergraph.permutations import Permutation
 from brauergraph.presentation import Arrow
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brauergraph"
@@ -80,13 +83,13 @@ def test_only_permutations_reads_the_permutation_map():
     assert readers == []
 
 
-TABLE_INTERNALS = {"_corners", "_corner_sizes", "_memo", "_product_fn"}
+TABLE_INTERNALS = {"_memo", "_product_fn"}
 
 
 def test_only_algebra_reads_the_table_internals():
-    """The corner basis, the corner sizes, the product memo and the product
-    function of ``AlgebraTable`` are private to ``algebra``; other modules
-    go through its methods and properties."""
+    """The product memo and the product function of ``AlgebraTable`` are
+    private to ``algebra``; other modules go through its methods and
+    properties."""
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "algebra.py":
@@ -117,8 +120,11 @@ DELETED = {
         "AlgebraTable.corner_basis",
         "AlgebraTable.unit",
         "AlgebraTable.idempotent_element",
+        "AlgebraTable._fill_corners",
+        "bga_basis_keys",
     },
     "linalg.py": {"reciprocal"},
+    "models.py": {"GraphAlgebraModel._orbit"},
     "core.py": {"BrauerGraph.edge_of"},
     "permutations.py": {"Permutation.identity"},
     "presentation.py": {"render_path"},
@@ -153,6 +159,15 @@ def test_uncalled_duplicates_stay_deleted(module):
     """Definitions that no code in the package called, and whose job another
     name does, are not defined again."""
     assert _defined(module).isdisjoint(DELETED[module])
+
+
+def test_permutations_hold_no_cache_and_corners_are_computed_once():
+    """A permutation holds its map and domain only, all of it in its hash;
+    the table's corners are computed once, as a cached property."""
+    assert Permutation.__slots__ == ("_map", "_domain")
+    table = bga_table(gen_random(3, n_half=6))
+    assert table.corners is table.corners
+    assert table.corner_sizes is table.corner_sizes
 
 
 def test_exact_division_is_defined_once():
