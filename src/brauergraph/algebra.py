@@ -604,15 +604,20 @@ def orbit_truncation(
                 )
 
     # The sweep's precondition; its last two parts follow from the checks
-    # above, see the docstring.
+    # above, see the docstring.  F is multiplied by 1 (x) g on each side
+    # through the terms e (x) g that compose with F's terms b (x) g^k: on the
+    # right e = g^(-k) b and on the left e = g b, since g moves idempotents
+    # to idempotents, each in its own corner.  ``mul`` skips every other
+    # term, so the products are those with 1 (x) g.
     idempotent_indices = {index for _, index in table.idempotents}
-    one_g = {dim + e: ONE for e in idempotent_indices}
     for (label, _), (form, _) in zip(chosen, forms):
         if any(key % dim not in idempotent_indices for key in form):
             raise ValueError(f"chosen element {label!r} is not a sum over idempotents")
         if all(key < dim for key in form):
             continue
-        for side in (mul(form, one_g), mul(one_g, form)):
+        right_g = {dim + moved[-(key // dim) % n][key % dim][1]: ONE for key in form}
+        left_g = {dim + moved[1][key % dim][1]: ONE for key in form}
+        for side in (mul(form, right_g), mul(left_g, form)):
             if side != form and side != vec_scale(form, -1):
                 raise ValueError(
                     f"chosen element {label!r} is neither sheet 0 nor g-stable"

@@ -17,9 +17,14 @@ kernel vector and no coordinates.  |Hom^n| is a sum of the table's corner
 sizes, and a differential whose rank is bounded by 0 is not applied.  One
 generator (``_images``) forms the images, in one pass over the corner
 basis: u.d from the row terms of a d acting before the basis map u, d.u
-from the column terms of one acting after.  A pair of two cones X -> Y
-takes no rank when the pairs with a stalk prove its answer
-(``_hom_complexes``): h -> d_Y.h splits over the components P_s of X_0, so
+from the column terms of one acting after.  ``_hom_complexes`` does that
+work once per cone, not once per pair.  A pair of two stalks is read off
+the corner sizes, as Hom^{-1} = Hom^1 = 0.  For a cone Y, one pass over the
+maps from every stalk position into Y_{-1} gives D^{-1} of every stalk
+into Y, and D^0 of Y onto each stalk is drawn per stalk; every image lies
+over one stalk's positions, so each pair's ranks are its own.  A pair of
+two cones X -> Y takes no rank when the pairs with a stalk prove its
+answer: h -> d_Y.h splits over the components P_s of X_0, so
 D^{-1} is injective when each such s is held by a stalk S with
 H^{-1} Hom(S, Y) = 0, and f_0 -> f_0.d_X splits over the components P_t of
 Y_0, so D^0 is onto when each such t is held by a stalk S with
@@ -353,10 +358,22 @@ def _hom_complexes(
     table: AlgebraTable, summands: list[tuple[str, ProjPresentation]]
 ) -> dict[tuple[int, int], Cohomology]:
     """The Hom complex's cohomology for each ordered pair of summands, keyed
-    (a, b) in row order.
+    (a, b) in row order: the values of ``_hom_complex`` on every pair, with
+    the work done once per cone rather than once per pair.
 
-    A pair with a stalk goes through ``_hom_complex``.  A pair of two cones
-    X -> Y is read off those pairs when they prove it.
+    Between two stalks Hom^{-1} = Hom^1 = 0, so the cohomology is
+    (0, |Hom^0|, 0) from the corner sizes.  A stalk S and a cone Y meet in
+    one differential each way, and both split over the positions of the
+    stalks.  For S -> Y, D^{-1} is h -> d_Y.h (d_S = 0): one ``_images``
+    pass over the maps from every stalk position to Y_{-1} gives D^{-1} of
+    every stalk into Y, each image filed under the stalk holding its
+    source; a stalk's images are ranked, and dropped, once its last one is
+    drawn.  For Y -> S, D^0 is f_0 -> f_0.d_Y on Hom(Y_0, S_0) (S_{-1} = 0),
+    drawn by one ``_images`` call per stalk so that its rank stops at
+    |Hom^1|.  No image mixes two stalks, so each stalk's rank is that of its
+    own pair.
+
+    A pair of two cones X -> Y is read off those pairs when they prove it.
     D^{-1}(h) = (h.d_X, d_Y.h), and h -> d_Y.h splits over the components
     P_s of X_0: on P_s it is D^{-1} of S -> Y for a stalk S holding s.  So
     D^{-1} is injective when each s is held by a stalk S with
@@ -367,21 +384,67 @@ def _hom_complexes(
     (0, |Hom^0| - |Hom^{-1}| - |Hom^1|, 0).  Any other pair of cones goes
     through ``_hom_complex``.
     """
-    known = {
-        (a, b): _hom_complex(table, x, y)
-        for a, (_, x) in enumerate(summands)
-        for b, (_, y) in enumerate(summands)
-        if not (x.deg_minus1 and y.deg_minus1)
-    }
+    sizes = table.corner_sizes
     stalks = [(s, x.deg_0) for s, (_, x) in enumerate(summands) if not x.deg_minus1]
+    # Every stalk position, and the index in ``stalks`` of the stalk holding
+    # each.
+    held = tuple(p for _, positions in stalks for p in positions)
+    holder = [k for k, (_, positions) in enumerate(stalks) for _ in positions]
+    known = {
+        (a, b): (0, _map_count(sizes, y_0, x_0), 0)
+        for a, x_0 in stalks
+        for b, y_0 in stalks
+    }
+    for b, (_, y) in enumerate(summands):
+        if not y.deg_minus1:
+            continue
+        d_y = y.differential
+        # |Hom^{-1}| of each stalk into Y, the images of it still to come,
+        # and those drawn.
+        counts = [_map_count(sizes, y.deg_minus1, positions) for _, positions in stalks]
+        unseen = list(counts)
+        boundaries: list = [[] for _ in stalks]
+        ranks = [0] * len(stalks)
+        for (_, _, s, _), image in _images(
+            table, "h", y.deg_minus1, held, after=("d0", d_y)
+        ):
+            k = holder[s]
+            if image:
+                boundaries[k].append(image)
+            unseen[k] -= 1
+            if not unseen[k]:
+                # The stalk's last image: rank its images and let them go.
+                ranks[k] = rank(boundaries[k], counts[k])
+                boundaries[k] = None
+        for (a, positions), n_minus1, rk_minus1 in zip(stalks, counts, ranks):
+            known[a, b] = (
+                n_minus1 - rk_minus1,
+                _map_count(sizes, y.deg_0, positions) - rk_minus1,
+                0,
+            )
+            n_plus1 = _map_count(sizes, positions, y.deg_minus1)
+            rk_0 = n_plus1 and rank(
+                (
+                    column
+                    for _, column in _images(
+                        table, "d0", positions, y.deg_0, before=("g", d_y)
+                    )
+                ),
+                n_plus1,
+            )
+            known[b, a] = (
+                0,
+                _map_count(sizes, positions, y.deg_0) - rk_0,
+                n_plus1 - rk_0,
+            )
     # The positions of the stalks S with Hom(S, X_b[-1]) = 0, per b, and of
     # the stalks S with Hom(X_a, S[1]) = 0, per a.
     into = [
-        {p for s, held in stalks if not known[s, b][0] for p in held}
+        {p for s, positions in stalks if not known[s, b][0] for p in positions}
         for b in range(len(summands))
     ]
     onto = [
-        {p for s, held in stalks if not known[a, s][2] for p in held}
+        {p for s, positions in stalks if not known[a, s][2] for p in positions}
         for a in range(len(summands))
     ]
     cohomology = {}

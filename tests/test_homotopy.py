@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from brauergraph.algebra import bga_dimension_formula, bga_table_with_keys
 from brauergraph.core import gen_random, random_ih_stable_subset
 from brauergraph.covering import cover, lift_subset
+from brauergraph.graphfile import parse
 from brauergraph.homotopy import (
+    ProjPresentation,
     _end_cartan,
     _hom_complexes,
     _vanishing,
@@ -25,6 +28,8 @@ from brauergraph.models import model_for, ordinary_model, skew_model
 
 from conftest import build_graph
 from oracles import check_table, edge_cartan, hom_vanishing_report
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # Oracles: the maps between indecomposable projectives and the product of
@@ -202,16 +207,21 @@ def test_mutation_verification_computes_the_vanishing_once(monkeypatch):
         built.append(args)
         return counted(*args)
 
-    monkeypatch.setattr(homotopy, "_hom_complex", counting)
-    report = mutation_verification(ordinary_model(graph), subset)
+    model = ordinary_model(graph)
+    with monkeypatch.context() as patch:
+        patch.setattr(homotopy, "_hom_complex", counting)
+        report = mutation_verification(model, subset)
+        complexes = _hom_complexes(model.table, report.summands)
     assert report.ok
-    # one Hom complex per ordered summand pair with a stalk, whose cohomology
-    # gives both the vanishing check and the Cartan matrix of End(T); four
-    # edges, two of them moved, so the four pairs of two cones are read off
-    # the cone-stalk pairs
+    # The cohomology of every ordered summand pair gives both the vanishing
+    # check and the Cartan matrix of End(T).  Four edges, two of them moved:
+    # the stalk pairs are read off the corner sizes and one pass per cone,
+    # and the four pairs of two cones off the cone-stalk pairs, so no pair
+    # has a Hom complex of its own.
     assert len(graph.edges) == 4
     assert sum(bool(x.deg_minus1) for _, x in report.summands) == 2
-    assert len(built) == 12
+    assert built == []
+    assert list(complexes.items()) == _per_pair(model.table, report.summands)
 
 
 def _assert_cone_pairs_fall_back(monkeypatch, model, summands):
@@ -281,6 +291,65 @@ def test_a_cone_into_no_stalk_falls_back(ex1, ex1_subset, monkeypatch):
     report = _assert_cone_pairs_fall_back(monkeypatch, model, summands)
     # the first nonzero shifted Hom lies between the two cones
     assert report.hom_witness == ("1", "2", -1, 1)
+
+
+def _golden_mutation(name, edges):
+    parsed = parse((GOLDEN / f"{name}.bg").read_text())
+    model = model_for(parsed.graph, parsed.grading)
+    by_label = parsed.graph.edges_by_label
+    subset = frozenset(h for edge in edges for h in by_label[edge])
+    return model, mutation_object(model, subset)
+
+
+def _per_pair(table, summands):
+    from brauergraph.homotopy import _hom_complex
+
+    return [
+        ((a, b), _hom_complex(table, x, y))
+        for a, (_, x) in enumerate(summands)
+        for b, (_, y) in enumerate(summands)
+    ]
+
+
+def test_a_cone_onto_a_stalk_is_ranked_per_stalk(monkeypatch):
+    """Edge 2's cone, cut down to its target at edge 4's position, has
+    H^1 Hom(X, S) = 2 onto stalk 3.  D^0 of each cone onto each stalk is
+    that stalk's own: the cohomology and the named witness are those of the
+    per-pair computation."""
+    from brauergraph import homotopy
+
+    model, summands = _golden_mutation("ex1", ("1", "2"))
+    names = [name for name, _ in summands]
+    assert names == ["1", "2", "3", "4"]
+    cone, kept = summands[1][1], summands[3][1].deg_0
+    rows = [t for t, p in enumerate(cone.deg_0) if p in kept]
+    cut = ProjPresentation(
+        cone.deg_minus1,
+        tuple(cone.deg_0[t] for t in rows),
+        tuple(cone.differential[t] for t in rows),
+    )
+    summands[1] = ("2", cut)
+    want = _per_pair(model.table, summands)
+    assert dict(want)[1, 2] == (0, 0, 2)
+    assert list(_hom_complexes(model.table, summands).items()) == want
+    monkeypatch.setattr(homotopy, "mutation_object", lambda model, subset: summands)
+    report = mutation_verification(model, frozenset())
+    assert report.hom_witness == ("2", "3", 1, 2)
+
+
+@pytest.mark.parametrize(
+    "name, edges", [("skew-3", ("1", "3")), ("skew-1", ("3", "5"))]
+)
+def test_a_skew_leg_stalk_is_ranked_over_both_positions(name, edges):
+    """Stalk 2 is a skew leg holding two positions, each of which meets the
+    cones: its images from both are filed under it, and D^0 of each cone
+    onto each stalk is that stalk's own."""
+    model, summands = _golden_mutation(name, edges)
+    leg = dict(summands)["2"]
+    assert not leg.deg_minus1 and len(leg.deg_0) == 2
+    assert list(_hom_complexes(model.table, summands).items()) == _per_pair(
+        model.table, summands
+    )
 
 
 def _assert_h0_is_end_table(model, report):

@@ -291,7 +291,8 @@ def _small_model(graph):
 @settings(PROPERTY_SETTINGS, max_examples=MAX_MUTATION_EXAMPLES)
 @given(graphs_with_subsets(max_half=12))
 def test_the_hom_complexes_are_the_per_pair_ones(drawn):
-    """Reading the pairs of two cones off the cone-stalk pairs gives the
+    """Reading the stalk pairs off the corner sizes and one pass per cone,
+    and the pairs of two cones off the cone-stalk pairs, gives the
     cohomology of every pair's own Hom complex, in the same key order."""
     graph, subset = drawn
     model = _small_model(graph)
