@@ -8,10 +8,12 @@ built on its G-orbit basis straight from the covering's basis keys
 (``algebra.orbit_truncation``), never building the skew group table; the
 generic route through ``algebra.skew_group_table`` and the corner sweep
 ``truncate`` of the test suite is its test oracle.  The same model
-validates the direct presentations, checking rule (I) once per route.
+validates the direct presentations: rule (V) relation by relation, then
+one route per quiver vertex for the relations indexed by routes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,9 +42,14 @@ from .presentation import (
     QVertex,
     Relation,
     Walk,
+    _crossing_relations,
+    _first_routes,
     _other_relations,
+    _overrun_relations,
     _power_families,
+    _shifted_relations,
     _special_cycle_table,
+    _two_route_relations,
     admissible_cut,
     find_subword,
     induces_arrow,
@@ -515,47 +522,49 @@ def _relation_problem(model: GraphAlgebraModel, rel: Relation) -> str | None:
     return None
 
 
-def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchReport:
-    """Verify the direct presentation against the compressed covering model.
+def _proved_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str] | None:
+    """The relation problems of ``presentations_match``, with every relation
+    indexed by routes proved from rule (V) and one route per quiver vertex;
+    None when the proof does not go through.
 
-    Checks that quiver vertices and arrows correspond, that every generating
-    relation evaluates to zero in the model, that all special cycles at a
-    vertex agree there, and that the dimensions match the independent count.
-
-    Rule (I) is checked one family per edge, with each route power
-    evaluated once (see ``PowerFamily``), so the check never lists the
-    pairs of ``relations``.  Only a family that fails is expanded to its
-    pairs; the problems name each failing relation as the pairwise check
-    would, in the order of ``relations``.
-
-    The routes themselves are listed, 2^k of them at a vertex whose
-    sigma-orbit carries k skew legs.  A special cycle of more than
-    ``MAX_WALK_PATHS`` routes raises ValueError naming its half-edge and
-    route count, before the model is built or any route is listed.
+    Two index-resolved walks along the same half-edges, with the same start
+    and end copies, differ by swaps of two-arrow segments through doubled
+    vertices, and rule (V) makes those segments equal.  So once every
+    rule-(V) relation vanishes, all routes at (h, i) share one value v, by
+    associativity, and the special cycles agree.  Then a rule-(I) family
+    needs one route power per end (``_family_vanishes``), rule (II) one
+    relation per first arrow (r^m followed by r_0 is r_0 v^m), and rule (IV)
+    one per skew-leg copy.  Rule (III) is evaluated relation by relation;
+    its problems are the only ones the check can have.
     """
-    for h in sorted(graph.half_edges):
-        if not induces_arrow(graph, h):
-            continue
-        routes = walk_path_count(graph, h, len(graph.sigma_orbit_of(h)))
-        if routes > MAX_WALK_PATHS:
-            raise ValueError(
-                f"special cycles at {h} have {routes} routes, over the cap of "
-                f"{MAX_WALK_PATHS}"
-            )
+    if any(_relation_problem(model, rel) for rel in _two_route_relations(graph)):
+        return None
+
+    routes_at = functools.cache(functools.partial(_first_routes, graph))
+
+    def route_at(h: str, i: int | None = None) -> list[Path]:
+        return routes_at(h, i)[:1]
+
+    if not all(_family_vanishes(model, f) for f in _power_families(graph, route_at)):
+        return None
+    proved = itertools.chain(
+        _overrun_relations(graph, routes_at), _shifted_relations(graph, route_at)
+    )
+    if any(_relation_problem(model, rel) for rel in proved):
+        return None
+    return [
+        problem
+        for rel in _crossing_relations(graph)
+        if (problem := _relation_problem(model, rel)) is not None
+    ]
+
+
+def _listed_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str]:
+    """The relation and special-cycle problems, every route listed: each
+    failing relation of ``relations`` in its order, a failing rule-(I)
+    family expanded to its pairs, then each vertex whose special cycles
+    differ."""
     problems: list[str] = []
-    try:
-        model = truncation_model(covered)
-    except (ValueError, KeyError) as exc:
-        return MatchReport(False, [f"model construction failed: {exc}"], -1, -1)
-    q = quiver(graph)
-    if set(q.vertices) != set(model.vertex_position):
-        problems.append("quiver vertices do not match the model idempotents")
-    if set(q.arrows) != set(model.arrow_element):
-        problems.append("quiver arrows do not match the model arrows")
-    else:
-        for a, elem in model.arrow_element.items():
-            if not elem:
-                problems.append(f"arrow {render_arrow(a)} maps to zero in the model")
     cycles_at = _special_cycle_table(graph)
     failing: list[Relation] = []
     for family in _power_families(graph, cycles_at):
@@ -581,6 +590,61 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
                     f"{model.table.render(_exact(*first))} vs "
                     f"{model.table.render(_exact(*other))}"
                 )
+    return problems
+
+
+def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchReport:
+    """Verify the direct presentation against the compressed covering model.
+
+    Checks that quiver vertices and arrows correspond, that every generating
+    relation evaluates to zero in the model, that all special cycles at a
+    vertex agree there, and that the dimensions match the independent count.
+
+    The relations indexed by routes are proved, not listed: any two routes
+    along the same half-edges, with the same start and end copies, differ by
+    swaps of two-arrow segments through doubled vertices, which rule (V)
+    makes equal.  So once every rule-(V) relation vanishes, the routes at a
+    quiver vertex share one value, and one route per vertex settles the
+    special cycles and rules (I), (II) and (IV) (see ``_proved_problems``).
+    Rule (III) is evaluated relation by relation.  A 2^k-route vertex, for k
+    skew legs on its sigma-orbit, thus costs one route, or two for rule (II).
+
+    Only on the witness path are the routes listed: when that proof fails,
+    an arrow is missing or the quiver does not match the model, every
+    relation and every route is evaluated, and the problems name each
+    failing relation and vertex in the order of ``relations``.  A rule-(I)
+    family is then still checked once per route and expanded to its pairs
+    only when it fails (see ``PowerFamily``).
+
+    A special cycle of more than ``MAX_WALK_PATHS`` routes raises ValueError
+    naming its half-edge and route count, before the model is built or any
+    route is drawn.
+    """
+    for h in sorted(graph.half_edges):
+        if not induces_arrow(graph, h):
+            continue
+        routes = walk_path_count(graph, h, len(graph.sigma_orbit_of(h)))
+        if routes > MAX_WALK_PATHS:
+            raise ValueError(
+                f"special cycles at {h} have {routes} routes, over the cap of "
+                f"{MAX_WALK_PATHS}"
+            )
+    problems: list[str] = []
+    try:
+        model = truncation_model(covered)
+    except (ValueError, KeyError) as exc:
+        return MatchReport(False, [f"model construction failed: {exc}"], -1, -1)
+    q = quiver(graph)
+    if set(q.vertices) != set(model.vertex_position):
+        problems.append("quiver vertices do not match the model idempotents")
+    if set(q.arrows) != set(model.arrow_element):
+        problems.append("quiver arrows do not match the model arrows")
+    else:
+        for a, elem in model.arrow_element.items():
+            if not elem:
+                problems.append(f"arrow {render_arrow(a)} maps to zero in the model")
+    proved = None if problems else _proved_problems(model, graph)
+    problems.extend(_listed_problems(model, graph) if proved is None else proved)
     if graph.is_skew:
         expected_dim = skew_dimension_oracle(covered)
     else:

@@ -42,7 +42,9 @@ Path = tuple[Arrow, ...]
 # nothing else, with multiplicity 2, the longest walk sums 2^(2L) paths: six
 # legs reach the cap and render in about a second, seven are refused.
 # ``models.presentations_match`` caps the routes of one special cycle, a
-# walk once around a vertex, by the same number: 2^k for k skew legs.
+# walk once around a vertex, by the same number: 2^k for k skew legs.  It
+# takes one route per quiver vertex when it can prove the rest equal, and
+# lists them all only to name the problems of a check that fails.
 MAX_WALK_PATHS = 1 << 12
 
 
@@ -156,27 +158,22 @@ def quiver(graph: BrauerGraph) -> Quiver:
     return Quiver(tuple(vertices), tuple(arrows))
 
 
-def _walk_paths(graph: BrauerGraph, walk: Walk) -> list[Path]:
-    """All index-resolved walks summed by ``walk``.
+def _walk_paths(graph: BrauerGraph, walk: Walk) -> Iterator[Path]:
+    """All index-resolved walks summed by ``walk``, drawn lazily.
 
-    Intermediate indices range over the copies of each visited vertex; the
-    start and final indices are pinned.  Walk step k uses the arrow induced
-    by sigma^k h.
+    Intermediate indices range over the copies of each visited vertex, the
+    first one slowest; the start and final indices are pinned.  Walk step k
+    uses the arrow induced by sigma^k h.
     """
     by_indices = quiver(graph)._by_indices
     orbit = graph.sigma_orbit_of(walk.h)
     steps = [orbit[k % len(orbit)] for k in range(walk.length)]
     choice_sets = [vertex_indices(graph, x) for x in steps[1:]]
-    paths: list[Path] = []
     for choices in itertools.product(*choice_sets):
         indices = (walk.start,) + choices + (walk.end,)
-        paths.append(
-            tuple(
-                by_indices[x, indices[k], indices[k + 1]]
-                for k, x in enumerate(steps)
-            )
+        yield tuple(
+            by_indices[x, indices[k], indices[k + 1]] for k, x in enumerate(steps)
         )
-    return paths
 
 
 def walk_path_count(graph: BrauerGraph, h: str, length: int) -> int:
@@ -226,7 +223,22 @@ def special_cycles(
     elif index is not None:
         raise ValueError(f"half-edge {h!r} has no copy index")
     n = len(graph.sigma_orbit_of(h))
-    return _walk_paths(graph, Walk(h, index, n, index))
+    return list(_walk_paths(graph, Walk(h, index, n, index)))
+
+
+def _first_routes(graph: BrauerGraph, h: str, i: int | None = None) -> list[Path]:
+    """One special cycle at (h, i) per first arrow: for each copy k of the
+    next vertex, the first of ``special_cycles`` that starts with the arrow
+    into copy k.  The first route comes first."""
+    n = len(graph.sigma_orbit_of(h))
+    if n == 1:
+        return [next(_walk_paths(graph, Walk(h, i, 1, i)))]
+    arrow = quiver(graph).arrow
+    nxt = graph.orientation(h)
+    return [
+        (arrow(h, i, k),) + next(_walk_paths(graph, Walk(nxt, k, n - 1, i)))
+        for k in vertex_indices(graph, nxt)
+    ]
 
 
 def n_cross(graph: BrauerGraph, h: str) -> int:
@@ -276,8 +288,9 @@ def _two_route_relations(graph: BrauerGraph) -> list[Relation]:
 # through the ``relations`` and ``quiver`` commands.  A ``Presentation``
 # holds each family's route powers once and renders each of them once, but
 # still prints one line per pair; ``relations`` lists every pair, whatever
-# the count, and ``models.presentations_match`` checks a family per route
-# and never lists its pairs.  A loop edge whose vertex carries k skew legs
+# the count, and ``models.presentations_match`` checks a family from one
+# route per end, or per route on its witness path, and lists the pairs of
+# a failing family only.  A loop edge whose vertex carries k skew legs
 # has 2^(2k) pairs: six legs reach the cap, seven are refused.
 MAX_RELATION_PAIRS = 1 << 12
 
@@ -330,14 +343,12 @@ def _power_families(
     return out
 
 
-def _other_relations(
+def _overrun_relations(
     graph: BrauerGraph, cycles_at: Callable[..., list[Path]]
 ) -> list[Relation]:
-    """Rules (II)-(V) of ``relations``, in its order."""
-    arrow = quiver(graph).arrow
+    """(II) a cycle power followed by its own first arrow, one relation per
+    route that ``cycles_at`` gives."""
     out: list[Relation] = []
-
-    # (II) a cycle power followed by its own first arrow.
     for h in sorted(graph.half_edges):
         if not induces_arrow(graph, h):
             continue
@@ -345,11 +356,16 @@ def _other_relations(
             for route in cycles_at(h, i):
                 path = route * graph.multiplicity[h] + (route[0],)
                 out.append(Relation(((1, path),)))
+    return out
 
-    # (III) crossing to the other side of the next edge.
-    out.extend(_crossing_relations(graph))
 
-    # (IV) full cycle powers at a skew leg land on the other copy.
+def _shifted_relations(
+    graph: BrauerGraph, cycles_at: Callable[..., list[Path]]
+) -> list[Relation]:
+    """(IV) full cycle powers at a skew leg land on the other copy, one
+    relation per route that ``cycles_at`` gives."""
+    arrow = quiver(graph).arrow
+    out: list[Relation] = []
     for h in sorted(graph.cross_half_edges):
         if not induces_arrow(graph, h):
             continue
@@ -361,10 +377,21 @@ def _other_relations(
                 )
                 path = route * (graph.multiplicity[h] - 1) + shifted
                 out.append(Relation(((1, path),)))
-
-    # (V) the two routes through a doubled vertex agree.
-    out.extend(_two_route_relations(graph))
     return out
+
+
+def _other_relations(
+    graph: BrauerGraph, cycles_at: Callable[..., list[Path]]
+) -> list[Relation]:
+    """Rules (II)-(V) of ``relations``, in its order: (III) is crossing to
+    the other side of the next edge, (V) the two routes through a doubled
+    vertex."""
+    return [
+        *_overrun_relations(graph, cycles_at),
+        *_crossing_relations(graph),
+        *_shifted_relations(graph, cycles_at),
+        *_two_route_relations(graph),
+    ]
 
 
 def _listed(

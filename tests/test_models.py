@@ -34,9 +34,14 @@ from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
     MAX_RELATION_PAIRS,
     MAX_WALK_PATHS,
+    _crossing_relations,
+    _first_routes,
     _other_relations,
+    _overrun_relations,
     _power_families,
+    _shifted_relations,
     _special_cycle_table,
+    _two_route_relations,
     induces_arrow,
     quiver,
     relations,
@@ -70,8 +75,18 @@ def test_presentations_match_ex2(ex2, ex2_graded, monkeypatch):
     assert report.ok, report.problems
     assert report.model_dim == 63
     # Rule (I) holds per route, with c_h = 1 and c_o = 16 at edge 1, so no
-    # pair of it is evaluated.
-    assert evaluated == _other_relations(ex2, _special_cycle_table(ex2))
+    # pair of it is evaluated.  Rule (V) holds, so rules (II) and (IV) take
+    # one route per first arrow and per skew-leg copy: 26 of the 34
+    # relations of rules (II)-(V).
+    listed = _other_relations(ex2, _special_cycle_table(ex2))
+    assert evaluated == [
+        *_two_route_relations(ex2),
+        *_overrun_relations(ex2, lambda h, i=None: _first_routes(ex2, h, i)),
+        *_shifted_relations(ex2, lambda h, i=None: _first_routes(ex2, h, i)[:1]),
+        *_crossing_relations(ex2),
+    ]
+    assert set(evaluated) <= set(listed)
+    assert (len(evaluated), len(listed)) == (26, 34)
 
 
 def test_presentations_match_corrupted_cover(ex1, ex1_graded):
@@ -297,8 +312,10 @@ def test_evaluation_multiplies_each_prefix_once(monkeypatch):
 
 def test_route_powers_are_powers_of_one_turn(monkeypatch):
     """The check of skew-3.bg forms each route power from one turn through
-    the trie, and prefixes of equal value share their extensions: 113
-    table products, where multiplying every arrow of every route took 223."""
+    the trie, prefixes of equal value share their extensions, and rule (V)
+    leaves one route per quiver vertex to evaluate: 90 table products.
+    Evaluating every route took 113, and multiplying every arrow of every
+    route 223."""
     parsed = parse((GOLDEN / "skew-3.bg").read_text(encoding="utf-8"))
     covered = cover(GradedGraph(parsed.graph, parsed.grading or zero_grading(parsed.graph)))
     calls = 0
@@ -311,7 +328,7 @@ def test_route_powers_are_powers_of_one_turn(monkeypatch):
 
     monkeypatch.setattr(AlgebraTable, "mul", counting_mul)
     assert presentations_match(parsed.graph, covered).ok
-    assert calls == 113
+    assert calls == 90
 
 
 def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch):
@@ -416,10 +433,85 @@ def test_missing_arrow_matches_the_pairwise_oracle(ex2, monkeypatch):
     assert any(p.endswith("use a missing arrow") for p in report.problems)
 
 
-def test_loop_family_is_checked_once_per_route(monkeypatch, tmp_path, capsys):
-    """Eight legs give the loop edge 2^8 routes at each end and 2^16 pairs."""
+def adding(to, what):
+    """An arrow-dictionary edit that adds the element of arrow ``what`` to
+    arrow ``to``, each given as (h, source copy, target copy)."""
+
+    def change(arrows, q):
+        arrows[q.arrow(*to)] = vec_add(arrows[q.arrow(*to)], arrows[q.arrow(*what)])
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, rule_five_holds, listed, count",
+    [
+        (adding(("1+", None, None), ("1+", None, None)), True, True, 5),
+        (adding(("3", 1, 1), ("3", 1, 1)), False, True, 6),
+        (adding(("1-", None, 0), ("1-", None, 1)), True, True, 2),
+        (adding(("1+", None, None), ("1-", None, 0)), True, False, 2),
+    ],
+    ids=["1+ doubled", "3 copy doubled", "1- copies added", "1- added to 1+"],
+)
+def test_a_fault_is_reported_as_the_pairwise_oracle(
+    ex2, monkeypatch, change, rule_five_holds, listed, count
+):
+    """Doubling the arrow at 1+ (edge 1 to 4) keeps every rule-(V) relation
+    of ex2 and breaks rule (I): the proof from rule (V) fails at the family.
+    Doubling a copy of the arrow at 3 breaks rule (V) itself.  Adding the
+    arrow at 1- into copy 1 of edge 3 to the one into copy 0 keeps rule (V)
+    and breaks two relations of rule (IV).  In these three the check lists
+    every route once, in one special-cycle table.  Adding the arrow at 1-
+    into copy 0 of edge 3 to the arrow at 1+ breaks two crossings (rule
+    III) and nothing else: the proof goes through, and the check names them
+    without listing a route.  Each report is the pairwise check's."""
+    tables = []
+    special_cycle_table = models._special_cycle_table
+
+    def recording(graph):
+        tables.append(graph)
+        return special_cycle_table(graph)
+
+    monkeypatch.setattr(models, "_special_cycle_table", recording)
+    report, oracle, perturbed = match_with_arrows(monkeypatch, ex2, change)
+    broken = [
+        rel for rel in _two_route_relations(ex2) if uncached_relation(perturbed, rel)
+    ]
+    assert bool(broken) != rule_five_holds
+    assert tables == ([ex2] if listed else [])
+    assert not report.ok
+    assert report.problems == oracle
+    assert len(report.problems) == count
+
+
+def test_the_proved_check_lists_no_routes(monkeypatch):
+    """On the eight-leg loop and on every skew golden graph every rule-(V)
+    relation vanishes, so the check proves the relations indexed by routes
+    from one route per quiver vertex and builds no special-cycle table."""
+
+    def unreachable(*args):
+        raise AssertionError("listed the routes of a special cycle")
+
+    monkeypatch.setattr(models, "_special_cycle_table", unreachable)
+    cases = [("loop", skew_leg_loop(8), None)]
+    for path in sorted(GOLDEN.glob("*.bg")):
+        parsed = parse(path.read_text(encoding="utf-8"))
+        if parsed.graph.is_skew:
+            cases.append((path.stem, parsed.graph, parsed.grading))
+    assert [name for name, _, _ in cases] == ["loop", "ex2-m1", "ex2", "skew-1", "skew-3"]
+    for name, graph, grading in cases:
+        covered = cover(GradedGraph(graph, grading or zero_grading(graph)))
+        report = presentations_match(graph, covered)
+        assert report.ok, (name, report.problems[:2])
+
+
+def test_loop_family_is_checked_once_per_end(monkeypatch, tmp_path, capsys):
+    """Eight legs give the loop edge 2^8 routes at each end and 2^16 pairs;
+    rule (V) makes the routes at an end one value, so the check evaluates
+    one route power per end."""
     graph = skew_leg_loop(8, multiplicity=2)
-    powers = {route * 2 for h in ("a", "b") for route in special_cycles(graph, h)}
+    routes = {h: special_cycles(graph, h) for h in ("a", "b")}
+    powers = {route * 2 for h in ("a", "b") for route in routes[h]}
     assert len(powers) == 2 ** 8 + 2 ** 8
     evaluated = []
     scaled_path = models.GraphAlgebraModel.scaled_path
@@ -432,7 +524,7 @@ def test_loop_family_is_checked_once_per_route(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(models.GraphAlgebraModel, "scaled_path", counting)
     report = presentations_match(graph, cover(GradedGraph(graph, zero_grading(graph))))
     assert report.ok, report.problems[:2]
-    assert 0 < len(evaluated) <= 2 ** 8 + 2 ** 8
+    assert evaluated == [routes["a"][0] * 2, routes["b"][0] * 2]
 
     path = tmp_path / "loop.bg"
     path.write_text(emit(graph), encoding="utf-8")

@@ -73,6 +73,8 @@ MAX_ROUND_TRIP_EXAMPLES = 60
 # MAX_MUTATION_DIM and run in about a second each.
 MAX_MUTATION_EXAMPLES = 60
 MAX_MUTATION_DIM = 80
+# The covering-invariants property runs in about a second.
+MAX_COVER_INVARIANT_EXAMPLES = 250
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -148,6 +150,19 @@ def test_move_verdict_holds(drawn):
     if not graph.is_skew:
         moved = move_set(graded, subset)
         assert oz_invariants(moved.graph) == oz_invariants(graph)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=MAX_COVER_INVARIANT_EXAMPLES)
+@given(graphs_with_subsets())
+def test_a_skew_move_keeps_the_covering_invariants(drawn):
+    """A move across skew legs can change the base graph's invariants
+    (``test_skew_moves_can_flip_bipartiteness``), but its covering is an
+    ordinary graph, and the move keeps every derived invariant of that."""
+    graph, subset = drawn
+    assume(graph.is_skew)
+    graded = GradedGraph(graph, default_grading(graph, subset))
+    moved = move_set(graded, subset)
+    assert oz_invariants(cover(graded).total) == oz_invariants(cover(moved).total)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
