@@ -234,19 +234,17 @@ def bga_dimension_formula(graph: BrauerGraph) -> int:
 
 
 class GroupActionTable(NamedTuple):
-    """A monomial action of a cyclic group generator on a table's basis."""
+    """A cyclic group generator g acting on a table's basis by a permutation:
+    g . b is the basis element images[b]."""
 
     order: int
-    scalars: tuple[int | Fraction, ...]
     images: tuple[int, ...]
 
-    def apply(self, power: int, index: int) -> tuple[int | Fraction, int]:
-        power %= self.order
-        scalar = ONE
-        for _ in range(power):
-            scalar *= self.scalars[index]
+    def apply(self, power: int, index: int) -> int:
+        """The index of g^power . b for b = ``index``."""
+        for _ in range(power % self.order):
             index = self.images[index]
-        return scalar, index
+        return index
 
 
 def _not_multiplicative(source: AlgebraTable, a: int, b: int) -> str:
@@ -256,17 +254,16 @@ def _not_multiplicative(source: AlgebraTable, a: int, b: int) -> str:
 def monomial_isomorphism_violations(
     source: AlgebraTable,
     target: AlgebraTable,
-    scalars: Sequence[int | Fraction],
     images: Sequence[int],
 ) -> str | None:
-    """Why b -> scalars[b] * images[b] is not an algebra isomorphism from
-    ``source`` onto ``target``; None when it is.
+    """Why b -> images[b] is not an algebra isomorphism from ``source`` onto
+    ``target``; None when it is.
 
     Precondition: both tables are associative and obey the unit law (the
-    test suite's ``check_table`` tests both).  The map must send the source basis
-    bijectively onto the target basis with nonzero scalars, and each
-    idempotent to an idempotent with scalar 1; pi is the permutation it
-    makes of the idempotent positions.  An answer of None is then a proof:
+    test suite's ``check_table`` tests both).  The map must send the source
+    basis bijectively onto the target basis, and each idempotent to an
+    idempotent; pi is the permutation it makes of the idempotent positions.
+    An answer of None is then a proof:
 
     (a) src(phi b) = pi(src b) and tgt(phi b) = pi(tgt b) for every basis
         element b, so a product that is zero because its corners do not
@@ -275,11 +272,9 @@ def monomial_isomorphism_violations(
         a a generator (``source.generators``), reaches every basis element,
         else "generators do not span";
     (c) phi(a b) = phi(a) phi(b) for every generator a and every basis
-        element b with tgt b = src a, checked as the search reaches b.
-        phi permutes the basis, so phi(a b) has one term on images[k] for
-        each term on k of a b: the check compares the term counts of a b
-        and phi(a) phi(b), then each term of a b, moved by phi, with the
-        term of phi(a) phi(b) on its image.
+        element b with tgt b = src a, checked as the search reaches b:
+        phi permutes the basis, so phi(a b) is a b with each term moved
+        from k to images[k], and it must equal phi(a) phi(b).
 
     By (b) every basis element is a multiple of a_k ... a_1 e with
     generators a_i and an idempotent e; phi(e y) = phi(e) phi(y) by (a) and
@@ -291,42 +286,34 @@ def monomial_isomorphism_violations(
     """
     if len(images) != source.dim or sorted(images) != list(range(target.dim)):
         return "map images do not permute the basis"
-    if not all(scalars):
-        return "map has a zero scalar"
     position_of = {index: q for q, (_, index) in enumerate(target.idempotents)}
     if len(source.idempotents) != len(position_of):
         return "map does not permute the idempotents"
     pi = []
     for label, index in source.idempotents:
-        if scalars[index] != ONE or images[index] not in position_of:
-            return f"map sends idempotent {label} to no idempotent with scalar 1"
+        if images[index] not in position_of:
+            return f"map sends idempotent {label} to no idempotent"
         pi.append(position_of[images[index]])
     src, tgt = source.src, source.tgt
     for b, image in enumerate(images):
         if (target.src[image], target.tgt[image]) != (pi[src[b]], pi[tgt[b]]):
             return f"map does not move the corner of {source.labels[b]} by pi"
     idempotent_indices = {index for _, index in source.idempotents}
-    # (a, phi a, s_a) for each generator a, by the corner of its source
-    by_source: dict[int, list[tuple[int, int, int | Fraction]]] = {}
+    # (a, phi a) for each generator a, by the corner of its source
+    by_source: dict[int, list[tuple[int, int]]] = {}
     for a in source.generator_indices():
-        by_source.setdefault(src[a], []).append((a, images[a], scalars[a]))
+        by_source.setdefault(src[a], []).append((a, images[a]))
     product, image_product = source._product_fn, target._product_fn
     reached = set(idempotent_indices)
     frontier = sorted(reached)
     while frontier:
         b = frontier.pop()
-        sb, phi_b = scalars[b], images[b]
-        for a, phi_a, sa in by_source.get(tgt[b], ()):
+        phi_b = images[b]
+        for a, phi_a in by_source.get(tgt[b], ()):
             ab = product(a, b)
-            image = image_product(phi_a, phi_b)
-            # (c), term by term
-            s = sa * sb
-            if len(ab) != len(image):
+            # (c)
+            if {images[k]: c for k, c in ab.items()} != image_product(phi_a, phi_b):
                 return _not_multiplicative(source, a, b)
-            for k, c in ab.items():
-                d = image.get(images[k])
-                if d is None or scalars[k] * c != s * d:
-                    return _not_multiplicative(source, a, b)
             if len(ab) == 1:
                 (c,) = ab
                 if c not in reached:
@@ -342,37 +329,31 @@ def action_violations(table: AlgebraTable, act: GroupActionTable) -> list[str]:
 
     That g is an automorphism is ``monomial_isomorphism_violations`` with
     ``table`` as source and target.  g^order = 1 is read off the cycles of
-    the image permutation in one pass: on a cycle of length L whose scalars
-    multiply to c, g^order is c^(order / L) times the identity when L
-    divides the order, and moves every element of the cycle otherwise.  A
+    the image permutation in one pass: g^order fixes a cycle of length L
+    when L divides the order, and moves every element of it otherwise.  A
     failure names the least basis element of the least failing cycle, which
     is the least b with g^order . b != b.
     """
-    why = monomial_isomorphism_violations(table, table, act.scalars, act.images)
+    why = monomial_isomorphism_violations(table, table, act.images)
     if why is not None:
         return [why]
     seen = [False] * table.dim
     for b in range(table.dim):
         if seen[b]:
             continue
-        length, c, x = 0, ONE, b
+        length, x = 0, b
         while not seen[x]:
             seen[x] = True
-            c *= act.scalars[x]
             x = act.images[x]
             length += 1
-        if act.order % length or c ** (act.order // length) != ONE:
+        if act.order % length:
             return [f"action order is not {act.order} at {table.labels[b]}"]
     return []
 
 
 def idempotent_permutation(table: AlgebraTable, act: GroupActionTable) -> list[int]:
     position_of = {index: p for p, (_, index) in enumerate(table.idempotents)}
-    out = []
-    for _, index in table.idempotents:
-        _, image = act.apply(1, index)
-        out.append(position_of[image])
-    return out
+    return [position_of[act.images[index]] for _, index in table.idempotents]
 
 
 def skew_group_table(table: AlgebraTable, act: GroupActionTable) -> AlgebraTable:
@@ -404,12 +385,9 @@ def skew_group_table(table: AlgebraTable, act: GroupActionTable) -> AlgebraTable
     def product(i: int, j: int) -> Element:
         k, b = divmod(i, dim)
         l, c = divmod(j, dim)
-        scalar, c2 = act.apply(k, c)
-        sheet = (k + l) % n
-        return {
-            sheet * dim + d: scalar * coeff
-            for d, coeff in table.pairwise(b, c2).items()
-        }
+        sheet = (k + l) % n * dim
+        bc = table.pairwise(b, act.apply(k, c))
+        return {sheet + d: coeff for d, coeff in bc.items()}
 
     skew = AlgebraTable(labels, src, tgt, table.idempotents, product)
     # A's generators on sheet 0 and e (x) g at each idempotent e: the search
@@ -455,16 +433,15 @@ def orbit_truncation(
 ) -> OrbitTruncation:
     """f (A#G) f on the orbit basis, without building the skew group table.
 
-    ``table`` is A, ``act`` a monomial action of G = <g> on its basis and
+    ``table`` is A, ``act`` an action of G = <g> permuting its basis and
     ``chosen`` orthogonal idempotents of A#G with sum f, where index
     k * table.dim + b is b (x) g^k as in ``skew_group_table``.  Products in
     A#G are taken from ``table`` and ``act`` directly.
 
-    Multiplying by g on either side moves basis keys of A#G to basis keys,
-    up to a scalar.  So f_p (b (x) g^k) f_q lies on the G x G-orbit of
-    (b, k) under those moves, and for the sheet-zero idempotents of a
-    covering the keys of one orbit give multiples (some zero) of one
-    element.  The (p, q) corner's basis is one nonzero such element per
+    Multiplying by g on either side moves basis keys of A#G to basis keys.
+    So f_p (b (x) g^k) f_q lies on the G x G-orbit of (b, k) under those
+    moves, and for the sheet-zero idempotents of a covering the keys of one
+    orbit give multiples (some zero) of one element.  The (p, q) corner's basis is one nonzero such element per
     orbit, admitted in the order of the generic corner sweep (the
     idempotents, then by ambient index; the test suite's ``truncate`` is
     that sweep); its elements have disjoint supports, so an element of
@@ -477,11 +454,10 @@ def orbit_truncation(
     does not span, a product that leaves the truncation and two orbit
     elements that overlap in a corner raise ``ValueError``.
 
-    A compression takes no product in A.  Write g^i . c = s_i(c) g^i c for
-    a basis element c.  By the precondition below every chosen F is a
-    combination of keys e (x) g^i with e an idempotent, so
+    A compression takes no product in A.  By the precondition below every
+    chosen F is a combination of keys e (x) g^i with e an idempotent, so
 
-        F_p (c (x) g^l) F_q = sum a b s_i(c) (g^i c) (x) g^(i+l+j)
+        F_p (c (x) g^l) F_q = sum a b (g^i c) (x) g^(i+l+j)
 
     over the terms a (e (x) g^i) of F_p and b (e' (x) g^j) of F_q with
     tgt(g^i c) = e and src(g^i c) = tgt(g^(i+l) e'); ``compress`` sums
@@ -489,8 +465,8 @@ def orbit_truncation(
     e b = b when tgt b = e, and b e = b when src b = e, for every basis
     element b and each idempotent e of A sitting in its own corner.  That
     is checked at entry with one product per side of each b (else
-    ``ValueError``); that g sends idempotents to idempotents with scalar 1
-    is part of the action proof.
+    ``ValueError``); that g sends idempotents to idempotents is part of the
+    action proof.
 
     The sweep compresses a key only when no earlier compression has it in
     its support.  This rests on a precondition, checked at entry (else
@@ -503,12 +479,11 @@ def orbit_truncation(
     sheet-0 F is orthogonal to F only when no idempotent carries both.
 
     Lemma: let y be a key in the support of F_p x F_q for an earlier key x.
-    Then every nonzero F_p' y F_q' is a multiple of F_p' x F_q' (by +-1 for
-    unit action scalars), which x's turn already admitted or found in the
-    span, so skipping y changes nothing.  Proof: F_p and F_q move a key only
-    by the powers of 1 (x) g that are sheets of their keys, so
-    y = c (1 (x) g)^i x (1 (x) g)^j with i = 0 when F_p lies in sheet 0 and
-    j = 0 when F_q does.  Left side: if F_p' is g-stable,
+    Then every nonzero F_p' y F_q' is +-F_p' x F_q', which x's turn already
+    admitted or found in the span, so skipping y changes nothing.  Proof:
+    F_p and F_q move a key only by the powers of 1 (x) g that are sheets of
+    their keys, so y = (1 (x) g)^i x (1 (x) g)^j with i = 0 when F_p lies in
+    sheet 0 and j = 0 when F_q does.  Left side: if F_p' is g-stable,
     F_p' (1 (x) g)^i = +-F_p'.  If F_p' lies in sheet 0 and i != 0, then
     F_p is g-stable and the target of y is an idempotent carrying F_p,
     which no sheet-0 F carries, so F_p' y = 0.  The right side is the same,
@@ -524,11 +499,10 @@ def orbit_truncation(
     b_k, and f_p x f_q = sum (a_k / d_q) b_k when F_p x F_q = sum a_k U_k.
     Since F_q F_q = d_q F_q, U_i U_j = d_q F_p (x F_q y) F_r for the keys of
     U_i = F_p x F_q and U_j = F_q y F_r: d_q times an integer combination of
-    key compressions.  With unit action scalars, as for the sheet shift of a
-    covering, a key compression is +-U_k (the lemma), so every structure
-    constant a_k / d_q is an integer; the test suite pins them to +-1 on its
-    covers.  The scale d_p d_q, that of f_p (b (x) g^k) f_q, would leave the
-    products through a skew leg's idempotent at +-1/2.
+    key compressions.  A key compression is +-U_k (the lemma), so every
+    structure constant a_k / d_q is an integer; the test suite pins them to
+    +-1 on its covers.  The scale d_p d_q, that of f_p (b (x) g^k) f_q,
+    would leave the products through a skew leg's idempotent at +-1/2.
     """
     problems = action_violations(table, act)
     if problems:
@@ -545,10 +519,10 @@ def orbit_truncation(
     for b in range(dim):
         if product_fn(at[tgt[b]], b) != {b: ONE} or product_fn(b, at[src[b]]) != {b: ONE}:
             raise ValueError(f"unit law fails on {table.labels[b]}")
-    # moved[k][c] = (s, c') where g^k . c = s c'
-    moved = [[(ONE, c) for c in range(dim)]]
+    # moved[k][c] = g^k . c
+    moved = [list(range(dim))]
     for _ in range(1, n):
-        moved.append([(s * act.scalars[c], act.images[c]) for s, c in moved[-1]])
+        moved.append([act.images[c] for c in moved[-1]])
 
     def mul(x: Element, y: Element) -> Element:
         """(b (x) g^k)(c (x) g^l) = b (g^k . c) (x) g^(k+l)."""
@@ -559,11 +533,11 @@ def orbit_truncation(
             k, b = divmod(i, dim)
             moved_k, src_b = moved[k], src[b]
             for l, c, cj in right:
-                scalar, c = moved_k[c]
+                c = moved_k[c]
                 if tgt[c] != src_b:
                     continue
                 sheet = (k + l) % n * dim
-                coeff = ci * cj * scalar
+                coeff = ci * cj
                 bc = memo.get((b, c))
                 if bc is None:
                     bc = table.pairwise(b, c)
@@ -595,7 +569,7 @@ def orbit_truncation(
             p
             for key in form
             for i in range(n)
-            for p, _, _ in lefts[i][tgt[moved[i][key % dim][1]]]
+            for p, _, _ in lefts[i][tgt[moved[i][key % dim]]]
         }
         for a in sorted(partners):
             if a != b and mul(forms[a][0], form):
@@ -615,8 +589,8 @@ def orbit_truncation(
             raise ValueError(f"chosen element {label!r} is not a sum over idempotents")
         if all(key < dim for key in form):
             continue
-        right_g = {dim + moved[-(key // dim) % n][key % dim][1]: ONE for key in form}
-        left_g = {dim + moved[1][key % dim][1]: ONE for key in form}
+        right_g = {dim + moved[-(key // dim) % n][key % dim]: ONE for key in form}
+        left_g = {dim + moved[1][key % dim]: ONE for key in form}
         for side in (mul(form, right_g), mul(left_g, form)):
             if side != form and side != vec_scale(form, -1):
                 raise ValueError(
@@ -632,16 +606,15 @@ def orbit_truncation(
         for key, b in form.items():
             j, e = divmod(key, dim)
             for m in range(n):
-                rights[m][tgt[moved[m][e][1]]].append((q, (m + j) % n * dim, b))
+                rights[m][tgt[moved[m][e]]].append((q, (m + j) % n * dim, b))
 
     # The terms of the F_p that meet c (x) g^l on their right, for each basis
-    # element c of A: (p, u, a s_i(c), i, g^i c, src g^i c), ascending in
-    # (p, u).
+    # element c of A: (p, u, a, i, g^i c, src g^i c), ascending in (p, u).
     left_hits: list[list[tuple]] = [[] for _ in range(dim)]
     for i, (lefts_i, moved_i) in enumerate(zip(lefts, moved)):
-        for c, (s, c_i) in enumerate(moved_i):
+        for c, c_i in enumerate(moved_i):
             for p, u, a in lefts_i[tgt[c_i]]:
-                left_hits[c].append((p, u, a * s, i, c_i, src[c_i]))
+                left_hits[c].append((p, u, a, i, c_i, src[c_i]))
     for hits in left_hits:
         hits.sort()
 
@@ -827,15 +800,9 @@ def trivial_extension(table: AlgebraTable) -> AlgebraTable:
 def extend_action_to_trivial_extension(
     table: AlgebraTable, act: GroupActionTable
 ) -> GroupActionTable:
-    """g . dual(b) = (1/s) dual(b') where g . b = s b'."""
+    """g . dual(b) = dual(g . b)."""
     dim = table.dim
-    scalars = list(act.scalars)
-    images = list(act.images)
-    for b in range(dim):
-        s, b2 = act.apply(1, b)
-        scalars.append(_quotient(ONE, s))
-        images.append(dim + b2)
-    return GroupActionTable(act.order, tuple(scalars), tuple(images))
+    return GroupActionTable(act.order, (*act.images, *(dim + b for b in act.images)))
 
 
 def trivial_extension_iso_report(
@@ -843,21 +810,18 @@ def trivial_extension_iso_report(
 ) -> tuple[bool, str | None]:
     """Verify Triv(A G) ~ Triv(A) G via the explicit basis-wise map
 
-        b (x) g^k -> b (x) g^k,  dual(b (x) g^k) -> (1/s) dual(b') (x) g^-k
+        b (x) g^k -> b (x) g^k,  dual(b (x) g^k) -> dual(g^-k . b) (x) g^-k
 
-    where g^-k . b = s b', by ``monomial_isomorphism_violations``.
+    by ``monomial_isomorphism_violations``.
     """
     lhs = trivial_extension(skew_group_table(table, act))
     rhs = skew_group_table(
         trivial_extension(table), extend_action_to_trivial_extension(table, act)
     )
     n, dim = act.order, table.dim
-    scalars: list[int | Fraction] = [ONE] * (n * dim)
     images = [k * 2 * dim + b for k in range(n) for b in range(dim)]
     for k in range(n):
         for b in range(dim):
-            s, b_prime = act.apply(-k, b)
-            scalars.append(_quotient(ONE, s))
-            images.append((-k) % n * 2 * dim + dim + b_prime)
-    why = monomial_isomorphism_violations(lhs, rhs, scalars, images)
+            images.append((-k) % n * 2 * dim + dim + act.apply(-k, b))
+    why = monomial_isomorphism_violations(lhs, rhs, images)
     return why is None, why

@@ -11,9 +11,12 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .permutations import Permutation
+
+if TYPE_CHECKING:
+    from .presentation import Quiver
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,14 @@ class BrauerGraph:
 
     def sigma_orbit_of(self, h: str) -> tuple[str, ...]:
         return self.orientation.orbit(h)
+
+    @cached_property
+    def quiver(self) -> Quiver:
+        """The quiver of the graph (``presentation.quiver``), built once per
+        graph object."""
+        from .presentation import _build_quiver
+
+        return _build_quiver(self)
 
     @cached_property
     def m_bar(self) -> int:

@@ -45,6 +45,7 @@ coordinates, with no matrix of algebra elements formed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .algebra import AlgebraTable, Element, ONE
@@ -558,14 +559,11 @@ def end_table(
 
     # Class j as the right factor, grouped by (tag, target index): the entries
     # that the left factor's (tag, source index) entries compose with.
-    by_row: dict[int, dict] = {}
-
+    @cache
     def rows_of(j: int) -> dict:
-        rows = by_row.get(j)
-        if rows is None:
-            rows = by_row[j] = {}
-            for (tag, t, s, b), c in vectors[j].items():
-                rows.setdefault((tag, t), []).append((s, b, c))
+        rows: dict = {}
+        for (tag, t, s, b), c in vectors[j].items():
+            rows.setdefault((tag, t), []).append((s, b, c))
         return rows
 
     def product(i: int, j: int) -> Element:

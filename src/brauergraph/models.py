@@ -311,7 +311,7 @@ def sheet_shift_action(
         else index_of[k[0], shift_edge[k[1]]]
         for k in keys
     )
-    return GroupActionTable(covered.group_order, tuple(ONE for _ in keys), images)
+    return GroupActionTable(covered.group_order, images)
 
 
 def truncation_idempotents(
@@ -734,10 +734,7 @@ def cut_cover_table(
     for path in paths:
         shifted = tuple(shift_arrow(a) for a in path)
         images.append(index_of[shifted])
-    action = GroupActionTable(
-        covered.group_order, tuple(ONE for _ in range(table.dim)), tuple(images)
-    )
-    return table, action, cut_presentation
+    return table, GroupActionTable(covered.group_order, tuple(images)), cut_presentation
 
 
 def cut_model_table(graph: BrauerGraph, delta: frozenset[str]) -> AlgebraTable:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import BrauerGraph, edge_name
@@ -137,9 +137,14 @@ class Presentation:
         return tuple(_listed(self.families, self.other_relations))
 
 
-# Cached per graph: relation builders and walk expansion read its arrow index.
-@lru_cache(maxsize=16)
 def quiver(graph: BrauerGraph) -> Quiver:
+    """The quiver of ``graph``, built once per graph object
+    (``BrauerGraph.quiver``): relation builders and walk expansion read its
+    arrow index."""
+    return graph.quiver
+
+
+def _build_quiver(graph: BrauerGraph) -> Quiver:
     vertices: list[QVertex] = []
     for edge in graph.edges:
         name = edge_name(graph, edge[0])
@@ -297,14 +302,7 @@ MAX_RELATION_PAIRS = 1 << 12
 
 def _special_cycle_table(graph: BrauerGraph) -> Callable[..., list[Path]]:
     """``special_cycles`` of ``graph``, each built once per (h, index)."""
-    cycles: dict[tuple[str, int | None], list[Path]] = {}
-
-    def cycles_at(h: str, i: int | None = None) -> list[Path]:
-        if (h, i) not in cycles:
-            cycles[h, i] = special_cycles(graph, h, i)
-        return cycles[h, i]
-
-    return cycles_at
+    return cache(partial(special_cycles, graph))
 
 
 def _rule_one_edges(graph: BrauerGraph) -> list[tuple[str, str]]:
@@ -336,8 +334,10 @@ def _power_families(
                 other,
                 2 ** (n_cross(graph, h) * m_h),
                 2 ** (n_cross(graph, other) * m_o),
-                tuple(route * m_h for route in cycles_at(h)),
-                tuple(route * m_o for route in cycles_at(other)),
+                # the key (h, None) of the other rules, so that a cached
+                # ``cycles_at`` builds each cycle once
+                tuple(route * m_h for route in cycles_at(h, None)),
+                tuple(route * m_o for route in cycles_at(other, None)),
             )
         )
     return out

@@ -443,3 +443,22 @@ def determinant(matrix: list[list[int]]) -> Fraction:
 
 def cartan_determinant(table: AlgebraTable) -> int:
     return int(determinant([[int(x) for x in row] for row in table.cartan()]))
+
+
+def with_negated_basis(table: AlgebraTable, negated: set[int]) -> AlgebraTable:
+    """``table`` on its basis with each b in ``negated`` replaced by -b, an
+    isomorphic algebra: a product changes sign once per negated factor and
+    once per negated term.  A basis permutation that is an automorphism of
+    ``table`` seldom is one from this table, which is how the tests seed a
+    sign fault."""
+
+    def sign(k: int) -> int:
+        return -1 if k in negated else 1
+
+    def product(i: int, j: int) -> Element:
+        s = sign(i) * sign(j)
+        return {k: s * sign(k) * c for k, c in table.pairwise(i, j).items()}
+
+    out = AlgebraTable(table.labels, table.src, table.tgt, table.idempotents, product)
+    out.generators = table.generators
+    return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,28 @@ def test_unused_imports_are_found():
 )
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_package_imports_the_standard_library_only():
+    """README and ``pyproject.toml`` (``dependencies = []``) promise a
+    package that needs nothing past the standard library: every import in
+    it, at module level or not, is of the package itself or of a standard
+    library module."""
+    allowed = {*sys.stdlib_module_names, "brauergraph"}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert outside == []
 
 
 def test_models_keep_the_generic_skew_group_route_out():

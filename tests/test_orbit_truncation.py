@@ -43,7 +43,13 @@ from brauergraph.models import (
 )
 from brauergraph.presentation import quiver, relations
 
-from conftest import left_nested, mul_compressions, table_corner_sum, truncate
+from conftest import (
+    left_nested,
+    mul_compressions,
+    table_corner_sum,
+    truncate,
+    with_negated_basis,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Skew graphs per n_half.  The cap on the cover's dimension, and
@@ -395,19 +401,21 @@ def test_the_dimension_count_is_the_table_route(case):
 def test_truncation_model_rejects_a_non_multiplicative_action(
     ex2_multiplicity_one, monkeypatch
 ):
-    """Negating the arrows at one half-edge keeps an order-two permutation of
-    the basis that fixes the idempotents, but breaks products through it."""
+    """Swapping the images of w[2_0:2] and w[2_1:2], which the sheet shift
+    exchanges, keeps an order-two permutation of the basis that moves the
+    idempotents and the corners as the shift does, but breaks products
+    through them."""
     from brauergraph import models
 
     true_action = models.sheet_shift_action
 
     def broken(covered, keys, index_of):
         action = true_action(covered, keys, index_of)
-        arrows = {("w", "1+_0", 1), ("w", "1+_1", 1)}
-        flipped = {index_of[k] for k in keys if k in arrows}
-        assert len(flipped) == 2
-        scalars = tuple(-s if b in flipped else s for b, s in enumerate(action.scalars))
-        return GroupActionTable(action.order, scalars, action.images)
+        a, b = index_of["w", "2_0", 2], index_of["w", "2_1", 2]
+        images = list(action.images)
+        assert (images[a], images[b]) == (b, a)
+        images[a], images[b] = a, b
+        return GroupActionTable(action.order, tuple(images))
 
     monkeypatch.setattr(models, "sheet_shift_action", broken)
     graph = ex2_multiplicity_one
@@ -417,29 +425,26 @@ def test_truncation_model_rejects_a_non_multiplicative_action(
 
 @pytest.mark.parametrize("seed", [1, 3])
 def test_a_negated_socle_action_is_rejected(seed, monkeypatch):
-    """Negating the socle elements of cover edge 10+_0 and of its shift image
-    keeps an order-two permutation of the basis that fixes the idempotents
-    and the corners; only the products that land in those socles break, and
-    a check of sampled pairs passed it on these covers (dimensions 544 and
-    464)."""
+    """With the socle element of cover edge 10+_0 negated in the covering's
+    table, the sheet shift is no automorphism: only the products that land
+    in that socle or in its shift image break, and a check of sampled pairs
+    passed it on these covers (dimensions 544 and 464)."""
     from brauergraph import models
 
-    true_action = models.sheet_shift_action
+    true_table = models.bga_table_with_keys
 
-    def negated(covered, keys, index_of):
-        action = true_action(covered, keys, index_of)
-        socles = {index_of["z", e] for e in ("10+_0", covered.shift_edge("10+_0"))}
-        assert len(socles) == 2
-        scalars = tuple(-s if b in socles else s for b, s in enumerate(action.scalars))
-        return GroupActionTable(action.order, scalars, action.images)
+    def negated(graph):
+        table, keys, index_of = true_table(graph)
+        return with_negated_basis(table, {index_of["z", "10+_0"]}), keys, index_of
 
     graph = gen_random(seed, n_half=16, allow_skew=True)
     covered = cover(GradedGraph(graph, zero_grading(graph)))
-    bd, keys, index_of = bga_table_with_keys(covered.total)
-    assert action_violations(bd, true_action(covered, keys, index_of)) == []
-    problems = action_violations(bd, negated(covered, keys, index_of))
+    bd, keys, index_of = true_table(covered.total)
+    shift = sheet_shift_action(covered, keys, index_of)
+    assert action_violations(bd, shift) == []
+    problems = action_violations(negated(covered.total)[0], shift)
     assert len(problems) == 1 and "not multiplicative" in problems[0]
-    monkeypatch.setattr(models, "sheet_shift_action", negated)
+    monkeypatch.setattr(models, "bga_table_with_keys", negated)
     with pytest.raises(ValueError, match="not multiplicative"):
         truncation_model(covered)
 
@@ -468,28 +473,23 @@ def test_generators_that_do_not_span_are_reported(ex2_graded):
     [
         ("two arrows to one key", "map images do not permute the basis"),
         ("an idempotent to an arrow", "map sends idempotent {} to no idempotent"),
-        ("a zero scalar", "map has a zero scalar"),
     ],
 )
 def test_a_map_that_is_no_bijection_of_bases_is_refused(ex2_graded, breakage, why):
     """Before any product, the proof refuses a map that does not permute
-    the basis with nonzero scalars and the idempotents among themselves."""
+    the basis and the idempotents among themselves."""
     covered = cover(ex2_graded)
     bd, keys, index_of = bga_table_with_keys(covered.total)
     action = sheet_shift_action(covered, keys, index_of)
-    scalars, images = list(action.scalars), list(action.images)
-    assert monomial_isomorphism_violations(bd, bd, scalars, images) is None
+    images = list(action.images)
+    assert monomial_isomorphism_violations(bd, bd, images) is None
     a, b = bd.generators[:2]
     label, e = bd.idempotents[0]
     if breakage == "two arrows to one key":
         images[b] = images[a]
-    elif breakage == "an idempotent to an arrow":
-        images[e], images[a] = images[a], images[e]
     else:
-        scalars[a] = 0
-    assert monomial_isomorphism_violations(bd, bd, scalars, images).startswith(
-        why.format(label)
-    )
+        images[e], images[a] = images[a], images[e]
+    assert monomial_isomorphism_violations(bd, bd, images).startswith(why.format(label))
 
 
 def test_orbit_truncation_checks_the_sweep_precondition(ex2_graded):
@@ -546,26 +546,14 @@ def test_orbit_truncation_checks_the_unit_law(ex2_graded):
         orbit_truncation(broken, action, chosen)
 
 
-def dual_numbers():
-    """k[x]/(x^2) with the generator x."""
-    def product(i, j):
-        if i == 0 or j == 0:
-            return {i + j: ONE}
-        return {}
-
-    table = AlgebraTable(["e", "x"], [0, 0], [0, 0], [("e", 0)], product)
-    table.generators = (1,)
-    return table
-
-
 def least_unmoved_failure(act, order):
     """The least b with g^order . b != b, g applied ``order`` times (no
     reduction of the power), or None."""
     for b in range(len(act.images)):
-        scalar, image = ONE, b
+        image = b
         for _ in range(order):
-            scalar, image = scalar * act.scalars[image], act.images[image]
-        if (scalar, image) != (ONE, b):
+            image = act.images[image]
+        if image != b:
             return b
     return None
 
@@ -574,16 +562,14 @@ def least_unmoved_failure(act, order):
 def test_the_action_order_is_checked(order):
     """The skew-3.bg sheet shift is an involution: declared with order 1 or
     3 it is refused, with the least basis element g^order moves, by the
-    proof and by both builders that run it; orders 2 and 4 pass.  x -> -x
-    on the dual numbers moves no basis element, and its scalar -1 gives
-    the same verdicts."""
+    proof and by both builders that run it; orders 2 and 4 pass."""
     parsed = parse((GOLDEN / "skew-3.bg").read_text(encoding="utf-8"))
     graph = parsed.graph
     covered = cover(GradedGraph(graph, parsed.grading or zero_grading(graph)))
     bd, keys, index_of = bga_table_with_keys(covered.total)
     shift = sheet_shift_action(covered, keys, index_of)
     assert shift.order == 2
-    act = GroupActionTable(order, shift.scalars, shift.images)
+    act = GroupActionTable(order, shift.images)
     failing = least_unmoved_failure(act, order)
     assert (failing is None) == (order % 2 == 0)
     chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
@@ -596,37 +582,27 @@ def test_the_action_order_is_checked(order):
             skew_group_table(bd, act)
         with pytest.raises(ValueError, match=re.escape(why)):
             orbit_truncation(bd, act, chosen)
-    dual = dual_numbers()
-    negate = GroupActionTable(order, (ONE, -1), (0, 1))
-    expected = [] if order % 2 == 0 else [f"action order is not {order} at x"]
-    assert action_violations(dual, negate) == expected
 
 
-def truncation_with_a_fault(graded, fault, monkeypatch):
-    """``orbit_truncation`` of the sheet shift, with ``fault`` seeded into
-    the action once the action proof has passed: ("negate", key) flips the
-    scalar of a basis key, ("swap", key, key) swaps the images of two."""
+def truncation_with_a_fault(graded, swap, monkeypatch):
+    """``orbit_truncation`` of the sheet shift, with the images of the two
+    basis keys in ``swap`` swapped once the action proof has passed."""
     covered = cover(graded)
     bd, keys, index_of = bga_table_with_keys(covered.total)
     shift = sheet_shift_action(covered, keys, index_of)
-    scalars, images = list(shift.scalars), list(shift.images)
+    images = list(shift.images)
     true_violations = algebra.action_violations
 
     def then_seed_the_fault(table, act):
         problems = true_violations(table, act)
         assert problems == []
-        kind, *where = fault
-        b, *other = [index_of[key] for key in where]
-        if kind == "negate":
-            scalars[b] = -scalars[b]
-        else:
-            images[b], images[other[0]] = images[other[0]], images[b]
+        a, b = (index_of[key] for key in swap)
+        images[a], images[b] = images[b], images[a]
         return problems
 
     monkeypatch.setattr(algebra, "action_violations", then_seed_the_fault)
     chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
-    seeded = GroupActionTable(shift.order, scalars, images)
-    return bd, orbit_truncation(bd, seeded, chosen)
+    return bd, orbit_truncation(bd, GroupActionTable(shift.order, images), chosen)
 
 
 def closure_failures(bd, orbit):
@@ -652,7 +628,7 @@ def test_a_fault_after_the_proof_makes_orbit_elements_overlap(ex2_graded, monkey
     """Swapping the images of w[2_0:3] and z[2_0] after the proof makes the
     sweep meet a compression that shares keys with an admitted basis
     element without being a multiple of it."""
-    fault = ("swap", ("w", "2_0", 3), ("z", "2_0"))
+    fault = (("w", "2_0", 3), ("z", "2_0"))
     why = "orbit elements of corner (1, 1) overlap"
     with pytest.raises(ValueError, match=re.escape(why)):
         truncation_with_a_fault(ex2_graded, fault, monkeypatch)
@@ -661,20 +637,21 @@ def test_a_fault_after_the_proof_makes_orbit_elements_overlap(ex2_graded, monkey
 @pytest.mark.parametrize(
     "key, failures",
     [
-        (("w", "2_0", 2), {"compress", "product"}),
-        (("e", "1+_0"), {"product"}),
-        (("w", "4+_0", 1), set()),
+        ((("w", "1-_0", 1), ("w", "1-_0", 4)), {"compress", "product"}),
+        ((("e", "1+_0"), ("e", "1+_1")), {"product"}),
+        ((("e", "1+_1"), ("e", "4+_1")), set()),
     ],
 )
 def test_a_fault_after_the_proof_fails_the_closure_checks(
     ex2_graded, monkeypatch, key, failures
 ):
-    """With one scalar negated after the proof, the orbit table is still
-    built, but a compression or a product that leaves the span of the orbit
-    basis is refused.  The scalar of w[4+_0:1] enters no nonzero product
-    between the chosen idempotents, so that fault leaves the table and every
-    compression as they are, and nothing is refused."""
-    bd, orbit = truncation_with_a_fault(ex2_graded, ("negate", key), monkeypatch)
+    """With the images of the two basis keys in ``key`` swapped after the
+    proof, the orbit table is still built, but a compression or a product
+    that leaves the span of the orbit basis is refused.  The images of
+    e[1+_1] and e[4+_1] enter no nonzero product between the chosen
+    idempotents, so that fault leaves the table and every compression as
+    they are, and nothing is refused."""
+    bd, orbit = truncation_with_a_fault(ex2_graded, key, monkeypatch)
     why = {
         "compress": "element does not lie in the truncation",
         "product": "truncation is not multiplicatively closed",

@@ -76,6 +76,25 @@ def test_quiver_arrow_reads_the_index(ex1, ex2):
             assert q.arrow(a.h, a.source[1], a.target[1]) is a
 
 
+def test_the_quiver_is_built_once_per_graph_object(monkeypatch):
+    """The quiver is cached on the graph object, not on its value: two equal
+    graphs each build their own, and one graph builds it once however often
+    its relations are asked for."""
+    built = []
+    build = presentation_module._build_quiver
+    monkeypatch.setattr(
+        presentation_module, "_build_quiver", lambda g: built.append(g) or build(g)
+    )
+    first, second = (gen_random(4, n_half=8, allow_skew=True) for _ in range(2))
+    assert first == second and first is not second and first.is_skew
+    relations(first)
+    relations(first)
+    assert quiver(first) is first.quiver
+    assert [g is first for g in built] == [True]
+    assert quiver(second) == quiver(first) and quiver(second) is not quiver(first)
+    assert [g is first for g in built] == [True, False]
+
+
 def test_arrows_compare_sort_and_hash_by_their_fields(ex2):
     """Equality, order, hash and repr of an arrow are those of its three
     fields."""

@@ -53,7 +53,7 @@ from brauergraph.homotopy import (
     mutation_verification,
 )
 from brauergraph.linalg import vec_scale
-from brauergraph.moves import maximal_sectors, move_sector, move_set
+from brauergraph.moves import maximal_sectors, move_sector, move_set, move_set_underlying
 from brauergraph.permutations import Permutation
 
 from conftest import (
@@ -61,6 +61,7 @@ from conftest import (
     assert_sectors_match_reference,
     pairwise_match_problems,
     sector_fold,
+    with_negated_basis,
 )
 from oracles import check_table, dimension_by_rewriting, edge_cartan
 
@@ -209,10 +210,10 @@ def test_skew_presentations_match_the_pairwise_oracle(drawn, seed, pick):
 @settings(PROPERTY_SETTINGS, max_examples=40)
 @given(graphs_with_subsets(), st.integers(0, 2**16))
 def test_the_generator_proof_agrees_with_every_pair(drawn, pick):
-    """The sheet shift of the covering passes the action proof.  With one
-    arrow's scalar negated, the generator proof refuses the map exactly
-    when some pair of basis elements breaks multiplicativity, and names
-    such a pair.  (It need not break: x -> -x is an automorphism of
+    """The sheet shift of the covering passes the action proof.  As a map
+    from the table with one arrow negated, the generator proof refuses it
+    exactly when some pair of basis elements breaks multiplicativity, and
+    names such a pair.  (It need not break: x -> -x is an automorphism of
     k[x]/(x^2).)"""
     graph, _ = drawn
     covered = cover(GradedGraph(graph, default_grading(graph)))
@@ -221,19 +222,18 @@ def test_the_generator_proof_agrees_with_every_pair(drawn, pick):
     action = models.sheet_shift_action(covered, keys, index_of)
     assert action_violations(table, action) == []
     arrow = table.generators[pick % len(table.generators)]
-    scalars = list(action.scalars)
-    scalars[arrow] = -scalars[arrow]
+    negated = with_negated_basis(table, {arrow})
 
     def phi(x):
-        return {action.images[k]: scalars[k] * c for k, c in x.items()}
+        return {action.images[k]: c for k, c in x.items()}
 
     broken = {
         f"map is not multiplicative on ({table.labels[x]}, {table.labels[y]})"
         for x in range(table.dim)
         for y in range(table.dim)
-        if phi(table.pairwise(x, y)) != table.mul(phi({x: ONE}), phi({y: ONE}))
+        if phi(negated.pairwise(x, y)) != table.mul(phi({x: ONE}), phi({y: ONE}))
     }
-    why = monomial_isomorphism_violations(table, table, scalars, action.images)
+    why = monomial_isomorphism_violations(negated, table, action.images)
     assert why in broken if broken else why is None
 
 
@@ -328,6 +328,34 @@ def test_a_left_mutation_is_verified(drawn):
     graph, subset = drawn
     assume(subset and subset != graph.half_edges)
     report = mutation_verification(_small_model(graph), subset)
+    assert report.ok, report[1:]
+
+
+def opposite(graph: BrauerGraph) -> BrauerGraph:
+    """op(G): G with sigma replaced by sigma^-1, whose algebra is the
+    opposite algebra of G's."""
+    return dataclasses.replace(graph, orientation=graph.orientation.inverse())
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_subsets(max_half=12))
+def test_moving_back_returns_the_graph(drawn):
+    """The right mutation's graph is op(move(op(.))), and moving back at the
+    same edges gives G again, on ordinary and skew graphs."""
+    graph, subset = drawn
+    moved = move_set_underlying(graph, subset)
+    assert opposite(move_set_underlying(opposite(moved), subset)) == graph
+
+
+@settings(PROPERTY_SETTINGS, max_examples=MAX_MUTATION_EXAMPLES)
+@given(graphs_with_subsets(max_half=12))
+def test_mutating_back_is_verified(drawn):
+    """Left mutation of op(move(G, S)) at S, the right mutation back to G
+    read in the opposite algebra, is verified against its moved graph."""
+    graph, subset = drawn
+    assume(subset and subset != graph.half_edges)
+    moved = move_set_underlying(graph, subset)
+    report = mutation_verification(_small_model(opposite(moved)), subset)
     assert report.ok, report[1:]
 
 
