@@ -18,6 +18,7 @@ from .graphfile import GraphFileError, ParsedGraph, emit, parse
 from .presentation import (
     admissible_cut,
     presentation,
+    quiver,
     render_presentation,
     render_quiver,
     render_relations,
@@ -125,15 +126,17 @@ def cmd_invariants(args, parsed: ParsedGraph) -> Outcome:
 
 
 def cmd_quiver(args, parsed: ParsedGraph) -> Outcome:
-    p = presentation(parsed.graph)
-    lines = render_quiver(p)
+    q = quiver(parsed.graph)
+    lines = render_quiver(q)
     payload = {
-        "vertices": [render_vertex(v) for v in p.quiver.vertices],
-        "arrows": len(p.quiver.arrows),
+        "vertices": [render_vertex(v) for v in q.vertices],
+        "arrows": len(q.arrows),
     }
     if args.dot:
+        # Only the dot file lists relations, so only it meets the rule-(I) cap.
+        dot = to_dot(presentation(parsed.graph))
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(p))
+            fh.write(dot)
         lines.append(f"wrote {args.dot}")
         payload["dot"] = args.dot
     return Outcome(lines, payload)

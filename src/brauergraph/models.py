@@ -63,14 +63,6 @@ from .presentation import (
 )
 
 
-# A node of the prefix trie: the integral value V of its prefix, the
-# denominator D with prefix value V / D, and its children.  A child is keyed
-# by its arrow, or by the half-edge h for a step of a summed walk, whose
-# element is the full arrow at h, or by an int q >= 2 for the q-th power of
-# the node's value.
-_Node = tuple["Element | None", int, dict["Arrow | str | int", "_Node"]]
-
-
 def _exact(value: Element, denominator: int) -> Element:
     """The element value / denominator, ``int`` where a coefficient is one."""
     if denominator == 1:
@@ -90,42 +82,24 @@ def _same(x: tuple[Element, int], y: tuple[Element, int]) -> bool:
 class GraphAlgebraModel:
     """A table together with the quiver dictionary needed to evaluate paths.
 
-    Paths and walks are evaluated through one trie of prefixes, so a prefix
-    shared by many relation terms is multiplied once per model.  Two things
-    make the trie a directed acyclic graph rather than a tree:
+    A path or walk is the left-nested product of its step elements, first
+    step rightmost.  A step sequence that starts with q >= 2 copies of its
+    first turn (one walk round the sigma-orbit of the first half-edge) is
+    evaluated as tail * turn^q, with turn^q formed from the turn by q - 1
+    products.  A zero prefix is extended without a product.
 
-    - Turn powers.  A turn is one walk round the sigma-orbit of the first
-      half-edge: the orbit of a walk's half-edge, or a path's steps before
-      its first arrow comes round again.  A step sequence that starts with
-      q >= 2 copies of its first turn is evaluated as tail * turn^q.  The
-      turn goes through the trie, turn^q is the turn node's child keyed q,
-      formed from turn^(q-1) by one product, and the tail continues from
-      there.  So a rule-(I) route power r^m, rule (II)'s r^m r_0 and rule
-      (IV)'s r^(m-1) r' cost one turn through the trie plus at most m - 1
-      products per distinct turn value.
-    - Shared subtrees.  Nodes with equal nonzero (V, D) are one node, since
-      a child's value depends only on its parent's value and its key.  A
-      zero node keeps its own children: after a step of denominator 1 it
-      would otherwise be its own child.
-
-    Every (V, D) is still the left-nested product of the steps, by the
-    associativity of ``table``.  The trie assumes ``table`` and
-    ``arrow_element`` are not changed after the first evaluation; a model
-    built from new ones (``dataclasses.replace``) starts with an empty
-    trie.  Evaluations return the trie's own elements, which callers must
-    not modify.
-
-    The trie multiplies integral elements only.  Each step element x (an
-    arrow, or the full arrow at a half-edge) is held as (d x, d) with d the
-    least denominator that clears it (``integral_form``).  In a skew model
-    the structure constants are integers and an arrow whose source is a
-    skew leg's copy is +-1/2 times basis elements, so there d = 2, and
-    d = 1 elsewhere: a prefix's denominator is 2 to the power of its arrows
-    at split sources, and every route of one walk or rule-(I) power family,
-    sharing its half-edge sequence, shares that exponent.  The ``scaled_*``
-    methods return (V, D) with value V / D; a relation is zero exactly when
-    the sum of its terms' V, each scaled to the largest D, is zero.  The
-    ``evaluate_*`` methods return the value itself.
+    Products are taken of integral elements only.  Each step element x (an
+    arrow, or the full arrow at a half-edge) is held once per model as
+    (d x, d) with d the least denominator that clears it
+    (``integral_form``), so ``table`` and ``arrow_element`` must not change
+    after the first evaluation.  In a skew model the structure constants
+    are integers and an arrow whose source is a skew leg's copy is +-1/2
+    times basis elements, so there d = 2, and d = 1 elsewhere: a product's
+    denominator is 2 to the power of its arrows at split sources.  The
+    ``scaled_*`` methods return (V, D) with value V / D; a relation is zero
+    exactly when the sum of its terms' V, each scaled to the largest D, is
+    zero.  The ``evaluate_*`` methods return the value itself, which callers
+    must not modify.
     """
 
     graph: BrauerGraph
@@ -134,13 +108,6 @@ class GraphAlgebraModel:
     arrow_element: dict[Arrow, Element]
     twist: Element | None = None
     grading: Grading | None = None
-    _prefixes: dict[Arrow | str | int, _Node] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # The one node of each nonzero (V, D), keyed (D, frozenset(V.items())).
-    _nodes: dict[tuple[int, frozenset], _Node] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _steps: dict[Arrow | str, tuple[Element, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -154,74 +121,42 @@ class GraphAlgebraModel:
         return out
 
     def _step(self, key: Arrow | str) -> tuple[Element, int]:
-        """(d x, d) for the element x of a trie step; KeyError names a
-        missing arrow."""
+        """(d x, d) for the element x of a step; KeyError names a missing
+        arrow."""
         out = self._steps.get(key)
         if out is None:
             x = self.full_arrow(key) if isinstance(key, str) else self.arrow_element[key]
             out = self._steps[key] = integral_form(x)
         return out
 
-    def _node(self, value: Element, denominator: int) -> _Node:
-        """The trie node of (value, denominator): shared when nonzero."""
-        if not value:
-            return value, denominator, {}
-        key = (denominator, frozenset(value.items()))
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = (value, denominator, {})
-        return node
-
-    def _descend(self, node: _Node, steps: Iterable[Arrow | str]) -> _Node:
-        """The node reached from ``node`` by ``steps``, each step's element
-        multiplied on the left.  A zero node makes every extension zero
-        without a multiplication."""
-        value, denominator, children = node
+    def _extend(
+        self, value: Element, denominator: int, steps: Iterable[Arrow | str]
+    ) -> tuple[Element, int]:
+        """(V, D) after each step's element is multiplied on the left of
+        (value, denominator)."""
         for key in steps:
-            child = children.get(key)
-            if child is None:
-                elem, d = self._step(key)
-                if value is None:
-                    product = elem
-                elif value:
-                    product = self.table.mul(elem, value)
-                else:
-                    product = value
-                child = children[key] = self._node(product, denominator * d)
-            value, denominator, children = child
-        return value, denominator, children
-
-    def _power(self, turn: _Node, q: int) -> _Node:
-        """The node of turn^q for q >= 2: the child of ``turn`` keyed q, each
-        power formed from the one before."""
-        elem, d, children = turn
-        node = turn
-        for k in range(2, q + 1):
-            child = children.get(k)
-            if child is None:
-                value, denominator, _ = node
-                product = self.table.mul(elem, value) if value else value
-                child = children[k] = self._node(product, denominator * d)
-            node = child
-        return node
+            elem, d = self._step(key)
+            if value:
+                value = self.table.mul(elem, value)
+            denominator *= d
+        return value, denominator
 
     def _product(
         self, steps: tuple[Arrow | str, ...], turn_length: int
     ) -> tuple[Element, int]:
         """(V, D) for the product of the step elements, first step rightmost:
         tail * turn^q when the steps start with q >= 2 copies of their first
-        ``turn_length`` steps, else step by step through the trie."""
-        node: _Node = (None, 1, self._prefixes)
-        if len(steps) >= 2 * turn_length:
-            turn = steps[:turn_length]
-            q = 1
-            while steps[q * turn_length : (q + 1) * turn_length] == turn:
-                q += 1
-            if q > 1:
-                node = self._power(self._descend(node, turn), q)
-                steps = steps[q * turn_length :]
-        value, denominator, _ = self._descend(node, steps)
-        return value, denominator
+        ``turn_length`` steps, else step by step."""
+        turn = steps[:turn_length]
+        q = 1
+        while steps[q * turn_length : (q + 1) * turn_length] == turn:
+            q += 1
+        elem, d = value, denominator = self._extend(*self._step(turn[0]), turn[1:])
+        for _ in range(q - 1):
+            if value:
+                value = self.table.mul(elem, value)
+            denominator *= d
+        return self._extend(value, denominator, steps[q * turn_length :])
 
     def scaled_walk(self, h: str, length: int) -> tuple[Element, int]:
         """(V, D) for the product of the full arrows along h, sigma h, ...,
@@ -460,8 +395,8 @@ def skew_dimension_oracle(covered: CoveredGraph) -> int:
 
     Sums, over ordered pairs of base edges, the dimensions of the covering
     algebra corners from the sheet-zero idempotent to the idempotents of
-    every sheet: the entries of the count of ``graph_edge_cartan``, with no
-    table built.
+    every sheet: the sum of the matrix that ``graph_edge_cartan`` counts,
+    with no table built.
     """
     return sum(map(sum, _covering_edge_cartan(covered)[1]))
 

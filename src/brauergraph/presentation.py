@@ -76,9 +76,7 @@ class PowerFamily(NamedTuple):
 
     A route power r^m is m copies of one turn round the sigma-orbit.  A
     model (``models.GraphAlgebraModel``) evaluates it as the m-th power of
-    the turn's value: one turn through its prefix trie per route, then at
-    most m - 1 products per distinct turn value, and routes whose prefixes
-    meet in one value share the rest of the trie.
+    the turn's value: the turn multiplied out once, then m - 1 products.
     """
 
     h: str
@@ -680,19 +678,19 @@ def render_relations(p: Presentation) -> list[str]:
     return out
 
 
-def render_quiver(p: Presentation) -> list[str]:
-    """The vertex line and one line per arrow of ``p``'s quiver."""
-    lines = ["vertices: " + " ".join(render_vertex(v) for v in p.quiver.vertices)]
-    for a in p.quiver.arrows:
+def render_quiver(q: Quiver, symbol: str = "a") -> list[str]:
+    """The vertex line and one line per arrow of ``q``."""
+    lines = ["vertices: " + " ".join(render_vertex(v) for v in q.vertices)]
+    for a in q.arrows:
         lines.append(
-            f"arrow {render_arrow(a, p.symbol)} : "
+            f"arrow {render_arrow(a, symbol)} : "
             f"{render_vertex(a.source)} -> {render_vertex(a.target)}"
         )
     return lines
 
 
 def render_presentation(p: Presentation) -> str:
-    lines = render_quiver(p)
+    lines = render_quiver(p.quiver, p.symbol)
     lines += ["relation " + text for text in render_relations(p)]
     return "\n".join(lines) + "\n"
 

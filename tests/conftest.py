@@ -244,8 +244,8 @@ def pairwise_match_problems(graph, covered, model):
 
 def left_nested(model, steps):
     """(V, D) of the product of the step elements, first step rightmost,
-    multiplied one step at a time from the first: the value the prefix trie
-    of ``GraphAlgebraModel`` must give.  A step is an arrow, or a half-edge
+    multiplied one step at a time from the first, with no turn power: the
+    value ``GraphAlgebraModel`` must give.  A step is an arrow, or a half-edge
     standing for the full arrow there."""
     value, denominator = None, 1
     for key in steps:

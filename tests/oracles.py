@@ -7,15 +7,20 @@ answers, kept out of ``src/`` because no command reaches them.
 - ``edge_cartan``: a model's Cartan matrix summed to edges, read off its
   table (``models.graph_edge_cartan`` counts it from the graph).
 - ``hom_vanishing_report``: total dim Hom(T, T[k]) for k = -1 and 1.
+- ``radical_quiver``: the Gabriel quiver of a basic algebra with local
+  diagonal corners, read off its radical layers.
 - ``euler_characteristics``: V - E + F per connected component.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 from brauergraph.algebra import ONE, AlgebraTable
 from brauergraph.core import BrauerGraph, connected_components, face_permutation
 from brauergraph.homotopy import ProjPresentation, _hom_complexes, _vanishing
+from brauergraph.linalg import RationalSpan
 from brauergraph.models import GraphAlgebraModel
 from brauergraph.presentation import (
     Arrow,
@@ -137,6 +142,46 @@ def hom_vanishing_report(
 ) -> dict[int, int]:
     """Total dim Hom(T, T[k]) for k = -1 and 1 (nonzero means not tilting)."""
     return _vanishing(_hom_complexes(table, summands))
+
+
+def radical_quiver(table: AlgebraTable) -> Counter:
+    """Arrows of the Gabriel quiver, counted per (source, target) pair of
+    idempotent names, of a table whose diagonal corners are local.
+
+    The radical is every off-diagonal corner e_t A e_s, and in a diagonal
+    corner each v - (tr L_v / dim) e_t for v other than e_t, where L_v is
+    left multiplication by v on the corner: that element is nilpotent.
+    rad^2(t, s) is spanned by the products r u, r in rad(t, c) and u in
+    rad(c, s) over all c, and there are dim rad(t, s) - dim rad^2(t, s)
+    arrows s -> t.
+    """
+    corners, idempotents = table.corners, table.idempotents
+    n = len(idempotents)
+    rad = {}
+    for t in range(n):
+        for s in range(n):
+            if s != t:
+                rad[t, s] = [{b: ONE} for b in corners[t][s]]
+                continue
+            unit, local = idempotents[t][1], corners[t][t]
+            rad[t, t] = []
+            for v in local:
+                if v != unit:
+                    trace = sum(table.pairwise(v, c).get(c, 0) for c in local)
+                    shift = {unit: -Fraction(trace, len(local))} if trace else {}
+                    rad[t, t].append({v: ONE} | shift)
+    arrows: Counter = Counter()
+    for t in range(n):
+        for s in range(n):
+            square = RationalSpan()
+            for c in range(n):
+                for r in rad[t, c]:
+                    for u in rad[c, s]:
+                        if square.rank < len(rad[t, s]):
+                            square.add(table.mul(r, u))
+            if square.rank < len(rad[t, s]):
+                arrows[idempotents[s][0], idempotents[t][0]] = len(rad[t, s]) - square.rank
+    return arrows
 
 
 def euler_characteristics(graph: BrauerGraph) -> list[int]:

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from brauergraph.algebra import bga_dimension_formula, bga_table_with_keys
-from brauergraph.core import gen_random, random_ih_stable_subset
-from brauergraph.covering import cover, lift_subset
+from brauergraph.algebra import AlgebraTable, bga_dimension_formula, bga_table_with_keys
+from brauergraph.core import GradedGraph, gen_random, random_ih_stable_subset
+from brauergraph.covering import cover, default_grading, lift_subset
 from brauergraph.graphfile import parse
 from brauergraph.homotopy import (
     ProjPresentation,
@@ -25,9 +26,11 @@ from brauergraph.homotopy import (
     stalk,
 )
 from brauergraph.models import model_for, ordinary_model, skew_model
+from brauergraph.moves import move_set
+from brauergraph.presentation import quiver
 
 from conftest import build_graph
-from oracles import check_table, edge_cartan, hom_vanishing_report
+from oracles import check_table, edge_cartan, hom_vanishing_report, radical_quiver
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -338,6 +341,39 @@ def test_a_cone_onto_a_stalk_is_ranked_per_stalk(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "name, edges, stalk, witness",
+    [
+        ("ex1", ("1", "2"), "3", ("2", "3", -1, 1)),
+        ("ex1", ("1", "2"), "4", ("1", "4", -1, 1)),
+        ("ex2", ("1", "4"), "2", ("1", "2", -1, 4)),
+        ("ex2", ("1", "4"), "5", ("1", "5", -1, 1)),
+    ],
+)
+def test_a_shifted_stalk_is_not_tilting(name, edges, stalk, witness, monkeypatch):
+    """One stalk of the mutation moved to degree -1 makes T neither silting
+    nor tilting: the report names the first nonzero shifted Hom and compares
+    no Cartan matrix.  The algebras are symmetric, so Hom(T, T[1]) and
+    Hom(T, T[-1]) are dual and the H^1 and H^-1 totals agree: no object
+    here is silting but not tilting."""
+    from brauergraph import homotopy
+
+    model, summands = _golden_mutation(name, edges)
+    k = next(k for k, (label, _) in enumerate(summands) if label == stalk)
+    x = summands[k][1]
+    assert not x.deg_minus1
+    summands[k] = (stalk, ProjPresentation(x.deg_0, (), ()))
+    vanishing = _vanishing(_hom_complexes(model.table, summands))
+    assert vanishing[1] == vanishing[-1] > 0
+    monkeypatch.setattr(homotopy, "mutation_object", lambda model, subset: summands)
+    report = mutation_verification(model, frozenset())
+    assert (report.silting, report.tilting) == (False, False)
+    assert report.dim_end == -1
+    assert not report.cartan_equal and report.cartan_witness is None
+    assert report.hom_witness == witness
+    assert not report.ok
+
+
+@pytest.mark.parametrize(
     "name, edges", [("skew-3", ("1", "3")), ("skew-1", ("3", "5"))]
 )
 def test_a_skew_leg_stalk_is_ranked_over_both_positions(name, edges):
@@ -570,7 +606,7 @@ def unscaled_mutation_object(model, subset):
     """The cones of ``mutation_object`` on the walk elements and the twist
     themselves, as exact elements with their 1/2 coordinates, rather than on
     their integral multiples.  The walks are multiplied out arrow by arrow,
-    not read from the model's prefix trie."""
+    with no turn power and no integral step form."""
     graph, table = model.graph, model.table
 
     def walk_element(h, length):
@@ -1192,3 +1228,76 @@ def test_end_table_rejects_a_contractible_summand(monkeypatch):
     monkeypatch.setattr(homotopy, "_eliminated_hom_complex", unreachable)
     with pytest.raises(ValueError, match=f"^{message}$"):
         mutation_verification(model, frozenset())
+
+
+def star(order: str):
+    """Four edges k+ k- with the half-edges k+ round one vertex in ``order``."""
+    names = [f"{k}{end}" for k in "1234" for end in "+-"]
+    pairs = [(f"{k}+", f"{k}-") for k in "1234"]
+    return build_graph(names, pairs, [tuple(f"{k}+" for k in order)])
+
+
+def quiver_arrows(graph) -> Counter:
+    """The arrows of an ordinary graph's quiver per ordered pair of edges."""
+    return Counter((a.source[0], a.target[0]) for a in quiver(graph).arrows)
+
+
+def with_unipotent_classes(table):
+    """``table`` on its basis with each non-identity class v of a diagonal
+    corner replaced by v + e, e the corner's identity: an isomorphic algebra
+    whose diagonal classes are no longer nilpotent."""
+    shifted = {
+        v: unit
+        for t, (_, unit) in enumerate(table.idempotents)
+        for v in table.corners[t][t]
+        if v != unit
+    }
+
+    def old(k):
+        return {k: 1, shifted[k]: 1} if k in shifted else {k: 1}
+
+    def product(i, j):
+        out = table.mul(old(i), old(j))
+        for v, unit in shifted.items():
+            if v in out:
+                out[unit] = out.get(unit, 0) - out[v]
+        return {k: c for k, c in out.items() if c}
+
+    return AlgebraTable(table.labels, table.src, table.tgt, table.idempotents, product)
+
+
+def test_the_radical_quiver_of_the_stalks_is_the_graph_quiver():
+    """End(A) of the star (1+ 2+ 3+ 4+) has the quiver 1 -> 2 -> 3 -> 4 -> 1,
+    not the 1 -> 3 -> 2 -> 4 -> 1 of the star (1+ 3+ 2+ 4+), though the two
+    have one dimension (20) and one Cartan matrix.  Moving each diagonal
+    class off the radical by its identity changes no arrow."""
+    graphs = [star("1234"), star("1324")]
+    ends = []
+    for graph in graphs:
+        model = ordinary_model(graph)
+        ends.append(end_table(model.table, mutation_object(model, frozenset())))
+    assert [end.dim for end in ends] == [20, 20]
+    assert ends[0].cartan() == ends[1].cartan()
+    assert [radical_quiver(end) for end in ends] == [quiver_arrows(g) for g in graphs]
+    assert radical_quiver(ends[0]) != quiver_arrows(graphs[1])
+    unipotent = with_unipotent_classes(ends[0])
+    assert not check_table(unipotent)
+    assert radical_quiver(unipotent) == quiver_arrows(graphs[0])
+
+
+def test_the_radical_quiver_of_end_t_is_the_moved_quiver():
+    """On ordinary mutations of the ``mutate-ladder`` rungs, each of a
+    quarter of the edges, End(T)'s radical layers give the moved graph's
+    quiver, which is not the unmoved graph's."""
+    for n_half in (8, 16, 24, 32):
+        for seed in (1, 2):
+            graph = gen_random(seed, n_half=n_half, max_multiplicity=3)
+            names = sorted(graph.edges_by_label)
+            edges = random.Random(seed).sample(names, max(1, len(names) // 4))
+            subset = frozenset(h for name in edges for h in graph.edges_by_label[name])
+            model = ordinary_model(graph)
+            end = end_table(model.table, mutation_object(model, subset))
+            moved = move_set(GradedGraph(graph, default_grading(graph, subset)), subset)
+            arrows = quiver_arrows(moved.graph)
+            assert radical_quiver(end) == arrows, (n_half, seed)
+            assert arrows != quiver_arrows(graph), (n_half, seed)

@@ -45,6 +45,7 @@ from brauergraph.presentation import (
     induces_arrow,
     quiver,
     relations,
+    render_quiver,
     render_relation,
     special_cycles,
     vertex_indices,
@@ -274,13 +275,12 @@ def test_cached_evaluation_matches_uncached(source, ex2):
         assert model.evaluate_path(route) == uncached_path(model, route)
 
 
-def test_evaluation_multiplies_each_prefix_once(monkeypatch):
+def test_a_zero_prefix_is_extended_without_a_product(monkeypatch):
+    """A crossing relation's path is zero after one product, and extending
+    it by two more arrows, or taking its cube, takes no further product."""
     graph = gen_random(1, n_half=24, allow_skew=True, max_multiplicity=3)
     model = truncation_model(cover(GradedGraph(graph, zero_grading(graph))))
     rels = relations(graph)
-    cycles = all_special_cycles(graph)
-    paths = [path for rel in rels for _, path in rel.terms] + cycles
-    prefixes = {path[:k] for path in paths for k in range(2, len(path) + 1)}
     calls = 0
     mul = model.table.mul
 
@@ -290,32 +290,29 @@ def test_evaluation_multiplies_each_prefix_once(monkeypatch):
         return mul(x, y)
 
     monkeypatch.setattr(model.table, "mul", counting_mul)
-    for rel in rels:
-        model.evaluate_relation(rel)
-    for route in cycles:
-        model.evaluate_path(route)
-    steps = sum(len(path) - 1 for path in paths)
-    assert 0 < calls <= len(prefixes) < steps
-
-    # A zero prefix is extended without a multiplication.
     crossing = next(
         path
         for rel in rels
         if len(rel.terms) == 1 and len(path := rel.terms[0][1]) == 2
     )
     assert model.evaluate_path(crossing) == {}
-    after = next(a for a in model.arrow_element if a.source == crossing[-1].target)
+    assert calls == 1
+    path = crossing
+    for _ in range(2):
+        path += (next(a for a in model.arrow_element if a.source == path[-1].target),)
     calls = 0
-    assert model.evaluate_path(crossing + (after,)) == {}
-    assert calls == 0
+    assert model.evaluate_path(path) == {}
+    assert calls == 1
+    # Nor does a power of a zero turn.
+    calls = 0
+    assert model.evaluate_path(crossing * 3) == {}
+    assert calls == 1
 
 
 def test_route_powers_are_powers_of_one_turn(monkeypatch):
-    """The check of skew-3.bg forms each route power from one turn through
-    the trie, prefixes of equal value share their extensions, and rule (V)
-    leaves one route per quiver vertex to evaluate: 90 table products.
-    Evaluating every route took 113, and multiplying every arrow of every
-    route 223."""
+    """The check of skew-3.bg forms each route power from one turn, and
+    rule (V) leaves one route per quiver vertex to evaluate: 148 table
+    products.  Multiplying every arrow of every route took 223."""
     parsed = parse((GOLDEN / "skew-3.bg").read_text(encoding="utf-8"))
     covered = cover(GradedGraph(parsed.graph, parsed.grading or zero_grading(parsed.graph)))
     calls = 0
@@ -328,7 +325,7 @@ def test_route_powers_are_powers_of_one_turn(monkeypatch):
 
     monkeypatch.setattr(AlgebraTable, "mul", counting_mul)
     assert presentations_match(parsed.graph, covered).ok
-    assert calls == 90
+    assert calls == 148
 
 
 def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch):
@@ -337,7 +334,7 @@ def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch)
     for rel in relations(ex2):
         assert model.evaluate_relation(rel) == {}
     # Doubling one arrow into a doubled vertex breaks the two-route relation
-    # through it; the fresh model must not read the old model's prefixes.
+    # through it; the fresh model must not read the old model's step cache.
     arrow = next(a for a in model.arrow_element if a.target[1] == 0)
     arrows = dict(model.arrow_element)
     arrows[arrow] = vec_scale(arrows[arrow], 2)
@@ -392,7 +389,7 @@ def match_with_arrows(monkeypatch, graph, change):
     perturbed = dataclasses.replace(model, arrow_element=arrows)
     monkeypatch.setattr(models, "truncation_model", lambda c: perturbed)
     report = presentations_match(graph, covered)
-    # A fresh copy, so the oracle reads none of the check's prefixes.
+    # A fresh copy, so the oracle reads none of the check's cached steps.
     oracle = pairwise_match_problems(graph, covered, dataclasses.replace(perturbed))
     return report, oracle, perturbed
 
@@ -508,7 +505,8 @@ def test_the_proved_check_lists_no_routes(monkeypatch):
 def test_loop_family_is_checked_once_per_end(monkeypatch, tmp_path, capsys):
     """Eight legs give the loop edge 2^8 routes at each end and 2^16 pairs;
     rule (V) makes the routes at an end one value, so the check evaluates
-    one route power per end."""
+    one route power per end.  ``relations`` and ``quiver --dot`` refuse the
+    2^16 pairs; ``quiver`` alone lists no relation and answers."""
     graph = skew_leg_loop(8, multiplicity=2)
     routes = {h: special_cycles(graph, h) for h in ("a", "b")}
     powers = {route * 2 for h in ("a", "b") for route in routes[h]}
@@ -526,16 +524,22 @@ def test_loop_family_is_checked_once_per_end(monkeypatch, tmp_path, capsys):
     assert report.ok, report.problems[:2]
     assert evaluated == [routes["a"][0] * 2, routes["b"][0] * 2]
 
+    # Only the commands that list relations refuse past the rule-(I) cap.
     path = tmp_path / "loop.bg"
     path.write_text(emit(graph), encoding="utf-8")
-    for command in ("relations", "quiver"):
-        assert main([command, str(path)]) == 2
+    dot = tmp_path / "loop.dot"
+    for command in (["relations"], ["quiver", "--dot", str(dot)]):
+        assert main([*command, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
             f"error: rule (I) at edge a has {2 ** 16} relations, over the "
             f"expansion cap of {MAX_RELATION_PAIRS}\n"
         )
+    assert not dot.exists()
+    assert main(["quiver", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("\n".join(render_quiver(quiver(graph))) + "\n", "")
 
 
 def test_presentations_match_caps_the_routes_of_a_special_cycle(monkeypatch):

@@ -271,10 +271,10 @@ def test_structure_constants_are_units_or_halves(case):
 
 def test_paths_are_multiplied_in_integers(case):
     """Each arrow is held as +-1 coordinates over a denominator 1 or 2, the
-    latter exactly at a skew leg's copy; so every prefix the trie multiplies
-    for the relations and the walks, and every turn power it keeps, is an
-    ``int`` element.  Equal nonzero values share one node, so the trie is
-    walked with a visited set."""
+    latter exactly at a skew leg's copy; so every prefix of a relation's
+    paths, and every power turn^q (q <= m) of a walk's turn, is an ``int``
+    element over a power of two, and turn^q is the q-th power of the
+    turn."""
     covered = routes(case)[0]
     graph = covered.base.graph
     model = truncation_model(covered)
@@ -282,38 +282,27 @@ def test_paths_are_multiplied_in_integers(case):
         value, d = model.scaled_path((a,))
         assert d == (2 if a.source[1] is not None else 1), a
         assert {(type(c), c) for c in value.values()} <= {(int, 1), (int, -1)}
+    scaled = []
     for rel in relations(graph):
         assert model.scaled_relation(rel)[0] == {}
+        for _, path in rel.terms:
+            scaled += [model.scaled_path(path[:k]) for k in range(1, len(path) + 1)]
     for h in graph.half_edges:
-        model.scaled_walk(h, 2 * len(graph.sigma_orbit_of(h)))
-    nodes = list(model._prefixes.values())
-    assert nodes
-    seen: set[int] = set()
-    values: set[tuple[int, frozenset]] = set()
-    powers = 0
-    while nodes:
-        node = nodes.pop()
-        value, d, children = node
-        if id(children) in seen:
-            continue
-        seen.add(id(children))
+        turn_length = len(graph.sigma_orbit_of(h))
+        turn = model.scaled_walk(h, turn_length)
+        for q in range(1, max(graph.multiplicity[h], 2) + 1):
+            power = model.scaled_walk(h, q * turn_length)
+            assert power == power_of(model, turn, q), (h, q)
+            scaled.append(power)
+    assert scaled
+    for value, d in scaled:
         assert all(type(c) is int for c in value.values())
         assert d & (d - 1) == 0
-        if value:
-            values.add((d, frozenset(value.items())))
-        for key, child in children.items():
-            if type(key) is int:
-                powers += 1
-                assert child[:2] == power_of(model, node, key), key
-            nodes.append(child)
-    assert powers
-    # One node per nonzero value: no two nodes seen hold the same one.
-    assert len(values) == len(model._nodes)
 
 
-def power_of(model, node, q):
-    """(V^q, D^q) for the (V, D) of ``node``, multiplied from the left."""
-    value, d, _ = node
+def power_of(model, scaled, q):
+    """(V^q, D^q) for the (V, D) of ``scaled``, multiplied from the left."""
+    value, d = scaled
     out = value
     for _ in range(q - 1):
         out = model.table.mul(value, out)
@@ -331,16 +320,15 @@ def golden_cases():
     return cases
 
 
-TRIE_CASES = {name: (graph, grading) for name, graph, grading in golden_cases()} | CASES
+LEFT_NESTED_CASES = {name: (graph, grading) for name, graph, grading in golden_cases()} | CASES
 
 
-@pytest.mark.parametrize("name", list(TRIE_CASES))
+@pytest.mark.parametrize("name", list(LEFT_NESTED_CASES))
 def test_the_trie_gives_the_left_nested_products(name, monkeypatch):
     """Every path ``presentations_match`` evaluates, and walks of up to three
     turns and a step from each half-edge, have the (V, D) of multiplying
-    their steps one at a time: turn powers and shared subtrees change no
-    value."""
-    graph, grading = TRIE_CASES[name]
+    their steps one at a time: turn powers change no value."""
+    graph, grading = LEFT_NESTED_CASES[name]
     covered = cover(GradedGraph(graph, grading))
     built = []
     evaluated = []
