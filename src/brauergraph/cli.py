@@ -185,9 +185,11 @@ def cmd_cover(args, parsed: ParsedGraph) -> Outcome:
 def cmd_check_commute(args, parsed: ParsedGraph) -> Outcome:
     subset = _subset_from_edges(parsed, args.edges)
     graded = _graded(parsed, args.grading, subset)
-    result = covering.check_cover_commutes(graded, subset)
-    text = f"commutes: {str(result).lower()}"
-    return Outcome([text], {"commutes": result}, 0 if result else 1)
+    witness = covering.cover_commute_witness(graded, subset)
+    if witness is None:
+        return Outcome(["commutes: true"], {"commutes": True})
+    lines = ["commutes: false", f"witness: {witness}"]
+    return Outcome(lines, {"commutes": False, "witness": witness}, 1)
 
 
 def cmd_mutate(args, parsed: ParsedGraph) -> Outcome:

@@ -49,31 +49,23 @@ def sheet_label(h: str, sheet: int) -> str:
     return f"{h}_{sheet}"
 
 
-def _sheets(
-    graph: BrauerGraph, n: int
-) -> tuple[dict[str, list[str]], dict[str, tuple[str, int]], Permutation]:
-    """The half-edge labels, ``sheet_of`` and the pairing of a covering on
-    ``n`` sheets: a cross half-edge pairs with itself on the next sheet.
-    None of them reads the orientation or the grading."""
-    labels = {h: [sheet_label(h, i) for i in range(n)] for h in graph.half_edges}
-    sheet_of = {
-        label: (h, i) for h, row in labels.items() for i, label in enumerate(row)
-    }
-    if len(sheet_of) != len(graph.half_edges) * n:
-        raise ValueError("half-edge names collide under sheet labelling")
+def _pairing(graph: BrauerGraph, labels: Mapping[str, list]) -> Permutation:
+    """The pairing of a covering whose half-edges over h are ``labels[h]``,
+    by sheet: a cross half-edge pairs with itself on the next sheet, any
+    other with its partner on the same sheet."""
     cross = graph.cross_half_edges
     pairing = {}
     for h, row in labels.items():
-        partner = labels[graph.pairing(h)]
-        for i, label in enumerate(row):
-            pairing[label] = row[(i + 1) % n] if h in cross else partner[i]
-    return labels, sheet_of, Permutation(pairing)
+        partner = row[1:] + row[:1] if h in cross else labels[graph.pairing(h)]
+        pairing.update(zip(row, partner))
+    return Permutation(pairing)
 
 
 def _total(
-    g: GradedGraph, labels: Mapping[str, list[str]], pairing: Permutation
+    g: GradedGraph, labels: Mapping[str, list], pairing: Permutation
 ) -> BrauerGraph:
-    """The covering graph of ``g`` on the sheets ``_sheets`` labelled."""
+    """The covering graph of ``g`` whose half-edges over h are ``labels[h]``,
+    by sheet, with the covering pairing ``pairing`` of those labels."""
     graph, grading = g.graph, g.grading
     n = grading.modulus
     skew = graph.is_skew
@@ -92,9 +84,15 @@ def _total(
 def cover(g: GradedGraph) -> CoveredGraph:
     """The covering graph on ``modulus`` sheets."""
     check_grading(g.graph, g.grading)
-    n = g.grading.modulus
-    labels, sheet_of, pairing = _sheets(g.graph, n)
-    return CoveredGraph(g, _total(g, labels, pairing), sheet_of, n, labels)
+    graph, n = g.graph, g.grading.modulus
+    labels = {h: [sheet_label(h, i) for i in range(n)] for h in graph.half_edges}
+    sheet_of = {
+        label: (h, i) for h, row in labels.items() for i, label in enumerate(row)
+    }
+    if len(sheet_of) != len(graph.half_edges) * n:
+        raise ValueError("half-edge names collide under sheet labelling")
+    total = _total(g, labels, _pairing(graph, labels))
+    return CoveredGraph(g, total, sheet_of, n, labels)
 
 
 def lift_subset(c: CoveredGraph, subset: frozenset[str]) -> frozenset[str]:
@@ -137,21 +135,58 @@ def default_grading(graph: BrauerGraph, subset: frozenset[str] = frozenset()) ->
     return Grading(m_bar, degrees)
 
 
+def _commuting_sides(
+    g: GradedGraph, subset: frozenset[str]
+) -> tuple[BrauerGraph, BrauerGraph]:
+    """The covering of the moved graph and the move of the covering, on the
+    integer labels of ``check_cover_commutes``."""
+    subset = frozenset(subset)
+    check_grading(g.graph, g.grading)
+    moved = move_set(g, subset)
+    check_grading(moved.graph, moved.grading)
+    n = g.grading.modulus
+    labels = {
+        h: list(range(k * n, k * n + n))
+        for k, h in enumerate(sorted(g.graph.half_edges))
+    }
+    pairing = _pairing(g.graph, labels)
+    lifted = frozenset(label for h in subset for label in labels[h])
+    moved_then_covered = _total(moved, labels, pairing)
+    covered_then_moved = move_set_underlying(_total(g, labels, pairing), lifted)
+    return moved_then_covered, covered_then_moved
+
+
+def cover_commute_witness(g: GradedGraph, subset: frozenset[str]) -> str | None:
+    """None when covering the moved graph equals moving the covered graph;
+    else the first sheet label h_i, in sorted order, whose sigma-image or
+    multiplicity differs between the two sides.
+
+    The two sides share their half-edges and their pairing, so where they
+    differ, some sheet label's sigma-image or multiplicity does.
+    """
+    first, second = _commuting_sides(g, subset)
+    if first == second:
+        return None
+    names = sorted(g.graph.half_edges)
+    n = g.grading.modulus
+    return min(
+        sheet_label(names[k // n], k % n)
+        for k in first.half_edges
+        if first.orientation(k) != second.orientation(k)
+        or first.multiplicity[k] != second.multiplicity[k]
+    )
+
+
 def check_cover_commutes(g: GradedGraph, subset: frozenset[str]) -> bool:
     """Does covering the moved graph equal moving the covered graph?
 
     Both sides are compared as labelled combinatorial maps under the
-    identification that keeps every sheet label fixed.  The moved graph has
-    the half-edges, the pairing and the modulus of g, so its covering shares
-    the sheet labels and the covering pairing with g's: they are built once,
-    and only its orientation and multiplicity anew.
+    identification that keeps every sheet label fixed.  They are built on
+    integer labels, half-edge k of ``sorted(g.graph.half_edges)`` on sheet i
+    being k * n + i, which name the sheet labels h_i of ``cover`` one to
+    one, so the identification is the same.  The moved graph has the
+    half-edges, the pairing and the modulus of g, so its covering shares
+    the labels and the covering pairing with g's: they are built once, and
+    only its orientation and multiplicity anew.
     """
-    subset = frozenset(subset)
-    covered = cover(g)
-    moved = move_set(g, subset)
-    check_grading(moved.graph, moved.grading)
-    moved_then_covered = _total(moved, covered.labels, covered.total.pairing)
-    covered_then_moved = move_set_underlying(
-        covered.total, lift_subset(covered, subset)
-    )
-    return moved_then_covered == covered_then_moved
+    return cover_commute_witness(g, subset) is None

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .algebra import (
     AlgebraTable,
@@ -61,6 +61,10 @@ from .presentation import (
     vertex_indices,
     walk_path_count,
 )
+
+
+# Evaluates a path to (V, D), as ``GraphAlgebraModel.scaled_path`` does.
+PathValue = Callable[[Path], tuple[Element, int]]
 
 
 def _exact(value: Element, denominator: int) -> Element:
@@ -201,15 +205,19 @@ class GraphAlgebraModel:
         """Product of the arrows of ``path``; KeyError names a missing arrow."""
         return _exact(*self.scaled_path(path))
 
-    def scaled_relation(self, rel: Relation) -> tuple[Element, int]:
+    def scaled_relation(
+        self, rel: Relation, path_value: PathValue | None = None
+    ) -> tuple[Element, int]:
         """(V, D) for the value of ``rel``: its terms scaled to the least
-        common denominator D and summed."""
+        common denominator D and summed.  Paths are evaluated by
+        ``path_value``, ``scaled_path`` when it is None."""
+        path_value = path_value or self.scaled_path
         terms = [
             (
                 coeff,
                 self._scaled_summed_walk(body)
                 if isinstance(body, Walk)
-                else self.scaled_path(body),
+                else path_value(body),
             )
             for coeff, body in rel.terms
         ]
@@ -219,8 +227,10 @@ class GraphAlgebraModel:
             out = vec_add(out, value, coeff * (denominator // d))
         return out, denominator
 
-    def evaluate_relation(self, rel: Relation) -> Element:
-        return _exact(*self.scaled_relation(rel))
+    def evaluate_relation(
+        self, rel: Relation, path_value: PathValue | None = None
+    ) -> Element:
+        return _exact(*self.scaled_relation(rel, path_value))
 
 
 def ordinary_model(graph: BrauerGraph) -> GraphAlgebraModel:
@@ -408,20 +418,40 @@ class MatchReport(NamedTuple):
     expected_dim: int
 
 
+def _path_memo(model: GraphAlgebraModel) -> PathValue:
+    """``model.scaled_path`` evaluating each path once: a path with a missing
+    arrow raises KeyError on every call, but is evaluated only once."""
+    values: dict[Path, tuple[Element, int] | KeyError] = {}
+
+    def path_value(path: Path) -> tuple[Element, int]:
+        value = values.get(path)
+        if value is None:
+            try:
+                value = values[path] = model.scaled_path(path)
+            except KeyError as exc:
+                value = values[path] = exc
+        if isinstance(value, KeyError):
+            raise KeyError(*value.args)
+        return value
+
+    return path_value
+
+
 def _common_value(
-    model: GraphAlgebraModel, paths: tuple[Path, ...]
+    path_value: PathValue, paths: tuple[Path, ...]
 ) -> tuple[Element, int] | None:
-    """The (V, D) value all ``paths`` share in the model, or None when two
-    differ; KeyError names a missing arrow."""
-    first = model.scaled_path(paths[0])
+    """The (V, D) value all ``paths`` share under ``path_value``, or None
+    when two differ; KeyError names a missing arrow."""
+    first = path_value(paths[0])
     for path in paths[1:]:
-        if not _same(model.scaled_path(path), first):
+        if not _same(path_value(path), first):
             return None
     return first
 
 
-def _family_vanishes(model: GraphAlgebraModel, family: PowerFamily) -> bool:
-    """Whether every relation of the rule-(I) family is zero in the model.
+def _family_vanishes(path_value: PathValue, family: PowerFamily) -> bool:
+    """Whether every relation of the rule-(I) family is zero in the model
+    whose paths ``path_value`` evaluates.
 
     By the criterion of ``PowerFamily``: all route powers at h share one
     value v_h, all at the other end share v_o, and c_h v_h = c_o v_o.  That
@@ -431,8 +461,8 @@ def _family_vanishes(model: GraphAlgebraModel, family: PowerFamily) -> bool:
     the pairwise check to name.
     """
     try:
-        v_h = _common_value(model, family.powers_h)
-        v_o = None if v_h is None else _common_value(model, family.powers_o)
+        v_h = _common_value(path_value, family.powers_h)
+        v_o = None if v_h is None else _common_value(path_value, family.powers_o)
     except KeyError:
         return False
     if v_o is None:
@@ -443,10 +473,13 @@ def _family_vanishes(model: GraphAlgebraModel, family: PowerFamily) -> bool:
     return not vec_add(vec_scale(u_h, c_h), u_o, -c_o)
 
 
-def _relation_problem(model: GraphAlgebraModel, rel: Relation) -> str | None:
-    """The witness text of a relation that fails in the model, or None."""
+def _relation_problem(
+    model: GraphAlgebraModel, rel: Relation, path_value: PathValue | None = None
+) -> str | None:
+    """The witness text of a relation that fails in the model, or None;
+    ``path_value`` as in ``GraphAlgebraModel.scaled_relation``."""
     try:
-        value = model.evaluate_relation(rel)
+        value = model.evaluate_relation(rel, path_value)
     except KeyError:
         return f"relation uses a missing arrow: {render_relation(rel)}"
     if value:
@@ -480,7 +513,8 @@ def _proved_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str] 
     def route_at(h: str, i: int | None = None) -> list[Path]:
         return routes_at(h, i)[:1]
 
-    if not all(_family_vanishes(model, f) for f in _power_families(graph, route_at)):
+    families = _power_families(graph, route_at)
+    if not all(_family_vanishes(model.scaled_path, f) for f in families):
         return None
     proved = itertools.chain(
         _overrun_relations(graph, routes_at), _shifted_relations(graph, route_at)
@@ -498,15 +532,19 @@ def _listed_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str]:
     """The relation and special-cycle problems, every route listed: each
     failing relation of ``relations`` in its order, a failing rule-(I)
     family expanded to its pairs, then each vertex whose special cycles
-    differ."""
+    differ.
+
+    Each path is evaluated once per call (``_path_memo``): the pairs of a
+    failing family share their route powers."""
     problems: list[str] = []
     cycles_at = _special_cycle_table(graph)
+    path_value = _path_memo(model)
     failing: list[Relation] = []
     for family in _power_families(graph, cycles_at):
-        if not _family_vanishes(model, family):
+        if not _family_vanishes(path_value, family):
             failing.extend(family.pairs())
     for rel in itertools.chain(failing, _other_relations(graph, cycles_at)):
-        problem = _relation_problem(model, rel)
+        problem = _relation_problem(model, rel, path_value)
         if problem is not None:
             problems.append(problem)
     for h in sorted(graph.half_edges):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
+from brauergraph import covering
 from brauergraph.algebra import ONE, AlgebraTable, Element, bga_table_with_keys, integral_form
 from brauergraph.core import BrauerGraph, GradedGraph, Grading, zero_grading
 from brauergraph.moves import (
@@ -108,6 +109,20 @@ def skew_leg_loop(legs: int, multiplicity: int = 1) -> BrauerGraph:
     return build_graph(
         names, [("a", "b")], [tuple(names)], dict.fromkeys(names, multiplicity)
     )
+
+
+def swapping_sigma_images(monkeypatch, a, b):
+    """Make the move of the covering swap the sigma-images of the covering
+    labels ``a`` and ``b``: the two sides then differ at those two only."""
+    move_set_underlying = covering.move_set_underlying
+
+    def swapped(graph, subset):
+        moved = move_set_underlying(graph, subset)
+        sigma = moved.orientation.mapping()
+        sigma[a], sigma[b] = sigma[b], sigma[a]
+        return replace(moved, orientation=Permutation(sigma))
+
+    monkeypatch.setattr(covering, "move_set_underlying", swapped)
 
 
 @pytest.fixture

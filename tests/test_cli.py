@@ -10,6 +10,8 @@ from brauergraph.core import gen_random, zero_grading
 from brauergraph.covering import default_grading
 from brauergraph.graphfile import GraphFileError, emit, parse
 
+from conftest import swapping_sigma_images
+
 EX1 = """\
 # four edges around a central vertex
 halfedges 1+ 1- 2+ 2- 3+ 3- 4+ 4-
@@ -306,6 +308,19 @@ def test_cli_cover(ex2_file, capsys):
 def test_cli_check_commute(ex2_file, capsys):
     assert main(["check-commute", ex2_file, "--edges", "1,4"]) == 0
     assert capsys.readouterr().out.strip() == "commutes: true"
+    assert main(["--json", "check-commute", ex2_file, "--edges", "1,4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"commutes": True}
+
+
+def test_cli_check_commute_names_its_witness(ex2_file, capsys, monkeypatch):
+    """ex2's half-edges sort as 1+ 1- 2 3 ..., so on its two sheets the
+    integer labels 3 and 4 are 1-_1 and 2_0."""
+    swapping_sigma_images(monkeypatch, 3, 4)
+    assert main(["check-commute", ex2_file, "--edges", "1,4"]) == 1
+    assert capsys.readouterr().out == "commutes: false\nwitness: 1-_1\n"
+    assert main(["--json", "check-commute", ex2_file, "--edges", "1,4"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"commutes": False, "witness": "1-_1"}
 
 
 def test_cli_dim(ex1_file, ex2_file, capsys):

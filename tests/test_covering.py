@@ -18,12 +18,13 @@ from brauergraph.core import (
 from brauergraph.covering import (
     check_cover_commutes,
     cover,
+    cover_commute_witness,
     default_grading,
     lift_subset,
     sheet_label,
 )
 
-from conftest import build_graph
+from conftest import build_graph, swapping_sigma_images
 
 
 def test_cover_ex1(ex1_graded):
@@ -153,6 +154,21 @@ def test_check_cover_commutes_fuzz():
         subset = random_ih_stable_subset(g, rng)
         graded = GradedGraph(g, default_grading(g, subset))
         assert check_cover_commutes(graded, subset), seed
+
+
+def test_the_witness_is_the_least_differing_sheet_label(monkeypatch):
+    """On 60 sheets, labels 2 and 10 of the first half-edge h are h_2 and
+    h_10; swapping their sigma-images names h_10, the least in sorted
+    order, although its integer label is the larger."""
+    graph = gen_random(11, n_half=8, max_multiplicity=6)
+    subset = random_ih_stable_subset(graph, random.Random(0))
+    graded = GradedGraph(graph, default_grading(graph, subset))
+    assert graded.grading.modulus == 60
+    assert cover_commute_witness(graded, subset) is None
+    h = min(graph.half_edges)
+    swapping_sigma_images(monkeypatch, 2, 10)
+    assert cover_commute_witness(graded, subset) == sheet_label(h, 10)
+    assert not check_cover_commutes(graded, subset)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 3])

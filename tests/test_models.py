@@ -67,9 +67,9 @@ def test_presentations_match_ex2(ex2, ex2_graded, monkeypatch):
     evaluated = []
     evaluate_relation = models.GraphAlgebraModel.evaluate_relation
 
-    def counting(model, rel):
+    def counting(model, rel, path_value=None):
         evaluated.append(rel)
-        return evaluate_relation(model, rel)
+        return evaluate_relation(model, rel, path_value)
 
     monkeypatch.setattr(models.GraphAlgebraModel, "evaluate_relation", counting)
     report = presentations_match(ex2, cover(ex2_graded))
@@ -540,6 +540,38 @@ def test_loop_family_is_checked_once_per_end(monkeypatch, tmp_path, capsys):
     assert main(["quiver", str(path)]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == ("\n".join(render_quiver(quiver(graph))) + "\n", "")
+
+
+def test_a_failing_family_evaluates_each_route_power_once(monkeypatch):
+    """Doubling the arrow at leg 1 into copy 0 of leg 2 breaks the loop
+    edge's rule-(I) family, so the listed check expands its 2^16 pairs.
+    Each of its 2^8 + 2^8 route powers is evaluated at most once, and the
+    problems are those of evaluating every pair on its own."""
+    graph = skew_leg_loop(8, multiplicity=2)
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    model = truncation_model(covered)
+    arrows = dict(model.arrow_element)
+    doubled = quiver(graph).arrow("1", 0, 0)
+    arrows[doubled] = vec_scale(arrows[doubled], 2)
+    perturbed = dataclasses.replace(model, arrow_element=arrows)
+    [family] = _power_families(graph, _special_cycle_table(graph))
+    powers = set(family.powers_h + family.powers_o)
+    assert len(powers) == 2 ** 8 + 2 ** 8
+    evaluated = []
+    scaled_path = models.GraphAlgebraModel.scaled_path
+
+    def counting(model, path):
+        if path in powers:
+            evaluated.append(path)
+        return scaled_path(model, path)
+
+    monkeypatch.setattr(models.GraphAlgebraModel, "scaled_path", counting)
+    problems = models._listed_problems(perturbed, graph)
+    assert len(problems) == 24_595
+    assert 0 < len(evaluated) == len(set(evaluated))
+    # Each pair evaluated on its own, on a model that has cached no step.
+    monkeypatch.setattr(models, "_path_memo", lambda model: model.scaled_path)
+    assert problems == models._listed_problems(dataclasses.replace(perturbed), graph)
 
 
 def test_presentations_match_caps_the_routes_of_a_special_cycle(monkeypatch):

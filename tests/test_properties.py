@@ -34,15 +34,18 @@ from brauergraph.core import (
     gen_random,
     grading_violations,
     oz_invariants,
+    random_ih_stable_subset,
     random_valid_grading,
     validate,
     zero_grading,
 )
 from brauergraph.covering import (
+    _commuting_sides,
     check_cover_commutes,
     cover,
     default_grading,
     lift_subset,
+    sheet_label,
 )
 from brauergraph.cli import main
 from brauergraph.graphfile import emit, parse
@@ -180,6 +183,63 @@ def test_move_set_under_a_random_valid_grading(drawn, seed):
     assert moved == sector_fold(graded, subset)
     assert grading_violations(moved.graph, moved.grading) == []
     assert check_cover_commutes(graded, subset)
+
+
+def sheet_labelled(graph: BrauerGraph, names: list[str], n: int) -> BrauerGraph:
+    """``graph`` on integer labels with label k renamed to the sheet label
+    of half-edge ``names[k // n]`` on sheet k % n."""
+    name = {k: sheet_label(names[k // n], k % n) for k in graph.half_edges}
+
+    def renamed(perm: Permutation) -> Permutation:
+        return Permutation({name[k]: name[perm(k)] for k in graph.half_edges})
+
+    return BrauerGraph(
+        frozenset(name.values()),
+        renamed(graph.pairing),
+        renamed(graph.orientation),
+        {name[k]: m for k, m in graph.multiplicity.items()},
+    )
+
+
+def assert_integer_sides_are_the_sheet_label_sides(graded, subset):
+    """Both sides of the commutativity check, renamed to sheet labels, are
+    the covering of the moved graph and the move of the covering as
+    ``cover`` labels them."""
+    moved_then_covered, covered_then_moved = _commuting_sides(graded, subset)
+    names, n = sorted(graded.graph.half_edges), graded.grading.modulus
+    covered = cover(graded)
+    assert sheet_labelled(moved_then_covered, names, n) == (
+        cover(move_set(graded, subset)).total
+    )
+    assert sheet_labelled(covered_then_moved, names, n) == (
+        move_set_underlying(covered.total, lift_subset(covered, subset))
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.sampled_from([4, 6, 8, 10]),
+    st.integers(0, 2**32 - 1),
+)
+def test_integer_sheet_labels_agree_with_the_sheet_labels(seed, skew, n_half, pick):
+    """On random ordinary and skew graphs and random stable subsets."""
+    graph = gen_random(seed, n_half=n_half, allow_skew=skew, max_multiplicity=4)
+    subset = random_ih_stable_subset(graph, random.Random(pick))
+    graded = GradedGraph(graph, default_grading(graph, subset))
+    assert_integer_sides_are_the_sheet_label_sides(graded, subset)
+
+
+def test_integer_sheet_labels_agree_on_sixty_sheets():
+    """m_bar = 60: past ten sheets, the order of the integer labels is not
+    the order of the sheet labels (h_10 sorts before h_2)."""
+    graph = gen_random(11, n_half=8, max_multiplicity=6)
+    assert graph.m_bar == 60
+    for pick in range(4):
+        subset = random_ih_stable_subset(graph, random.Random(pick))
+        graded = GradedGraph(graph, default_grading(graph, subset))
+        assert_integer_sides_are_the_sheet_label_sides(graded, subset)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)
