@@ -89,8 +89,6 @@ def cover(g: GradedGraph) -> CoveredGraph:
     sheet_of = {
         label: (h, i) for h, row in labels.items() for i, label in enumerate(row)
     }
-    if len(sheet_of) != len(graph.half_edges) * n:
-        raise ValueError("half-edge names collide under sheet labelling")
     total = _total(g, labels, _pairing(graph, labels))
     return CoveredGraph(g, total, sheet_of, n, labels)
 

@@ -368,11 +368,10 @@ def _hom_complexes(
     stalks.  For S -> Y, D^{-1} is h -> d_Y.h (d_S = 0): one ``_images``
     pass over the maps from every stalk position to Y_{-1} gives D^{-1} of
     every stalk into Y, each image filed under the stalk holding its
-    source; a stalk's images are ranked, and dropped, once its last one is
-    drawn.  For Y -> S, D^0 is f_0 -> f_0.d_Y on Hom(Y_0, S_0) (S_{-1} = 0),
-    drawn by one ``_images`` call per stalk so that its rank stops at
-    |Hom^1|.  No image mixes two stalks, so each stalk's rank is that of its
-    own pair.
+    source; after the pass each stalk's images are ranked.  For Y -> S, D^0
+    is f_0 -> f_0.d_Y on Hom(Y_0, S_0) (S_{-1} = 0), drawn by one
+    ``_images`` call per stalk so that its rank stops at |Hom^1|.  No image
+    mixes two stalks, so each stalk's rank is that of its own pair.
 
     A pair of two cones X -> Y is read off those pairs when they prove it.
     D^{-1}(h) = (h.d_X, d_Y.h), and h -> d_Y.h splits over the components
@@ -400,24 +399,14 @@ def _hom_complexes(
         if not y.deg_minus1:
             continue
         d_y = y.differential
-        # |Hom^{-1}| of each stalk into Y, the images of it still to come,
-        # and those drawn.
-        counts = [_map_count(sizes, y.deg_minus1, positions) for _, positions in stalks]
-        unseen = list(counts)
-        boundaries: list = [[] for _ in stalks]
-        ranks = [0] * len(stalks)
+        boundaries: list[list[Element]] = [[] for _ in stalks]
         for (_, _, s, _), image in _images(
             table, "h", y.deg_minus1, held, after=("d0", d_y)
         ):
-            k = holder[s]
-            if image:
-                boundaries[k].append(image)
-            unseen[k] -= 1
-            if not unseen[k]:
-                # The stalk's last image: rank its images and let them go.
-                ranks[k] = rank(boundaries[k], counts[k])
-                boundaries[k] = None
-        for (a, positions), n_minus1, rk_minus1 in zip(stalks, counts, ranks):
+            boundaries[holder[s]].append(image)
+        for (a, positions), images in zip(stalks, boundaries):
+            n_minus1 = _map_count(sizes, y.deg_minus1, positions)
+            rk_minus1 = rank(images, n_minus1)
             known[a, b] = (
                 n_minus1 - rk_minus1,
                 _map_count(sizes, y.deg_0, positions) - rk_minus1,

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .algebra import (
     AlgebraTable,
@@ -63,10 +63,6 @@ from .presentation import (
 )
 
 
-# Evaluates a path to (V, D), as ``GraphAlgebraModel.scaled_path`` does.
-PathValue = Callable[[Path], tuple[Element, int]]
-
-
 def _exact(value: Element, denominator: int) -> Element:
     """The element value / denominator, ``int`` where a coefficient is one."""
     if denominator == 1:
@@ -102,8 +98,10 @@ class GraphAlgebraModel:
     denominator is 2 to the power of its arrows at split sources.  The
     ``scaled_*`` methods return (V, D) with value V / D; a relation is zero
     exactly when the sum of its terms' V, each scaled to the largest D, is
-    zero.  The ``evaluate_*`` methods return the value itself, which callers
-    must not modify.
+    zero.  ``scaled_path`` multiplies each path out once per model and keeps
+    its (V, D), or the KeyError of its missing arrow, raised again on every
+    call.  The values the ``scaled_*`` and ``evaluate_*`` methods return are
+    shared with these caches, so callers must not modify them.
     """
 
     graph: BrauerGraph
@@ -113,6 +111,9 @@ class GraphAlgebraModel:
     twist: Element | None = None
     grading: Grading | None = None
     _steps: dict[Arrow | str, tuple[Element, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _paths: dict[Path, tuple[Element, int] | KeyError] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -190,34 +191,37 @@ class GraphAlgebraModel:
         ]
 
     def scaled_path(self, path: Path) -> tuple[Element, int]:
-        """(V, D) for the product of the arrows of ``path``; KeyError names a
-        missing arrow."""
-        if not path:
-            raise ValueError("paths have at least one arrow")
-        try:
+        """(V, D) for the product of the arrows of ``path``, multiplied out
+        once per model; KeyError names a missing arrow."""
+        out = self._paths.get(path)
+        if out is None:
+            if not path:
+                raise ValueError("paths have at least one arrow")
             # A repeated turn ends where the first arrow comes round again.
-            turn_length = path.index(path[0], 1)
-        except ValueError:
-            turn_length = len(path)
-        return self._product(path, turn_length)
+            repeat = path[0] in path[1:]
+            turn_length = path.index(path[0], 1) if repeat else len(path)
+            try:
+                out = self._product(path, turn_length)
+            except KeyError as exc:
+                out = exc
+            self._paths[path] = out
+        if isinstance(out, KeyError):
+            raise KeyError(*out.args)
+        return out
 
     def evaluate_path(self, path: Path) -> Element:
         """Product of the arrows of ``path``; KeyError names a missing arrow."""
         return _exact(*self.scaled_path(path))
 
-    def scaled_relation(
-        self, rel: Relation, path_value: PathValue | None = None
-    ) -> tuple[Element, int]:
+    def scaled_relation(self, rel: Relation) -> tuple[Element, int]:
         """(V, D) for the value of ``rel``: its terms scaled to the least
-        common denominator D and summed.  Paths are evaluated by
-        ``path_value``, ``scaled_path`` when it is None."""
-        path_value = path_value or self.scaled_path
+        common denominator D and summed."""
         terms = [
             (
                 coeff,
                 self._scaled_summed_walk(body)
                 if isinstance(body, Walk)
-                else path_value(body),
+                else self.scaled_path(body),
             )
             for coeff, body in rel.terms
         ]
@@ -227,10 +231,8 @@ class GraphAlgebraModel:
             out = vec_add(out, value, coeff * (denominator // d))
         return out, denominator
 
-    def evaluate_relation(
-        self, rel: Relation, path_value: PathValue | None = None
-    ) -> Element:
-        return _exact(*self.scaled_relation(rel, path_value))
+    def evaluate_relation(self, rel: Relation) -> Element:
+        return _exact(*self.scaled_relation(rel))
 
 
 def ordinary_model(graph: BrauerGraph) -> GraphAlgebraModel:
@@ -418,40 +420,20 @@ class MatchReport(NamedTuple):
     expected_dim: int
 
 
-def _path_memo(model: GraphAlgebraModel) -> PathValue:
-    """``model.scaled_path`` evaluating each path once: a path with a missing
-    arrow raises KeyError on every call, but is evaluated only once."""
-    values: dict[Path, tuple[Element, int] | KeyError] = {}
-
-    def path_value(path: Path) -> tuple[Element, int]:
-        value = values.get(path)
-        if value is None:
-            try:
-                value = values[path] = model.scaled_path(path)
-            except KeyError as exc:
-                value = values[path] = exc
-        if isinstance(value, KeyError):
-            raise KeyError(*value.args)
-        return value
-
-    return path_value
-
-
 def _common_value(
-    path_value: PathValue, paths: tuple[Path, ...]
+    model: GraphAlgebraModel, paths: tuple[Path, ...]
 ) -> tuple[Element, int] | None:
-    """The (V, D) value all ``paths`` share under ``path_value``, or None
-    when two differ; KeyError names a missing arrow."""
-    first = path_value(paths[0])
+    """The (V, D) value all ``paths`` share in the model, or None when two
+    differ; KeyError names a missing arrow."""
+    first = model.scaled_path(paths[0])
     for path in paths[1:]:
-        if not _same(path_value(path), first):
+        if not _same(model.scaled_path(path), first):
             return None
     return first
 
 
-def _family_vanishes(path_value: PathValue, family: PowerFamily) -> bool:
-    """Whether every relation of the rule-(I) family is zero in the model
-    whose paths ``path_value`` evaluates.
+def _family_vanishes(model: GraphAlgebraModel, family: PowerFamily) -> bool:
+    """Whether every relation of the rule-(I) family is zero in the model.
 
     By the criterion of ``PowerFamily``: all route powers at h share one
     value v_h, all at the other end share v_o, and c_h v_h = c_o v_o.  That
@@ -461,8 +443,8 @@ def _family_vanishes(path_value: PathValue, family: PowerFamily) -> bool:
     the pairwise check to name.
     """
     try:
-        v_h = _common_value(path_value, family.powers_h)
-        v_o = None if v_h is None else _common_value(path_value, family.powers_o)
+        v_h = _common_value(model, family.powers_h)
+        v_o = None if v_h is None else _common_value(model, family.powers_o)
     except KeyError:
         return False
     if v_o is None:
@@ -473,13 +455,10 @@ def _family_vanishes(path_value: PathValue, family: PowerFamily) -> bool:
     return not vec_add(vec_scale(u_h, c_h), u_o, -c_o)
 
 
-def _relation_problem(
-    model: GraphAlgebraModel, rel: Relation, path_value: PathValue | None = None
-) -> str | None:
-    """The witness text of a relation that fails in the model, or None;
-    ``path_value`` as in ``GraphAlgebraModel.scaled_relation``."""
+def _relation_problem(model: GraphAlgebraModel, rel: Relation) -> str | None:
+    """The witness text of a relation that fails in the model, or None."""
     try:
-        value = model.evaluate_relation(rel, path_value)
+        value = model.evaluate_relation(rel)
     except KeyError:
         return f"relation uses a missing arrow: {render_relation(rel)}"
     if value:
@@ -514,7 +493,7 @@ def _proved_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str] 
         return routes_at(h, i)[:1]
 
     families = _power_families(graph, route_at)
-    if not all(_family_vanishes(model.scaled_path, f) for f in families):
+    if not all(_family_vanishes(model, f) for f in families):
         return None
     proved = itertools.chain(
         _overrun_relations(graph, routes_at), _shifted_relations(graph, route_at)
@@ -534,17 +513,16 @@ def _listed_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str]:
     family expanded to its pairs, then each vertex whose special cycles
     differ.
 
-    Each path is evaluated once per call (``_path_memo``): the pairs of a
-    failing family share their route powers."""
+    The pairs of a failing family share their route powers, which the model
+    multiplies out once (``GraphAlgebraModel.scaled_path``)."""
     problems: list[str] = []
     cycles_at = _special_cycle_table(graph)
-    path_value = _path_memo(model)
     failing: list[Relation] = []
     for family in _power_families(graph, cycles_at):
-        if not _family_vanishes(path_value, family):
+        if not _family_vanishes(model, family):
             failing.extend(family.pairs())
     for rel in itertools.chain(failing, _other_relations(graph, cycles_at)):
-        problem = _relation_problem(model, rel, path_value)
+        problem = _relation_problem(model, rel)
         if problem is not None:
             problems.append(problem)
     for h in sorted(graph.half_edges):
@@ -587,7 +565,8 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
     relation and every route is evaluated, and the problems name each
     failing relation and vertex in the order of ``relations``.  A rule-(I)
     family is then still checked once per route and expanded to its pairs
-    only when it fails (see ``PowerFamily``).
+    only when it fails (see ``PowerFamily``); the pairs share their route
+    powers, which the model multiplies out once each.
 
     A special cycle of more than ``MAX_WALK_PATHS`` routes raises ValueError
     naming its half-edge and route count, before the model is built or any

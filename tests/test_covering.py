@@ -68,6 +68,27 @@ def test_cover_trivial_group():
         assert total.orientation(f"{h}_0") == f"{graph.orientation(h)}_0"
 
 
+def test_sheet_labels_split_at_their_last_underscore():
+    """Names that end in ``_`` and digits, on 12 sheets: the label h_i of
+    "a_1" on sheet 0 is the name "a_1_0", and "a" on sheet 1 is "a_1", yet
+    no two (h, i) share a label, since the digits of i hold no ``_``."""
+    graph = build_graph(
+        ["a", "a_1", "a_1_0", "b_10"],
+        [("a", "a_1"), ("a_1_0", "b_10")],
+        [("a", "a_1_0"), ("a_1", "b_10")],
+        {"a": 6, "a_1": 4},
+    )
+    covered = cover(GradedGraph(graph, default_grading(graph)))
+    n = covered.group_order
+    assert n == 12
+    assert len(covered.total.half_edges) == len(covered.sheet_of) == n * 4
+    for h, row in covered.labels.items():
+        assert len(row) == n
+        for i, label in enumerate(row):
+            assert label == sheet_label(h, i)
+            assert covered.sheet_of[label] == (h, i)
+
+
 def test_cover_rejects_invalid_grading(ex1):
     bad = Grading(2, {h: 0 for h in ex1.half_edges})
     with pytest.raises(ValueError):

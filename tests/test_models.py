@@ -67,9 +67,9 @@ def test_presentations_match_ex2(ex2, ex2_graded, monkeypatch):
     evaluated = []
     evaluate_relation = models.GraphAlgebraModel.evaluate_relation
 
-    def counting(model, rel, path_value=None):
+    def counting(model, rel):
         evaluated.append(rel)
-        return evaluate_relation(model, rel, path_value)
+        return evaluate_relation(model, rel)
 
     monkeypatch.setattr(models.GraphAlgebraModel, "evaluate_relation", counting)
     report = presentations_match(ex2, cover(ex2_graded))
@@ -273,6 +273,47 @@ def test_cached_evaluation_matches_uncached(source, ex2):
         assert model.evaluate_relation(rel) == uncached_relation(model, rel)
     for route in all_special_cycles(graph):
         assert model.evaluate_path(route) == uncached_path(model, route)
+
+
+def test_a_missing_arrow_is_raised_again_from_the_path_cache(ex2, monkeypatch):
+    """A path through a missing arrow raises the same KeyError on every
+    call, and is multiplied out once."""
+    model = skew_model(ex2)
+    first = next(iter(model.arrow_element))
+    missing = next(a for a in model.arrow_element if a.source == first.target)
+    arrows = dict(model.arrow_element)
+    del arrows[missing]
+    model = dataclasses.replace(model, arrow_element=arrows)
+    path = (first, missing)
+    multiplied = []
+    product = models.GraphAlgebraModel._product
+
+    def counting(model, steps, turn_length):
+        multiplied.append(steps)
+        return product(model, steps, turn_length)
+
+    monkeypatch.setattr(models.GraphAlgebraModel, "_product", counting)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(KeyError) as info:
+            model.scaled_path(path)
+        raised.append(info.value.args)
+    assert raised == [(missing,), (missing,)]
+    assert multiplied == [path]
+
+
+def test_a_replaced_model_evaluates_its_paths_anew(ex2):
+    """``dataclasses.replace`` gives a model with empty caches, so a changed
+    arrow changes the value of a path already evaluated in the old model."""
+    model = skew_model(ex2)
+    route = all_special_cycles(ex2)[0]
+    value = model.evaluate_path(route)
+    assert value
+    arrows = dict(model.arrow_element)
+    arrows[route[0]] = vec_scale(arrows[route[0]], 3)
+    changed = dataclasses.replace(model, arrow_element=arrows)
+    assert changed.evaluate_path(route) == uncached_path(changed, route) != value
+    assert model.evaluate_path(route) == value
 
 
 def test_a_zero_prefix_is_extended_without_a_product(monkeypatch):
@@ -545,8 +586,9 @@ def test_loop_family_is_checked_once_per_end(monkeypatch, tmp_path, capsys):
 def test_a_failing_family_evaluates_each_route_power_once(monkeypatch):
     """Doubling the arrow at leg 1 into copy 0 of leg 2 breaks the loop
     edge's rule-(I) family, so the listed check expands its 2^16 pairs.
-    Each of its 2^8 + 2^8 route powers is evaluated at most once, and the
-    problems are those of evaluating every pair on its own."""
+    The model multiplies each of its 2^8 + 2^8 route powers out at most
+    once; evaluating every pair on its own multiplies out more than two per
+    problem, and gives the same problems."""
     graph = skew_leg_loop(8, multiplicity=2)
     covered = cover(GradedGraph(graph, zero_grading(graph)))
     model = truncation_model(covered)
@@ -557,21 +599,30 @@ def test_a_failing_family_evaluates_each_route_power_once(monkeypatch):
     [family] = _power_families(graph, _special_cycle_table(graph))
     powers = set(family.powers_h + family.powers_o)
     assert len(powers) == 2 ** 8 + 2 ** 8
-    evaluated = []
-    scaled_path = models.GraphAlgebraModel.scaled_path
+    multiplied = []
+    product = models.GraphAlgebraModel._product
 
-    def counting(model, path):
-        if path in powers:
-            evaluated.append(path)
-        return scaled_path(model, path)
+    def counting(model, steps, turn_length):
+        if steps in powers:
+            multiplied.append(steps)
+        return product(model, steps, turn_length)
 
-    monkeypatch.setattr(models.GraphAlgebraModel, "scaled_path", counting)
+    monkeypatch.setattr(models.GraphAlgebraModel, "_product", counting)
     problems = models._listed_problems(perturbed, graph)
     assert len(problems) == 24_595
-    assert 0 < len(evaluated) == len(set(evaluated))
-    # Each pair evaluated on its own, on a model that has cached no step.
-    monkeypatch.setattr(models, "_path_memo", lambda model: model.scaled_path)
+    assert 0 < len(multiplied) == len(set(multiplied))
+    # Each pair evaluated on its own, on a model that has cached no step and
+    # forgets each path's value.
+    multiplied.clear()
+    scaled_path = models.GraphAlgebraModel.scaled_path
+
+    def uncached(model, path):
+        model._paths.clear()
+        return scaled_path(model, path)
+
+    monkeypatch.setattr(models.GraphAlgebraModel, "scaled_path", uncached)
     assert problems == models._listed_problems(dataclasses.replace(perturbed), graph)
+    assert len(multiplied) > 2 * 24_595
 
 
 def test_presentations_match_caps_the_routes_of_a_special_cycle(monkeypatch):
