@@ -7,9 +7,9 @@ algebra A, for the sheet shift g, by the sheet-zero idempotents f.  It is
 built on its G-orbit basis straight from the covering's basis keys
 (``algebra.orbit_truncation``), never building the skew group table; the
 generic route through ``algebra.skew_group_table`` and the corner sweep
-``truncate`` of the test suite is its test oracle.  The same model
-validates the direct presentations: rule (V) relation by relation, then
-one route per quiver vertex for the relations indexed by routes.
+``truncate`` of the test suite is its test oracle.  ``presentation_problems``
+checks any model against its graph's direct presentation: rule (V) relation
+by relation, then one route per quiver vertex for those indexed by routes.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from .presentation import (
     _other_relations,
     _overrun_relations,
     _power_families,
+    _render_terms,
     _shifted_relations,
     _special_cycle_table,
     _two_route_relations,
@@ -56,7 +57,6 @@ from .presentation import (
     normal_paths,
     quiver,
     render_arrow,
-    render_relation,
     render_vertex,
     vertex_indices,
     walk_path_count,
@@ -460,19 +460,18 @@ def _relation_problem(model: GraphAlgebraModel, rel: Relation) -> str | None:
     try:
         value = model.evaluate_relation(rel)
     except KeyError:
-        return f"relation uses a missing arrow: {render_relation(rel)}"
+        text = _render_terms(rel.terms, "a", quiver(model.graph).names)
+        return f"relation uses a missing arrow: {text}"
     if value:
-        return (
-            f"relation does not vanish: {render_relation(rel)} "
-            f"= {model.table.render(value)}"
-        )
+        text = _render_terms(rel.terms, "a", quiver(model.graph).names)
+        return f"relation does not vanish: {text} = {model.table.render(value)}"
     return None
 
 
-def _proved_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str] | None:
-    """The relation problems of ``presentations_match``, with every relation
-    indexed by routes proved from rule (V) and one route per quiver vertex;
-    None when the proof does not go through.
+def _proved_problems(model: GraphAlgebraModel) -> list[str] | None:
+    """The relation problems of ``presentation_problems``, with every
+    relation indexed by routes proved from rule (V) and one route per quiver
+    vertex; None when the proof does not go through.
 
     Two index-resolved walks along the same half-edges, with the same start
     and end copies, differ by swaps of two-arrow segments through doubled
@@ -484,6 +483,7 @@ def _proved_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str] 
     one per skew-leg copy.  Rule (III) is evaluated relation by relation;
     its problems are the only ones the check can have.
     """
+    graph = model.graph
     if any(_relation_problem(model, rel) for rel in _two_route_relations(graph)):
         return None
 
@@ -507,14 +507,25 @@ def _proved_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str] 
     ]
 
 
-def _listed_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str]:
+def _listed_problems(model: GraphAlgebraModel) -> list[str]:
     """The relation and special-cycle problems, every route listed: each
     failing relation of ``relations`` in its order, a failing rule-(I)
     family expanded to its pairs, then each vertex whose special cycles
     differ.
 
     The pairs of a failing family share their route powers, which the model
-    multiplies out once (``GraphAlgebraModel.scaled_path``)."""
+    multiplies out once (``GraphAlgebraModel.scaled_path``).  A special
+    cycle past ``MAX_WALK_PATHS`` routes raises ValueError before any is."""
+    graph = model.graph
+    for h in sorted(graph.half_edges):
+        if not induces_arrow(graph, h):
+            continue
+        routes = walk_path_count(graph, h, len(graph.sigma_orbit_of(h)))
+        if routes > MAX_WALK_PATHS:
+            raise ValueError(
+                f"special cycles at {h} have {routes} routes, over the cap of "
+                f"{MAX_WALK_PATHS}"
+            )
     problems: list[str] = []
     cycles_at = _special_cycle_table(graph)
     failing: list[Relation] = []
@@ -544,12 +555,12 @@ def _listed_problems(model: GraphAlgebraModel, graph: BrauerGraph) -> list[str]:
     return problems
 
 
-def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchReport:
-    """Verify the direct presentation against the compressed covering model.
+def presentation_problems(model: GraphAlgebraModel) -> list[str]:
+    """The problems of ``model`` against its graph's direct presentation.
 
     Checks that quiver vertices and arrows correspond, that every generating
-    relation evaluates to zero in the model, that all special cycles at a
-    vertex agree there, and that the dimensions match the independent count.
+    relation evaluates to zero in the model, and that all special cycles at a
+    vertex agree there.
 
     The relations indexed by routes are proved, not listed: any two routes
     along the same half-edges, with the same start and end copies, differ by
@@ -566,27 +577,11 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
     failing relation and vertex in the order of ``relations``.  A rule-(I)
     family is then still checked once per route and expanded to its pairs
     only when it fails (see ``PowerFamily``); the pairs share their route
-    powers, which the model multiplies out once each.
-
-    A special cycle of more than ``MAX_WALK_PATHS`` routes raises ValueError
-    naming its half-edge and route count, before the model is built or any
-    route is drawn.
+    powers, which the model multiplies out once each.  Only this listing is
+    capped, at ``MAX_WALK_PATHS`` routes per special cycle.
     """
-    for h in sorted(graph.half_edges):
-        if not induces_arrow(graph, h):
-            continue
-        routes = walk_path_count(graph, h, len(graph.sigma_orbit_of(h)))
-        if routes > MAX_WALK_PATHS:
-            raise ValueError(
-                f"special cycles at {h} have {routes} routes, over the cap of "
-                f"{MAX_WALK_PATHS}"
-            )
     problems: list[str] = []
-    try:
-        model = truncation_model(covered)
-    except (ValueError, KeyError) as exc:
-        return MatchReport(False, [f"model construction failed: {exc}"], -1, -1)
-    q = quiver(graph)
+    q = quiver(model.graph)
     if set(q.vertices) != set(model.vertex_position):
         problems.append("quiver vertices do not match the model idempotents")
     if set(q.arrows) != set(model.arrow_element):
@@ -595,8 +590,18 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
         for a, elem in model.arrow_element.items():
             if not elem:
                 problems.append(f"arrow {render_arrow(a)} maps to zero in the model")
-    proved = None if problems else _proved_problems(model, graph)
-    problems.extend(_listed_problems(model, graph) if proved is None else proved)
+    proved = None if problems else _proved_problems(model)
+    return problems + (_listed_problems(model) if proved is None else proved)
+
+
+def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchReport:
+    """The ``presentation_problems`` of the compressed covering model, and
+    its dimension against the independent count."""
+    try:
+        model = truncation_model(covered)
+    except (ValueError, KeyError) as exc:
+        return MatchReport(False, [f"model construction failed: {exc}"], -1, -1)
+    problems = presentation_problems(model)
     if graph.is_skew:
         expected_dim = skew_dimension_oracle(covered)
     else:

@@ -41,10 +41,10 @@ Path = tuple[Arrow, ...]
 # instead of running for minutes.  At a vertex carrying L skew legs and
 # nothing else, with multiplicity 2, the longest walk sums 2^(2L) paths: six
 # legs reach the cap and render in about a second, seven are refused.
-# ``models.presentations_match`` caps the routes of one special cycle, a
-# walk once around a vertex, by the same number: 2^k for k skew legs.  It
-# takes one route per quiver vertex when it can prove the rest equal, and
-# lists them all only to name the problems of a check that fails.
+# ``models.presentation_problems`` takes one route per quiver vertex when it
+# can prove the rest equal, and lists them all only to name the problems of
+# a check that fails; that listing alone caps the routes of one special
+# cycle, 2^k for k skew legs at its vertex, by the same number.
 MAX_WALK_PATHS = 1 << 12
 
 
@@ -102,6 +102,10 @@ class Quiver:
     @cached_property
     def _by_indices(self) -> dict[tuple[str, int | None, int | None], Arrow]:
         return {(a.h, a.source[1], a.target[1]): a for a in self.arrows}
+
+    @cached_property
+    def names(self) -> dict[Arrow, str]:
+        return {a: render_arrow(a) for a in self.arrows}
 
     def arrow(self, h: str, i: int | None, j: int | None) -> Arrow:
         try:

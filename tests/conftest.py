@@ -18,7 +18,6 @@ from brauergraph.moves import (
     sectors,
 )
 from brauergraph.linalg import RationalSpan
-from brauergraph.models import skew_dimension_oracle
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
     induces_arrow,
@@ -200,14 +199,15 @@ def assert_families_render_pair_by_pair(graph):
     assert p.relations == tuple(listed)
 
 
-def pairwise_match_problems(graph, covered, model):
-    """The problems ``models.presentations_match`` reports for ``model``,
+def pairwise_match_problems(model):
+    """The problems ``models.presentation_problems`` reports for ``model``,
     found by evaluating every relation of ``relations`` one pair of routes
     at a time.
 
     This is the check before rule (I) was read per route; it stays as the
     oracle of that reading.
     """
+    graph = model.graph
     problems = []
     q = quiver(graph)
     if set(q.vertices) != set(model.vertex_position):
@@ -246,14 +246,6 @@ def pairwise_match_problems(graph, covered, model):
                     f"special cycles at ({h}, {i}) differ in the model: "
                     f"{model.table.render(first)} vs {model.table.render(other)}"
                 )
-    if graph.is_skew:
-        expected_dim = skew_dimension_oracle(covered)
-    else:
-        expected_dim = bga_table_with_keys(graph)[0].dim
-    if model.table.dim != expected_dim:
-        problems.append(
-            f"model dimension {model.table.dim} differs from expected {expected_dim}"
-        )
     return problems
 
 

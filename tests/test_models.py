@@ -25,6 +25,7 @@ from brauergraph.models import (
     graph_edge_cartan,
     model_for,
     ordinary_model,
+    presentation_problems,
     presentations_match,
     skew_model,
     truncation_model,
@@ -49,6 +50,7 @@ from brauergraph.presentation import (
     render_relation,
     special_cycles,
     vertex_indices,
+    walk_path_count,
 )
 
 from conftest import pairwise_match_problems, skew_leg_loop
@@ -120,6 +122,53 @@ def test_presentations_match_fuzz():
         report = presentations_match(g, cover(GradedGraph(g, grading)))
         assert report.ok, (seed, report.problems[:2])
         done += 1
+
+
+def ordinary_golden_graphs():
+    paths = sorted(GOLDEN.glob("*.bg"))
+    graphs = [parse(path.read_text(encoding="utf-8")).graph for path in paths]
+    return [g for g in graphs if not g.is_skew]
+
+
+def test_ordinary_models_have_no_presentation_problems():
+    """The check takes any model, not only a covering's: the Brauer graph
+    algebra's own table satisfies the direct presentation, on the ordinary
+    golden graphs and 200 ordinary ``gen_random`` draws."""
+    graphs = ordinary_golden_graphs() + [gen_random(seed) for seed in range(200)]
+    assert len(graphs) == 203
+    for graph in graphs:
+        assert presentation_problems(ordinary_model(graph)) == [], emit(graph)
+
+
+def test_an_ordinary_model_with_a_doubled_arrow_matches_the_pairwise_oracle():
+    """Doubling each arrow of each ordinary golden graph breaks the model,
+    and the check reports what the pairwise check reports."""
+    for graph in ordinary_golden_graphs():
+        model = ordinary_model(graph)
+        for arrow in sorted(model.arrow_element):
+            arrows = dict(model.arrow_element)
+            arrows[arrow] = vec_scale(arrows[arrow], 2)
+            perturbed = dataclasses.replace(model, arrow_element=arrows)
+            problems = presentation_problems(perturbed)
+            assert problems, (emit(graph), arrow)
+            assert problems == pairwise_match_problems(dataclasses.replace(perturbed))
+
+
+@pytest.mark.parametrize("n_half, dim", [(48, 2_947), (64, 8_862)])
+def test_skew_graphs_past_the_route_cap_are_answered(n_half, dim):
+    """These skew graphs have special cycles of 2^13 and 2^16 routes, past
+    ``MAX_WALK_PATHS``.  Rule (V) settles them from one route per quiver
+    vertex, so the check answers instead of refusing."""
+    graph = gen_random(3, n_half=n_half, allow_skew=True)
+    assert graph.is_skew
+    routes = max(
+        walk_path_count(graph, h, len(graph.sigma_orbit_of(h)))
+        for h in graph.half_edges
+        if induces_arrow(graph, h)
+    )
+    assert routes > MAX_WALK_PATHS
+    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    assert presentations_match(graph, covered) == (True, [], dim, dim)
 
 
 def test_special_cycles_all_equal_in_model(ex2):
@@ -369,9 +418,8 @@ def test_route_powers_are_powers_of_one_turn(monkeypatch):
     assert calls == 148
 
 
-def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch):
-    covered = cover(ex2_graded)
-    model = truncation_model(covered)
+def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded):
+    model = truncation_model(cover(ex2_graded))
     for rel in relations(ex2):
         assert model.evaluate_relation(rel) == {}
     # Doubling one arrow into a doubled vertex breaks the two-route relation
@@ -380,12 +428,9 @@ def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch)
     arrows = dict(model.arrow_element)
     arrows[arrow] = vec_scale(arrows[arrow], 2)
     perturbed = dataclasses.replace(model, arrow_element=arrows)
-    monkeypatch.setattr(models, "truncation_model", lambda c: perturbed)
-    report = presentations_match(ex2, covered)
-    assert not report.ok
-    assert report.problems == pairwise_match_problems(
-        ex2, covered, dataclasses.replace(perturbed)
-    )
+    problems = presentation_problems(perturbed)
+    assert problems
+    assert problems == pairwise_match_problems(dataclasses.replace(perturbed))
     labels = perturbed.table.labels
     failing = [
         (rel, value)
@@ -395,7 +440,7 @@ def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch)
     assert failing
     for rel, value in failing:
         witness = f"relation does not vanish: {render_relation(rel)} = "
-        line = next(p for p in report.problems if p.startswith(witness))
+        line = next(p for p in problems if p.startswith(witness))
         terms = line[len(witness):].split(" + ")
         assert terms == [f"{c}*{labels[k]}" for k, c in sorted(value.items())]
     differing = 0
@@ -408,7 +453,7 @@ def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch)
             )
             other = next((v for v in rest if v != first), None)
             prefix = f"special cycles at ({h}, {i}) differ in the model: "
-            lines = [p for p in report.problems if p.startswith(prefix)]
+            lines = [p for p in problems if p.startswith(prefix)]
             if other is None:
                 assert lines == []
                 continue
@@ -420,22 +465,20 @@ def test_perturbed_arrow_fails_presentations_match(ex2, ex2_graded, monkeypatch)
     assert differing
 
 
-def match_with_arrows(monkeypatch, graph, change):
-    """``presentations_match`` and the pairwise oracle on the zero-graded
+def match_with_arrows(graph, change):
+    """``presentation_problems`` and the pairwise oracle on the zero-graded
     model whose arrow dictionary ``change`` has edited in place."""
-    covered = cover(GradedGraph(graph, zero_grading(graph)))
-    model = truncation_model(covered)
+    model = truncation_model(cover(GradedGraph(graph, zero_grading(graph))))
     arrows = dict(model.arrow_element)
     change(arrows, quiver(graph))
     perturbed = dataclasses.replace(model, arrow_element=arrows)
-    monkeypatch.setattr(models, "truncation_model", lambda c: perturbed)
-    report = presentations_match(graph, covered)
+    problems = presentation_problems(perturbed)
     # A fresh copy, so the oracle reads none of the check's cached steps.
-    oracle = pairwise_match_problems(graph, covered, dataclasses.replace(perturbed))
-    return report, oracle, perturbed
+    oracle = pairwise_match_problems(dataclasses.replace(perturbed))
+    return problems, oracle, perturbed
 
 
-def test_family_broken_on_some_pairs_matches_the_pairwise_oracle(ex2, monkeypatch):
+def test_family_broken_on_some_pairs_matches_the_pairwise_oracle(ex2):
     """Edge 1 of ex2 has one route at 1+ and four at 1-, whose orbit carries
     the legs 3 and 2; doubling one copy of the arrow at 3 breaks the pairs
     through it and no other pair of the family.  The copy is on the last
@@ -445,30 +488,30 @@ def test_family_broken_on_some_pairs_matches_the_pairwise_oracle(ex2, monkeypatc
         arrow = q.arrow("3", 1, 1)
         arrows[arrow] = vec_scale(arrows[arrow], 2)
 
-    report, oracle, perturbed = match_with_arrows(monkeypatch, ex2, double_one_leg_copy)
+    problems, oracle, perturbed = match_with_arrows(ex2, double_one_leg_copy)
     family = next(f for f in _power_families(ex2, _special_cycle_table(ex2)) if f.h == "1+")
     assert (len(family.powers_h), len(family.powers_o)) == (1, 4)
     broken = [rel for rel in family.pairs() if uncached_relation(perturbed, rel)]
     assert 0 < len(broken) < 4
-    assert not report.ok
-    assert report.problems == oracle
+    assert problems
+    assert problems == oracle
     for rel in broken:
         assert any(
             p.startswith(f"relation does not vanish: {render_relation(rel)} = ")
-            for p in report.problems
+            for p in problems
         )
 
 
-def test_missing_arrow_matches_the_pairwise_oracle(ex2, monkeypatch):
+def test_missing_arrow_matches_the_pairwise_oracle(ex2):
     def drop_one_leg_copy(arrows, q):
         del arrows[q.arrow("3", 0, 1)]
 
-    report, oracle, _ = match_with_arrows(monkeypatch, ex2, drop_one_leg_copy)
-    assert not report.ok
-    assert report.problems == oracle
-    assert "quiver arrows do not match the model arrows" in report.problems
-    assert any(p.startswith("relation uses a missing arrow: ") for p in report.problems)
-    assert any(p.endswith("use a missing arrow") for p in report.problems)
+    problems, oracle, _ = match_with_arrows(ex2, drop_one_leg_copy)
+    assert problems
+    assert problems == oracle
+    assert "quiver arrows do not match the model arrows" in problems
+    assert any(p.startswith("relation uses a missing arrow: ") for p in problems)
+    assert any(p.endswith("use a missing arrow") for p in problems)
 
 
 def adding(to, what):
@@ -511,15 +554,15 @@ def test_a_fault_is_reported_as_the_pairwise_oracle(
         return special_cycle_table(graph)
 
     monkeypatch.setattr(models, "_special_cycle_table", recording)
-    report, oracle, perturbed = match_with_arrows(monkeypatch, ex2, change)
+    problems, oracle, perturbed = match_with_arrows(ex2, change)
     broken = [
         rel for rel in _two_route_relations(ex2) if uncached_relation(perturbed, rel)
     ]
     assert bool(broken) != rule_five_holds
     assert tables == ([ex2] if listed else [])
-    assert not report.ok
-    assert report.problems == oracle
-    assert len(report.problems) == count
+    assert problems
+    assert problems == oracle
+    assert len(problems) == count
 
 
 def test_the_proved_check_lists_no_routes(monkeypatch):
@@ -608,7 +651,7 @@ def test_a_failing_family_evaluates_each_route_power_once(monkeypatch):
         return product(model, steps, turn_length)
 
     monkeypatch.setattr(models.GraphAlgebraModel, "_product", counting)
-    problems = models._listed_problems(perturbed, graph)
+    problems = models._listed_problems(perturbed)
     assert len(problems) == 24_595
     assert 0 < len(multiplied) == len(set(multiplied))
     # Each pair evaluated on its own, on a model that has cached no step and
@@ -621,27 +664,35 @@ def test_a_failing_family_evaluates_each_route_power_once(monkeypatch):
         return scaled_path(model, path)
 
     monkeypatch.setattr(models.GraphAlgebraModel, "scaled_path", uncached)
-    assert problems == models._listed_problems(dataclasses.replace(perturbed), graph)
+    assert problems == models._listed_problems(dataclasses.replace(perturbed))
     assert len(multiplied) > 2 * 24_595
 
 
 def test_presentations_match_caps_the_routes_of_a_special_cycle(monkeypatch):
     """Thirteen legs give the loop's ends 2^13 routes each, past the cap; the
-    legs themselves have 2^12, at it.  The check refuses by count, before it
-    builds the model or lists a route."""
+    legs themselves have 2^12, at it.  Rule (V) settles the routes of the
+    loop's model from one route per quiver vertex, so the check answers
+    without listing a route.  With one arrow doubled the proof fails, and
+    the listing refuses by count before it lists a route."""
     graph = skew_leg_loop(13)
     assert 2 ** 12 == MAX_WALK_PATHS
     covered = cover(GradedGraph(graph, zero_grading(graph)))
 
     def unreachable(*args):
-        raise AssertionError("listed routes or built the model")
+        raise AssertionError("listed the routes of a special cycle")
 
-    monkeypatch.setattr(models, "truncation_model", unreachable)
     monkeypatch.setattr(models, "_special_cycle_table", unreachable)
     start = time.perf_counter()
-    with pytest.raises(ValueError) as info:
-        presentations_match(graph, covered)
+    report = presentations_match(graph, covered)
     assert time.perf_counter() - start < 1
+    assert report == (True, [], 784, 784)
+
+    model = truncation_model(covered)
+    arrows = dict(model.arrow_element)
+    doubled = quiver(graph).arrow("1", 0, 0)
+    arrows[doubled] = vec_scale(arrows[doubled], 2)
+    with pytest.raises(ValueError) as info:
+        presentation_problems(dataclasses.replace(model, arrow_element=arrows))
     assert str(info.value) == (
         f"special cycles at a have {2 ** 13} routes, over the cap of {MAX_WALK_PATHS}"
     )

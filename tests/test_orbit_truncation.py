@@ -325,28 +325,21 @@ LEFT_NESTED_CASES = {name: (graph, grading) for name, graph, grading in golden_c
 
 @pytest.mark.parametrize("name", list(LEFT_NESTED_CASES))
 def test_the_trie_gives_the_left_nested_products(name, monkeypatch):
-    """Every path ``presentations_match`` evaluates, and walks of up to three
-    turns and a step from each half-edge, have the (V, D) of multiplying
-    their steps one at a time: turn powers change no value."""
+    """Every path ``presentation_problems`` evaluates, and walks of up to
+    three turns and a step from each half-edge, have the (V, D) of
+    multiplying their steps one at a time: turn powers change no value."""
     graph, grading = LEFT_NESTED_CASES[name]
-    covered = cover(GradedGraph(graph, grading))
-    built = []
+    model = truncation_model(cover(GradedGraph(graph, grading)))
     evaluated = []
-    real_model, real_path = models.truncation_model, models.GraphAlgebraModel.scaled_path
-
-    def recording_model(covered):
-        built.append(real_model(covered))
-        return built[-1]
+    real_path = models.GraphAlgebraModel.scaled_path
 
     def recording_path(model, path):
         out = real_path(model, path)
         evaluated.append((path, out))
         return out
 
-    monkeypatch.setattr(models, "truncation_model", recording_model)
     monkeypatch.setattr(models.GraphAlgebraModel, "scaled_path", recording_path)
-    assert models.presentations_match(graph, covered).ok
-    [model] = built
+    assert models.presentation_problems(model) == []
     assert evaluated
     for path, out in evaluated:
         assert out == left_nested(model, path), path
