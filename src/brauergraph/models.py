@@ -460,12 +460,13 @@ def _relation_problem(model: GraphAlgebraModel, rel: Relation) -> str | None:
     try:
         value = model.evaluate_relation(rel)
     except KeyError:
-        text = _render_terms(rel.terms, "a", quiver(model.graph).names)
+        value = None
+    if value == {}:
+        return None
+    text = _render_terms(rel.terms, "a", quiver(model.graph).names)
+    if value is None:
         return f"relation uses a missing arrow: {text}"
-    if value:
-        text = _render_terms(rel.terms, "a", quiver(model.graph).names)
-        return f"relation does not vanish: {text} = {model.table.render(value)}"
-    return None
+    return f"relation does not vanish: {text} = {model.table.render(value)}"
 
 
 def _proved_problems(model: GraphAlgebraModel) -> list[str] | None:

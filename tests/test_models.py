@@ -154,23 +154,6 @@ def test_an_ordinary_model_with_a_doubled_arrow_matches_the_pairwise_oracle():
             assert problems == pairwise_match_problems(dataclasses.replace(perturbed))
 
 
-@pytest.mark.parametrize("n_half, dim", [(48, 2_947), (64, 8_862)])
-def test_skew_graphs_past_the_route_cap_are_answered(n_half, dim):
-    """These skew graphs have special cycles of 2^13 and 2^16 routes, past
-    ``MAX_WALK_PATHS``.  Rule (V) settles them from one route per quiver
-    vertex, so the check answers instead of refusing."""
-    graph = gen_random(3, n_half=n_half, allow_skew=True)
-    assert graph.is_skew
-    routes = max(
-        walk_path_count(graph, h, len(graph.sigma_orbit_of(h)))
-        for h in graph.half_edges
-        if induces_arrow(graph, h)
-    )
-    assert routes > MAX_WALK_PATHS
-    covered = cover(GradedGraph(graph, zero_grading(graph)))
-    assert presentations_match(graph, covered) == (True, [], dim, dim)
-
-
 def test_special_cycles_all_equal_in_model(ex2):
     model = skew_model(ex2)
     for h in sorted(ex2.half_edges):
@@ -670,26 +653,38 @@ def test_a_failing_family_evaluates_each_route_power_once(monkeypatch):
 
 def test_presentations_match_caps_the_routes_of_a_special_cycle(monkeypatch):
     """Thirteen legs give the loop's ends 2^13 routes each, past the cap; the
-    legs themselves have 2^12, at it.  Rule (V) settles the routes of the
-    loop's model from one route per quiver vertex, so the check answers
-    without listing a route.  With one arrow doubled the proof fails, and
-    the listing refuses by count before it lists a route."""
-    graph = skew_leg_loop(13)
+    legs themselves have 2^12, at it.  The skew ``gen_random`` draws of seed
+    3 with 48 and 64 half-edges have 2^13 and 2^16 routes.  Rule (V) settles
+    each model from one route per quiver vertex, so the check answers
+    without listing a route.  With one arrow of the loop doubled the proof
+    fails, and the listing refuses by count before it lists a route."""
     assert 2 ** 12 == MAX_WALK_PATHS
-    covered = cover(GradedGraph(graph, zero_grading(graph)))
+    loop = skew_leg_loop(13)
+    cases = [(loop, 784)] + [
+        (gen_random(3, n_half=n_half, allow_skew=True), dim)
+        for n_half, dim in [(48, 2_947), (64, 8_862)]
+    ]
 
     def unreachable(*args):
         raise AssertionError("listed the routes of a special cycle")
 
     monkeypatch.setattr(models, "_special_cycle_table", unreachable)
-    start = time.perf_counter()
-    report = presentations_match(graph, covered)
-    assert time.perf_counter() - start < 1
-    assert report == (True, [], 784, 784)
+    for graph, dim in cases:
+        routes = max(
+            walk_path_count(graph, h, len(graph.sigma_orbit_of(h)))
+            for h in graph.half_edges
+            if induces_arrow(graph, h)
+        )
+        assert graph.is_skew and routes > MAX_WALK_PATHS
+        covered = cover(GradedGraph(graph, zero_grading(graph)))
+        start = time.perf_counter()
+        report = presentations_match(graph, covered)
+        assert time.perf_counter() - start < 1
+        assert report == (True, [], dim, dim)
 
-    model = truncation_model(covered)
+    model = truncation_model(cover(GradedGraph(loop, zero_grading(loop))))
     arrows = dict(model.arrow_element)
-    doubled = quiver(graph).arrow("1", 0, 0)
+    doubled = quiver(loop).arrow("1", 0, 0)
     arrows[doubled] = vec_scale(arrows[doubled], 2)
     with pytest.raises(ValueError) as info:
         presentation_problems(dataclasses.replace(model, arrow_element=arrows))

@@ -329,7 +329,12 @@ def test_the_trie_gives_the_left_nested_products(name, monkeypatch):
     three turns and a step from each half-edge, have the (V, D) of
     multiplying their steps one at a time: turn powers change no value."""
     graph, grading = LEFT_NESTED_CASES[name]
-    model = truncation_model(cover(GradedGraph(graph, grading)))
+    covered = cover(GradedGraph(graph, grading))
+    model = truncation_model(covered)
+    # The wrapper also checks the model's dimension against the independent
+    # count, under this case's grading.
+    dim = model.table.dim
+    assert models.presentations_match(graph, covered) == (True, [], dim, dim)
     evaluated = []
     real_path = models.GraphAlgebraModel.scaled_path
 
