@@ -29,8 +29,35 @@ Element = dict[int, int | Fraction]
 ONE = 1
 
 
+class RenderedLabels(Sequence[str]):
+    """Basis labels rendered on demand: ``labels[b]`` is ``render(b)``, formed
+    only when something reads it.  A table's labels name basis elements in
+    witnesses and renderings, which a passing verdict never reads."""
+
+    def __init__(self, size: int, render: Callable[[int], str]):
+        self._size = size
+        self._render = render
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, b: int) -> str:
+        if not -self._size <= b < self._size:
+            raise IndexError("label index out of range")
+        return self._render(b % self._size)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 class AlgebraTable:
     """Basis, corner data and structure constants of a finite dimensional algebra.
+
+    ``labels`` is kept as given when it is ``RenderedLabels``, which the
+    Brauer graph and orbit-basis builders pass so that no label is formed
+    unless read; any other sequence is stored as a tuple.
 
     ``generators`` lists basis indices that, with the idempotents, generate
     the algebra (the arrows of a path basis); a builder that knows them sets
@@ -47,7 +74,7 @@ class AlgebraTable:
         idempotents: Sequence[tuple[str, int]],
         product_fn: Callable[[int, int], Element],
     ):
-        self.labels = tuple(labels)
+        self.labels = labels if isinstance(labels, RenderedLabels) else tuple(labels)
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.idempotents = tuple(idempotents)
@@ -142,14 +169,18 @@ def bga_table_with_keys(
 ) -> tuple[AlgebraTable, list[BasisKey], dict[BasisKey, int]]:
     """The table on the normal form basis: idempotents ("e", edge), proper
     prefixes ("w", h, t) of the special cycle at each half-edge h that
-    induces an arrow, and socles ("z", edge)."""
+    induces an arrow, and socles ("z", edge).
+
+    One pass over the keys fills the endpoints and the generators, the
+    ("w", h, 1); the labels e[edge], w[h:t] and z[edge] are rendered from
+    the keys on demand (``RenderedLabels``)."""
     if graph.is_skew:
         raise ValueError("Brauer graph algebra tables require an ordinary graph")
     edge_names = sorted(edge_name(graph, e[0]) for e in graph.edges)
     edge_pos = {name: p for p, name in enumerate(edge_names)}
     # One walk per sigma-orbit gives every half-edge its cycle and position
-    # there; the walk key ("w", h, t) ends at sigma^t(h), which both the
-    # endpoints and the products read from ``ends``.
+    # there; the walk key ("w", h, t) ends at sigma^t(h), which the products
+    # read from ``ends``.
     cycle_at: dict[str, tuple[tuple[str, ...], int]] = {}
     for cycle in graph.sigma_orbits:
         for position, h in enumerate(cycle):
@@ -159,27 +190,33 @@ def bga_table_with_keys(
         for h in graph.half_edges
         if induces_arrow(graph, h)
     }
+    edge_labels = graph.edge_labels
+    edge_of = {h: edge_pos[name] for h, name in edge_labels.items()}
+    # One loop emits the keys with their endpoints: an idempotent or socle
+    # sits in its edge's own corner, and w[h:t] runs from the edge of h to
+    # the edge of its end sigma^t(h).  An arrow's socle length is at least 2,
+    # so ("w", h, 1) is a key.
     keys: list[BasisKey] = [("e", name) for name in edge_names]
     ends: list[str | None] = [None] * len(keys)
+    src = list(range(len(edge_names)))
+    tgt = list(src)
+    generators = []
     for h in sorted(socle_len):
         cycle, position = cycle_at[h]
+        start = edge_of[h]
+        generators.append(len(keys))
         for t in range(1, socle_len[h]):
+            end = cycle[(position + t) % len(cycle)]
             keys.append(("w", h, t))
-            ends.append(cycle[(position + t) % len(cycle)])
+            ends.append(end)
+            src.append(start)
+            tgt.append(edge_of[end])
     keys.extend(("z", name) for name in edge_names)
     ends.extend([None] * len(edge_names))
+    src.extend(range(len(edge_names)))
+    tgt.extend(range(len(edge_names)))
     index_of = {k: i for i, k in enumerate(keys)}
-
-    edge_labels = graph.edge_labels
     socle_of = {h: index_of["z", edge_labels[h]] for h in socle_len}
-
-    def endpoints(k: int) -> tuple[int, int]:
-        key = keys[k]
-        if key[0] == "w":
-            return edge_pos[edge_labels[ends[k]]], edge_pos[edge_labels[key[1]]]
-        return edge_pos[key[1]], edge_pos[key[1]]
-
-    tgt, src = zip(*(endpoints(k) for k in range(len(keys))))
 
     def product(i: int, j: int) -> Element:
         left, right = keys[i], keys[j]
@@ -202,17 +239,15 @@ def bga_table_with_keys(
             return {socle_of[rh]: ONE}
         return {}
 
-    labels = []
-    for k in keys:
-        if k[0] == "e":
-            labels.append(f"e[{k[1]}]")
-        elif k[0] == "w":
-            labels.append(f"w[{k[1]}:{k[2]}]")
-        else:
-            labels.append(f"z[{k[1]}]")
-    idempotents = tuple((name, index_of[("e", name)]) for name in edge_names)
-    table = AlgebraTable(labels, src, tgt, idempotents, product)
-    table.generators = tuple(i for i, k in enumerate(keys) if k[0] == "w" and k[2] == 1)
+    def label_of(b: int) -> str:
+        key = keys[b]
+        if key[0] == "w":
+            return f"w[{key[1]}:{key[2]}]"
+        return f"{key[0]}[{key[1]}]"
+
+    idempotents = tuple((name, p) for p, name in enumerate(edge_names))
+    table = AlgebraTable(RenderedLabels(len(keys), label_of), src, tgt, idempotents, product)
+    table.generators = tuple(generators)
     return table, keys, index_of
 
 
@@ -679,11 +714,13 @@ def orbit_truncation(
             terms += len(u)
         return coords if terms == len(form) else None
 
-    labels: list[str] = []
+    # The key whose compression admitted each basis element, -1 for the
+    # chosen idempotents; the labels are rendered from it on demand.
+    origins: list[int] = []
     sources: list[int] = []
     targets: list[int] = []
 
-    def admit(corner: tuple[int, int], form: Element, label: str) -> None:
+    def admit(corner: tuple[int, int], form: Element, origin: int) -> None:
         owner = owners.setdefault(corner, {})
         if not owner.keys().isdisjoint(form):
             if read(corner, form) is None:
@@ -692,20 +729,19 @@ def orbit_truncation(
         owner.update(dict.fromkeys(form, len(basis)))
         basis.append(form)
         reps.append(min(form))
-        labels.append(label)
+        origins.append(origin)
         targets.append(corner[0])
         sources.append(corner[1])
 
-    for p, ((label, _), (form, _)) in enumerate(zip(chosen, forms)):
-        admit((p, p), form, label)
+    for p, (form, _) in enumerate(forms):
+        admit((p, p), form, -1)
     covered: set[int] = set()
     for key in range(n * dim):
-        k, b = divmod(key, dim)
-        if key in covered or not left_hits[b]:
+        if key in covered or not left_hits[key % dim]:
             continue
         for (p, q), form in key_compressions(key):
             covered.update(form)
-            admit((p, q), form, f"{table.labels[b]}|g{k}[{p}.{q}]")
+            admit((p, q), form, key)
 
     def product(i: int, j: int) -> Element:
         form = mul(basis[i], basis[j])
@@ -731,8 +767,17 @@ def orbit_truncation(
                 coords[k] = _quotient(a, scale[q])
         return coords
 
+    def label_of(k: int) -> str:
+        p, q = targets[k], sources[k]
+        if origins[k] < 0:
+            return chosen[p][0]
+        sheet, b = divmod(origins[k], dim)
+        return f"{table.labels[b]}|g{sheet}[{p}.{q}]"
+
     idempotents = [(label, p) for p, (label, _) in enumerate(chosen)]
-    corner_table = AlgebraTable(labels, sources, targets, idempotents, product)
+    corner_table = AlgebraTable(
+        RenderedLabels(len(origins), label_of), sources, targets, idempotents, product
+    )
     return OrbitTruncation(corner_table, compress, vector, compressions)
 
 

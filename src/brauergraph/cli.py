@@ -218,9 +218,15 @@ def cmd_mutate(args, parsed: ParsedGraph) -> Outcome:
         ]
         for label, flag in checks:
             lines.append(f"{label}: {'ok' if flag else 'FAIL'}")
-        lines.append(f"dim End(T) = {report.dim_end}")
+        if report.tilting:
+            end = report.dim_end
+            match = "ok" if report.cartan_equal else "FAIL"
+        else:
+            end = "not computed (T is not tilting)"
+            match = "not run (T is not tilting)"
+        lines.append(f"dim End(T) = {end}")
         lines.append(f"dim moved algebra = {report.dim_moved}")
-        lines.append(f"cartan match: {'ok' if report.cartan_equal else 'FAIL'}")
+        lines.append(f"cartan match: {match}")
         payload["verify"] = {
             "silting": report.silting,
             "tilting": report.tilting,
@@ -298,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         parsed = _load(args.file)
         if args.command != "validate" and (problems := validate(parsed.graph)):

@@ -595,9 +595,11 @@ class MutationReport(NamedTuple):
     silting: bool
     tilting: bool
     left_minimal: bool
-    dim_end: int
+    # dim End(T) and whether its Cartan matrix is the moved algebra's; None
+    # when T is not tilting, as End(T) is then not compared.
+    dim_end: int | None
     dim_moved: int
-    cartan_equal: bool
+    cartan_equal: bool | None
     # The first entry where the Cartan matrices differ: (row edge, column
     # edge, End(T) value, moved value); None when they agree or T is not
     # tilting.
@@ -662,9 +664,9 @@ def mutation_verification(
             silting,
             tilting,
             minimal,
-            -1,
+            None,
             dim_moved,
-            False,
+            None,
             hom_witness=_hom_witness(summands, cohomology),
         )
     cartan = _end_cartan(summands, cohomology)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,9 @@ from brauergraph.algebra import (
     trivial_extension,
     trivial_extension_iso_report,
 )
-from brauergraph.core import GradedGraph, gen_random, zero_grading
-from brauergraph.covering import cover
+from brauergraph.core import GradedGraph, edge_name, gen_random, zero_grading
+from brauergraph.covering import cover, default_grading
+from brauergraph.graphfile import parse
 from brauergraph.linalg import RationalSpan
 from brauergraph.models import (
     cut_cover_table,
@@ -95,6 +97,90 @@ def test_bga_table_matches_the_walk_rule():
                     else:
                         want = {}
                 assert table.pairwise(i, j) == want, (seed, left, right)
+
+
+def one_pass_inputs():
+    """Ordinary graphs: each golden graph, or its covering total when it is
+    skew; ``gen_random`` ordinary seeds; and the covering totals of
+    ``gen_random`` skew seeds under their default gradings."""
+    golden = Path(__file__).resolve().parent / "golden"
+    for path in sorted(golden.glob("*.bg")):
+        parsed = parse(path.read_text(encoding="utf-8"))
+        graph = parsed.graph
+        if graph.is_skew:
+            grading = parsed.grading or default_grading(graph)
+            graph = cover(GradedGraph(graph, grading)).total
+        yield path.stem, graph
+    for seed in range(60):
+        n_half = (4, 6, 8, 12, 16)[seed % 5]
+        yield f"ordinary-{seed}", gen_random(seed, n_half=n_half, max_multiplicity=3)
+    for seed in range(40):
+        graph = gen_random(seed, n_half=(6, 8, 10, 12)[seed % 4], allow_skew=True)
+        if graph.is_skew:
+            yield f"skew-{seed}", cover(GradedGraph(graph, default_grading(graph))).total
+
+
+@pytest.mark.parametrize("name, graph", list(one_pass_inputs()))
+def test_the_one_pass_table_keeps_each_key_definition(name, graph):
+    """The endpoints, generators, corners and labels that
+    ``bga_table_with_keys`` fills in one pass over its keys, against their
+    definition from each key: w[h:t] runs from the edge of h to the edge of
+    sigma^t(h), an idempotent or socle sits in its edge's own corner, the
+    generators are the ("w", h, 1), and the labels are e[edge], w[h:t] and
+    z[edge]."""
+    table, keys, _ = bga_table_with_keys(graph)
+    position = {edge: p for p, (edge, _) in enumerate(table.idempotents)}
+    assert [edge for edge, _ in table.idempotents] == sorted(graph.edges_by_label)
+    ends, labels = [], []
+    for key in keys:
+        if key[0] == "w":
+            _, h, t = key
+            edges = (edge_name(graph, graph.orientation.power(t, h)), edge_name(graph, h))
+            labels.append(f"w[{h}:{t}]")
+        else:
+            edges = (key[1], key[1])
+            labels.append(f"{key[0]}[{key[1]}]")
+        ends.append(tuple(position[edge] for edge in edges))
+    assert list(zip(table.tgt, table.src)) == ends
+    assert table.generators == tuple(
+        b for b, key in enumerate(keys) if key[0] == "w" and key[2] == 1
+    )
+    corners = [[[] for _ in position] for _ in position]
+    for b, (t, s) in enumerate(ends):
+        corners[t][s].append(b)
+    assert table.corners == tuple(tuple(map(tuple, row)) for row in corners)
+    assert len(table.labels) == table.dim == len(keys)
+    assert table.labels == tuple(labels)
+    assert [table.labels[b] for b in range(table.dim)] == labels
+    assert list(table.labels) == labels
+
+
+def test_a_passing_verdict_renders_no_label(monkeypatch):
+    """Labels name basis elements in witnesses only: a passing
+    ``mutate --verify`` and a passing ``presentations_match`` on skew-3 build
+    the covering's table and its corner table and read none of their labels."""
+    from brauergraph.cli import main
+    from brauergraph.models import presentations_match
+
+    built, reads = [], []
+    init = algebra.RenderedLabels.__init__
+
+    def counted(labels, size, render):
+        def read(b):
+            reads.append(b)
+            return render(b)
+
+        built.append(labels)
+        init(labels, size, read)
+
+    monkeypatch.setattr(algebra.RenderedLabels, "__init__", counted)
+    path = Path(__file__).resolve().parent / "golden" / "skew-3.bg"
+    assert main(["mutate", str(path), "--edges", "1,3", "--verify"]) == 0
+    graph = parse(path.read_text(encoding="utf-8")).graph
+    assert presentations_match(graph, cover(GradedGraph(graph, zero_grading(graph)))).ok
+    assert len(built) == 4 and reads == []
+    # the count sees a read
+    assert built[0][0] == "e[1_0]" and reads == [0]
 
 
 def test_bga_loop_graph(loop_graph):

@@ -456,7 +456,9 @@ def test_cli_mutate_names_the_first_nonvanishing_hom(
     ex1, ex1_grading, ex1_file, capsys, monkeypatch
 ):
     """With T replaced by the stalk P_1 and the shifted stalk P_2[1], the
-    first nonzero shifted Hom is Hom(T_1, T_2[-1]) = Hom(P_1, P_2)."""
+    first nonzero shifted Hom is Hom(T_1, T_2[-1]) = Hom(P_1, P_2).  T is
+    not tilting, so End(T) is not compared: the report says so, with null
+    in the JSON fields ``dim_end`` and ``cartan_equal``."""
     from brauergraph import homotopy
     from brauergraph.models import ordinary_model
 
@@ -480,9 +482,14 @@ def test_cli_mutate_names_the_first_nonvanishing_hom(
     assert main(["mutate", ex1_file, "--edges", "1,2", "--verify"]) == 1
     out = capsys.readouterr().out
     assert "tilting: FAIL" in out
+    assert "dim End(T) = not computed (T is not tilting)\n" in out
+    assert "cartan match: not run (T is not tilting)\n" in out
+    assert "cartan witness" not in out
     assert f"hom witness: Hom(T_1, T_2[-1]) has dimension {corner}" in out
     assert main(["--json", "mutate", ex1_file, "--edges", "1,2", "--verify"]) == 1
     verify = json.loads(capsys.readouterr().out)["verify"]
+    assert verify["dim_end"] is None and verify["cartan_equal"] is None
+    assert "cartan_witness" not in verify
     assert verify["hom_witness"] == {
         "source": "1", "target": "2", "shift": -1, "dim": corner
     }

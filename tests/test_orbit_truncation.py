@@ -373,6 +373,27 @@ def test_diagonal_corners_are_local(case):
             assert power == {}, table.labels[k]
 
 
+def test_corner_labels_name_the_key_that_admitted_them(case):
+    """A chosen idempotent's label is its own; any other basis element k of
+    corner (p, q) is labelled b|g{s}[p.q] for the least key b (x) g^s whose
+    compression has k in its support.  That is the key whose turn in the
+    sweep admitted k: by the lemma of ``orbit_truncation`` a skipped key
+    compresses to multiples of what an earlier key admitted."""
+    covered, bd, _, orbit, _ = routes(case)
+    table = orbit.table
+    labels = [label for label, _ in table.idempotents]
+    origin = {}
+    for key in range(covered.group_order * bd.dim):
+        for k in orbit.compress({key: ONE}):
+            origin.setdefault(k, key)
+    for k in range(len(labels), table.dim):
+        sheet, b = divmod(origin[k], bd.dim)
+        labels.append(f"{bd.labels[b]}|g{sheet}[{table.tgt[k]}.{table.src[k]}]")
+    assert len(table.labels) == table.dim
+    assert table.labels == tuple(labels)
+    assert [table.labels[k] for k in range(table.dim)] == labels
+
+
 def test_the_dimension_count_is_the_table_route(case):
     """``skew_dimension_oracle`` counts what the covering's table gives:
     its corner sum on a two-sheet covering, and on every covering the
