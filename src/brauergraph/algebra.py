@@ -20,9 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
-from .core import BrauerGraph, edge_name
+from .core import BrauerGraph, induces_arrow
 from .linalg import _quotient, vec_add, vec_scale
-from .presentation import induces_arrow
 
 Element = dict[int, int | Fraction]
 
@@ -112,12 +111,16 @@ class AlgebraTable:
                         del out[k]
         return out
 
+    @cached_property
+    def idempotent_indices(self) -> frozenset[int]:
+        """The basis indices of the idempotents."""
+        return frozenset(index for _, index in self.idempotents)
+
     def generator_indices(self) -> tuple[int, ...]:
         """``generators``, or every basis element that is not an idempotent."""
         if self.generators:
             return self.generators
-        idempotent_indices = {index for _, index in self.idempotents}
-        return tuple(b for b in range(self.dim) if b not in idempotent_indices)
+        return tuple(b for b in range(self.dim) if b not in self.idempotent_indices)
 
     def render(self, x: Element) -> str:
         """``x`` as coefficient*label terms in basis order; "0" when zero."""
@@ -153,8 +156,7 @@ class AlgebraTable:
 
     def radical_coefficient_free(self, x: Element) -> bool:
         """True when x has no component on any idempotent basis element."""
-        idem = {index for _, index in self.idempotents}
-        return all(k not in idem for k in x)
+        return self.idempotent_indices.isdisjoint(x)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,7 @@ def bga_table_with_keys(
     the keys on demand (``RenderedLabels``)."""
     if graph.is_skew:
         raise ValueError("Brauer graph algebra tables require an ordinary graph")
-    edge_names = sorted(edge_name(graph, e[0]) for e in graph.edges)
+    edge_names = list(graph.edges_by_label)
     edge_pos = {name: p for p, name in enumerate(edge_names)}
     # One walk per sigma-orbit gives every half-edge its cycle and position
     # there; the walk key ("w", h, t) ends at sigma^t(h), which the products
@@ -333,13 +335,12 @@ def monomial_isomorphism_violations(
     for b, image in enumerate(images):
         if (target.src[image], target.tgt[image]) != (pi[src[b]], pi[tgt[b]]):
             return f"map does not move the corner of {source.labels[b]} by pi"
-    idempotent_indices = {index for _, index in source.idempotents}
     # (a, phi a) for each generator a, by the corner of its source
     by_source: dict[int, list[tuple[int, int]]] = {}
     for a in source.generator_indices():
         by_source.setdefault(src[a], []).append((a, images[a]))
     product, image_product = source._product_fn, target._product_fn
-    reached = set(idempotent_indices)
+    reached = set(source.idempotent_indices)
     frontier = sorted(reached)
     while frontier:
         b = frontier.pop()
@@ -618,9 +619,8 @@ def orbit_truncation(
     # right e = g^(-k) b and on the left e = g b, since g moves idempotents
     # to idempotents, each in its own corner.  ``mul`` skips every other
     # term, so the products are those with 1 (x) g.
-    idempotent_indices = {index for _, index in table.idempotents}
     for (label, _), (form, _) in zip(chosen, forms):
-        if any(key % dim not in idempotent_indices for key in form):
+        if any(key % dim not in table.idempotent_indices for key in form):
             raise ValueError(f"chosen element {label!r} is not a sum over idempotents")
         if all(key < dim for key in form):
             continue

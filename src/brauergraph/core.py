@@ -63,8 +63,11 @@ class BrauerGraph:
 
     @cached_property
     def edges_by_label(self) -> dict[str, tuple[str, ...]]:
-        """Each edge under its label (labels are distinct once ``validate`` passes)."""
-        return {self.edge_labels[e[0]]: e for e in self.edges}
+        """Each edge under its label, in label order: the order of the
+        idempotents, the summands of T and the rows of every edge Cartan
+        matrix.  Before ``validate``, a shared label keeps its last edge."""
+        labelled = ((self.edge_labels[e[0]], e) for e in self.edges)
+        return dict(sorted(labelled, key=lambda pair: pair[0]))
 
     @cached_property
     def sigma_orbits(self) -> list[tuple[str, ...]]:
@@ -86,15 +89,10 @@ class BrauerGraph:
         """Least common multiple of all multiplicities (1 on the empty graph)."""
         return math.lcm(*self.multiplicity.values()) if self.multiplicity else 1
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BrauerGraph):
-            return NotImplemented
-        return (
-            self.half_edges == other.half_edges
-            and self.pairing == other.pairing
-            and self.orientation == other.orientation
-            and dict(self.multiplicity) == dict(other.multiplicity)
-        )
+    @property
+    def grading_modulus(self) -> int:
+        """The modulus of a valid grading: 2 on a skew graph, else m_bar."""
+        return 2 if self.is_skew else self.m_bar
 
     def __hash__(self) -> int:
         return hash(
@@ -123,13 +121,6 @@ class Grading:
 
     def __call__(self, h: str) -> int:
         return self.degrees[h]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Grading):
-            return NotImplemented
-        return self.modulus == other.modulus and dict(self.degrees) == dict(
-            other.degrees
-        )
 
     def __hash__(self) -> int:
         return hash((self.modulus, frozenset(self.degrees.items())))
@@ -160,6 +151,10 @@ class OZInvariants(NamedTuple):
     perimeter_multiset: tuple[int, ...] | None
     multiplicity_multiset: tuple[int, ...]
     bipartite: bool
+
+
+def induces_arrow(graph: BrauerGraph, h: str) -> bool:
+    return graph.orientation(h) != h or graph.multiplicity[h] > 1
 
 
 def edge_name(graph: BrauerGraph, h: str) -> str:
@@ -326,28 +321,29 @@ def is_bipartite(graph: BrauerGraph) -> bool:
 def grading_violations(graph: BrauerGraph, grading: Grading) -> list[str]:
     """Check admissibility (ordinary) or 0-homogeneity (skew) of a grading."""
     report: list[str] = []
-    expected_modulus = 2 if graph.is_skew else graph.m_bar
-    if grading.modulus != expected_modulus:
+    if grading.modulus != graph.grading_modulus:
         report.append(
-            f"modulus {grading.modulus} differs from expected {expected_modulus}"
+            f"modulus {grading.modulus} differs from expected {graph.grading_modulus}"
         )
         return report
     if set(grading.degrees) != set(graph.half_edges):
         report.append("grading domain differs from the half-edge set")
         return report
-    n = grading.modulus
     for orbit in graph.sigma_orbits:
-        total = sum(grading(h) for h in orbit) % n
-        if graph.is_skew:
-            required = 0
-        else:
-            required = (graph.m_bar // graph.multiplicity[orbit[0]]) % n
+        total = sum(grading(h) for h in orbit) % grading.modulus
+        required = required_degree_sum(graph, orbit[0])
         if total != required:
             report.append(
                 f"vertex ({' '.join(orbit)}) has degree sum {total}, "
                 f"required {required}"
             )
     return report
+
+
+def required_degree_sum(graph: BrauerGraph, h: str) -> int:
+    """The degree sum a valid grading has at the vertex of ``h``: 0 on a
+    skew graph, else m_bar / m(h) mod m_bar."""
+    return 0 if graph.is_skew else (graph.m_bar // graph.multiplicity[h]) % graph.m_bar
 
 
 def check_grading(graph: BrauerGraph, grading: Grading) -> None:
@@ -358,8 +354,7 @@ def check_grading(graph: BrauerGraph, grading: Grading) -> None:
 
 
 def zero_grading(graph: BrauerGraph) -> Grading:
-    modulus = 2 if graph.is_skew else graph.m_bar
-    return Grading(modulus, {h: 0 for h in graph.half_edges})
+    return Grading(graph.grading_modulus, {h: 0 for h in graph.half_edges})
 
 
 def gen_random(

@@ -14,9 +14,10 @@ from .core import (
     GradedGraph,
     Grading,
     check_grading,
+    required_degree_sum,
     zero_grading,
 )
-from .moves import maximal_sectors, move_set, move_set_underlying
+from .moves import _check_subset, _runs, move_set, move_set_underlying
 from .permutations import Permutation
 
 
@@ -112,25 +113,18 @@ def default_grading(graph: BrauerGraph, subset: frozenset[str] = frozenset()) ->
     """
     if graph.is_skew:
         return zero_grading(graph)
-    m_bar = graph.m_bar
-    degrees = {h: 0 for h in graph.half_edges}
-    sector_by_orbit: dict[str, list] = {}
+    # The least run start on each orbit that meets the subset and its complement.
+    starts: dict[str, str] = {}
     if subset:
-        for s in maximal_sectors(graph, frozenset(subset)):
-            key = min(graph.sigma_orbit_of(s.h))
-            sector_by_orbit.setdefault(key, []).append(s)
+        for least, run in sorted(_runs(graph, _check_subset(graph, subset))):
+            starts.setdefault(least, run[0])
     inv = graph.orientation.inverse()
+    degrees = {h: 0 for h in graph.half_edges}
     for orbit in graph.sigma_orbits:
-        orbit_set = set(orbit)
-        meets_subset = bool(orbit_set & subset)
-        meets_complement = bool(orbit_set - subset)
-        if meets_subset and meets_complement:
-            candidates = sorted(sector_by_orbit[min(orbit)], key=lambda s: s.h)
-            chosen = inv(candidates[0].h)
-        else:
-            chosen = min(orbit)
-        degrees[chosen] = (m_bar // graph.multiplicity[chosen]) % m_bar
-    return Grading(m_bar, degrees)
+        least = min(orbit)
+        chosen = inv(starts[least]) if least in starts else least
+        degrees[chosen] = required_degree_sum(graph, chosen)
+    return Grading(graph.grading_modulus, degrees)
 
 
 def _commuting_sides(

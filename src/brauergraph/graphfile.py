@@ -177,7 +177,7 @@ def parse(text: str) -> ParsedGraph:
 
     grading = None
     if saw_grading:
-        modulus = 2 if graph.is_skew else graph.m_bar
+        modulus = graph.grading_modulus
         degrees: dict[str, int] = {}
         for name, value, lineno in grading_entries:
             degree = value % modulus

@@ -151,7 +151,7 @@ def mutation_object(
     table = model.table
     subset = _check_subset(graph, subset)
     out: list[tuple[str, ProjPresentation]] = []
-    for name, edge in sorted(graph.edges_by_label.items()):
+    for name, edge in graph.edges_by_label.items():
         h = edge[0]
         source_positions = model.edge_positions(h)
         if h not in subset:
@@ -643,6 +643,10 @@ def mutation_verification(
     The moved algebra's dimension and edge Cartan matrix are counted from
     the moved graph, or its covering (``graph_edge_cartan``): no second
     algebra is built.
+
+    Once T is tilting, each Cartan entry of End(T) is the Euler form
+    |Hom^0| - |Hom^-1| - |Hom^1| of two summands: the dimension and Cartan
+    comparisons check K_0, and the ranks certify only the vanishing.
     """
     graph = model.graph
     subset = _check_subset(graph, subset)

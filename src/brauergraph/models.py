@@ -30,10 +30,19 @@ from .algebra import (
     integral_form,
     orbit_truncation,
 )
-from .core import BrauerGraph, GradedGraph, Grading, check_grading, edge_name, zero_grading
+from .core import (
+    BrauerGraph,
+    GradedGraph,
+    Grading,
+    check_grading,
+    edge_name,
+    induces_arrow,
+    zero_grading,
+)
 from .covering import CoveredGraph, cover, lift_subset
 from .linalg import _quotient, vec_add, vec_scale
 from .presentation import (
+    MAX_MONOMIAL_PATHS,
     MAX_WALK_PATHS,
     Arrow,
     Path,
@@ -53,7 +62,6 @@ from .presentation import (
     _two_route_relations,
     admissible_cut,
     find_subword,
-    induces_arrow,
     normal_paths,
     quiver,
     render_arrow,
@@ -348,7 +356,7 @@ def _ordinary_edge_cartan(graph: BrauerGraph) -> tuple[list[str], list[list[int]
     and the socle element make up those two (a truncated vertex has no
     walks, and m a_v^2 - a_v = 0 there).
     """
-    edges = sorted(graph.edges_by_label)
+    edges = list(graph.edges_by_label)
     index = {name: k for k, name in enumerate(edges)}
     out = [[0] * len(edges) for _ in edges]
     labels = graph.edge_labels
@@ -374,7 +382,7 @@ def _covering_edge_cartan(covered: CoveredGraph) -> tuple[list[str], list[list[i
     """
     cover_edges, cover_cartan = _ordinary_edge_cartan(covered.total)
     position = {name: p for p, name in enumerate(cover_edges)}
-    edges = sorted(covered.base.graph.edges_by_label)
+    edges = list(covered.base.graph.edges_by_label)
     sheets = [
         [position[covered.sheet_edge(name, k)] for name in edges]
         for k in range(covered.group_order)
@@ -619,9 +627,7 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
 # ---------------------------------------------------------------------------
 
 
-def monomial_table(
-    p: Presentation, cap: int = 20_000
-) -> tuple[AlgebraTable, list[Path], dict[Path, int]]:
+def monomial_table(p: Presentation) -> tuple[AlgebraTable, list[Path], dict[Path, int]]:
     """Table of a quotient by monomial relations.
 
     The basis is the vertex idempotents followed by every path avoiding the
@@ -642,7 +648,7 @@ def monomial_table(
     paths: list[Path] = []
     for layer in normal_paths(sorted(p.quiver.arrows), clean):
         paths.extend(layer)
-        if len(paths) > cap:
+        if len(paths) > MAX_MONOMIAL_PATHS:
             raise RuntimeError("path enumeration exceeded the cap; not finite?")
 
     labels = ["e[" + render_vertex(v) + "]" for v in vertices]

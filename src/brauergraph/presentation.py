@@ -11,10 +11,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .core import BrauerGraph, edge_name
-from .covering import CoveredGraph
+from .core import BrauerGraph, edge_name, induces_arrow
+
+if TYPE_CHECKING:
+    from .covering import CoveredGraph
 
 QVertex = tuple[str, int | None]
 
@@ -22,10 +24,6 @@ QVertex = tuple[str, int | None]
 def vertex_indices(graph: BrauerGraph, h: str) -> tuple[int | None, ...]:
     """Quiver-vertex copies of the edge through ``h``: doubled iff h is a skew leg."""
     return (0, 1) if h in graph.cross_half_edges else (None,)
-
-
-def induces_arrow(graph: BrauerGraph, h: str) -> bool:
-    return graph.orientation(h) != h or graph.multiplicity[h] > 1
 
 
 class Arrow(NamedTuple):
@@ -147,12 +145,11 @@ def quiver(graph: BrauerGraph) -> Quiver:
 
 
 def _build_quiver(graph: BrauerGraph) -> Quiver:
-    vertices: list[QVertex] = []
-    for edge in graph.edges:
-        name = edge_name(graph, edge[0])
-        for i in vertex_indices(graph, edge[0]):
-            vertices.append((name, i))
-    vertices.sort(key=lambda v: (v[0], -1 if v[1] is None else v[1]))
+    vertices = [
+        (name, i)
+        for name, edge in graph.edges_by_label.items()
+        for i in vertex_indices(graph, edge[0])
+    ]
     arrows: list[Arrow] = []
     for h in sorted(graph.half_edges):
         if not induces_arrow(graph, h):
@@ -300,6 +297,9 @@ def _two_route_relations(graph: BrauerGraph) -> list[Relation]:
 # a failing family only.  A loop edge whose vertex carries k skew legs
 # has 2^(2k) pairs: six legs reach the cap, seven are refused.
 MAX_RELATION_PAIRS = 1 << 12
+
+# The most paths ``models.monomial_table`` enumerates before it gives up.
+MAX_MONOMIAL_PATHS = 20_000
 
 
 def _special_cycle_table(graph: BrauerGraph) -> Callable[..., list[Path]]:

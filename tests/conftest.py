@@ -8,7 +8,7 @@ import pytest
 
 from brauergraph import covering
 from brauergraph.algebra import ONE, AlgebraTable, Element, bga_table_with_keys, integral_form
-from brauergraph.core import BrauerGraph, GradedGraph, Grading, zero_grading
+from brauergraph.core import BrauerGraph, GradedGraph, Grading, induces_arrow, zero_grading
 from brauergraph.moves import (
     Sector,
     escape_index,
@@ -20,7 +20,6 @@ from brauergraph.moves import (
 from brauergraph.linalg import RationalSpan
 from brauergraph.permutations import Permutation
 from brauergraph.presentation import (
-    induces_arrow,
     presentation,
     quiver,
     relations,

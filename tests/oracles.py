@@ -18,14 +18,18 @@ from collections import Counter
 from fractions import Fraction
 
 from brauergraph.algebra import ONE, AlgebraTable
-from brauergraph.core import BrauerGraph, connected_components, face_permutation
+from brauergraph.core import (
+    BrauerGraph,
+    connected_components,
+    face_permutation,
+    induces_arrow,
+)
 from brauergraph.homotopy import ProjPresentation, _hom_complexes, _vanishing
 from brauergraph.linalg import RationalSpan
 from brauergraph.models import GraphAlgebraModel
 from brauergraph.presentation import (
     Arrow,
     find_subword,
-    induces_arrow,
     normal_paths,
     quiver,
     relations,

@@ -23,6 +23,7 @@ from brauergraph.covering import (
     lift_subset,
     sheet_label,
 )
+from brauergraph.moves import maximal_sectors
 
 from conftest import build_graph, swapping_sigma_images
 
@@ -213,3 +214,50 @@ def test_sheet_and_shift_edges_follow_the_half_edges(ex2, seed):
         for _ in range(n):
             shifted = covered.shift_edge(shifted)
         assert shifted == label
+
+
+def maximal_sector_grading(graph, subset):
+    """The reference recipe of ``default_grading`` on an ordinary graph: the
+    maximal sectors grouped by the least name on their sigma-orbit, and at a
+    vertex meeting both the subset and its complement the predecessor of
+    its least sector start, else the vertex's least half-edge, carries
+    m_bar / m."""
+    m_bar = graph.m_bar
+    degrees = {h: 0 for h in graph.half_edges}
+    sector_by_orbit = {}
+    if subset:
+        for s in maximal_sectors(graph, frozenset(subset)):
+            sector_by_orbit.setdefault(min(graph.sigma_orbit_of(s.h)), []).append(s)
+    inv = graph.orientation.inverse()
+    for orbit in graph.sigma_orbits:
+        if set(orbit) & subset and set(orbit) - subset:
+            chosen = inv(min(s.h for s in sector_by_orbit[min(orbit)]))
+        else:
+            chosen = min(orbit)
+        degrees[chosen] = (m_bar // graph.multiplicity[chosen]) % m_bar
+    return Grading(m_bar, degrees)
+
+
+def test_the_default_grading_is_the_maximal_sector_recipe():
+    """``default_grading`` reads each orbit's runs from the move's own walk;
+    it gives the grading the maximal sectors give."""
+    for seed in range(200):
+        rng = random.Random(50_000 + seed)
+        graph = gen_random(seed, n_half=rng.choice([4, 6, 8, 10, 12]), max_multiplicity=4)
+        for subset in (frozenset(), random_ih_stable_subset(graph, rng)):
+            expected = maximal_sector_grading(graph, subset)
+            assert default_grading(graph, subset) == expected, seed
+            assert grading_violations(graph, expected) == []
+
+
+def test_a_shared_edge_label_keeps_the_last_of_its_edges():
+    """``graphfile.parse`` reads ``edges_by_label`` before ``validate`` runs,
+    so on a graph whose labels collide each label keeps the last of its
+    edges in ``edges``, as a dict built over ``edges`` does; the labels come
+    in order."""
+    names = ["2", "2+", "2-", "3", "4", "4+", "4-"]
+    graph = build_graph(names, [("2+", "2-"), ("2", "3"), ("4+", "4-")], [tuple(names)])
+    assert any("is shared by edges" in problem for problem in validate(graph))
+    expected = {graph.edge_labels[e[0]]: e for e in graph.edges}
+    assert graph.edges_by_label == expected
+    assert list(graph.edges_by_label) == sorted(expected) == ["2", "4"]

@@ -148,7 +148,7 @@ DELETED = {
     },
     "linalg.py": {"reciprocal"},
     "models.py": {"GraphAlgebraModel._orbit"},
-    "core.py": {"BrauerGraph.edge_of"},
+    "core.py": {"BrauerGraph.edge_of", "BrauerGraph.__eq__", "Grading.__eq__"},
     "permutations.py": {"Permutation.identity"},
     "presentation.py": {"render_path"},
 }
@@ -184,13 +184,64 @@ def test_uncalled_duplicates_stay_deleted(module):
     assert _defined(module).isdisjoint(DELETED[module])
 
 
+def _run_time_package_imports(module: str) -> set[str]:
+    """The package modules that ``module`` imports from when it runs: its
+    relative imports, less those under ``if TYPE_CHECKING:``."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    checking_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    return {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and id(node) not in checking_only
+    }
+
+
+def test_the_algebra_and_the_presentation_sit_on_the_graph_alone():
+    """``algebra`` builds tables from ``core`` and ``linalg`` only, and
+    ``presentation`` needs ``core`` alone when it runs: it names
+    ``CoveredGraph`` only in an annotation."""
+    assert _run_time_package_imports("algebra.py") == {"core", "linalg"}
+    assert _run_time_package_imports("presentation.py") == {"core"}
+    assert "induces_arrow" in _defined("core.py")
+    assert "induces_arrow" not in _defined("presentation.py")
+
+
+def test_only_core_works_out_the_grading_rules_and_the_edge_order():
+    """The grading modulus and the required degree sum are worked out from
+    ``m_bar`` in ``core`` alone, and ``edges_by_label`` comes in label
+    order, so no other module reads ``m_bar`` or sorts the edges again."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "m_bar":
+                readers.append(f"{path.name}: m_bar")
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "sorted"
+                and "edges_by_label" in ast.unparse(node)
+            ):
+                readers.append(f"{path.name}: {ast.unparse(node)}")
+    assert readers == []
+
+
 def test_permutations_hold_no_cache_and_corners_are_computed_once():
     """A permutation holds its map and domain only, all of it in its hash;
-    the table's corners are computed once, as a cached property."""
+    the table's corners and its idempotent set are computed once, as cached
+    properties."""
     assert Permutation.__slots__ == ("_map", "_domain")
     table = bga_table(gen_random(3, n_half=6))
     assert table.corners is table.corners
     assert table.corner_sizes is table.corner_sizes
+    assert table.idempotent_indices is table.idempotent_indices
+    assert table.idempotent_indices == frozenset(i for _, i in table.idempotents)
 
 
 def test_exact_division_is_defined_once():

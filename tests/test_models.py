@@ -14,6 +14,7 @@ from brauergraph.core import (
     GradedGraph,
     Grading,
     gen_random,
+    induces_arrow,
     random_valid_grading,
     zero_grading,
 )
@@ -43,7 +44,6 @@ from brauergraph.presentation import (
     _shifted_relations,
     _special_cycle_table,
     _two_route_relations,
-    induces_arrow,
     quiver,
     relations,
     render_quiver,

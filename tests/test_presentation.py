@@ -11,6 +11,7 @@ from brauergraph.core import (
     BrauerGraph,
     GradedGraph,
     gen_random,
+    induces_arrow,
     random_valid_grading,
     zero_grading,
 )
@@ -28,7 +29,6 @@ from brauergraph.presentation import (
     admissible_cut,
     expand_relation,
     gentle_violations,
-    induces_arrow,
     n_cross,
     presentation,
     quiver,
