@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .core import BrauerGraph, induces_arrow
-from .linalg import _quotient, vec_add, vec_scale
+from .linalg import _quotient, vec_add
 
 Element = dict[int, int | Fraction]
 
@@ -453,7 +453,9 @@ class OrbitTruncation(NamedTuple):
     and raises ``ValueError`` when f x f is no combination of the basis.
     ``vector(k)`` is basis element k as an element of A#G.
     ``compressions(x)`` lists the nonzero F_p x F_q by corner (p, q)
-    ascending, F = d f being the integer form of a chosen idempotent.
+    ascending, F = d f being the integer form of a chosen idempotent f:
+    {e: 1} for e (x) 1 (d = 1), {e: 1, dim + e: +-1} for a half (d = 2).
+    The table's idempotents are the chosen ones, in order, with their labels.
     """
 
     table: AlgebraTable
@@ -465,14 +467,20 @@ class OrbitTruncation(NamedTuple):
 def orbit_truncation(
     table: AlgebraTable,
     act: GroupActionTable,
-    chosen: Sequence[tuple[str, Element]],
+    chosen: Sequence[tuple[str, int, int | None]],
 ) -> OrbitTruncation:
     """f (A#G) f on the orbit basis, without building the skew group table.
 
-    ``table`` is A, ``act`` an action of G = <g> permuting its basis and
-    ``chosen`` orthogonal idempotents of A#G with sum f, where index
-    k * table.dim + b is b (x) g^k as in ``skew_group_table``.  Products in
-    A#G are taken from ``table`` and ``act`` directly.
+    ``table`` is A, ``act`` an action of G = <g> permuting its basis, and
+    index k * table.dim + b of A#G is b (x) g^k as in ``skew_group_table``.
+    Products in A#G are taken from ``table`` and ``act`` directly.
+    ``chosen`` names the idempotents with sum f as triples (label, e, copy),
+    e the basis index of an idempotent of A: copy None is e (x) 1, and copy
+    0 or 1 the half (e +- e (x) g) / 2 with sign (-1)^copy.  Their integer
+    forms F = d f are {e: 1} with d = 1 and {e: 1, dim + e: +-1} with d = 2.
+    Three entry checks raise ``ValueError`` naming the label: e is an
+    idempotent of A; a halved e is fixed by g, and g has order 2; and no e
+    is chosen twice, except as its two different halves.
 
     Multiplying by g on either side moves basis keys of A#G to basis keys.
     So f_p (b (x) g^k) f_q lies on the G x G-orbit of (b, k) under those
@@ -490,8 +498,8 @@ def orbit_truncation(
     does not span, a product that leaves the truncation and two orbit
     elements that overlap in a corner raise ``ValueError``.
 
-    A compression takes no product in A.  By the precondition below every
-    chosen F is a combination of keys e (x) g^i with e an idempotent, so
+    A compression takes no product in A.  Every chosen F is a combination
+    of keys e (x) g^i with e an idempotent, so
 
         F_p (c (x) g^l) F_q = sum a b (g^i c) (x) g^(i+l+j)
 
@@ -500,37 +508,42 @@ def orbit_truncation(
     this over the keys of x.  It rests on the unit law:
     e b = b when tgt b = e, and b e = b when src b = e, for every basis
     element b and each idempotent e of A sitting in its own corner.  That
-    is checked at entry with one product per side of each b (else
-    ``ValueError``); that g sends idempotents to idempotents is part of the
-    action proof.
+    is checked at entry with one product per side of each basis element
+    (else ``ValueError``); that g sends idempotents to idempotents is part
+    of the action proof.
+
+    The chosen elements are orthogonal idempotents, each in sheet 0 or
+    g-stable, by the entry checks, the unit law and the action proof, so no
+    product in A#G checks them.  A term e (x) g^i of F_p times a term
+    e' (x) g^j of F_q is e (g^i e') (x) g^(i+j), and g^i e' is an
+    idempotent.  Distinct idempotents of A sit in distinct corners, so this
+    is zero unless g^i e' = e, which forces e' = e: i = 0 unless F_p is a
+    half, whose e is fixed by g.  So F_p F_q = 0 when their e differ.  With
+    g e = e and g^2 = 1, (e (x) g)^2 = e (x) 1, so the two halves of e are
+    orthogonal idempotents, and
+
+        (e +- e (x) g)(1 (x) g) = +-(e +- e (x) g) = (1 (x) g)(e +- e (x) g).
+
+    So each F lies in sheet 0 or F (1 (x) g) = +-F = (1 (x) g) F, and the
+    idempotents carrying a g-stable F are {e}, which no sheet-0 F carries.
 
     The sweep compresses a key only when no earlier compression has it in
-    its support.  This rests on a precondition, checked at entry (else
-    ``ValueError``): every chosen F is a combination of keys e (x) g^i with
-    e an idempotent of A (the idempotents that carry F); F lies in sheet 0
-    or F (1 (x) g) = +-F = +-(1 (x) g) F; and the idempotents carrying a
-    g-stable F form a g-invariant set, disjoint from those carrying a
-    sheet-0 F.  The first two parts are checked; the last two follow, since
-    (1 (x) g) F = +-F moves each idempotent carrying F to another, and a
-    sheet-0 F is orthogonal to F only when no idempotent carries both.
-
-    Lemma: let y be a key in the support of F_p x F_q for an earlier key x.
-    Then every nonzero F_p' y F_q' is +-F_p' x F_q', which x's turn already
-    admitted or found in the span, so skipping y changes nothing.  Proof:
-    F_p and F_q move a key only by the powers of 1 (x) g that are sheets of
-    their keys, so y = (1 (x) g)^i x (1 (x) g)^j with i = 0 when F_p lies in
-    sheet 0 and j = 0 when F_q does.  Left side: if F_p' is g-stable,
-    F_p' (1 (x) g)^i = +-F_p'.  If F_p' lies in sheet 0 and i != 0, then
-    F_p is g-stable and the target of y is an idempotent carrying F_p,
-    which no sheet-0 F carries, so F_p' y = 0.  The right side is the same,
-    the source of y being carried by F_q up to g.  So each G x G-orbit of
-    keys is compressed about once.
+    its support.  Lemma: let y be a key in the support of F_p x F_q for an
+    earlier key x.  Then every nonzero F_p' y F_q' is +-F_p' x F_q', which
+    x's turn already admitted or found in the span, so skipping y changes
+    nothing.  Proof: F_p and F_q move a key only by the powers of 1 (x) g
+    that are sheets of their keys, so y = (1 (x) g)^i x (1 (x) g)^j with
+    i = 0 when F_p lies in sheet 0 and j = 0 when F_q does.  Left side: if
+    F_p' is g-stable, F_p' (1 (x) g)^i = +-F_p'.  If F_p' lies in sheet 0
+    and i != 0, then F_p is g-stable and the target of y is an idempotent
+    carrying F_p, which no sheet-0 F carries, so F_p' y = 0.  The right
+    side is the same, the source of y being carried by F_q up to g.  So
+    each G x G-orbit of keys is compressed about once.
 
     Basis element k of corner (p, q) is U / d_p, where U = F_p (b (x) g^k) F_q
-    is its integer form and F_p = d_p f_p clears the denominators of the
-    chosen idempotent f_p (d = 2 at a skew leg's (e +- e g) / 2, else 1);
-    the chosen idempotents themselves are F_p / d_p = f_p.  Sweeps and checks
-    stay in ``int`` arithmetic on the forms U.  If U_i U_j = sum a_k U_k for
+    is its integer form, F_p = d_p f_p, and the chosen idempotents
+    themselves are F_p / d_p = f_p.  Sweeps and checks stay in ``int``
+    arithmetic on the forms U.  If U_i U_j = sum a_k U_k for
     basis elements i in (p, q) and j in (q, r), then b_i b_j = sum (a_k / d_q)
     b_k, and f_p x f_q = sum (a_k / d_q) b_k when F_p x F_q = sum a_k U_k.
     Since F_q F_q = d_q F_q, U_i U_j = d_q F_p (x F_q y) F_r for the keys of
@@ -586,58 +599,38 @@ def orbit_truncation(
                         del out[key]
         return out
 
-    forms = [integral_form(x) for _, x in chosen]
+    # The integer forms F = d f of the chosen idempotents, after the entry
+    # checks that make them orthogonal idempotents (see the docstring).
+    forms: list[Element] = []
+    scale: list[int] = []
+    copies: dict[int, set[int | None]] = {}
+    for label, e, copy in chosen:
+        if e not in table.idempotent_indices:
+            raise ValueError(f"chosen idempotent {label!r} is no idempotent of the table")
+        taken = copies.setdefault(e, set())
+        if taken and (copy is None or None in taken or copy in taken):
+            raise ValueError(f"chosen idempotent {label!r} overlaps an earlier one")
+        taken.add(copy)
+        if copy is not None and (act.images[e] != e or n != 2):
+            raise ValueError(f"halved idempotent {label!r} needs g to fix it and have order 2")
+        forms.append({e: ONE} if copy is None else {e: ONE, dim + e: (-1) ** copy})
+        scale.append(1 if copy is None else 2)
 
     # Term u = a (e (x) g^i) of F_p is filed under lefts[i][src e]: with a
     # key c (x) g^l on its right it is nonzero only if tgt(g^i c) = src e.
     Terms = list[list[list[tuple[int, int, int]]]]
     lefts: Terms = [[[] for _ in at] for _ in range(n)]
-    for p, (form, _) in enumerate(forms):
+    for p, form in enumerate(forms):
         for u, (key, a) in enumerate(form.items()):
             i, e = divmod(key, dim)
             lefts[i][src[e]].append((p, u, a))
-
-    for (label, _), (form, scale) in zip(chosen, forms):
-        if mul(form, form) != vec_scale(form, scale):
-            raise ValueError(f"chosen element {label!r} is not idempotent")
-    for b, (lb, (form, _)) in enumerate(zip(chosen, forms)):
-        partners = {
-            p
-            for key in form
-            for i in range(n)
-            for p, _, _ in lefts[i][tgt[moved[i][key % dim]]]
-        }
-        for a in sorted(partners):
-            if a != b and mul(forms[a][0], form):
-                raise ValueError(
-                    f"chosen idempotents {chosen[a][0]!r}, {lb!r} not orthogonal"
-                )
-
-    # The sweep's precondition; its last two parts follow from the checks
-    # above, see the docstring.  F is multiplied by 1 (x) g on each side
-    # through the terms e (x) g that compose with F's terms b (x) g^k: on the
-    # right e = g^(-k) b and on the left e = g b, since g moves idempotents
-    # to idempotents, each in its own corner.  ``mul`` skips every other
-    # term, so the products are those with 1 (x) g.
-    for (label, _), (form, _) in zip(chosen, forms):
-        if any(key % dim not in table.idempotent_indices for key in form):
-            raise ValueError(f"chosen element {label!r} is not a sum over idempotents")
-        if all(key < dim for key in form):
-            continue
-        right_g = {dim + moved[-(key // dim) % n][key % dim]: ONE for key in form}
-        left_g = {dim + moved[1][key % dim]: ONE for key in form}
-        for side in (mul(form, right_g), mul(left_g, form)):
-            if side != form and side != vec_scale(form, -1):
-                raise ValueError(
-                    f"chosen element {label!r} is neither sheet 0 nor g-stable"
-                )
 
     # Term b (e' (x) g^j) of F_q is filed under rights[m][tgt(g^m e')] for
     # every m, as (q, (m + j) mod n times dim, b): with c (x) g^m on its left
     # it is nonzero only if src c = tgt(g^m e'), and the product's key is
     # c (x) g^(m+j).
     rights: Terms = [[[] for _ in at] for _ in range(n)]
-    for q, (form, _) in enumerate(forms):
+    for q, form in enumerate(forms):
         for key, b in form.items():
             j, e = divmod(key, dim)
             for m in range(n):
@@ -683,7 +676,6 @@ def orbit_truncation(
                 sums[corner] = vec_add(sums.get(corner, {}), form, c)
         return [(corner, sums[corner]) for corner in sorted(sums) if sums[corner]]
 
-    scale = [d for _, d in forms]
     basis: list[Element] = []
     reps: list[int] = []
     owners: dict[tuple[int, int], dict[int, int]] = {}
@@ -733,7 +725,7 @@ def orbit_truncation(
         targets.append(corner[0])
         sources.append(corner[1])
 
-    for p, (form, _) in enumerate(forms):
+    for p, form in enumerate(forms):
         admit((p, p), form, -1)
     covered: set[int] = set()
     for key in range(n * dim):
@@ -774,7 +766,7 @@ def orbit_truncation(
         sheet, b = divmod(origins[k], dim)
         return f"{table.labels[b]}|g{sheet}[{p}.{q}]"
 
-    idempotents = [(label, p) for p, (label, _) in enumerate(chosen)]
+    idempotents = [(label, p) for p, (label, _, _) in enumerate(chosen)]
     corner_table = AlgebraTable(
         RenderedLabels(len(origins), label_of), sources, targets, idempotents, product
     )

@@ -75,10 +75,17 @@ def _graded(parsed: ParsedGraph, choice: str, subset: frozenset[str]) -> GradedG
     return GradedGraph(graph, grading)
 
 
-def _write_output(text: str, path: str | None, lines: list[str]) -> None:
-    if path:
+def _write(path: str, text: str) -> None:
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_output(text: str, path: str | None, lines: list[str]) -> None:
+    if path:
+        _write(path, text)
         lines.append(f"wrote {path}")
     else:
         lines.extend(text.rstrip("\n").split("\n"))
@@ -134,9 +141,7 @@ def cmd_quiver(args, parsed: ParsedGraph) -> Outcome:
     }
     if args.dot:
         # Only the dot file lists relations, so only it meets the rule-(I) cap.
-        dot = to_dot(presentation(parsed.graph))
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write(args.dot, to_dot(presentation(parsed.graph)))
         lines.append(f"wrote {args.dot}")
         payload["dot"] = args.dot
     return Outcome(lines, payload)

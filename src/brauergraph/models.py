@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .algebra import (
@@ -26,6 +25,7 @@ from .algebra import (
     Element,
     GroupActionTable,
     ONE,
+    bga_dimension_formula,
     bga_table_with_keys,
     integral_form,
     orbit_truncation,
@@ -271,25 +271,20 @@ def sheet_shift_action(
 
 def truncation_idempotents(
     covered: CoveredGraph, table: AlgebraTable
-) -> list[tuple[QVertex, Element]]:
-    """The sheet-zero idempotents, split in two at each skew leg.
+) -> list[tuple[QVertex, int, int | None]]:
+    """The sheet-zero idempotents, split in two at each skew leg, as the
+    ``(vertex, e, copy)`` that ``orbit_truncation`` takes: one per base
+    quiver vertex (name, copy), e being the index in ``table`` of the
+    idempotent of the name's sheet-zero edge.
 
     ``table`` is an algebra of the covering whose idempotents are labelled
-    by covering edge names; the elements live in its skew group algebra,
-    where basis index ``table.dim + b`` is b (x) g.
+    by covering edge names.
     """
     idempotent_at = dict(table.idempotents)
-    out: list[tuple[QVertex, Element]] = []
-    for v in quiver(covered.base.graph).vertices:
-        name, copy = v
-        e_index = idempotent_at[covered.sheet_edge(name, 0)]
-        if copy is None:
-            out.append((v, {e_index: ONE}))
-        else:
-            half = Fraction(1, 2)
-            sign = half if copy == 0 else -half
-            out.append((v, {e_index: half, table.dim + e_index: sign}))
-    return out
+    return [
+        (v, idempotent_at[covered.sheet_edge(v[0], 0)], v[1])
+        for v in quiver(covered.base.graph).vertices
+    ]
 
 
 def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
@@ -300,9 +295,9 @@ def truncation_model(covered: CoveredGraph) -> GraphAlgebraModel:
     bd, keys, index_of = bga_table_with_keys(covered.total)
     action = sheet_shift_action(covered, keys, index_of)
     chosen = truncation_idempotents(covered, bd)
-    trunc = orbit_truncation(bd, action, [(str(v), elem) for v, elem in chosen])
+    trunc = orbit_truncation(bd, action, [(str(v), e, copy) for v, e, copy in chosen])
     table = trunc.table
-    vertex_position = {v: p for p, (v, _) in enumerate(chosen)}
+    vertex_position = {v: p for p, (v, _, _) in enumerate(chosen)}
 
     # The arrow at h is the covering arrow of h on sheet -deg(h), times g^sheet;
     # each quiver arrow at h is one (target, source) corner of its compression.
@@ -605,7 +600,8 @@ def presentation_problems(model: GraphAlgebraModel) -> list[str]:
 
 def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchReport:
     """The ``presentation_problems`` of the compressed covering model, and
-    its dimension against the independent count."""
+    its dimension against the independent count: the closed formula on an
+    ordinary graph, ``skew_dimension_oracle`` on a skew one."""
     try:
         model = truncation_model(covered)
     except (ValueError, KeyError) as exc:
@@ -614,7 +610,7 @@ def presentations_match(graph: BrauerGraph, covered: CoveredGraph) -> MatchRepor
     if graph.is_skew:
         expected_dim = skew_dimension_oracle(covered)
     else:
-        expected_dim = bga_table_with_keys(graph)[0].dim
+        expected_dim = bga_dimension_formula(graph)
     if model.table.dim != expected_dim:
         problems.append(
             f"model dimension {model.table.dim} differs from expected {expected_dim}"
@@ -706,6 +702,6 @@ def cut_model_table(graph: BrauerGraph, delta: frozenset[str]) -> AlgebraTable:
     covered = cover(GradedGraph(graph, zero_grading(graph)))
     table, action, _ = cut_cover_table(covered, frozenset(delta))
     chosen = [
-        (render_vertex(v), elem) for v, elem in truncation_idempotents(covered, table)
+        (render_vertex(v), e, copy) for v, e, copy in truncation_idempotents(covered, table)
     ]
     return orbit_truncation(table, action, chosen).table

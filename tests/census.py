@@ -8,6 +8,13 @@ under ``default_grading``, and on skew graphs ``presentations_match(...).ok``
 (once per graph, since the skew default grading does not depend on the
 subset).  A move that ``move_set`` refuses counts as a failure too.
 
+Each graph is also written to a file and run through ``cli.main`` with
+``--json``, once per command: ``move``, ``check-commute`` and ``mutate
+--verify`` take the first edge, and ``cut`` the least half-edge of each
+sigma-orbit.  A command fails when an exception escapes ``main``, when it
+exits with a code other than 0, 1 or 2, or when it prints no JSON object,
+on stdout for exits 0 and 1 and on stderr for exit 2.
+
 Random draws sample the accepted graphs; the census covers every one up to
 a size.  Run it as
 
@@ -18,13 +25,20 @@ this file; ``test_census.py`` runs it up to n = 5.
 """
 from __future__ import annotations
 
+import io
 import itertools
+import json
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from typing import Iterator, NamedTuple
 
+from brauergraph import cli
 from brauergraph.core import BrauerGraph, GradedGraph, validate
 from brauergraph.covering import check_cover_commutes, cover, default_grading
+from brauergraph.graphfile import emit
 from brauergraph.homotopy import mutation_verification
 from brauergraph.models import model_for, presentations_match
 from brauergraph.permutations import Permutation
@@ -96,9 +110,50 @@ class Counts(NamedTuple):
     presentations: int
 
 
-def failures(graph: BrauerGraph) -> Iterator[tuple[str, str]]:
+def cli_failures(graph: BrauerGraph, workdir: Path) -> Iterator[tuple[str, str]]:
+    """(command, what went wrong) for every command of ``cli.main`` that
+    fails on ``graph``, written to a file in ``workdir``."""
+    path = workdir / "graph.bg"
+    path.write_text(emit(graph), encoding="utf-8")
+    edge = min(graph.edges_by_label)
+    delta = ",".join(min(orbit) for orbit in graph.sigma_orbits)
+    commands = [
+        ["validate"],
+        ["invariants"],
+        ["quiver", "--dot", str(workdir / "graph.dot")],
+        ["relations"],
+        ["dim"],
+        ["cartan"],
+        ["move", "--edges", edge],
+        ["cover"],
+        ["check-commute", "--edges", edge],
+        ["mutate", "--edges", edge, "--verify"],
+        ["cut", "--delta", delta],
+    ]
+    for name, *options in commands:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["--json", name, str(path), *options])
+        except (Exception, SystemExit) as exc:
+            yield name, f"cli raised {type(exc).__name__}: {exc}"
+            continue
+        if code not in (0, 1, 2):
+            yield name, f"cli exited with {code}"
+            continue
+        stream = "stderr" if code == 2 else "stdout"
+        try:
+            payload = json.loads((err if code == 2 else out).getvalue())
+        except json.JSONDecodeError:
+            payload = None
+        if not isinstance(payload, dict):
+            yield name, f"cli exited with {code} and no JSON object on {stream}"
+
+
+def failures(graph: BrauerGraph, workdir: Path) -> Iterator[tuple[str, str]]:
     """(edges moved, verdict) for every failing verdict of ``graph``; the
-    edges are "-" for the presentation check."""
+    edges are "-" for the presentation check and the command for the
+    command line (``cli_failures``)."""
     if graph.is_skew:
         report = presentations_match(graph, cover(GradedGraph(graph, default_grading(graph))))
         if not report.ok:
@@ -117,6 +172,7 @@ def failures(graph: BrauerGraph) -> Iterator[tuple[str, str]]:
                     yield name, "check_cover_commutes"
             except ValueError as exc:
                 yield name, f"refused: {exc}"
+    yield from cli_failures(graph, workdir)
 
 
 def census(n: int) -> tuple[Counts, list[tuple[BrauerGraph, str, str]]]:
@@ -124,11 +180,12 @@ def census(n: int) -> tuple[Counts, list[tuple[BrauerGraph, str, str]]]:
     found_maps = maps(n)
     found = []
     n_graphs = n_moves = n_presentations = 0
-    for graph in graphs(found_maps):
-        n_graphs += 1
-        n_moves += 2 ** len(graph.edges) - 1
-        n_presentations += graph.is_skew
-        found += [(graph, edges, why) for edges, why in failures(graph)]
+    with tempfile.TemporaryDirectory() as workdir:
+        for graph in graphs(found_maps):
+            n_graphs += 1
+            n_moves += 2 ** len(graph.edges) - 1
+            n_presentations += graph.is_skew
+            found += [(graph, edges, why) for edges, why in failures(graph, Path(workdir))]
     return Counts(len(found_maps), n_graphs, n_moves, n_presentations), found
 
 

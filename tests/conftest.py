@@ -296,6 +296,21 @@ def table_corner_sum(covered) -> int:
 # ---------------------------------------------------------------------------
 
 
+def chosen_elements(
+    dim: int, chosen: Sequence[tuple[str, int, int | None]]
+) -> list[tuple[str, Element]]:
+    """The elements of A#G that the (label, e, copy) triples of
+    ``algebra.orbit_truncation`` choose, A having dimension ``dim`` and
+    index dim + b being b (x) g: e (x) 1 for copy None, else the half
+    (e +- e (x) g) / 2 with sign (-1)^copy.  The generic ``truncate`` takes
+    these."""
+    half = Fraction(1, 2)
+    return [
+        (label, {e: ONE} if copy is None else {e: half, dim + e: half * (-1) ** copy})
+        for label, e, copy in chosen
+    ]
+
+
 def mul_compressions(
     skew: AlgebraTable, chosen: Sequence[tuple[str, Element]], x: Element
 ) -> list[tuple[tuple[int, int], Element]]:

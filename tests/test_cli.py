@@ -266,6 +266,25 @@ def test_cli_reports_file_then_graph_then_command_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: invalid graph: edge label a ")
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize(
+    "command", [["move", "--edges", "1", "-o"], ["cover", "-o"], ["quiver", "--dot"]]
+)
+def test_cli_reports_an_output_file_it_cannot_write(
+    ex1_file, tmp_path, capsys, command, as_json
+):
+    """A file to write in a missing directory is an error (exit 2, the
+    message on stderr), not a traceback."""
+    target = tmp_path / "missing" / "out"
+    name, *options = command
+    assert main(["--json"] * as_json + [name, ex1_file, *options, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"] if as_json else captured.err
+    prefix = "" if as_json else "error: "
+    assert error.startswith(f"{prefix}cannot write {target}: ")
+
+
 def test_cli_invariants(ex2_file, capsys):
     assert main(["invariants", ex2_file]) == 0
     out = capsys.readouterr().out

@@ -28,7 +28,7 @@ from brauergraph.models import (
     truncation_idempotents,
 )
 
-from conftest import truncate
+from conftest import chosen_elements, truncate
 
 
 def is_exact(value) -> bool:
@@ -124,7 +124,9 @@ def random_tables():
         covered = cover(GradedGraph(graph, zero_grading(graph)))
         bd, keys, index_of = bga_table_with_keys(covered.total)
         skew = skew_group_table(bd, sheet_shift_action(covered, keys, index_of))
-        chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+        chosen = chosen_elements(
+            bd.dim, [(str(v), e, copy) for v, e, copy in truncation_idempotents(covered, bd)]
+        )
         out.append((skew, chosen))
     return out
 

@@ -905,9 +905,9 @@ def test_hom_dimension_matches_the_reference_systems(ex1, ex2):
 
 
 def _full_cohomology(table, x, y):
-    """dim H^n from the coordinate pass that ``end_table`` and ``hom_space``
-    run, with every column formed.  Its H^0 is the number of classes it
-    names, and its H^{-1} counts the boundary images its span left out."""
+    """dim H^n from the coordinate pass that ``end_table`` runs, with every
+    column formed.  Its H^0 is the number of classes it names, and its
+    H^{-1} counts the boundary images its span left out."""
     from brauergraph.homotopy import _eliminated_hom_complex
 
     cohomology, span, classes = _eliminated_hom_complex(table, x, y)

@@ -65,6 +65,22 @@ def test_presentations_match_ex1(ex1, ex1_graded):
     assert report.model_dim == report.expected_dim == 27
 
 
+def test_presentations_match_builds_one_table_the_covers(ex1, ex1_graded, monkeypatch):
+    """On an ordinary graph the expected dimension is the closed count, so
+    the check builds the cover's Brauer graph algebra table and no other."""
+    built = []
+    bga_table_with_keys = models.bga_table_with_keys
+
+    def recording(graph):
+        built.append(graph)
+        return bga_table_with_keys(graph)
+
+    monkeypatch.setattr(models, "bga_table_with_keys", recording)
+    covered = cover(ex1_graded)
+    assert presentations_match(ex1, covered).ok
+    assert built == [covered.total]
+
+
 def test_presentations_match_ex2(ex2, ex2_graded, monkeypatch):
     evaluated = []
     evaluate_relation = models.GraphAlgebraModel.evaluate_relation

@@ -44,6 +44,7 @@ from brauergraph.models import (
 from brauergraph.presentation import quiver, relations
 
 from conftest import (
+    chosen_elements,
     left_nested,
     mul_compressions,
     table_corner_sum,
@@ -105,10 +106,17 @@ def paper_cases():
     return cases
 
 
+# The cut of ex2 with multiplicity one that ``cut_model_table`` is tested on.
+CUT_DELTA = frozenset(["1-", "1+", "4-", "5-"])
 SKEW_CASES = skew_cases()
 ORDINARY_CASES = ordinary_cases()
 CASES = {name: (graph, grading) for name, graph, grading in
          paper_cases() + SKEW_CASES + ORDINARY_CASES}
+
+
+def chosen_triples(covered, table):
+    """``truncation_idempotents`` labelled as ``truncation_model`` labels them."""
+    return [(str(v), e, copy) for v, e, copy in truncation_idempotents(covered, table)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,9 +126,9 @@ def routes(case):
     covered = cover(GradedGraph(*CASES[case]))
     bd, keys, index_of = bga_table_with_keys(covered.total)
     action = sheet_shift_action(covered, keys, index_of)
-    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    chosen = chosen_triples(covered, bd)
     orbit = orbit_truncation(bd, action, chosen)
-    generic = truncate(skew_group_table(bd, action), chosen)
+    generic = truncate(skew_group_table(bd, action), chosen_elements(bd.dim, chosen))
     return covered, bd, index_of, orbit, generic
 
 
@@ -470,7 +478,7 @@ def test_generators_that_do_not_span_are_reported(ex2_graded):
     # do not span.
     bd.generators = arrows[1:]
     assert action_violations(bd, action) == ["generators do not span"]
-    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    chosen = chosen_triples(covered, bd)
     with pytest.raises(ValueError, match="generators do not span"):
         orbit_truncation(bd, action, chosen)
 
@@ -500,36 +508,75 @@ def test_a_map_that_is_no_bijection_of_bases_is_refused(ex2_graded, breakage, wh
 
 
 def test_orbit_truncation_checks_the_sweep_precondition(ex2_graded):
+    """A half (e +- e (x) g) / 2 is a g-stable idempotent only when g fixes
+    e and g^2 = 1; the build refuses it otherwise, before any product."""
     covered = cover(ex2_graded)
     bd, keys, index_of = bga_table_with_keys(covered.total)
     action = sheet_shift_action(covered, keys, index_of)
-    # e (x) 1 + e (x) g is idempotent when e and g e are distinct, but it is
-    # moved by g on the left
+    why = "halved idempotent 'h' needs g to fix it and have order 2"
+    # e (x) 1 + e (x) g is moved by g on the left when g e != e
     e = next(i for _, i in bd.idempotents if action.images[i] != i)
-    moving = {e: ONE, bd.dim + e: ONE}
-    with pytest.raises(ValueError, match="neither sheet 0 nor g-stable"):
-        orbit_truncation(bd, action, [("moving", moving)])
-    # e_t + a, for an arrow a from s to t != s, is an idempotent on sheet 0
-    # that is not a sum over idempotents
-    a = next(i for i in bd.generators if bd.src[i] != bd.tgt[i])
-    e_t = bd.idempotents[bd.tgt[a]][1]
-    with pytest.raises(ValueError, match="not a sum over idempotents"):
-        orbit_truncation(bd, action, [("lopsided", {e_t: ONE, a: ONE})])
+    with pytest.raises(ValueError, match=re.escape(why)):
+        orbit_truncation(bd, action, [("h", e, 0)])
+    # the sheet shift declared with order 4 passes the action proof, but
+    # then (e (x) g)^2 = e (x) g^2 is not e (x) 1
+    fixed = next(i for _, i in bd.idempotents if action.images[i] == i)
+    order_four = GroupActionTable(4, action.images)
+    assert action_violations(bd, order_four) == []
+    with pytest.raises(ValueError, match=re.escape(why)):
+        orbit_truncation(bd, order_four, [("h", fixed, 1)])
+    orbit_truncation(bd, action, [("h", fixed, 1)])
 
 
 def test_orbit_truncation_checks_the_chosen_idempotents(ex2_graded):
+    """Each chosen e is an idempotent of A, chosen once or as its two
+    different halves."""
     covered = cover(ex2_graded)
     bd, keys, index_of = bga_table_with_keys(covered.total)
     action = sheet_shift_action(covered, keys, index_of)
-    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
-    doubled = [(label, {k: 2 * c for k, c in x.items()}) for label, x in chosen]
-    with pytest.raises(ValueError, match="is not idempotent"):
-        orbit_truncation(bd, action, doubled)
-    # a skew leg's idempotent e (x) 1 = f_0 + f_1 overlaps both halves
-    half = next(x for _, x in chosen if len(x) == 2)
-    whole = {k: ONE for k in half if k < bd.dim}
-    with pytest.raises(ValueError, match="not orthogonal"):
-        orbit_truncation(bd, action, chosen + [("whole", whole)])
+    chosen = chosen_triples(covered, bd)
+    arrow = bd.generators[0]
+    with pytest.raises(ValueError, match="chosen idempotent 'a' is no idempotent"):
+        orbit_truncation(bd, action, chosen + [("a", arrow, None)])
+    # a skew leg's idempotent e (x) 1 = f_0 + f_1 overlaps both halves, and
+    # each half overlaps e (x) 1 and itself
+    _, e, _ = next(triple for triple in chosen if triple[2] is not None)
+    for first, second in [(0, None), (None, 1), (None, None), (1, 1)]:
+        with pytest.raises(ValueError, match="'x' overlaps an earlier one"):
+            orbit_truncation(bd, action, [("e", e, first), ("x", e, second)])
+    orbit_truncation(bd, action, [("e", e, 1), ("x", e, 0)])
+
+
+@pytest.mark.parametrize("case", [*CASES, "cut"])
+def test_the_chosen_elements_are_orthogonal_idempotents_in_sheet_0_or_g_stable(
+    case, request
+):
+    """The facts that ``orbit_truncation`` proves from its entry checks,
+    checked with products in the skew group table, on every cover and on
+    the cut table: the chosen elements are idempotent and pairwise
+    orthogonal, and each lies in sheet 0 or is multiplied by 1 (x) g on
+    either side to the same +-itself."""
+    if case == "cut":
+        graph = request.getfixturevalue("ex2_multiplicity_one")
+        covered = cover(GradedGraph(graph, zero_grading(graph)))
+        table, action, _ = cut_cover_table(covered, CUT_DELTA)
+        skew = skew_group_table(table, action)
+        chosen = chosen_elements(table.dim, chosen_triples(covered, table))
+    else:
+        covered, table, _, _, generic = routes(case)
+        skew, chosen = generic.ambient, generic.chosen
+    g = {table.dim + e: ONE for _, e in table.idempotents}
+    halves = 0
+    for p, (label, x) in enumerate(chosen):
+        assert skew.mul(x, x) == x, label
+        for q, (_, y) in enumerate(chosen):
+            assert p == q or skew.mul(x, y) == {}, (label, q)
+        if all(key < table.dim for key in x):
+            continue
+        halves += 1
+        minus = {key: -c for key, c in x.items()}
+        assert skew.mul(x, g) in (x, minus) and skew.mul(g, x) == skew.mul(x, g), label
+    assert halves % 2 == 0 and (halves > 0) == covered.base.graph.is_skew
 
 
 def test_orbit_truncation_checks_the_unit_law(ex2_graded):
@@ -548,7 +595,7 @@ def test_orbit_truncation_checks_the_unit_law(ex2_graded):
     broken = AlgebraTable(bd.labels, bd.src, bd.tgt, bd.idempotents, product)
     broken.generators = bd.generators
     assert action_violations(broken, action) == []
-    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    chosen = chosen_triples(covered, bd)
     with pytest.raises(ValueError, match=re.escape(f"unit law fails on {bd.labels[arrow]}")):
         orbit_truncation(broken, action, chosen)
 
@@ -579,7 +626,7 @@ def test_the_action_order_is_checked(order):
     act = GroupActionTable(order, shift.images)
     failing = least_unmoved_failure(act, order)
     assert (failing is None) == (order % 2 == 0)
-    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    chosen = chosen_triples(covered, bd)
     if failing is None:
         assert action_violations(bd, act) == []
     else:
@@ -608,7 +655,7 @@ def truncation_with_a_fault(graded, swap, monkeypatch):
         return problems
 
     monkeypatch.setattr(algebra, "action_violations", then_seed_the_fault)
-    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, bd)]
+    chosen = chosen_triples(covered, bd)
     return bd, orbit_truncation(bd, GroupActionTable(shift.order, images), chosen)
 
 
@@ -667,9 +714,10 @@ def test_a_fault_after_the_proof_fails_the_closure_checks(
 
 
 def test_the_sweep_makes_no_products_in_the_cover_algebra(monkeypatch):
-    """Only the checks on the chosen idempotents multiply in A through its
-    memo; the action proof and the unit law bypass it, and the compressions
-    take no product.  The mul-based sweep left 978 memo entries here."""
+    """Nothing multiplies in A through its memo: the action proof and the
+    unit law bypass it, the chosen idempotents are checked without products
+    and the compressions take none.  The mul-based sweep left 978 memo
+    entries here."""
     from brauergraph import models
 
     tables = []
@@ -684,18 +732,17 @@ def test_the_sweep_makes_no_products_in_the_cover_algebra(monkeypatch):
     assert graph.is_skew
     model = truncation_model(cover(GradedGraph(graph, zero_grading(graph))))
     (bd,) = tables
-    chosen = len(model.table.idempotents)
-    assert 0 < len(bd._memo) <= 2 * chosen
+    assert model.table.dim and bd._memo == {}
 
 
 def test_cut_model_table_is_isomorphic_to_the_generic_truncation(ex2_multiplicity_one):
     graph = ex2_multiplicity_one
-    delta = frozenset(["1-", "1+", "4-", "5-"])
     covered = cover(GradedGraph(graph, zero_grading(graph)))
-    table, action, _ = cut_cover_table(covered, delta)
-    chosen = [(str(v), elem) for v, elem in truncation_idempotents(covered, table)]
+    table, action, _ = cut_cover_table(covered, CUT_DELTA)
+    chosen = chosen_triples(covered, table)
     orbit = orbit_truncation(table, action, chosen)
-    change_of_basis(orbit, truncate(skew_group_table(table, action), chosen))
-    cut = cut_model_table(graph, delta)
+    generic = truncate(skew_group_table(table, action), chosen_elements(table.dim, chosen))
+    change_of_basis(orbit, generic)
+    cut = cut_model_table(graph, CUT_DELTA)
     assert cut.dim == orbit.table.dim == 18
     assert cut.cartan() == orbit.table.cartan()
